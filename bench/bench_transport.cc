@@ -20,12 +20,6 @@
 //     socket_* figures and the socket engine's handshake/step counters.
 //     Verdict equality is the gate; wall-clock is informational (real
 //     processes pay real syscalls — there is no speedup leg to enforce).
-//   * BM_Transport_ReplayShard/<sites>/<objects_per_site>: the threaded
-//     engine with sharded staged-send replay (the default) against the
-//     forced-serial replay loop (transport_serial_replay). Equality of the
-//     two runs' verdicts is the gate; parallel_replays proves the sharded
-//     branch actually ran; replay_speedup carries a floor only on hosts
-//     with cores to shard across.
 //   * BM_Transport_SocketPipeline/<sites>: the socket engine's pipelined
 //     step loop (one StepRequest in flight to every involved site) against
 //     the serial lock-step loop (socket.pipelined_steps = false), identical
@@ -61,12 +55,10 @@ struct RunResult {
 };
 
 RunResult RunScenario(TransportKind kind, std::size_t sites,
-                      std::size_t objects_per_site,
-                      bool serial_replay = false) {
+                      std::size_t objects_per_site) {
   CollectorConfig config = dgc::bench::DefaultConfig();
   NetworkConfig net;
   net.transport = kind;
-  net.transport_serial_replay = serial_replay;
 
   const auto start = std::chrono::steady_clock::now();
   System system(sites, config, net, /*seed=*/42);
@@ -153,56 +145,6 @@ void BM_Transport_OpenLoop(benchmark::State& state) {
 // the headline sim-vs-threaded comparison on the PR 7 scale scenario shape.
 BENCHMARK(BM_Transport_OpenLoop)
     ->Args({4, 1'000})
-    ->Args({10, 2'000})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// --- sharded vs serial staged-send replay ------------------------------
-
-void BM_Transport_ReplayShard(benchmark::State& state) {
-  const auto sites = static_cast<std::size_t>(state.range(0));
-  const auto objects_per_site = static_cast<std::size_t>(state.range(1));
-
-  RunResult serial;
-  RunResult sharded;
-  for (auto _ : state) {
-    serial = RunScenario(TransportKind::kThreaded, sites, objects_per_site,
-                         /*serial_replay=*/true);
-    sharded = RunScenario(TransportKind::kThreaded, sites, objects_per_site,
-                          /*serial_replay=*/false);
-  }
-
-  const bool verdicts_match = serial.severed == sharded.severed &&
-                              serial.collected == sharded.collected &&
-                              serial.reclaimed == sharded.reclaimed &&
-                              serial.objects_left == sharded.objects_left;
-
-  state.counters["sites"] = static_cast<double>(sites);
-  state.counters["objects"] = static_cast<double>(sites * objects_per_site);
-  state.counters["host_cpus"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-  state.counters["serial_wall_ms"] = serial.wall_ms;
-  state.counters["sharded_wall_ms"] = sharded.wall_ms;
-  state.counters["replay_speedup"] =
-      sharded.wall_ms == 0.0 ? 0.0 : serial.wall_ms / sharded.wall_ms;
-  // Proof the sharded branch actually ran (0 on one-core hosts, where the
-  // replay pool has no workers and the engine falls back to serial commit).
-  state.counters["parallel_replays"] =
-      static_cast<double>(sharded.transport.parallel_replays);
-  state.counters["staged_sends"] =
-      static_cast<double>(sharded.transport.staged_sends);
-  state.counters["verdicts_match"] = verdicts_match ? 1.0 : 0.0;
-  state.counters["serial_cycles_severed"] = static_cast<double>(serial.severed);
-  state.counters["serial_cycles_collected"] =
-      static_cast<double>(serial.collected);
-  state.counters["serial_reclaimed"] = static_cast<double>(serial.reclaimed);
-  state.counters["sharded_cycles_severed"] =
-      static_cast<double>(sharded.severed);
-  state.counters["sharded_cycles_collected"] =
-      static_cast<double>(sharded.collected);
-  state.counters["sharded_reclaimed"] = static_cast<double>(sharded.reclaimed);
-}
-BENCHMARK(BM_Transport_ReplayShard)
     ->Args({10, 2'000})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

@@ -48,8 +48,7 @@ int Usage(const char* argv0) {
                "[--churn STEPS]\n"
                "          [--rounds R] [--threshold D] [--crash S] "
                "[--batch W] [--seed S]\n"
-               "          [--mark-threads N] [--trace-threads N] "
-               "[--incremental-distance]\n"
+               "          [--mark-threads N] [--trace-threads N]\n"
                "          [--transport sim|threaded|socket] "
                "[--transport-threads N]\n"
                "          [--dump] [--dot]\n"
@@ -236,7 +235,6 @@ int main(int argc, char** argv) {
   std::size_t mark_threads = 1;
   std::size_t trace_threads = 1;
   std::uint64_t seed = 42;
-  bool incremental_distance = false;
   bool dump = false, dot = false, csv = false;
   TransportKind transport = TransportKind::kSim;
   std::size_t transport_threads = 0;
@@ -291,8 +289,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--transport-threads") {
       transport_threads = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--incremental-distance") {
-      incremental_distance = true;
     } else if (arg == "--dump") {
       dump = true;
     } else if (arg == "--dot") {
@@ -324,7 +320,6 @@ int main(int argc, char** argv) {
   config.report_timeout = crash_site >= 0 ? 3000 : 0;
   config.mark_threads = mark_threads > 0 ? mark_threads : 1;
   config.trace_threads = trace_threads > 0 ? trace_threads : 1;
-  config.incremental_distance = incremental_distance;
   NetworkConfig net;
   net.batch_window = batch_window;
   net.transport = transport;

@@ -5,7 +5,6 @@ Usage:
     bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
     bench_compare.py --check-fault-recovery BENCH_fault_recovery.json
     bench_compare.py --check-parallel-mark BENCH_parallel_mark.json
-    bench_compare.py --check-distance BENCH_distance.json
     bench_compare.py --check-scale BENCH_scale.json
     bench_compare.py --check-transport BENCH_transport.json
     bench_compare.py --self-test
@@ -42,15 +41,8 @@ its own mark_threads == 1 row: every multi-thread row must reach at least
 half the single-thread throughput (parallel overhead must never halve the
 mark), and — only when the host has at least as many cores as the row used
 threads (the host_cpus counter) — at least 0.35x-per-thread speedup (e.g.
-2.8x at 8 threads). On smaller hosts the speedup is reported as info: it is
-physically impossible there, not a regression.
-
-``--check-distance`` gates a single BENCH_distance.json on absolute bounds:
-every soak row must show relabel_reduction >= 10 (the incremental maintainer
-relabels at least 10x fewer objects than the full re-propagation twin on the
-low-churn soak), fallback_rate <= 0.25 (full rebuilds stay the exception),
-and label_serve_rate >= 0.01 (the label plane actually served traces — a
-vacuous run must not pass).
+2.8x at 8 threads). On smaller hosts the speedup leg prints SKIP: it is
+physically impossible there, not a regression, and it is not a pass either.
 
 ``--check-scale`` gates a single BENCH_scale.json on absolute bounds: every
 open-loop row must show the collector keeping up with the arrival rate
@@ -65,10 +57,14 @@ backend's correctness contract: every row must show verdicts_match == 1 with
 the threaded run's cycles_severed/cycles_collected/reclaimed exactly equal
 to the sim run's (same seed, same garbage verdicts, same reclaim set — the
 equality is the gate, always, on any host), on a non-vacuous run
-(cycles_severed > 0). The speedup floor (threaded at least as fast as sim)
-is enforced only when the host has enough cores (host_cpus >= 4) to
-parallelise on; on smaller hosts it is reported as info — absent cores make
-the floor physically impossible, not a regression.
+(cycles_severed > 0). The speedup floors (threaded at least as fast as sim,
+the pipelined socket step loop at least as fast per step as lock-step) are
+enforced only when the host has enough cores (host_cpus >= 4) to
+parallelise on; on smaller hosts those legs print SKIP.
+
+The CPU-gated checks end with a summary line that counts the legs that were
+gated and the legs that were skipped, so a host too small to arm a gate
+never reads as a clean pass.
 
 Every gate degrades with a clear one-line error (exit 2, never a Python
 traceback) when its input or baseline JSON is missing or malformed.
@@ -77,6 +73,7 @@ Exit codes: 0 = no regression, 1 = regression detected, 2 = usage/input error.
 """
 
 import argparse
+import collections
 import json
 import sys
 
@@ -239,6 +236,29 @@ def check_fault_recovery(path):
     return 0
 
 
+# --- CPU-gated legs ----------------------------------------------------------
+
+# Speedup floors need cores to run on. A leg whose host lacks them prints
+# SKIP (never ok or info) and is counted apart from the legs that armed.
+
+
+def _cpu_leg(legs, host_cpus, need):
+    """True when a CPU-gated leg arms on host_cpus; tallies it either way."""
+    armed = host_cpus >= need
+    legs["gated" if armed else "skipped"] += 1
+    return armed
+
+
+def _print_skip(name, text, host_cpus, need):
+    print(f"{'SKIP':>10}  {name}: {text} not gated "
+          f"(host_cpus {host_cpus:g} < {need:g})")
+
+
+def _legs_summary(legs):
+    return (f"{legs['gated']} CPU-gated leg(s) gated, "
+            f"{legs['skipped']} skipped")
+
+
 # --- parallel-mark absolute gate --------------------------------------------
 
 # A multi-thread mark may never fall below this fraction of the sequential
@@ -274,6 +294,7 @@ def check_parallel_mark(path):
         _die(f"error: {path} baseline row has no positive objects_per_sec")
 
     failures = []
+    legs = collections.Counter()
     for threads in sorted(threaded):
         name, row = threaded[threads]
         rate = float(row["objects_per_sec"])
@@ -289,7 +310,7 @@ def check_parallel_mark(path):
             failures.append(f"{name} (overhead floor)")
             continue
         required = MIN_SPEEDUP_PER_THREAD * threads
-        if host_cpus >= threads:
+        if _cpu_leg(legs, host_cpus, threads):
             ok = speedup >= required
             print(f"{'ok' if ok else 'FAIL':>10}  {name}: speedup_vs_1 "
                   f"{speedup:.2f} (need {required:.2f} on "
@@ -297,73 +318,16 @@ def check_parallel_mark(path):
             if not ok:
                 failures.append(f"{name} (speedup)")
         else:
-            print(f"{'info':>10}  {name}: speedup_vs_1 {speedup:.2f} "
-                  f"(host has {host_cpus:.0f} cpus for {threads} threads; "
-                  "speedup not gated)")
+            _print_skip(name, f"speedup_vs_1 {speedup:.2f}", host_cpus,
+                        threads)
     if failures:
-        print(f"\n{len(failures)} parallel-mark bound(s) violated:")
+        print(f"\n{len(failures)} parallel-mark bound(s) violated "
+              f"({_legs_summary(legs)}):")
         for name in failures:
             print(f"  {name}")
         return 1
-    print(f"\nall parallel-mark bounds hold across {len(threaded)} row(s)")
-    return 0
-
-
-# --- incremental-distance absolute gate --------------------------------------
-
-# The ISSUE acceptance bar: on the <1% churn soak the label maintainer must
-# relabel at least 10x fewer objects than the full re-propagation twin,
-# fallback rebuilds included.
-MIN_RELABEL_REDUCTION = 10.0
-# Full rebuilds (crash restarts, budget blowouts, threshold breaches) must
-# stay the exception, or the "incremental" plane is full propagation in
-# disguise.
-MAX_FALLBACK_RATE = 0.25
-# The plane must actually have served traces; a run where every trace went
-# down some other path would pass the ratios vacuously.
-MIN_LABEL_SERVE_RATE = 0.01
-
-
-def check_distance(path):
-    """Gate BENCH_distance.json rows on absolute incremental-distance bounds.
-
-    The benchmark itself aborts on any verdict divergence between the twins
-    (DGC_CHECK), so rows present in the file already carry identical sweeps;
-    this gate checks the savings those verdicts were supposed to buy.
-    """
-    rows = load_benchmarks(path)
-    failures = []
-    checked = 0
-    for name in sorted(rows):
-        row = rows[name]
-        if "relabel_reduction" not in row:
-            continue
-        checked += 1
-        reduction = float(row["relabel_reduction"])
-        fallback = float(row.get("fallback_rate", 0.0))
-        serve = float(row.get("label_serve_rate", 0.0))
-        problems = []
-        if reduction < MIN_RELABEL_REDUCTION:
-            problems.append("relabel_reduction")
-        if fallback > MAX_FALLBACK_RATE:
-            problems.append("fallback_rate")
-        if serve < MIN_LABEL_SERVE_RATE:
-            problems.append("label_serve_rate")
-        ok = not problems
-        print(f"{'ok' if ok else 'FAIL':>10}  {name}: relabel_reduction "
-              f"{reduction:.4g} (min {MIN_RELABEL_REDUCTION:g}), "
-              f"fallback_rate {fallback:.4g} (max {MAX_FALLBACK_RATE:g}), "
-              f"label_serve_rate {serve:.4g} (min {MIN_LABEL_SERVE_RATE:g})")
-        failures.extend(f"{name} ({p})" for p in problems)
-    if checked == 0:
-        _die(f"error: {path} has no rows with a relabel_reduction counter "
-             "(not an incremental-distance benchmark file?)")
-    if failures:
-        print(f"\n{len(failures)} incremental-distance bound(s) violated:")
-        for name in failures:
-            print(f"  {name}")
-        return 1
-    print(f"\nall incremental-distance bounds hold across {checked} row(s)")
+    print(f"\nall parallel-mark bounds hold across {len(threaded)} row(s); "
+          f"{_legs_summary(legs)}")
     return 0
 
 
@@ -462,57 +426,12 @@ def check_scale(path):
 MIN_TRANSPORT_SPEEDUP = 1.0
 MIN_CPUS_FOR_TRANSPORT_SPEEDUP = 4
 
-# Staged-send replay is one slice of the engine's wall, so its sharded-vs-
-# serial ratio gets a noise-tolerant floor; the pipelined socket loop must at
-# least match lock-step on coordinator wall per step. Both floors are only
-# judged on hosts with cores to overlap on.
-MIN_REPLAY_SPEEDUP = 0.9
+# The pipelined socket loop must at least match lock-step on coordinator
+# wall per step — again only judged on hosts with cores to overlap on.
 MIN_PIPELINE_STEP_SPEEDUP = 1.0
 
 
-def _check_replay_row(name, row):
-    """Problems for a BM_Transport_ReplayShard row (sharded vs serial replay).
-
-    Equality of the two replay modes' verdicts is unconditional. The sharded
-    run must actually have taken the parallel branch (parallel_replays > 0)
-    and must clear MIN_REPLAY_SPEEDUP — but only on hosts with enough cores:
-    on a small host the replay pool auto-sizes to zero workers and the engine
-    legitimately falls back to serial commit.
-    """
-    severed = float(row.get("serial_cycles_severed", 0.0))
-    collected = float(row.get("serial_cycles_collected", 0.0))
-    reclaimed = float(row.get("serial_reclaimed", 0.0))
-    problems = []
-    if severed <= 0:
-        problems.append("vacuous_run")
-    if float(row.get("verdicts_match", 0.0)) != 1.0:
-        problems.append("verdicts_match")
-    sharded = (float(row.get("sharded_cycles_severed", -1.0)),
-               float(row.get("sharded_cycles_collected", -1.0)),
-               float(row.get("sharded_reclaimed", -1.0)))
-    if (severed, collected, reclaimed) != sharded:
-        problems.append("serial_sharded_equality")
-    speedup = float(row.get("replay_speedup", 0.0))
-    host_cpus = float(row.get("host_cpus", 0.0))
-    gate = host_cpus >= MIN_CPUS_FOR_TRANSPORT_SPEEDUP
-    if gate and float(row.get("parallel_replays", 0.0)) <= 0:
-        problems.append("parallel_replays")
-    if gate and speedup < MIN_REPLAY_SPEEDUP:
-        problems.append("replay_speedup")
-    note = (f"replay_speedup {speedup:.2f}x (min {MIN_REPLAY_SPEEDUP:g}x), "
-            f"parallel_replays {float(row.get('parallel_replays', 0.0)):g}"
-            if gate else
-            f"replay_speedup {speedup:.2f}x (info: host_cpus {host_cpus:g} < "
-            f"{MIN_CPUS_FOR_TRANSPORT_SPEEDUP})")
-    ok = not problems
-    print(f"{'ok' if ok else 'FAIL':>10}  {name}: "
-          f"serial {severed:g}/{collected:g}/{reclaimed:g} vs "
-          f"sharded {sharded[0]:g}/{sharded[1]:g}/{sharded[2]:g} "
-          f"(severed/collected/reclaimed), {note}")
-    return problems
-
-
-def _check_pipeline_row(name, row):
+def _check_pipeline_row(name, row, legs):
     """Problems for a BM_Transport_SocketPipeline row (pipelined vs lock-step).
 
     Both modes run the identical seeded op stream, so verdicts AND the number
@@ -539,34 +458,34 @@ def _check_pipeline_row(name, row):
         problems.append("step_count_equality")
     speedup = float(row.get("pipeline_step_speedup", 0.0))
     host_cpus = float(row.get("host_cpus", 0.0))
-    gate = host_cpus >= MIN_CPUS_FOR_TRANSPORT_SPEEDUP
+    gate = _cpu_leg(legs, host_cpus, MIN_CPUS_FOR_TRANSPORT_SPEEDUP)
     if gate and speedup < MIN_PIPELINE_STEP_SPEEDUP:
         problems.append("pipeline_step_speedup")
-    note = (f"pipeline_step_speedup {speedup:.2f}x "
-            f"(min {MIN_PIPELINE_STEP_SPEEDUP:g}x)" if gate else
-            f"pipeline_step_speedup {speedup:.2f}x (info: host_cpus "
-            f"{host_cpus:g} < {MIN_CPUS_FOR_TRANSPORT_SPEEDUP})")
+    note = (f", pipeline_step_speedup {speedup:.2f}x "
+            f"(min {MIN_PIPELINE_STEP_SPEEDUP:g}x)" if gate else "")
     ok = not problems
     print(f"{'ok' if ok else 'FAIL':>10}  {name}: "
           f"lockstep {severed:g}/{collected:g}/{reclaimed:g} vs "
           f"pipelined {piped[0]:g}/{piped[1]:g}/{piped[2]:g} "
-          f"(severed/collected/reclaimed), steps {lock_steps:g}/{pipe_steps:g},"
-          f" {note}")
+          f"(severed/collected/reclaimed), steps {lock_steps:g}/{pipe_steps:g}"
+          f"{note}")
+    if not gate:
+        _print_skip(name, f"pipeline_step_speedup {speedup:.2f}x", host_cpus,
+                    MIN_CPUS_FOR_TRANSPORT_SPEEDUP)
     return problems
 
 
 def check_transport(path):
     """Gate BENCH_transport.json: every backend == sim verdicts.
 
-    Rows come in four shapes, keyed by which backend counters they carry.
+    Rows come in three shapes, keyed by which backend counters they carry.
     Threaded rows (threaded_* counters) are gated on equality plus a
     wall-clock speedup floor enforced only when host_cpus suffices. Socket
     rows (socket_* counters, from the real-process backend) are gated on
     equality only — site processes pay real fork/socket syscalls, so their
-    wall-clock is reported as information, never enforced. Replay rows
-    (replay_speedup) compare sharded against serial staged-send replay, and
-    pipeline rows (pipeline_step_speedup) compare the pipelined socket step
-    loop against lock-step — both delegate to their _check_*_row helper.
+    wall-clock is reported as information, never enforced. Pipeline rows
+    (pipeline_step_speedup) compare the pipelined socket step loop against
+    lock-step and delegate to _check_pipeline_row.
 
     The equality leg (same severed/collected/reclaimed figures, row-level
     verdicts_match flag covering the survivor census) is unconditional for
@@ -576,17 +495,13 @@ def check_transport(path):
     rows = load_benchmarks(path)
     failures = []
     checked = 0
+    legs = collections.Counter()
     for name in sorted(rows):
         row = rows[name]
-        if "replay_speedup" in row:
-            checked += 1
-            failures.extend(
-                f"{name} ({p})" for p in _check_replay_row(name, row))
-            continue
         if "pipeline_step_speedup" in row:
             checked += 1
             failures.extend(
-                f"{name} ({p})" for p in _check_pipeline_row(name, row))
+                f"{name} ({p})" for p in _check_pipeline_row(name, row, legs))
             continue
         if "verdicts_match" not in row or "sim_cycles_severed" not in row:
             continue
@@ -601,6 +516,7 @@ def check_transport(path):
             problems.append("verdicts_match")
         notes = []
         compared = []
+        skipped = None
         if "threaded_cycles_severed" in row:
             t_severed = float(row["threaded_cycles_severed"])
             t_collected = float(row.get("threaded_cycles_collected", -1.0))
@@ -612,14 +528,13 @@ def check_transport(path):
                 f"threaded {t_severed:g}/{t_collected:g}/{t_reclaimed:g}")
             speedup = float(row.get("speedup", 0.0))
             host_cpus = float(row.get("host_cpus", 0.0))
-            gate_speedup = host_cpus >= MIN_CPUS_FOR_TRANSPORT_SPEEDUP
-            if gate_speedup and speedup < MIN_TRANSPORT_SPEEDUP:
-                problems.append("speedup")
-            notes.append(f"speedup {speedup:.2f}x (min "
-                         f"{MIN_TRANSPORT_SPEEDUP:g}x)" if gate_speedup else
-                         f"speedup {speedup:.2f}x (info: host_cpus "
-                         f"{host_cpus:g} < "
-                         f"{MIN_CPUS_FOR_TRANSPORT_SPEEDUP})")
+            if _cpu_leg(legs, host_cpus, MIN_CPUS_FOR_TRANSPORT_SPEEDUP):
+                if speedup < MIN_TRANSPORT_SPEEDUP:
+                    problems.append("speedup")
+                notes.append(f"speedup {speedup:.2f}x (min "
+                             f"{MIN_TRANSPORT_SPEEDUP:g}x)")
+            else:
+                skipped = f"speedup {speedup:.2f}x"
         if "socket_cycles_severed" in row:
             s_severed = float(row["socket_cycles_severed"])
             s_collected = float(row.get("socket_cycles_collected", -1.0))
@@ -638,17 +553,23 @@ def check_transport(path):
         print(f"{'ok' if ok else 'FAIL':>10}  {name}: "
               f"sim {severed:g}/{collected:g}/{reclaimed:g} vs "
               f"{', '.join(compared) or '(nothing)'} "
-              f"(severed/collected/reclaimed), {'; '.join(notes)}")
+              f"(severed/collected/reclaimed)"
+              f"{''.join(', ' + n for n in notes)}")
+        if skipped is not None:
+            _print_skip(name, skipped, host_cpus,
+                        MIN_CPUS_FOR_TRANSPORT_SPEEDUP)
         failures.extend(f"{name} ({p})" for p in problems)
     if checked == 0:
         _die(f"error: {path} has no rows with verdicts_match/"
              "sim_cycles_severed counters (not a transport benchmark file?)")
     if failures:
-        print(f"\n{len(failures)} transport bound(s) violated:")
+        print(f"\n{len(failures)} transport bound(s) violated "
+              f"({_legs_summary(legs)}):")
         for name in failures:
             print(f"  {name}")
         return 1
-    print(f"\nall backends match sim on all {checked} row(s)")
+    print(f"\nall backends match sim on all {checked} row(s); "
+          f"{_legs_summary(legs)}")
     return 0
 
 
@@ -681,17 +602,6 @@ _FIXTURE_PARALLEL_MARK = {
         {"name": "BM_ParallelMark_Throughput/8", "run_type": "iteration",
          "real_time": 1.6, "mark_threads": 8.0, "host_cpus": 16.0,
          "objects_per_sec": 250e6},
-    ]
-}
-
-_FIXTURE_DISTANCE = {
-    "benchmarks": [
-        {"name": "BM_LowChurnSoak/16/128", "run_type": "iteration",
-         "real_time": 11.0, "relabel_reduction": 2000.0,
-         "fallback_rate": 0.0, "label_serve_rate": 1.0},
-        {"name": "BM_CrashRestartFallback", "run_type": "iteration",
-         "real_time": 8.0, "relabel_reduction": 300.0,
-         "fallback_rate": 0.003, "label_serve_rate": 0.99},
     ]
 }
 
@@ -737,18 +647,6 @@ _FIXTURE_TRANSPORT = {
          "socket_cycles_severed": 8.0, "socket_cycles_collected": 8.0,
          "socket_reclaimed": 32.0, "handshakes": 4.0,
          "step_requests": 165.0, "build_ops": 168.0, "step_timeouts": 0.0},
-        # Replay rows compare the threaded engine against itself with the
-        # sharded staged-send replay forced off; equality is unconditional,
-        # the floor and the proof-of-parallel-branch only bind with cores.
-        {"name": "BM_Transport_ReplayShard/10/2000/iterations:1",
-         "run_type": "iteration", "real_time": 1900.0, "host_cpus": 8.0,
-         "sites": 10.0, "objects": 20000.0, "serial_wall_ms": 1000.0,
-         "sharded_wall_ms": 800.0, "replay_speedup": 1.25,
-         "parallel_replays": 120.0, "staged_sends": 40000.0,
-         "verdicts_match": 1.0, "serial_cycles_severed": 4200.0,
-         "serial_cycles_collected": 3600.0, "serial_reclaimed": 12600.0,
-         "sharded_cycles_severed": 4200.0,
-         "sharded_cycles_collected": 3600.0, "sharded_reclaimed": 12600.0},
         # Pipeline rows compare the socket engine's two step loops on the
         # same seeded op stream: verdicts and StepRequest counts must match
         # exactly, the per-step wall ratio only binds with cores.
@@ -779,9 +677,20 @@ _FIXTURE_FAULT_RECOVERY = {
 
 
 def _self_test():
+    import contextlib
     import copy
+    import io
     import os
     import tempfile
+
+    def captured(check, fixture):
+        """(exit code, SKIP line count, stdout) of one gate run."""
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = check(fixture)
+        out = buf.getvalue()
+        skips = sum(line.split()[:1] == ["SKIP"] for line in out.splitlines())
+        return code, skips, out
 
     def run_with(candidate):
         with tempfile.TemporaryDirectory() as tmp:
@@ -888,38 +797,15 @@ def _self_test():
     flat["benchmarks"][2]["objects_per_sec"] = 60e6  # 1.2x on 16 cpus
     assert mark_with(flat) == 1, "non-scaling mark on a big host must fail"
 
-    # ...but the same throughput on a single-core host is info-only.
+    # ...but the same throughput on a single-core host is not gated: both
+    # multi-thread speedup legs print SKIP and count as skipped, not gated.
     small_host = copy.deepcopy(flat)
     for row in small_host["benchmarks"]:
         row["host_cpus"] = 1.0
-    assert mark_with(small_host) == 0, \
-        "speedup must not be gated without the cores"
-
-    def distance_with(fixture):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "distance.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(fixture, fh)
-            return check_distance(path)
-
-    # Incremental-distance bounds: the healthy fixture passes.
-    assert distance_with(copy.deepcopy(_FIXTURE_DISTANCE)) == 0, \
-        "healthy incremental-distance run must pass"
-
-    # Relabeling within 10x of the full twin fails the acceptance bar.
-    heavy_labels = copy.deepcopy(_FIXTURE_DISTANCE)
-    heavy_labels["benchmarks"][0]["relabel_reduction"] = 5.0
-    assert distance_with(heavy_labels) == 1, "sub-10x reduction must fail"
-
-    # A plane that mostly falls back to full rebuilds fails.
-    flaky = copy.deepcopy(_FIXTURE_DISTANCE)
-    flaky["benchmarks"][1]["fallback_rate"] = 0.5
-    assert distance_with(flaky) == 1, "rebuild-dominated plane must fail"
-
-    # A run where labels never served a trace is vacuous and fails.
-    vacuous = copy.deepcopy(_FIXTURE_DISTANCE)
-    vacuous["benchmarks"][0]["label_serve_rate"] = 0.0
-    assert distance_with(vacuous) == 1, "never-serving plane must fail"
+    code, skips, out = captured(mark_with, small_host)
+    assert code == 0, "speedup must not be gated without the cores"
+    assert skips == 2, f"1-cpu parallel-mark run must print 2 SKIPs:\n{out}"
+    assert "0 CPU-gated leg(s) gated, 2 skipped" in out, out
 
     def scale_with(fixture):
         with tempfile.TemporaryDirectory() as tmp:
@@ -959,9 +845,12 @@ def _self_test():
                 json.dump(fixture, fh)
             return check_transport(path)
 
-    # Transport bounds: the healthy fixture passes.
-    assert transport_with(copy.deepcopy(_FIXTURE_TRANSPORT)) == 0, \
-        "healthy transport run must pass"
+    # Transport bounds: the healthy fixture passes with every speedup leg
+    # armed (two threaded rows, one pipeline row).
+    code, skips, out = captured(transport_with,
+                                copy.deepcopy(_FIXTURE_TRANSPORT))
+    assert code == 0, "healthy transport run must pass"
+    assert skips == 0 and "3 CPU-gated leg(s) gated, 0 skipped" in out, out
 
     # A threaded run with different verdicts fails on any host.
     diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
@@ -989,13 +878,16 @@ def _self_test():
     assert transport_with(sluggish) == 1, \
         "threaded slower than sim on a big host must fail"
 
-    # ...but the same speedup on a single-core host is info-only (there is
-    # nothing to parallelise on).
+    # ...but on a single-core host (nothing to parallelise on) the same
+    # speedup is not gated: every speedup leg prints SKIP and the summary
+    # counts three skipped legs, none gated.
     one_cpu = copy.deepcopy(sluggish)
     for row in one_cpu["benchmarks"]:
         row["host_cpus"] = 1.0
-    assert transport_with(one_cpu) == 0, \
-        "speedup must not be gated without the cores"
+    code, skips, out = captured(transport_with, one_cpu)
+    assert code == 0, "speedup must not be gated without the cores"
+    assert skips == 3, f"1-cpu transport run must print 3 SKIPs:\n{out}"
+    assert "0 CPU-gated leg(s) gated, 3 skipped" in out, out
 
     # The socket row is equality-gated like the threaded rows: a reclaim
     # divergence between the process backend and sim fails...
@@ -1018,62 +910,28 @@ def _self_test():
     assert transport_with(socket_slow) == 0, \
         "socket wall-clock is informational, not gated"
 
-    # Replay rows: the two replay modes diverging on reclaim counts fails
-    # even with the row-level flag intact...
-    replay_diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
-    replay_diverged["benchmarks"][3]["sharded_reclaimed"] = 12599.0
-    assert transport_with(replay_diverged) == 1, \
-        "serial-vs-sharded replay divergence must fail"
-
-    # ...as does a census mismatch flagged by the row itself.
-    replay_census = copy.deepcopy(_FIXTURE_TRANSPORT)
-    replay_census["benchmarks"][3]["verdicts_match"] = 0.0
-    assert transport_with(replay_census) == 1, \
-        "replay census divergence must fail"
-
-    # A sharded run that never took the parallel branch fails on a big host
-    # (the row exists to prove the sharded path, not the fallback)...
-    replay_fallback = copy.deepcopy(_FIXTURE_TRANSPORT)
-    replay_fallback["benchmarks"][3]["parallel_replays"] = 0.0
-    assert transport_with(replay_fallback) == 1, \
-        "sharded replay must actually run on a big host"
-
-    # ...and a sharded replay slower than the noise floor fails there too.
-    replay_slow = copy.deepcopy(_FIXTURE_TRANSPORT)
-    replay_slow["benchmarks"][3]["replay_speedup"] = 0.5
-    assert transport_with(replay_slow) == 1, \
-        "sharded replay below the noise floor must fail on a big host"
-
-    # On one core the replay pool has no workers: fallback and a flat ratio
-    # are both legitimate, so neither is gated.
-    replay_one_cpu = copy.deepcopy(replay_slow)
-    replay_one_cpu["benchmarks"][3]["parallel_replays"] = 0.0
-    replay_one_cpu["benchmarks"][3]["host_cpus"] = 1.0
-    assert transport_with(replay_one_cpu) == 0, \
-        "replay floor and parallel proof must not bind without the cores"
-
     # Pipeline rows: a verdict divergence between the two step loops fails
     # on any host...
     pipeline_diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
-    pipeline_diverged["benchmarks"][4]["pipelined_reclaimed"] = 31.0
-    pipeline_diverged["benchmarks"][4]["host_cpus"] = 1.0
+    pipeline_diverged["benchmarks"][3]["pipelined_reclaimed"] = 31.0
+    pipeline_diverged["benchmarks"][3]["host_cpus"] = 1.0
     assert transport_with(pipeline_diverged) == 1, \
         "lockstep-vs-pipelined divergence must fail even on one core"
 
     # ...and so does a StepRequest count mismatch (identical op streams must
     # produce identical waves).
     pipeline_steps = copy.deepcopy(_FIXTURE_TRANSPORT)
-    pipeline_steps["benchmarks"][4]["pipelined_step_requests"] = 331.0
+    pipeline_steps["benchmarks"][3]["pipelined_step_requests"] = 331.0
     assert transport_with(pipeline_steps) == 1, \
         "pipelined step-count drift must fail"
 
     # The per-step floor binds on a big host and not on one core.
     pipeline_slow = copy.deepcopy(_FIXTURE_TRANSPORT)
-    pipeline_slow["benchmarks"][4]["pipeline_step_speedup"] = 0.8
+    pipeline_slow["benchmarks"][3]["pipeline_step_speedup"] = 0.8
     assert transport_with(pipeline_slow) == 1, \
         "pipelined loop slower per step on a big host must fail"
     pipeline_one_cpu = copy.deepcopy(pipeline_slow)
-    pipeline_one_cpu["benchmarks"][4]["host_cpus"] = 1.0
+    pipeline_one_cpu["benchmarks"][3]["host_cpus"] = 1.0
     assert transport_with(pipeline_one_cpu) == 0, \
         "per-step floor must not bind without the cores"
 
@@ -1092,7 +950,6 @@ def _self_test():
     expect_clean_exit(run_compare, missing, missing, 0.10)
     expect_clean_exit(check_fault_recovery, missing)
     expect_clean_exit(check_parallel_mark, missing)
-    expect_clean_exit(check_distance, missing)
     expect_clean_exit(check_scale, missing)
     expect_clean_exit(check_transport, missing)
 
@@ -1101,7 +958,6 @@ def _self_test():
         broken = os.path.join(tmp, "broken.json")
         with open(broken, "w", encoding="utf-8") as fh:
             fh.write("{\"benchmarks\": [{\"real_time\": 1.0}]}")
-        expect_clean_exit(check_distance, broken)
         expect_clean_exit(check_transport, broken)
         not_bench = os.path.join(tmp, "not_bench.json")
         with open(not_bench, "w", encoding="utf-8") as fh:
@@ -1127,9 +983,6 @@ def main(argv=None):
     parser.add_argument("--check-parallel-mark", metavar="FILE",
                         help="gate a BENCH_parallel_mark.json against its own "
                              "1-thread row (no baseline needed)")
-    parser.add_argument("--check-distance", metavar="FILE",
-                        help="gate a BENCH_distance.json on absolute "
-                             "incremental-distance bounds (no baseline needed)")
     parser.add_argument("--check-scale", metavar="FILE",
                         help="gate a BENCH_scale.json on absolute open-loop "
                              "and flat-table bounds (no baseline needed)")
@@ -1145,8 +998,6 @@ def main(argv=None):
         return check_fault_recovery(args.check_fault_recovery)
     if args.check_parallel_mark:
         return check_parallel_mark(args.check_parallel_mark)
-    if args.check_distance:
-        return check_distance(args.check_distance)
     if args.check_scale:
         return check_scale(args.check_scale)
     if args.check_transport:

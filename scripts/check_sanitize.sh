@@ -22,18 +22,15 @@
 #                                 # short-lived site processes still report
 #   check_sanitize.sh --tsan      # ThreadSanitizer over the concurrency-heavy
 #                                 # suites
-#                                 # (-L "parallel|chaos|distance|scale|transport"):
+#                                 # (-L "parallel|chaos|scale|transport"):
 #                                 # the parallel mark/trace tests, the chaos
-#                                 # harness, the distance-label suite (whose
-#                                 # config matrix runs mark_threads > 1 against
-#                                 # the listener-driven label plane), the
-#                                 # down-scaled open-loop scale smoke, and the
-#                                 # threaded-transport suite (the MPSC inbox
-#                                 # hammer, the two-site ping-pong smoke at
-#                                 # eight threads, the mark_threads-by-transport
-#                                 # matrix with nested per-site mark pools, and
-#                                 # the sharded-vs-serial replay differential
-#                                 # are its data-race probes).
+#                                 # harness, the down-scaled open-loop scale
+#                                 # smoke, and the threaded-transport suite
+#                                 # (the MPSC inbox hammer, the two-site
+#                                 # ping-pong smoke at eight threads, and the
+#                                 # mark_threads-by-transport matrix with
+#                                 # nested per-site mark pools are its
+#                                 # data-race probes).
 #                                 # The socket label is deliberately absent:
 #                                 # its tests fork site processes (and kill -9
 #                                 # them mid-run), and TSan state does not
@@ -58,7 +55,7 @@ elif [[ "${1:-}" == "--socket" ]]; then
 elif [[ "${1:-}" == "--tsan" ]]; then
   SANITIZE=thread
   DEFAULT_BUILD_DIR=build-tsan
-  CTEST_ARGS+=(-L 'parallel|chaos|distance|scale|transport')
+  CTEST_ARGS+=(-L 'parallel|chaos|scale|transport')
   shift
 fi
 CTEST_ARGS+=("$@")

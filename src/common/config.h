@@ -176,40 +176,6 @@ struct CollectorConfig {
   /// production mode. Ignored unless incremental_trace is on.
   bool incremental_differential = false;
 
-  /// Incremental distance propagation: maintain per-object distance labels
-  /// (minimum inter-site-hop estimate, Section 3's heuristic) under edge-
-  /// level repair instead of re-deriving every distance with a full forward
-  /// trace per round. Heap mutations are observed eagerly at the
-  /// Heap::SetSlot write barrier; root and ioref contribution changes are
-  /// reconciled lazily at trace time. An edge or contribution *decrease*
-  /// repairs by a bounded ripple from the changed edge; an increase or
-  /// delete invalidates and re-floors only the affected cone. The label
-  /// plane then serves the trace result directly (clean set, sweep set,
-  /// outref distances) with the suspect outsets recomputed against it. The
-  /// labels fall back to full forward propagation when they go stale:
-  /// crash-restart, a distance report crossing the suspicion threshold
-  /// upward, or a repair exceeding distance_repair_budget. Every served
-  /// result is bit-identical to the full trace's (the repairs are exact,
-  /// not approximate); incremental_distance_differential asserts that.
-  /// Default off preserves the historical recompute-every-round behavior
-  /// bit for bit.
-  bool incremental_distance = false;
-
-  /// Differential self-check for incremental distance labels: every
-  /// label-served trace ALSO runs the full trace and compares the results,
-  /// and re-runs the full forward propagation and compares the repaired
-  /// label plane against it bit for bit, aborting on divergence. A
-  /// correctness harness for tests, not a production mode. Ignored unless
-  /// incremental_distance is on.
-  bool incremental_distance_differential = false;
-
-  /// Maximum label writes one distance repair (ripple or cone re-floor) may
-  /// perform before the maintainer declares the plane stale and the next
-  /// trace falls back to full propagation. Caps the "bounded" in bounded
-  /// repair: a topology change whose cone approaches the heap size is
-  /// cheaper to re-propagate wholesale than to repair. Zero = unlimited.
-  std::size_t distance_repair_budget = 4096;
-
   /// Graceful degradation under failures: when the network's failure
   /// detector (NetworkConfig::heartbeat_period) suspects the destination of
   /// a back trace's next remote step, the call is *parked* instead of being
@@ -369,9 +335,9 @@ struct NetworkConfig {
   /// hardware_concurrency (capped by the site count). Ignored under kSim.
   std::size_t transport_threads = 0;
 
-  /// Worker threads in the transport-owned pool that backs both site-level
-  /// stepping and the nested per-site parallelism (mark_threads shard
-  /// batches, sharded staged-send replay). Zero sizes it automatically:
+  /// Worker threads in the threaded transport's pool, which backs both
+  /// site-level stepping and the nested per-site mark_threads shard
+  /// batches. Zero sizes it automatically:
   /// transport_threads - 1 workers when no nested parallelism is requested
   /// (the historical sizing), otherwise enough extra workers for
   /// transport_nested_threads-way nesting, capped at
@@ -384,15 +350,6 @@ struct NetworkConfig {
   /// constructing a transport directly unless site code will fork nested
   /// batches on the transport pool.
   std::size_t transport_nested_threads = 0;
-
-  /// Forces staged sends to be replayed into the Network serially on the
-  /// coordinator even when the parallel sharded replay is eligible
-  /// (unreliable delivery, no batching window, no jitter, no drop
-  /// probability). The parallel path is bit-identical — prepared shards are
-  /// committed in sender site order — so this knob exists for the
-  /// sharded-vs-serial differential rows in bench_transport, not for
-  /// correctness.
-  bool transport_serial_replay = false;
 
   /// Soft capacity bound for each site's threaded-transport inbox. A hard
   /// bound would let a full inbox block the delivering coordinator and

@@ -31,12 +31,4 @@ inline constexpr Distance kDistanceInfinity = std::numeric_limits<Distance>::max
   return AddDistance(d, 1);
 }
 
-/// Label value assigned by the incremental distance plane to objects held
-/// alive by a root whose own distance estimate is infinity (an inref entry
-/// with an empty source list): still a retention root — everything it
-/// reaches survives the sweep — but no finite hop count flows from it. One
-/// below infinity, so such objects are distinguishable from garbage
-/// (label == infinity) while staying suspect (label > any real threshold).
-inline constexpr Distance kDistanceUnreachedRoot = kDistanceInfinity - 1;
-
 }  // namespace dgc

@@ -83,12 +83,6 @@ std::string DescribeSite(const Site& site) {
        << site.stats().mark_wall_ns << " ns marking, "
        << site.stats().mark_steals << " shard steals\n";
   }
-  if (site.config().incremental_distance) {
-    os << "  distance labels: " << site.stats().distance_repairs
-       << " repairs, " << site.stats().distance_fallbacks << " fallbacks, "
-       << site.stats().objects_relabeled << " objects relabeled, "
-       << site.stats().label_serves << " label serves\n";
-  }
   if (site.stats().transport_handoffs + site.stats().transport_staged_sends >
       0) {
     os << "  transport: " << site.stats().transport_handoffs

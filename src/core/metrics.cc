@@ -31,10 +31,6 @@ void MetricsRecorder::Capture(const System& system) {
     sample.quiescent_skips += site.stats().quiescent_skips;
     sample.objects_retraced += site.stats().objects_retraced;
     sample.outsets_reused += site.stats().outsets_reused;
-    sample.distance_repairs += site.stats().distance_repairs;
-    sample.distance_fallbacks += site.stats().distance_fallbacks;
-    sample.objects_relabeled += site.stats().objects_relabeled;
-    sample.label_serves += site.stats().label_serves;
     sample.mark_wall_ns += site.stats().mark_wall_ns;
     sample.mark_steals += site.stats().mark_steals;
   }
@@ -99,12 +95,11 @@ std::string MetricsRecorder::ToCsv() const {
         "outsets_reused,mark_wall_ns,mark_steals,pool_batches,"
         "pool_tasks_run,pool_occupancy,retransmits,dup_suppressed,"
         "stale_incarnation_rejected,calls_parked,fd_suspicions,"
-        "distance_repairs,distance_fallbacks,objects_relabeled,"
-        "label_serves,table_slot_reuses,table_slot_grows,"
-        "table_slot_capacity,table_occupancy,transport_timesteps,"
-        "transport_phases,transport_site_steps,transport_handoffs,"
-        "transport_staged,transport_queue_peak,"
-        "transport_queue_contention,transport_queue_overflows\n";
+        "table_slot_reuses,table_slot_grows,table_slot_capacity,"
+        "table_occupancy,transport_timesteps,transport_phases,"
+        "transport_site_steps,transport_handoffs,transport_staged,"
+        "transport_queue_peak,transport_queue_contention,"
+        "transport_queue_overflows\n";
   for (const MetricsSample& s : samples_) {
     os << s.round << ',' << s.time << ',' << s.objects_stored << ','
        << s.objects_reclaimed << ',' << s.suspected_inrefs << ','
@@ -121,8 +116,6 @@ std::string MetricsRecorder::ToCsv() const {
        << s.pool_occupancy << ',' << s.retransmits << ','
        << s.dup_suppressed << ',' << s.stale_incarnation_rejected << ','
        << s.calls_parked << ',' << s.fd_suspicions << ','
-       << s.distance_repairs << ',' << s.distance_fallbacks << ','
-       << s.objects_relabeled << ',' << s.label_serves << ','
        << s.table_slot_reuses << ',' << s.table_slot_grows << ','
        << s.table_slot_capacity << ',' << s.table_occupancy << ','
        << s.transport_timesteps << ',' << s.transport_phases << ','

@@ -41,11 +41,6 @@ struct MetricsSample {
   std::uint64_t quiescent_skips = 0;
   std::uint64_t objects_retraced = 0;
   std::uint64_t outsets_reused = 0;
-  // Incremental distance labels (cumulative; zero with the knob off).
-  std::uint64_t distance_repairs = 0;
-  std::uint64_t distance_fallbacks = 0;
-  std::uint64_t objects_relabeled = 0;
-  std::uint64_t label_serves = 0;
   // Intra-site parallel marking (cumulative; zero with mark_threads == 1)
   // and the shared worker pool's lifetime accounting.
   std::uint64_t mark_wall_ns = 0;

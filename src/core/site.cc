@@ -567,10 +567,6 @@ TraceResult Site::ComputeLocalTrace() {
   stats_.quiescent_skips += result.stats.quiescent_skips;
   stats_.objects_retraced += result.stats.objects_retraced;
   stats_.outsets_reused += result.stats.outsets_reused;
-  stats_.distance_repairs += result.stats.distance_repairs;
-  stats_.distance_fallbacks += result.stats.distance_fallbacks;
-  stats_.objects_relabeled += result.stats.objects_relabeled;
-  stats_.label_serves += result.stats.label_serves;
   return result;
 }
 

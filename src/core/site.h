@@ -57,11 +57,6 @@ struct SiteStats {
   std::uint64_t quiescent_skips = 0;   // traces served verbatim from cache
   std::uint64_t objects_retraced = 0;  // cumulative objects full traces visited
   std::uint64_t outsets_reused = 0;    // cumulative memoized outsets served
-  // Incremental-distance accounting (zero while incremental_distance is off).
-  std::uint64_t distance_repairs = 0;    // bounded label repairs applied
-  std::uint64_t distance_fallbacks = 0;  // full propagations (stale plane)
-  std::uint64_t objects_relabeled = 0;   // cumulative label writes
-  std::uint64_t label_serves = 0;        // traces served off the label plane
   // Flat ref-table accounting, mirrored from RefTables when stats() is read:
   // inserts absorbed by spare vector capacity vs. reallocations, and live
   // entries over allocated slots. Steady-state churn should show reuses

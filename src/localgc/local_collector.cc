@@ -45,40 +45,6 @@ class SuspectEnv {
   const TraceResult& result_;
 };
 
-/// Suspect-tracer policy for the label-served trace: cleanliness is read off
-/// the distance-label plane instead of this epoch's mark stamps (no marking
-/// pass ran), and suspect marking is a no-op (the sweep reads labels too).
-class LabelEnv {
- public:
-  LabelEnv(const DistanceLabels& labels, const RefTables& tables,
-           Distance threshold, const TraceResult& result)
-      : labels_(labels),
-        tables_(tables),
-        threshold_(threshold),
-        result_(result) {}
-
-  [[nodiscard]] bool ObjectIsCleanMarked(ObjectId id) const {
-    return labels_.LabelOfSlot(Heap::SlotOfIndex(id.index)) <= threshold_;
-  }
-
-  [[nodiscard]] bool OutrefIsClean(ObjectId remote_ref) const {
-    if (result_.outrefs_clean.contains(remote_ref)) return true;
-    const OutrefEntry* entry = tables_.FindOutref(remote_ref);
-    DGC_CHECK_MSG(entry != nullptr,
-                  "object holds remote ref " << remote_ref
-                                             << " with no outref");
-    return entry->pin_count > 0;
-  }
-
-  void OnSuspectMarked(ObjectId) {}
-
- private:
-  const DistanceLabels& labels_;
-  const RefTables& tables_;
-  Distance threshold_;
-  const TraceResult& result_;
-};
-
 std::uint64_t WallNanosSince(
     const std::chrono::steady_clock::time_point& start) {
   return static_cast<std::uint64_t>(
@@ -246,9 +212,6 @@ void LocalCollector::InvalidateCache() {
   cache_.inputs = TraceInputs{};
   cache_.clean_distances.clear();
   heap_.InvalidateDirtyTracking();
-  // The label plane is volatile acceleration state too: after a crash
-  // restart the next trace must re-derive it with a full propagation.
-  labels_.MarkStale();
 }
 
 TraceResult LocalCollector::RunFullTrace(
@@ -418,245 +381,13 @@ TraceResult LocalCollector::RunFullTrace(
   return result;
 }
 
-DistanceLabels::ContributionMap LocalCollector::DesiredContributions(
-    const TraceInputs& inputs) const {
-  DistanceLabels::ContributionMap contribs;
-  const auto add = [&](ObjectId obj, Distance value) {
-    if (!heap_.Exists(obj)) return;  // stale app root; defensive
-    const std::uint64_t slot = Heap::SlotOfIndex(obj.index);
-    auto [it, inserted] = contribs.emplace(slot, value);
-    if (!inserted) it->second = std::min(it->second, value);
-  };
-  for (const ObjectId root : inputs.persistent_roots) add(root, 0);
-  for (const ObjectId root : inputs.app_roots) add(root, 0);
-  for (const TraceInputs::Inref& in : inputs.inrefs) {
-    if (in.garbage_flagged) continue;
-    // An inref with no sources reports distance infinity but still retains
-    // what it reaches; the sentinel keeps that retained set distinguishable
-    // from garbage (label infinity) while staying suspect.
-    add(in.obj, in.distance == kDistanceInfinity ? kDistanceUnreachedRoot
-                                                 : in.distance);
-  }
-  return contribs;
-}
-
-TraceResult LocalCollector::ServeFromLabels(
-    const TraceInputs& inputs,
-    std::map<ObjectId, Distance>* clean_distances_out) {
-  const CollectorConfig& config = tables_.config();
-  const Distance threshold = config.suspicion_threshold;
-  TraceResult result;
-  result.epoch = epoch_;
-
-  for (const TraceInputs::Outref& out : inputs.outrefs) {
-    result.snapshot_outrefs.insert(out.ref);
-    if (out.pinned) {
-      result.outref_distances.emplace(out.ref, 1);
-      result.outrefs_clean.insert(out.ref);
-    }
-  }
-  for (const TraceInputs::Inref& in : inputs.inrefs) {
-    result.snapshot_inrefs.insert(in.obj);
-  }
-
-  // Phase-1 equivalent, no marking: a clean outref's distance is one past
-  // the minimum label over its clean holders — exactly the support index's
-  // minimum key (phase 1 scans every object once, during the traversal of
-  // its minimum-distance claiming root).
-  for (const auto& [ref, by_label] : labels_.outref_support()) {
-    const Distance distance = NextDistance(by_label.begin()->first);
-    auto [it, inserted] = result.outref_distances.emplace(ref, distance);
-    if (!inserted) it->second = std::min(it->second, distance);
-    result.outrefs_clean.insert(ref);
-  }
-  if (clean_distances_out != nullptr) {
-    *clean_distances_out = result.outref_distances;
-  }
-
-  // Phase-2 equivalent: recompute suspect outsets with cleanliness read off
-  // the labels. Same computer, same increasing-distance order.
-  std::vector<std::pair<Distance, ObjectId>> suspects;
-  for (const TraceInputs::Inref& in : inputs.inrefs) {
-    if (in.garbage_flagged || in.distance <= threshold) continue;
-    suspects.emplace_back(in.distance, in.obj);
-  }
-  std::sort(suspects.begin(), suspects.end());
-  store_.Reserve(suspects.size());
-  LabelEnv env(labels_, tables_, threshold, result);
-  BottomUpOutsetComputer<LabelEnv> computer(heap_, store_, env);
-  struct Traced {
-    Distance outref_distance;
-    ObjectId obj;
-    OutsetStore::OutsetId outset;
-  };
-  std::vector<Traced> traced;
-  traced.reserve(suspects.size());
-  for (const auto& [distance, obj] : suspects) {
-    ++result.stats.suspected_inrefs;
-    DGC_CHECK_MSG(heap_.Exists(obj), "inref names a swept object " << obj);
-    const OutsetStore::OutsetId outset_id = computer.TraceFrom(obj);
-    // Drop rule: label <= threshold iff the clean phase would have reached
-    // this inref's object (auxiliary invariant of §6.1.1).
-    if (labels_.LabelOfSlot(Heap::SlotOfIndex(obj.index)) <= threshold) {
-      continue;
-    }
-    traced.push_back(Traced{NextDistance(distance), obj, outset_id});
-  }
-  // Resolve outset storage only now: TraceFrom may grow the store and
-  // invalidate earlier references.
-  std::vector<std::pair<Distance, const std::vector<ObjectId>*>> jobs;
-  jobs.reserve(traced.size());
-  for (const Traced& t : traced) {
-    const std::vector<ObjectId>& outset = store_.Get(t.outset);
-    if (outset.empty()) continue;
-    jobs.emplace_back(t.outref_distance, &outset);
-    result.back_info.inref_outsets.emplace(t.obj, outset);
-  }
-  constexpr std::size_t kParallelFoldMin = 16;
-  const std::size_t mark_threads = config.mark_threads;
-  if (mark_threads > 1 && pool_ != nullptr && jobs.size() >= kParallelFoldMin) {
-    ParallelFoldOutsets(jobs, *pool_, mark_threads, result.outref_distances);
-  } else {
-    for (const auto& [outref_distance, outset] : jobs) {
-      for (const ObjectId outref : *outset) {
-        auto [dit, inserted] =
-            result.outref_distances.emplace(outref, outref_distance);
-        if (!inserted) dit->second = std::min(dit->second, outref_distance);
-      }
-    }
-  }
-
-  if (config.incremental_trace && cache_.valid) {
-    SiteBackInfo patched =
-        SiteBackInfo::PatchedFrom(cache_.result.back_info,
-                                  result.back_info.inref_outsets,
-                                  &result.stats.outsets_reused);
-    result.back_info = std::move(patched);
-  } else {
-    result.back_info.RecomputeInsets();
-  }
-
-  // Phase-3 equivalent: the sweep reads labels in storage-slot order — the
-  // same order ForEachWithEpochs visits.
-  const std::size_t capacity = heap_.slot_capacity();
-  for (std::uint64_t slot = 0; slot < capacity; ++slot) {
-    if (!heap_.SlotLive(slot)) continue;
-    const Distance label = labels_.LabelOfSlot(slot);
-    if (label == kDistanceInfinity) {
-      result.objects_to_free.push_back(heap_.IdAtSlot(slot));
-    } else if (label <= threshold) {
-      ++result.stats.objects_marked_clean;
-    }
-  }
-  result.stats.objects_swept = result.objects_to_free.size();
-  for (const ObjectId ref : result.snapshot_outrefs) {
-    if (!result.outref_distances.contains(ref)) {
-      result.outrefs_untraced.insert(ref);
-    }
-  }
-
-  result.stats.suspect_objects_traced = computer.stats().objects_traced;
-  result.stats.suspect_edges_scanned = computer.stats().edges_scanned;
-  result.stats.objects_marked_suspect = computer.stats().objects_traced;
-  result.stats.outset_stats = store_.stats();
-  result.stats.distinct_outsets = store_.distinct_outsets();
-  result.stats.back_info_elements = result.back_info.stored_elements();
-  result.stats.suspected_outrefs = result.back_info.outref_insets.size();
-  // Only the suspect subgraph was walked; that is the whole point.
-  result.stats.objects_retraced = computer.stats().objects_traced;
-  return result;
-}
-
-TraceResult LocalCollector::RunWithLabels(
-    const std::vector<ObjectId>& app_roots) {
-  const CollectorConfig& config = tables_.config();
-  TraceInputs inputs = SnapshotInputs(app_roots);
-  const DistanceLabels::ContributionMap contribs = DesiredContributions(inputs);
-  if (labels_.fresh()) labels_.ReconcileContributions(contribs);
-
-  TraceResult result;
-  bool served = false;
-  if (!labels_.fresh()) {
-    // Fallback: one classic full trace, and the label plane re-derives
-    // itself with a full forward propagation (charged to objects_relabeled).
-    result = RunFullTrace(app_roots,
-                          config.incremental_trace ? &inputs : nullptr);
-    labels_.RebuildFromScratch(contribs);
-  } else {
-    const ReuseLevel level = config.incremental_trace
-                                 ? ClassifyReuse(inputs)
-                                 : ReuseLevel::kNone;
-    std::map<ObjectId, Distance> clean_distances;
-    switch (level) {
-      case ReuseLevel::kQuiescent:
-        result = cache_.result;
-        result.epoch = epoch_;
-        result.stats.objects_retraced = 0;
-        result.stats.outsets_reused = result.back_info.inref_outsets.size();
-        result.stats.quiescent_skips = 1;
-        result.stats.mark_wall_ns = 0;
-        result.stats.mark_steals = 0;
-        result.stats.mark_batches = 0;
-        break;
-      case ReuseLevel::kRefold:
-        result = RefoldDistances(inputs);
-        break;
-      case ReuseLevel::kNone:
-        result = ServeFromLabels(
-            inputs, config.incremental_trace ? &clean_distances : nullptr);
-        served = true;
-        break;
-    }
-    const bool shadow_check =
-        (config.incremental_trace && config.incremental_differential &&
-         level != ReuseLevel::kNone) ||
-        config.incremental_distance_differential;
-    if (shadow_check) {
-      // Shadow full trace at the same epoch (mark stamps are scratch);
-      // must not clobber the cache the reuse was built from.
-      const TraceResult full = RunFullTrace(app_roots, nullptr);
-      CheckEquivalent(result, full);
-    }
-    if (config.incremental_trace) {
-      cache_.inputs = std::move(inputs);
-      cache_.result = result;
-      if (served) {
-        // The label serve observed the whole heap (through the labels), so
-        // the cache now describes the present input state exactly.
-        cache_.clean_distances = std::move(clean_distances);
-        cache_.valid = true;
-        heap_.ClearDirty();
-      }
-      // Quiescent/refold keep clean_distances: both require an identical
-      // clean phase.
-    }
-  }
-
-  if (config.incremental_distance_differential && labels_.fresh()) {
-    labels_.VerifyAgainstFullPropagation(contribs);
-  }
-
-  // Per-trace deltas against the cumulative label-plane counters (repairs
-  // accumulate between traces, at the mutation barrier).
-  const DistanceLabels::Stats& ls = labels_.stats();
-  result.stats.distance_repairs = ls.repairs - last_label_stats_.repairs;
-  result.stats.distance_fallbacks = ls.rebuilds - last_label_stats_.rebuilds;
-  result.stats.objects_relabeled =
-      ls.objects_relabeled - last_label_stats_.objects_relabeled;
-  result.stats.label_serves = served ? 1 : 0;
-  last_label_stats_ = ls;
-  return result;
-}
-
 TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
   const auto wall_start = std::chrono::steady_clock::now();
   const CollectorConfig& config = tables_.config();
   ++epoch_;
 
   TraceResult result;
-  if (config.incremental_distance) {
-    result = RunWithLabels(app_roots);
-  } else if (!config.incremental_trace) {
+  if (!config.incremental_trace) {
     result = RunFullTrace(app_roots, nullptr);
   } else {
     TraceInputs inputs = SnapshotInputs(app_roots);

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "backinfo/outset_store.h"
-#include "localgc/distance_labels.h"
 #include "localgc/trace_result.h"
 #include "refs/tables.h"
 #include "store/heap.h"
@@ -57,16 +56,7 @@ class WorkerPool;
 class LocalCollector {
  public:
   LocalCollector(Heap& heap, RefTables& tables)
-      : heap_(heap),
-        tables_(tables),
-        labels_(heap, tables.config().suspicion_threshold,
-                tables.config().distance_repair_budget) {
-    if (tables_.config().incremental_distance) {
-      heap_.SetMutationListener(&labels_);
-    }
-  }
-
-  ~LocalCollector() { heap_.SetMutationListener(nullptr); }
+      : heap_(heap), tables_(tables) {}
 
   LocalCollector(const LocalCollector&) = delete;
   LocalCollector& operator=(const LocalCollector&) = delete;
@@ -114,13 +104,6 @@ class LocalCollector {
   /// traces, so intern_bytes_saved accumulates across epochs).
   [[nodiscard]] const OutsetStore& outset_store() const { return store_; }
 
-  /// The incremental distance-label plane (a registered heap-mutation
-  /// listener when CollectorConfig::incremental_distance is on; an inert
-  /// member otherwise). Exposed for tests and instrumentation.
-  [[nodiscard]] const DistanceLabels& distance_labels() const {
-    return labels_;
-  }
-
   /// Shares a persistent worker pool with the intra-trace parallel phases
   /// (work-stealing mark, per-slab sweep, partitioned refold). With a null
   /// pool or CollectorConfig::mark_threads <= 1 every phase runs the
@@ -157,33 +140,8 @@ class LocalCollector {
   void CheckEquivalent(const TraceResult& reused,
                        const TraceResult& full) const;
 
-  /// The contribution map the label plane must reflect for this trace's
-  /// inputs: persistent/application roots at 0, each non-garbage-flagged
-  /// inref at its estimated distance (an unreached inref — distance
-  /// infinity — contributes kDistanceUnreachedRoot), minimum per slot.
-  [[nodiscard]] DistanceLabels::ContributionMap DesiredContributions(
-      const TraceInputs& inputs) const;
-
-  /// Serves a full-trace-identical TraceResult directly from the fresh
-  /// label plane: no marking pass — clean set and sweep read off the labels,
-  /// clean outref distances off the support index, suspect outsets
-  /// recomputed against the labels. Requires labels_.fresh(). When
-  /// `clean_distances_out` is non-null it receives the phase-1-equivalent
-  /// distance base (pins + clean holders) for the reuse cache.
-  TraceResult ServeFromLabels(const TraceInputs& inputs,
-                              std::map<ObjectId, Distance>* clean_distances_out);
-
-  /// Run() body when incremental_distance is on: reconcile -> fallback or
-  /// reuse ladder (with ServeFromLabels replacing the full trace) ->
-  /// differential checks -> cache refresh -> per-trace stat deltas.
-  TraceResult RunWithLabels(const std::vector<ObjectId>& app_roots);
-
   Heap& heap_;
   RefTables& tables_;
-  DistanceLabels labels_;
-  /// labels_.stats() as of the previous trace — the baseline for the
-  /// per-trace deltas reported in LocalTraceStats.
-  DistanceLabels::Stats last_label_stats_;
   WorkerPool* pool_ = nullptr;
   std::uint64_t epoch_ = 0;
   /// Scratch mark stack, reused across traces so the hot loop never

@@ -54,22 +54,6 @@ struct LocalTraceStats {
   /// 1 when this result is a verbatim reuse of the previous epoch's trace
   /// on a provably quiescent site (sites aggregate it into a counter).
   std::uint64_t quiescent_skips = 0;
-
-  // --- Incremental distance accounting (zero unless incremental_distance) --
-  /// Mutation/contribution events since the previous trace whose bounded
-  /// repair relabeled at least one object.
-  std::uint64_t distance_repairs = 0;
-  /// 1 when this trace found the label plane stale and fell back to a full
-  /// forward propagation (crash-restart, threshold breach, budget blowout,
-  /// or the very first trace).
-  std::uint64_t distance_fallbacks = 0;
-  /// Label writes since the previous trace — bounded repairs plus any
-  /// fallback propagation's writes. The full-recompute equivalent is one
-  /// write per live object per trace; the ratio is the tentpole's win.
-  std::uint64_t objects_relabeled = 0;
-  /// 1 when this trace's result was served from the repaired label plane
-  /// instead of a marking pass.
-  std::uint64_t label_serves = 0;
 };
 
 struct TraceResult {

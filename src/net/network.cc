@@ -173,102 +173,6 @@ void Network::ShipBatch(SiteId from, SiteId to, std::vector<Envelope> batch) {
   });
 }
 
-// --- Parallel staged-send replay -------------------------------------------
-
-void Network::ReserveSenderShards(std::size_t site_count) {
-  if (channel_last_delivery_.size() < site_count) {
-    channel_last_delivery_.resize(site_count);
-  }
-}
-
-void Network::PrepareSend(SiteId from, SiteId to, Payload payload,
-                          ReplayShard& shard) {
-  DGC_CHECK_MSG(to < handlers_.size() && handlers_[to] != nullptr,
-                "send to unregistered site " << to);
-  Envelope envelope{from, to, std::move(payload)};
-
-  if (from == to) {
-    ++shard.stats.self_deliveries;
-    ++shard.admitted;
-    shard.prepared.push_back(PreparedSend{std::move(envelope), 0, true});
-    return;
-  }
-
-  ++shard.stats.inter_site_sent;
-  ++shard.stats.per_kind[envelope.payload.index()];
-  const std::size_t wire_size = ApproxWireSize(envelope.payload);
-  shard.stats.approx_bytes += wire_size;
-  // SupportsParallelReplay implies batch_window == 0: every payload is its
-  // own wire message, so the batch-of-one ShipBatch accounting collapses to
-  // the payload's own wire size.
-  ++shard.stats.wire_messages;
-  shard.stats.wire_bytes += wire_size;
-
-  // The fault decision reads state only the quiescent coordinator mutates
-  // (down-sets, chaos overrides); with zero effective drop probability no
-  // RNG is drawn, exactly as in the serial path.
-  const bool faulted = IsSiteDown(from) || IsSiteDown(to) ||
-                       link_down_.contains(LinkKey(from, to));
-  if (faulted) {
-    ++shard.stats.dropped;
-    return;
-  }
-
-  // Zero jitter: DrawLatency without the RNG draw. The FIFO clamp mutates
-  // only this sender's pre-reserved shard, so distinct senders never touch
-  // the same entry.
-  const SimTime latency = config_.latency + extra_latency_;
-  DGC_CHECK(from < channel_last_delivery_.size());
-  SimTime& last = channel_last_delivery_[from][to];
-  const SimTime deliver_at = std::max(scheduler_.now() + latency, last);
-  last = deliver_at;
-  ++shard.admitted;
-  shard.prepared.push_back(PreparedSend{std::move(envelope), deliver_at, false});
-}
-
-void Network::CommitPrepared(ReplayShard& shard) {
-  const std::uint64_t purge_marks = stats_.wire_messages / kChannelPurgePeriod;
-  stats_.inter_site_sent += shard.stats.inter_site_sent;
-  stats_.dropped += shard.stats.dropped;
-  stats_.self_deliveries += shard.stats.self_deliveries;
-  stats_.approx_bytes += shard.stats.approx_bytes;
-  stats_.wire_messages += shard.stats.wire_messages;
-  stats_.wire_bytes += shard.stats.wire_bytes;
-  for (std::size_t k = 0; k < kPayloadKinds; ++k) {
-    stats_.per_kind[k] += shard.stats.per_kind[k];
-  }
-  in_flight_ += shard.admitted;
-
-  for (PreparedSend& send : shard.prepared) {
-    if (send.self) {
-      scheduler_.After(0,
-                       [this, envelope = std::move(send.envelope)]() mutable {
-                         Deliver(std::move(envelope));
-                       });
-      continue;
-    }
-    std::vector<Envelope> batch = AcquireBatchBuffer();
-    batch.push_back(std::move(send.envelope));
-    scheduler_.At(send.deliver_at, [this, batch = std::move(batch)]() mutable {
-      for (Envelope& envelope : batch) {
-        Deliver(std::move(envelope));
-      }
-      ReleaseBatchBuffer(std::move(batch));
-    });
-  }
-
-  shard.prepared.clear();
-  shard.stats = NetworkStats{};
-  shard.admitted = 0;
-  // The serial path purges mid-stream every kChannelPurgePeriod wire
-  // messages; purging at the commit boundary instead is neutral (an inert
-  // entry can never raise a future clamp) and keeps PrepareSend read-only
-  // on other senders' shards.
-  if (stats_.wire_messages / kChannelPurgePeriod != purge_marks) {
-    PurgeInertClampEntries();
-  }
-}
-
 void Network::PurgeInertClampEntries() {
   const SimTime now = scheduler_.now();
   for (auto& shard : channel_last_delivery_) {

@@ -115,10 +115,6 @@ struct NetworkStats {
 // net/threaded_transport.h). Concurrent enqueue into Send/ShipBatch would
 // invalidate FlatMap iterators mid-shard and corrupt the stash maps — the
 // seam keeps that structurally impossible instead of guarding it with locks.
-// The one sanctioned concurrency is the PrepareSend/CommitPrepared replay
-// split below: distinct senders prepare concurrently against pre-reserved
-// per-sender shards while the coordinator is quiescent, and everything
-// global is still committed serially by the coordinator.
 class Network {
  public:
   using Handler = std::function<void(const Envelope&)>;
@@ -247,60 +243,6 @@ class Network {
   /// max(now + latency, last) and only grow the map with every channel pair
   /// ever used.
   static constexpr std::uint64_t kChannelPurgePeriod = 1024;
-
-  // --- Parallel staged-send replay (engine coordinators) -----------------
-  //
-  // The engine backends replay site-staged sends into the Network between
-  // parallel phases. When the configuration makes each send's outcome
-  // independent of coordinator-global mutable state — no RNG draw (zero
-  // drop probability, zero jitter), no batching window, no retransmit
-  // machinery — the per-sender half of Send (stats accounting, fault
-  // checks, latency, and the sender-confined FIFO clamp) can run
-  // concurrently across DISTINCT sender sites, leaving only the scheduler
-  // insertions to a serial commit. CommitPrepared must then run on the
-  // coordinator thread once per sender, in ascending sender order: the
-  // insertions happen in exactly the order the serial replay would produce,
-  // so the scheduler's tie-breaking sequence numbers — and with them every
-  // seeded verdict and reclaim set — stay bit-identical.
-
-  /// One send whose delivery is fully decided but not yet scheduled.
-  struct PreparedSend {
-    Envelope envelope;
-    SimTime deliver_at = 0;  // ignored for self sends (next-tick semantics)
-    bool self = false;
-  };
-
-  /// Per-sender scratch for one parallel replay phase. Reusable across
-  /// phases — CommitPrepared resets it but keeps vector capacity.
-  struct ReplayShard {
-    NetworkStats stats;          // deltas, folded in by CommitPrepared
-    std::uint64_t admitted = 0;  // sends that will reach the scheduler
-    std::vector<PreparedSend> prepared;
-  };
-
-  /// True while the current configuration (including the chaos drop
-  /// override) makes PrepareSend exact. Re-check before every parallel
-  /// phase: chaos plans flip the drop override mid-run.
-  [[nodiscard]] bool SupportsParallelReplay() const {
-    return !config_.reliable_delivery && config_.batch_window == 0 &&
-           config_.latency_jitter == 0 && effective_drop_probability() == 0.0;
-  }
-
-  /// Pre-sizes the sender-indexed FIFO-clamp shards so concurrent
-  /// PrepareSend calls from distinct senders never resize the shard vector
-  /// under each other. Call before the first parallel phase.
-  void ReserveSenderShards(std::size_t site_count);
-
-  /// The thread-safe half of Send for one sender's staged traffic: stats,
-  /// the fault drop decision, latency, and the FIFO clamp, accumulated into
-  /// `shard`. Requires SupportsParallelReplay() and ReserveSenderShards();
-  /// calls for distinct `from` values may run concurrently, calls for one
-  /// sender must stay on one thread in staged order.
-  void PrepareSend(SiteId from, SiteId to, Payload payload, ReplayShard& shard);
-
-  /// Folds one sender's prepared phase into the Network and schedules its
-  /// deliveries. Coordinator thread only; ascending sender order.
-  void CommitPrepared(ReplayShard& shard);
 
  private:
   [[nodiscard]] std::uint64_t ChannelKey(SiteId from, SiteId to) const {

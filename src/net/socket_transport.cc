@@ -41,16 +41,6 @@ SocketTransport::SocketTransport(std::size_t site_count, Scheduler& control,
     DGC_CHECK(envelope.to < conns_.size());
     conns_[envelope.to].outbound.push_back(std::move(envelope));
   });
-  serial_replay_ = config.transport_serial_replay;
-  std::size_t replay_workers = config.transport_pool_threads;
-  if (replay_workers == 0) {
-    // The coordinator is otherwise idle while sites compute, so size the
-    // replay pool to the machine but never past useful sender parallelism.
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    replay_workers = std::min(hw, site_count) - 1;
-  }
-  replay_pool_ = std::make_unique<WorkerPool>(replay_workers);
   BindListener();
 }
 
@@ -497,42 +487,6 @@ void SocketTransport::CollectStepReplies() {
 }
 
 void SocketTransport::ResolveStepReplies() {
-  bool all_ok = true;
-  std::size_t busy_senders = 0;
-  for (SiteId s : involved_) {
-    const ReplySlot slot = reply_state_[s];
-    if (slot == ReplySlot::kIdle) continue;  // write failed; no reply owed
-    if (slot != ReplySlot::kOk) {
-      all_ok = false;
-    } else if (!reply_frames_[s].staged.empty()) {
-      ++busy_senders;
-    }
-  }
-  // Sharded replay only for fault-free waves: a timeout or disconnect in
-  // the wave mutates fault state between earlier and later sites' replays
-  // under the serial contract, which a parallel prepare would not observe.
-  const bool parallel = all_ok && !serial_replay_ && busy_senders >= 2 &&
-                        replay_pool_->worker_threads() > 0 &&
-                        network_.SupportsParallelReplay();
-  if (parallel) {
-    network_.ReserveSenderShards(conns_.size());
-    if (replay_shards_.size() < conns_.size()) {
-      replay_shards_.resize(conns_.size());
-    }
-    replay_pool_->RunBatch(
-        involved_.size(),
-        [this](std::size_t i) {
-          const SiteId s = involved_[i];
-          if (reply_state_[s] != ReplySlot::kOk) return;
-          Network::ReplayShard& shard = replay_shards_[s];
-          for (Envelope& env : reply_frames_[s].staged) {
-            network_.PrepareSend(env.from, env.to, std::move(env.payload),
-                                 shard);
-          }
-        },
-        involved_.size());
-    ++counters_.parallel_replays;
-  }
   for (SiteId s : involved_) {
     Conn& conn = conns_[s];
     switch (reply_state_[s]) {
@@ -541,14 +495,7 @@ void SocketTransport::ResolveStepReplies() {
       case ReplySlot::kOk:
         conn.awaiting_seq = 0;
         conn.cached_next = reply_frames_[s].next_event_time;
-        if (parallel) {
-          const std::size_t n = reply_frames_[s].staged.size();
-          counters_.staged_sends += n;
-          conn.staged_sends += n;
-          network_.CommitPrepared(replay_shards_[s]);
-        } else {
-          ReplayStaged(conn, std::move(reply_frames_[s].staged));
-        }
+        ReplayStaged(conn, std::move(reply_frames_[s].staged));
         break;
       case ReplySlot::kFailed:
         Disconnect(conn, s);

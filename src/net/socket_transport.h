@@ -19,9 +19,7 @@
 // real-time deadline, and the wave is applied in involved-site order — so
 // N sites overlap their computing instead of serializing behind the
 // slowest, while the Network still observes the serial loop's exact
-// mutation order. Fault-free waves additionally shard staged-send replay
-// across senders on a coordinator worker pool (Network::PrepareSend /
-// CommitPrepared), committing per site in order.
+// mutation order.
 //
 // Failure handling is where this backend earns its keep:
 //
@@ -46,13 +44,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
-#include "common/worker_pool.h"
 #include "net/network.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -253,10 +249,7 @@ class SocketTransport final : public Transport {
   /// (Disconnect), or still-pending at the deadline (exact serial timeout
   /// handling: the site is paused, its owed reply absorbs late). Site-order
   /// replay keeps scheduler insertion order — and therefore verdicts and
-  /// reclaim sets — bit-identical to the serial loop. Fault-free waves with
-  /// two or more busy senders prepare their sends in parallel on the replay
-  /// pool and commit per site in order (the threaded backend's sharded
-  /// replay, reused over the wire).
+  /// reclaim sets — bit-identical to the serial loop.
   void ResolveStepReplies();
   /// Replays a reply's staged sends into the Network, in call order.
   void ReplayStaged(Conn& conn, std::vector<Envelope> staged);
@@ -288,12 +281,6 @@ class SocketTransport final : public Transport {
   };
   std::vector<ReplySlot> reply_state_;             // scratch, per site
   std::vector<wire::StepReplyFrame> reply_frames_; // scratch, per site
-
-  bool serial_replay_ = false;
-  /// Shards staged-send replay across senders for fault-free waves; sized
-  /// from transport_pool_threads (auto: min(hardware, sites) - 1).
-  std::unique_ptr<WorkerPool> replay_pool_;
-  std::vector<Network::ReplayShard> replay_shards_;
 
   TransportCounters counters_;
   SocketCounters socket_counters_;

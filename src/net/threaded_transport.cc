@@ -33,7 +33,6 @@ ThreadedTransport::ThreadedTransport(std::size_t site_count,
         site_count);
   }
   threads_ = std::max<std::size_t>(1, threads);
-  serial_replay_ = config.transport_serial_replay;
   // Pool sizing. The coordinator participates in every batch, so site-level
   // stepping needs threads_ - 1 workers (the historical sizing). When the
   // sites fork nested shard batches on this pool (mark_threads > 1, passed
@@ -140,7 +139,7 @@ void ThreadedTransport::AdvanceWorldTo(SimTime t) {
     // Replay: staged sends enter the Network in site order — a fixed,
     // interleaving-independent order, which is what keeps seeded runs
     // reproducible across thread schedules.
-    ReplayAllStaged();
+    for (SiteId s : involved_) ReplayStaged(*sites_[s]);
   }
 }
 
@@ -171,46 +170,6 @@ void ThreadedTransport::ReplayStaged(SiteState& state) {
     network_.Send(send.from, send.to, std::move(send.payload));
   }
   state.staged.clear();
-}
-
-void ThreadedTransport::ReplayAllStaged() {
-  // Parallel prepare pays off only with >= 2 busy senders and real workers;
-  // eligibility is re-checked every phase because chaos plans flip the drop
-  // override (and with it the RNG-free guarantee) mid-run.
-  std::size_t busy_senders = 0;
-  for (SiteId s : involved_) {
-    if (!sites_[s]->staged.empty()) ++busy_senders;
-  }
-  const bool parallel = !serial_replay_ && busy_senders >= 2 &&
-                        pool_->worker_threads() > 0 &&
-                        network_.SupportsParallelReplay();
-  if (!parallel) {
-    for (SiteId s : involved_) ReplayStaged(*sites_[s]);
-    return;
-  }
-
-  network_.ReserveSenderShards(sites_.size());
-  // Each task prepares exactly one sender's staged list, touching only that
-  // sender's FIFO-clamp shard and ReplayShard scratch; the join barrier
-  // orders every write before the coordinator's serial commit.
-  pool_->RunBatch(
-      involved_.size(),
-      [this](std::size_t i) {
-        SiteState& state = *sites_[involved_[i]];
-        for (StagedSend& send : state.staged) {
-          network_.PrepareSend(send.from, send.to, std::move(send.payload),
-                               state.replay);
-        }
-      },
-      involved_.size());
-  ++counters_.parallel_replays;
-  for (SiteId s : involved_) {
-    SiteState& state = *sites_[s];
-    counters_.staged_sends += state.staged.size();
-    state.staged_sends += state.staged.size();
-    state.staged.clear();
-    network_.CommitPrepared(state.replay);
-  }
 }
 
 void ThreadedTransport::SyncClocksTo(SimTime t) {

@@ -17,13 +17,7 @@
 //     (coordinator side), and sends issued on site threads are staged in a
 //     thread-local buffer and replayed into the Network by the coordinator,
 //     in site order, at the phase boundary. Site threads never touch the
-//     Network — with one carve-out: when the configuration is
-//     RNG-free/batch-free (Network::SupportsParallelReplay), the replay's
-//     per-sender half runs as Network::PrepareSend concurrently across the
-//     sender shards (each touching only its own pre-reserved FIFO-clamp
-//     shard) and the coordinator commits the prepared shards serially in
-//     site order, so the scheduler insertion order — and every seeded
-//     verdict — is bit-identical to the serial replay.
+//     Network.
 //   * The transport owns its own WorkerPool, sized independently of the
 //     System pool. Sites fork their nested mark_threads shard batches on
 //     this same pool (Transport::site_worker_pool); the caller-participates
@@ -120,10 +114,6 @@ class ThreadedTransport final : public Transport {
     Scheduler scheduler;
     MpscQueue<Envelope> inbox;
     std::vector<StagedSend> staged;
-    /// Scratch for the sharded parallel replay: written by the thread
-    /// preparing this sender's staged sends, consumed by the coordinator's
-    /// serial commit (ordered by the RunBatch join barrier).
-    Network::ReplayShard replay;
     std::uint64_t handoffs = 0;      // coordinator-written (dispatcher)
     std::uint64_t staged_sends = 0;  // coordinator-written (replay)
     std::uint64_t steps = 0;         // coordinator-written (phase loop)
@@ -142,13 +132,6 @@ class ThreadedTransport final : public Transport {
 
   /// Replays a site's staged sends into the Network (coordinator only).
   void ReplayStaged(SiteState& state);
-
-  /// Replays every involved site's staged sends, preparing the per-sender
-  /// halves in parallel on the pool when the Network supports it (and
-  /// serial replay is not forced), then committing in site order. Falls
-  /// back to the serial ReplayStaged loop otherwise. Bit-identical either
-  /// way.
-  void ReplayAllStaged();
 
   /// Advances every scheduler's clock to t without running anything past
   /// its pending events (there are none <= t when this is called), so
@@ -170,7 +153,6 @@ class ThreadedTransport final : public Transport {
   /// read-only while the engine runs.
   std::vector<Network::Handler> handlers_;
   std::size_t threads_ = 1;
-  bool serial_replay_ = false;
   std::unique_ptr<WorkerPool> pool_;
   SimTime global_now_ = 0;
   std::vector<SiteId> involved_;  // scratch for the phase loop

@@ -39,7 +39,6 @@ struct TransportCounters {
   std::uint64_t site_steps = 0;       // individual site executions
   std::uint64_t handoffs = 0;         // envelopes routed through an inbox
   std::uint64_t staged_sends = 0;     // sends staged on site threads
-  std::uint64_t parallel_replays = 0;  // phases replayed via sharded prepare
   std::uint64_t inbox_peak_depth = 0;     // max over all site inboxes
   std::uint64_t inbox_contention = 0;     // lock waits across all inboxes
   std::uint64_t inbox_overflows = 0;      // pushes past the soft capacity

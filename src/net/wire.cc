@@ -456,9 +456,6 @@ void EncodeCollectorConfig(WireWriter& w, const CollectorConfig& c) {
   w.boolean(c.batch_back_calls);
   w.boolean(c.incremental_trace);
   w.boolean(c.incremental_differential);
-  w.boolean(c.incremental_distance);
-  w.boolean(c.incremental_distance_differential);
-  w.u64(c.distance_repair_budget);
   w.boolean(c.park_on_suspected_failure);
   w.boolean(c.short_circuit_live_replies);
 }
@@ -483,9 +480,6 @@ bool DecodeCollectorConfig(WireReader& r, CollectorConfig& c) {
   c.batch_back_calls = r.boolean();
   c.incremental_trace = r.boolean();
   c.incremental_differential = r.boolean();
-  c.incremental_distance = r.boolean();
-  c.incremental_distance_differential = r.boolean();
-  c.distance_repair_budget = static_cast<std::size_t>(r.u64());
   c.park_on_suspected_failure = r.boolean();
   c.short_circuit_live_replies = r.boolean();
   return r.ok();

@@ -41,7 +41,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /// Protocol magic ("DGC1") and version carried by every Hello.
 inline constexpr std::uint32_t kWireMagic = 0x44474331;
-inline constexpr std::uint16_t kWireVersion = 1;
+inline constexpr std::uint16_t kWireVersion = 2;
 
 // ---------------------------------------------------------------------------
 // Flat little-endian writer / bounds-checked reader.

@@ -30,9 +30,7 @@ ObjectId Heap::Allocate(std::size_t slot_count) {
   ++stats_.allocated;
   ++mutation_epoch_;
   MarkDirtySlot(slot);
-  const ObjectId id = IdAt(slot);
-  if (listener_ != nullptr) listener_->OnAllocate(id);
-  return id;
+  return IdAt(slot);
 }
 
 void Heap::SetSlot(ObjectId id, std::size_t slot, ObjectId target) {
@@ -49,7 +47,6 @@ void Heap::SetSlot(ObjectId id, std::size_t slot, ObjectId target) {
   if (previous != kInvalidObject && Exists(previous)) {
     MarkDirtySlot(SlotOf(previous.index));
   }
-  if (listener_ != nullptr) listener_->OnSlotWrite(id, previous, target);
 }
 
 ObjectId Heap::GetSlot(ObjectId id, std::size_t slot) const {
@@ -64,9 +61,6 @@ void Heap::Free(ObjectId id) {
   DGC_CHECK_MSG(std::find(persistent_roots_.begin(), persistent_roots_.end(),
                           id) == persistent_roots_.end(),
                 "freeing persistent root " << id);
-  // Fire before the teardown: the listener may still read the object's slots
-  // to unlink its out-edges.
-  if (listener_ != nullptr) listener_->OnFree(id);
   const std::uint64_t slot = SlotOf(id.index);
   ObjectAt(slot).slots.clear();
   ObjectAt(slot).slots.shrink_to_fit();

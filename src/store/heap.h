@@ -69,26 +69,6 @@ struct HeapImage {
   HeapStats stats;
 };
 
-/// Observer for the heap's structural mutations, fired synchronously from the
-/// mutating call. Allocate/Free report object lifetimes; SetSlot reports the
-/// edge-level delta (previous target severed, new target linked). A listener
-/// sees every event in program order and may read the heap during OnFree (the
-/// object is still intact) but must not mutate the heap reentrantly. Used by
-/// the incremental distance-label maintainer; dirty tracking above stays the
-/// incremental *trace* channel — the two are independent consumers of the
-/// same barrier.
-class HeapMutationListener {
- public:
-  virtual ~HeapMutationListener() = default;
-  virtual void OnAllocate(ObjectId id) = 0;
-  /// Fired after the write: `source`'s slot now holds `next` (was `previous`;
-  /// either may be null or remote).
-  virtual void OnSlotWrite(ObjectId source, ObjectId previous,
-                           ObjectId next) = 0;
-  /// Fired at the top of Free, while the object and its slots still exist.
-  virtual void OnFree(ObjectId id) = 0;
-};
-
 class Heap {
  public:
   /// Objects per slab. Slabs never move once allocated, so Object pointers
@@ -303,12 +283,6 @@ class Heap {
   /// observed them). The mutation epoch is NOT reset — it is monotone.
   void ClearDirty();
 
-  /// Registers (or, with nullptr, clears) the single mutation listener. The
-  /// listener must outlive the heap or be cleared first.
-  void SetMutationListener(HeapMutationListener* listener) {
-    listener_ = listener;
-  }
-
   // --- Occupancy (instrumentation) --------------------------------------
 
   [[nodiscard]] std::size_t slab_count() const { return slabs_.size(); }
@@ -394,7 +368,6 @@ class Heap {
   std::vector<std::uint32_t> slab_dirty_;
   std::size_t dirty_count_ = 0;
   std::uint64_t mutation_epoch_ = 0;
-  HeapMutationListener* listener_ = nullptr;
 };
 
 }  // namespace dgc

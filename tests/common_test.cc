@@ -60,6 +60,31 @@ TEST(DistanceTest, NextDistanceSaturates) {
   EXPECT_EQ(NextDistance(kDistanceInfinity - 1), kDistanceInfinity);
 }
 
+TEST(DistanceArithmeticTest, AddDistanceSaturatesInsteadOfWrapping) {
+  EXPECT_EQ(AddDistance(2, 3), 5u);
+  EXPECT_EQ(AddDistance(0, 0), 0u);
+  EXPECT_EQ(AddDistance(kDistanceInfinity, 1), kDistanceInfinity);
+  EXPECT_EQ(AddDistance(kDistanceInfinity, kDistanceInfinity),
+            kDistanceInfinity);
+  EXPECT_EQ(AddDistance(kDistanceInfinity - 1, 1), kDistanceInfinity);
+  EXPECT_EQ(AddDistance(kDistanceInfinity - 1, 2), kDistanceInfinity);
+  EXPECT_EQ(AddDistance(1, kDistanceInfinity - 1), kDistanceInfinity);
+  EXPECT_EQ(AddDistance(kDistanceInfinity - 2, 1), kDistanceInfinity - 1);
+  // Saturation is sticky: once infinite, increments never wrap back down.
+  Distance d = kDistanceInfinity - 3;
+  for (int i = 0; i < 8; ++i) d = NextDistance(d);
+  EXPECT_EQ(d, kDistanceInfinity);
+}
+
+TEST(DistanceArithmeticTest, NextDistanceMatchesAddByOne) {
+  EXPECT_EQ(NextDistance(0), 1u);
+  EXPECT_EQ(NextDistance(7), 8u);
+  for (const Distance d : {Distance{0}, Distance{7}, kDistanceInfinity - 2,
+                           kDistanceInfinity - 1, kDistanceInfinity}) {
+    EXPECT_EQ(NextDistance(d), AddDistance(d, 1)) << d;
+  }
+}
+
 TEST(CheckTest, PassingCheckIsSilent) {
   EXPECT_NO_THROW(DGC_CHECK(1 + 1 == 2));
 }

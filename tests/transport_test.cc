@@ -72,7 +72,6 @@ OpenLoopOutcome RunOpenLoop(TransportKind kind, std::uint64_t seed,
   config.back_threshold_increment = 2;
   config.mark_threads = mark_threads;
   config.incremental_trace = incremental;
-  config.incremental_distance = incremental;
   NetworkConfig net;
   net.transport = kind;
   net.transport_threads = 4;
@@ -200,44 +199,6 @@ TEST(TransportDifferential, MarkThreadsByTransportByIncrementalMatrix) {
       }
     }
   }
-}
-
-// Sharded staged-send replay is a pure performance path: forcing the serial
-// replay loop (transport_serial_replay) must change nothing observable,
-// while the default path must actually take the sharded branch (counter
-// proof, so a silently disabled optimization fails the test).
-TEST(TransportDifferential, ShardedReplayMatchesSerialReplay) {
-  auto run = [](bool serial_replay) {
-    CollectorConfig config;
-    config.suspicion_threshold = 2;
-    NetworkConfig net = ThreadedNet(4);
-    net.transport_serial_replay = serial_replay;
-    System system(4, config, net, 23);
-    workload::ScaleTopologySpec topo;
-    topo.sites = 4;
-    topo.objects_per_site = 300;
-    topo.seed = 23;
-    workload::InstantiateScaleTopology(system,
-                                       workload::BuildScaleTopology(topo));
-    workload::ScaleDriverSpec drive;
-    drive.duration = 2'000;
-    drive.round_stagger = 0;  // same-instant rounds: many busy senders
-    drive.seed = 29;
-    workload::ScaleDriver driver(system, drive);
-    driver.Run();
-    driver.Quiesce();
-    return std::tuple{system.TotalObjectsReclaimed(),
-                      SurvivingObjects(system),
-                      system.transport().counters().staged_sends,
-                      system.transport().counters().parallel_replays};
-  };
-  const auto sharded = run(/*serial_replay=*/false);
-  const auto serial = run(/*serial_replay=*/true);
-  EXPECT_EQ(std::get<0>(sharded), std::get<0>(serial));
-  EXPECT_EQ(std::get<1>(sharded), std::get<1>(serial));
-  EXPECT_EQ(std::get<2>(sharded), std::get<2>(serial));
-  EXPECT_GT(std::get<3>(sharded), 0u) << "sharded path never taken";
-  EXPECT_EQ(std::get<3>(serial), 0u) << "knob did not force serial replay";
 }
 
 // The deadlock shape the per-transport pool exists to prevent: every site
