@@ -20,13 +20,6 @@
 //     socket_* figures and the socket engine's handshake/step counters.
 //     Verdict equality is the gate; wall-clock is informational (real
 //     processes pay real syscalls — there is no speedup leg to enforce).
-//   * BM_Transport_SocketPipeline/<sites>: the socket engine's pipelined
-//     step loop (one StepRequest in flight to every involved site) against
-//     the serial lock-step loop (socket.pipelined_steps = false), identical
-//     seeded op streams, wall measured AFTER process spawn so the figure is
-//     the step loop itself. Reports coordinator wall per step for both
-//     modes and their ratio (pipeline_step_speedup); equality unconditional,
-//     the per-step floor again gated on host_cpus.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -270,104 +263,6 @@ void BM_Transport_ScriptedChurn(benchmark::State& state) {
   state.counters["step_timeouts"] = static_cast<double>(counters.step_timeouts);
 }
 BENCHMARK(BM_Transport_ScriptedChurn)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// --- pipelined vs lock-step socket stepping ----------------------------
-
-/// Scripted churn against a SocketWorld in either step-loop mode. Unlike
-/// RunScriptedSocket the clock starts AFTER SocketWorld construction, so
-/// wall_ms is the coordinator's op/step loop without the fork+handshake
-/// cost that is identical in both modes.
-ScriptedOutcome RunScriptedSocketMode(std::uint64_t seed, std::size_t sites,
-                                      bool pipelined,
-                                      SocketCounters& counters) {
-  SocketWorldOptions options;
-  options.site_count = sites;
-  options.collector = dgc::bench::DefaultConfig();
-  options.seed = seed;
-  options.network.socket.pipelined_steps = pipelined;
-  SocketWorld world(std::move(options));
-  const auto start = std::chrono::steady_clock::now();
-  SocketGodWorld god(world);
-  const ScriptedChurnResult script =
-      RunScriptedChurn(god, seed, BenchChurnSpec());
-  ScriptedOutcome out;
-  out.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  out.reclaimed = world.TotalObjectsReclaimed();
-  out.objects_left = world.TotalObjects();
-  FillOutcome(out, script,
-              [&](ObjectId id) { return world.ObjectExists(id); });
-  counters = world.transport().socket_counters();
-  return out;
-}
-
-void BM_Transport_SocketPipeline(benchmark::State& state) {
-  const auto sites = static_cast<std::size_t>(state.range(0));
-  constexpr std::uint64_t kSeed = 17;
-
-  ScriptedOutcome lockstep;
-  ScriptedOutcome pipelined;
-  SocketCounters lockstep_counters;
-  SocketCounters pipelined_counters;
-  for (auto _ : state) {
-    lockstep =
-        RunScriptedSocketMode(kSeed, sites, /*pipelined=*/false,
-                              lockstep_counters);
-    pipelined =
-        RunScriptedSocketMode(kSeed, sites, /*pipelined=*/true,
-                              pipelined_counters);
-  }
-
-  const bool verdicts_match = lockstep.fates == pipelined.fates &&
-                              lockstep.severed == pipelined.severed &&
-                              lockstep.collected == pipelined.collected &&
-                              lockstep.reclaimed == pipelined.reclaimed &&
-                              lockstep.objects_left == pipelined.objects_left;
-
-  // Both modes run the identical seeded op stream, so step_requests match on
-  // a fault-free run; per-step wall is the comparable coordinator figure.
-  const double lockstep_steps =
-      static_cast<double>(lockstep_counters.step_requests);
-  const double pipelined_steps =
-      static_cast<double>(pipelined_counters.step_requests);
-  const double lockstep_per_step =
-      lockstep_steps == 0.0 ? 0.0 : lockstep.wall_ms / lockstep_steps;
-  const double pipelined_per_step =
-      pipelined_steps == 0.0 ? 0.0 : pipelined.wall_ms / pipelined_steps;
-
-  state.counters["sites"] = static_cast<double>(sites);
-  state.counters["host_cpus"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-  state.counters["lockstep_wall_ms"] = lockstep.wall_ms;
-  state.counters["pipelined_wall_ms"] = pipelined.wall_ms;
-  state.counters["lockstep_step_requests"] = lockstep_steps;
-  state.counters["pipelined_step_requests"] = pipelined_steps;
-  state.counters["lockstep_wall_per_step_ms"] = lockstep_per_step;
-  state.counters["pipelined_wall_per_step_ms"] = pipelined_per_step;
-  state.counters["pipeline_step_speedup"] =
-      pipelined_per_step == 0.0 ? 0.0 : lockstep_per_step / pipelined_per_step;
-  state.counters["step_timeouts"] =
-      static_cast<double>(pipelined_counters.step_timeouts);
-  state.counters["verdicts_match"] = verdicts_match ? 1.0 : 0.0;
-  state.counters["lockstep_cycles_severed"] =
-      static_cast<double>(lockstep.severed);
-  state.counters["lockstep_cycles_collected"] =
-      static_cast<double>(lockstep.collected);
-  state.counters["lockstep_reclaimed"] =
-      static_cast<double>(lockstep.reclaimed);
-  state.counters["pipelined_cycles_severed"] =
-      static_cast<double>(pipelined.severed);
-  state.counters["pipelined_cycles_collected"] =
-      static_cast<double>(pipelined.collected);
-  state.counters["pipelined_reclaimed"] =
-      static_cast<double>(pipelined.reclaimed);
-}
-BENCHMARK(BM_Transport_SocketPipeline)
-    ->Args({4})
-    ->Args({8})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

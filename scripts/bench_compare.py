@@ -57,10 +57,9 @@ backend's correctness contract: every row must show verdicts_match == 1 with
 the threaded run's cycles_severed/cycles_collected/reclaimed exactly equal
 to the sim run's (same seed, same garbage verdicts, same reclaim set — the
 equality is the gate, always, on any host), on a non-vacuous run
-(cycles_severed > 0). The speedup floors (threaded at least as fast as sim,
-the pipelined socket step loop at least as fast per step as lock-step) are
-enforced only when the host has enough cores (host_cpus >= 4) to
-parallelise on; on smaller hosts those legs print SKIP.
+(cycles_severed > 0). The speedup floor (threaded at least as fast as sim)
+is enforced only when the host has enough cores (host_cpus >= 4) to
+parallelise on; on smaller hosts that leg prints SKIP.
 
 The CPU-gated checks end with a summary line that counts the legs that were
 gated and the legs that were skipped, so a host too small to arm a gate
@@ -426,66 +425,16 @@ def check_scale(path):
 MIN_TRANSPORT_SPEEDUP = 1.0
 MIN_CPUS_FOR_TRANSPORT_SPEEDUP = 4
 
-# The pipelined socket loop must at least match lock-step on coordinator
-# wall per step — again only judged on hosts with cores to overlap on.
-MIN_PIPELINE_STEP_SPEEDUP = 1.0
-
-
-def _check_pipeline_row(name, row, legs):
-    """Problems for a BM_Transport_SocketPipeline row (pipelined vs lock-step).
-
-    Both modes run the identical seeded op stream, so verdicts AND the number
-    of StepRequests issued must match exactly. The coordinator-wall-per-step
-    ratio gets a floor only on hosts with cores for the site processes to
-    overlap on; on one core the sites serialise anyway and the ratio is noise.
-    """
-    severed = float(row.get("lockstep_cycles_severed", 0.0))
-    collected = float(row.get("lockstep_cycles_collected", 0.0))
-    reclaimed = float(row.get("lockstep_reclaimed", 0.0))
-    problems = []
-    if severed <= 0:
-        problems.append("vacuous_run")
-    if float(row.get("verdicts_match", 0.0)) != 1.0:
-        problems.append("verdicts_match")
-    piped = (float(row.get("pipelined_cycles_severed", -1.0)),
-             float(row.get("pipelined_cycles_collected", -1.0)),
-             float(row.get("pipelined_reclaimed", -1.0)))
-    if (severed, collected, reclaimed) != piped:
-        problems.append("lockstep_pipelined_equality")
-    lock_steps = float(row.get("lockstep_step_requests", 0.0))
-    pipe_steps = float(row.get("pipelined_step_requests", -1.0))
-    if lock_steps != pipe_steps:
-        problems.append("step_count_equality")
-    speedup = float(row.get("pipeline_step_speedup", 0.0))
-    host_cpus = float(row.get("host_cpus", 0.0))
-    gate = _cpu_leg(legs, host_cpus, MIN_CPUS_FOR_TRANSPORT_SPEEDUP)
-    if gate and speedup < MIN_PIPELINE_STEP_SPEEDUP:
-        problems.append("pipeline_step_speedup")
-    note = (f", pipeline_step_speedup {speedup:.2f}x "
-            f"(min {MIN_PIPELINE_STEP_SPEEDUP:g}x)" if gate else "")
-    ok = not problems
-    print(f"{'ok' if ok else 'FAIL':>10}  {name}: "
-          f"lockstep {severed:g}/{collected:g}/{reclaimed:g} vs "
-          f"pipelined {piped[0]:g}/{piped[1]:g}/{piped[2]:g} "
-          f"(severed/collected/reclaimed), steps {lock_steps:g}/{pipe_steps:g}"
-          f"{note}")
-    if not gate:
-        _print_skip(name, f"pipeline_step_speedup {speedup:.2f}x", host_cpus,
-                    MIN_CPUS_FOR_TRANSPORT_SPEEDUP)
-    return problems
-
 
 def check_transport(path):
     """Gate BENCH_transport.json: every backend == sim verdicts.
 
-    Rows come in three shapes, keyed by which backend counters they carry.
+    Rows come in two shapes, keyed by which backend counters they carry.
     Threaded rows (threaded_* counters) are gated on equality plus a
     wall-clock speedup floor enforced only when host_cpus suffices. Socket
     rows (socket_* counters, from the real-process backend) are gated on
     equality only — site processes pay real fork/socket syscalls, so their
-    wall-clock is reported as information, never enforced. Pipeline rows
-    (pipeline_step_speedup) compare the pipelined socket step loop against
-    lock-step and delegate to _check_pipeline_row.
+    wall-clock is reported as information, never enforced.
 
     The equality leg (same severed/collected/reclaimed figures, row-level
     verdicts_match flag covering the survivor census) is unconditional for
@@ -498,11 +447,6 @@ def check_transport(path):
     legs = collections.Counter()
     for name in sorted(rows):
         row = rows[name]
-        if "pipeline_step_speedup" in row:
-            checked += 1
-            failures.extend(
-                f"{name} ({p})" for p in _check_pipeline_row(name, row, legs))
-            continue
         if "verdicts_match" not in row or "sim_cycles_severed" not in row:
             continue
         checked += 1
@@ -647,20 +591,6 @@ _FIXTURE_TRANSPORT = {
          "socket_cycles_severed": 8.0, "socket_cycles_collected": 8.0,
          "socket_reclaimed": 32.0, "handshakes": 4.0,
          "step_requests": 165.0, "build_ops": 168.0, "step_timeouts": 0.0},
-        # Pipeline rows compare the socket engine's two step loops on the
-        # same seeded op stream: verdicts and StepRequest counts must match
-        # exactly, the per-step wall ratio only binds with cores.
-        {"name": "BM_Transport_SocketPipeline/8/iterations:1",
-         "run_type": "iteration", "real_time": 400.0, "host_cpus": 8.0,
-         "sites": 8.0, "lockstep_wall_ms": 260.0, "pipelined_wall_ms": 140.0,
-         "lockstep_step_requests": 330.0, "pipelined_step_requests": 330.0,
-         "lockstep_wall_per_step_ms": 0.79,
-         "pipelined_wall_per_step_ms": 0.42,
-         "pipeline_step_speedup": 1.86, "step_timeouts": 0.0,
-         "verdicts_match": 1.0, "lockstep_cycles_severed": 8.0,
-         "lockstep_cycles_collected": 8.0, "lockstep_reclaimed": 32.0,
-         "pipelined_cycles_severed": 8.0, "pipelined_cycles_collected": 8.0,
-         "pipelined_reclaimed": 32.0},
     ]
 }
 
@@ -846,11 +776,11 @@ def _self_test():
             return check_transport(path)
 
     # Transport bounds: the healthy fixture passes with every speedup leg
-    # armed (two threaded rows, one pipeline row).
+    # armed (two threaded rows).
     code, skips, out = captured(transport_with,
                                 copy.deepcopy(_FIXTURE_TRANSPORT))
     assert code == 0, "healthy transport run must pass"
-    assert skips == 0 and "3 CPU-gated leg(s) gated, 0 skipped" in out, out
+    assert skips == 0 and "2 CPU-gated leg(s) gated, 0 skipped" in out, out
 
     # A threaded run with different verdicts fails on any host.
     diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
@@ -880,14 +810,14 @@ def _self_test():
 
     # ...but on a single-core host (nothing to parallelise on) the same
     # speedup is not gated: every speedup leg prints SKIP and the summary
-    # counts three skipped legs, none gated.
+    # counts two skipped legs, none gated.
     one_cpu = copy.deepcopy(sluggish)
     for row in one_cpu["benchmarks"]:
         row["host_cpus"] = 1.0
     code, skips, out = captured(transport_with, one_cpu)
     assert code == 0, "speedup must not be gated without the cores"
-    assert skips == 3, f"1-cpu transport run must print 3 SKIPs:\n{out}"
-    assert "0 CPU-gated leg(s) gated, 3 skipped" in out, out
+    assert skips == 2, f"1-cpu transport run must print 2 SKIPs:\n{out}"
+    assert "0 CPU-gated leg(s) gated, 2 skipped" in out, out
 
     # The socket row is equality-gated like the threaded rows: a reclaim
     # divergence between the process backend and sim fails...
@@ -909,31 +839,6 @@ def _self_test():
     socket_slow["benchmarks"][2]["socket_wall_ms"] = 99999.0
     assert transport_with(socket_slow) == 0, \
         "socket wall-clock is informational, not gated"
-
-    # Pipeline rows: a verdict divergence between the two step loops fails
-    # on any host...
-    pipeline_diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
-    pipeline_diverged["benchmarks"][3]["pipelined_reclaimed"] = 31.0
-    pipeline_diverged["benchmarks"][3]["host_cpus"] = 1.0
-    assert transport_with(pipeline_diverged) == 1, \
-        "lockstep-vs-pipelined divergence must fail even on one core"
-
-    # ...and so does a StepRequest count mismatch (identical op streams must
-    # produce identical waves).
-    pipeline_steps = copy.deepcopy(_FIXTURE_TRANSPORT)
-    pipeline_steps["benchmarks"][3]["pipelined_step_requests"] = 331.0
-    assert transport_with(pipeline_steps) == 1, \
-        "pipelined step-count drift must fail"
-
-    # The per-step floor binds on a big host and not on one core.
-    pipeline_slow = copy.deepcopy(_FIXTURE_TRANSPORT)
-    pipeline_slow["benchmarks"][3]["pipeline_step_speedup"] = 0.8
-    assert transport_with(pipeline_slow) == 1, \
-        "pipelined loop slower per step on a big host must fail"
-    pipeline_one_cpu = copy.deepcopy(pipeline_slow)
-    pipeline_one_cpu["benchmarks"][3]["host_cpus"] = 1.0
-    assert transport_with(pipeline_one_cpu) == 0, \
-        "per-step floor must not bind without the cores"
 
     # Every gate must degrade with a clear message and exit code 2 — never a
     # Python traceback — when its input/baseline JSON does not exist.

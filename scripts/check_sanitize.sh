@@ -20,6 +20,12 @@
 #                                 # SIGSTOP chaos, snapshot restore — the fork
 #                                 # server inherits ASan fine, and leaks in
 #                                 # short-lived site processes still report
+#   check_sanitize.sh --wire      # ASan+UBSan, only the wire suite (-L wire):
+#                                 # the codec's golden bytes and round trips,
+#                                 # the seeded mutation fuzzer over frames and
+#                                 # site snapshots, and the snapshot
+#                                 # consistency rules — hostile bytes must
+#                                 # fail cleanly, never read out of bounds
 #   check_sanitize.sh --tsan      # ThreadSanitizer over the concurrency-heavy
 #                                 # suites
 #                                 # (-L "parallel|chaos|scale|transport"):
@@ -51,6 +57,9 @@ if [[ "${1:-}" == "--chaos" ]]; then
   shift
 elif [[ "${1:-}" == "--socket" ]]; then
   CTEST_ARGS+=(-L socket)
+  shift
+elif [[ "${1:-}" == "--wire" ]]; then
+  CTEST_ARGS+=(-L wire)
   shift
 elif [[ "${1:-}" == "--tsan" ]]; then
   SANITIZE=thread

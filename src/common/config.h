@@ -168,14 +168,6 @@ struct CollectorConfig {
   /// bit for bit.
   bool incremental_trace = false;
 
-  /// Differential self-check for incremental traces: every time the
-  /// collector reuses cached state it ALSO runs the full trace and checks
-  /// the two results are semantically identical (snapshots, distances,
-  /// cleanliness, sweep set, back information), aborting on divergence.
-  /// Costs a full trace per reuse — a correctness harness for tests, not a
-  /// production mode. Ignored unless incremental_trace is on.
-  bool incremental_differential = false;
-
   /// Graceful degradation under failures: when the network's failure
   /// detector (NetworkConfig::heartbeat_period) suspects the destination of
   /// a back trace's next remote step, the call is *parked* instead of being
@@ -258,16 +250,6 @@ struct SocketConfig {
   /// leaving the site permanently down (the heartbeat/park machinery then
   /// degrades gracefully, as for any dark peer). Zero = never restart.
   int max_restarts = 8;
-
-  /// Pipelined stepping (default): the coordinator keeps a StepRequest in
-  /// flight to every live site simultaneously and absorbs the replies from a
-  /// poll() readiness loop, processing them in site order so the lock-step
-  /// determinism contract is untouched. Each site still gets the full
-  /// step_timeout_ms — measured from its own request — before it is marked
-  /// unresponsive. False restores the serial one-site-at-a-time
-  /// request/blocking-reply loop (the differential baseline in
-  /// bench_transport).
-  bool pipelined_steps = true;
 
   /// When true (default) a site process snapshots its durable state (heap
   /// image, ref tables, back info, incarnation) after every step that

@@ -91,6 +91,7 @@ class Site {
   [[nodiscard]] BackTracer& back_tracer() { return back_tracer_; }
   [[nodiscard]] const BackTracer& back_tracer() const { return back_tracer_; }
   [[nodiscard]] const SiteBackInfo& back_info() const { return back_info_; }
+  [[nodiscard]] LocalCollector& collector() { return collector_; }
   [[nodiscard]] const LocalCollector& collector() const { return collector_; }
   /// Refreshes the table-mirror fields (the tables mutate without passing
   /// through Site, so they are snapshotted at read time) and returns the

@@ -411,7 +411,7 @@ TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
         break;
     }
     if (level != ReuseLevel::kNone) {
-      if (config.incremental_differential) {
+      if (check_reuse_) {
         // Shadow full trace at the same epoch (mark stamps are scratch);
         // must not clobber the cache the reuse was built from.
         const TraceResult full = RunFullTrace(app_roots, nullptr);

@@ -37,8 +37,8 @@
 //
 // Both reuse levels are exact, not approximate: phase-2 outsets are
 // graph-theoretic (order-independent), so every reused field is what the
-// full trace would have computed — incremental_differential asserts exactly
-// that by running both and comparing.
+// full trace would have computed — the set_check_reuse_for_testing hook
+// asserts exactly that by running both and comparing.
 #pragma once
 
 #include <map>
@@ -110,6 +110,12 @@ class LocalCollector {
   /// historical sequential code path bit for bit.
   void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
 
+  /// Test hook: every reused trace also runs the full trace and must agree
+  /// with it on every semantic field (snapshots, distances, cleanliness,
+  /// sweep set, back information), or the run aborts. Costs a full trace
+  /// per reuse.
+  void set_check_reuse_for_testing(bool on) { check_reuse_ = on; }
+
  private:
   enum class ReuseLevel {
     kNone,        // inputs changed: full trace
@@ -127,7 +133,7 @@ class LocalCollector {
 
   /// The classic three-phase trace. When `inputs_for_cache` is non-null the
   /// run also refreshes the reuse cache (and consumes the heap's dirty sets);
-  /// null = plain run (incremental off, or the differential shadow trace).
+  /// null = plain run (incremental off, or the reuse check's shadow trace).
   TraceResult RunFullTrace(const std::vector<ObjectId>& app_roots,
                            const TraceInputs* inputs_for_cache);
 
@@ -143,6 +149,7 @@ class LocalCollector {
   Heap& heap_;
   RefTables& tables_;
   WorkerPool* pool_ = nullptr;
+  bool check_reuse_ = false;
   std::uint64_t epoch_ = 0;
   /// Scratch mark stack, reused across traces so the hot loop never
   /// reallocates once the heap's size has been seen.

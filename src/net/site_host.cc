@@ -25,7 +25,7 @@ using wire::WireWriter;
 /// Snapshot file magic ("DGCS") and version, distinct from the socket
 /// protocol's so a snapshot can never be mistaken for a frame.
 constexpr std::uint32_t kSnapshotMagic = 0x44474353;
-constexpr std::uint16_t kSnapshotVersion = 1;
+constexpr std::uint16_t kSnapshotVersion = 2;
 
 }  // namespace
 
@@ -59,7 +59,7 @@ SiteSnapshot CaptureSiteSnapshot(const Site& site, std::uint32_t incarnation) {
     snap.outrefs.push_back(image);
   }
   for (const auto& [inref, outset] : site.back_info().inref_outsets) {
-    snap.inref_outsets.emplace_back(inref, outset);
+    snap.inref_outsets.push_back({inref, outset});
   }
   return snap;
 }
@@ -95,127 +95,77 @@ void ApplySiteSnapshot(Site& site, const SiteSnapshot& snapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codec. Reuses the wire primitives; same defensive posture (every
-// count guarded, trailing bytes rejected) because a half-written or stale
-// file must fail cleanly, not crash the replacement process.
+// Snapshot codec: the wire codec over these field lists (see net/wire.h),
+// behind a magic and version header. Every count is guarded and trailing
+// bytes are rejected, because a half-written or stale file must fail
+// cleanly, not crash the replacement process.
+
+auto Fields(Is<HeapImage::SlotImage> auto& s) {
+  return std::tie(s.generation, s.live, s.slots);
+}
+auto Fields(Is<HeapStats> auto& s) {
+  return std::tie(s.allocated, s.reclaimed);
+}
+auto Fields(Is<HeapImage> auto& h) {
+  return std::tie(h.slots, h.free_slots, h.persistent_roots, h.stats);
+}
+auto Fields(Is<SiteSnapshot::InrefSource> auto& s) {
+  return std::tie(s.site, s.distance, s.refreshed_at);
+}
+auto Fields(Is<SiteSnapshot::InrefImage> auto& i) {
+  return std::tie(i.ref, i.sources, i.garbage_flagged, i.clean_override,
+                  i.back_threshold);
+}
+auto Fields(Is<SiteSnapshot::OutrefImage> auto& o) {
+  return std::tie(o.ref, o.distance, o.traced_clean, o.clean_override,
+                  o.last_reported, o.back_threshold);
+}
+auto Fields(Is<SiteSnapshot::OutsetImage> auto& o) {
+  return std::tie(o.inref, o.outset);
+}
+auto Fields(Is<SiteSnapshot> auto& s) {
+  return std::tie(s.site, s.incarnation, s.heap, s.inrefs, s.outrefs,
+                  s.inref_outsets);
+}
+
+namespace {
+
+/// The checks ApplySiteSnapshot needs beyond well-formed bytes. A flagged
+/// inref may outlive its object: the sweep frees the object, and the entry
+/// stays until every source reports the reference dropped.
+bool Restorable(const SiteSnapshot& s) {
+  if (!s.heap.Restorable(s.site)) return false;
+  for (const SiteSnapshot::InrefImage& in : s.inrefs) {
+    if (in.ref.site != s.site) return false;
+    if (!in.garbage_flagged && !s.heap.Holds(s.site, in.ref)) return false;
+    for (const SiteSnapshot::InrefSource& source : in.sources) {
+      if (source.site == s.site) return false;
+    }
+  }
+  for (const SiteSnapshot::OutrefImage& out : s.outrefs) {
+    if (!out.ref.valid() || out.ref.site == s.site) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 std::vector<std::uint8_t> EncodeSiteSnapshot(const SiteSnapshot& snapshot) {
   WireWriter w;
-  w.u32(kSnapshotMagic);
-  w.u16(kSnapshotVersion);
-  w.u32(snapshot.site);
-  w.u32(snapshot.incarnation);
-
-  const HeapImage& heap = snapshot.heap;
-  w.u64(heap.slots.size());
-  for (const HeapImage::SlotImage& slot : heap.slots) {
-    w.u32(slot.generation);
-    w.boolean(slot.live);
-    if (!slot.live) continue;
-    w.u32(static_cast<std::uint32_t>(slot.slots.size()));
-    for (const ObjectId& id : slot.slots) w.object_id(id);
-  }
-  w.u32(static_cast<std::uint32_t>(heap.free_slots.size()));
-  for (std::uint32_t slot : heap.free_slots) w.u32(slot);
-  w.u32(static_cast<std::uint32_t>(heap.persistent_roots.size()));
-  for (const ObjectId& id : heap.persistent_roots) w.object_id(id);
-  w.u64(heap.stats.allocated);
-  w.u64(heap.stats.reclaimed);
-
-  w.u32(static_cast<std::uint32_t>(snapshot.inrefs.size()));
-  for (const SiteSnapshot::InrefImage& in : snapshot.inrefs) {
-    w.object_id(in.ref);
-    w.u32(static_cast<std::uint32_t>(in.sources.size()));
-    for (const SiteSnapshot::InrefSource& source : in.sources) {
-      w.u32(source.site);
-      w.u32(source.distance);
-      w.i64(source.refreshed_at);
-    }
-    w.boolean(in.garbage_flagged);
-    w.boolean(in.clean_override);
-    w.u32(in.back_threshold);
-  }
-  w.u32(static_cast<std::uint32_t>(snapshot.outrefs.size()));
-  for (const SiteSnapshot::OutrefImage& out : snapshot.outrefs) {
-    w.object_id(out.ref);
-    w.u32(out.distance);
-    w.boolean(out.traced_clean);
-    w.boolean(out.clean_override);
-    w.u32(out.last_reported);
-    w.u32(out.back_threshold);
-  }
-  w.u32(static_cast<std::uint32_t>(snapshot.inref_outsets.size()));
-  for (const auto& [inref, outset] : snapshot.inref_outsets) {
-    w.object_id(inref);
-    w.u32(static_cast<std::uint32_t>(outset.size()));
-    for (const ObjectId& id : outset) w.object_id(id);
-  }
+  wire::Encode(w, kSnapshotMagic);
+  wire::Encode(w, kSnapshotVersion);
+  wire::Encode(w, snapshot);
   return w.take();
 }
 
 bool DecodeSiteSnapshot(const std::vector<std::uint8_t>& bytes,
                         SiteSnapshot& out) {
   WireReader r(bytes);
-  if (r.u32() != kSnapshotMagic || r.u16() != kSnapshotVersion) return false;
-  out.site = r.u32();
-  out.incarnation = r.u32();
-
-  const std::uint64_t slot_count = r.u64();
-  // Each slot image needs at least 5 bytes (generation + live flag); divide
-  // rather than multiply so a garbage count cannot overflow the check.
-  if (slot_count > r.remaining() / 5) return false;
-  out.heap.slots.resize(static_cast<std::size_t>(slot_count));
-  for (HeapImage::SlotImage& slot : out.heap.slots) {
-    slot.generation = r.u32();
-    slot.live = r.boolean();
-    if (!slot.live) continue;
-    const std::uint32_t n = r.seq_count(12);
-    slot.slots.resize(n);
-    for (ObjectId& id : slot.slots) id = r.object_id();
-  }
-  const std::uint32_t free_count = r.seq_count(4);
-  out.heap.free_slots.resize(free_count);
-  for (std::uint32_t& slot : out.heap.free_slots) slot = r.u32();
-  const std::uint32_t root_count = r.seq_count(12);
-  out.heap.persistent_roots.resize(root_count);
-  for (ObjectId& id : out.heap.persistent_roots) id = r.object_id();
-  out.heap.stats.allocated = r.u64();
-  out.heap.stats.reclaimed = r.u64();
-
-  const std::uint32_t inref_count = r.seq_count(12);
-  out.inrefs.resize(inref_count);
-  for (SiteSnapshot::InrefImage& in : out.inrefs) {
-    in.ref = r.object_id();
-    const std::uint32_t sources = r.seq_count(16);
-    in.sources.resize(sources);
-    for (SiteSnapshot::InrefSource& source : in.sources) {
-      source.site = r.u32();
-      source.distance = r.u32();
-      source.refreshed_at = r.i64();
-    }
-    in.garbage_flagged = r.boolean();
-    in.clean_override = r.boolean();
-    in.back_threshold = r.u32();
-  }
-  const std::uint32_t outref_count = r.seq_count(12);
-  out.outrefs.resize(outref_count);
-  for (SiteSnapshot::OutrefImage& image : out.outrefs) {
-    image.ref = r.object_id();
-    image.distance = r.u32();
-    image.traced_clean = r.boolean();
-    image.clean_override = r.boolean();
-    image.last_reported = r.u32();
-    image.back_threshold = r.u32();
-  }
-  const std::uint32_t outset_count = r.seq_count(12);
-  out.inref_outsets.resize(outset_count);
-  for (auto& [inref, outset] : out.inref_outsets) {
-    inref = r.object_id();
-    const std::uint32_t n = r.seq_count(12);
-    outset.resize(n);
-    for (ObjectId& id : outset) id = r.object_id();
-  }
-  return r.exhausted();
+  std::uint32_t magic = 0;
+  std::uint16_t version = 0;
+  return wire::Decode(r, magic) && magic == kSnapshotMagic &&
+         wire::Decode(r, version) && version == kSnapshotVersion &&
+         wire::Decode(r, out) && r.exhausted() && Restorable(out);
 }
 
 bool WriteSnapshotFile(const std::string& path, const SiteSnapshot& snapshot) {
@@ -301,9 +251,8 @@ bool PerformHandshake(int fd, SiteId site, std::uint32_t incarnation,
   wire::HelloFrame hello;
   hello.site = site;
   hello.incarnation = incarnation;
-  WireWriter w;
-  wire::EncodeHello(w, hello);
-  if (wire::WriteFrame(fd, FrameType::kHello, w.data()) != IoStatus::kOk) {
+  if (wire::WriteFrame(fd, FrameType::kHello, wire::EncodeBody(hello)) !=
+      IoStatus::kOk) {
     return false;
   }
   FrameType type = FrameType::kHello;
@@ -313,8 +262,7 @@ bool PerformHandshake(int fd, SiteId site, std::uint32_t incarnation,
       type != FrameType::kHelloAck) {
     return false;
   }
-  WireReader r(body);
-  return wire::DecodeHelloAck(r, ack);
+  return wire::DecodeBody(body, ack);
 }
 
 }  // namespace
@@ -408,11 +356,10 @@ int RunSiteProcess(const SiteHostOptions& options) {
       close(fd);
       return 4;
     }
-    WireReader r(body);
     switch (type) {
       case FrameType::kStepRequest: {
         wire::StepRequestFrame req;
-        if (!wire::DecodeStepRequest(r, req)) {
+        if (!wire::DecodeBody(body, req)) {
           close(fd);
           return 4;
         }
@@ -437,8 +384,6 @@ int RunSiteProcess(const SiteHostOptions& options) {
         reply.next_event_time = agent.control_scheduler().next_event_time();
         reply.handled = req.envelopes.size();
         reply.staged = agent.TakeStaged();
-        WireWriter out;
-        wire::EncodeStepReply(out, reply);
         // Persist BEFORE acknowledging: once the reply is on the wire the
         // coordinator treats the step as done (delivered envelopes are
         // forgotten), so a kill -9 in an ack-then-persist gap would strand
@@ -446,8 +391,8 @@ int RunSiteProcess(const SiteHostOptions& options) {
         // snapshot but before the reply is safe — the coordinator times the
         // step out and resyncs the replacement from the post-step image.
         maybe_snapshot();
-        if (wire::WriteFrame(fd, FrameType::kStepReply, out.data()) !=
-            IoStatus::kOk) {
+        if (wire::WriteFrame(fd, FrameType::kStepReply,
+                             wire::EncodeBody(reply)) != IoStatus::kOk) {
           // Severed mid-step: keep the sends for the post-reconnect resync
           // reply; the read at the top of the loop observes the close.
           agent.Restage(std::move(reply.staged));
@@ -457,7 +402,7 @@ int RunSiteProcess(const SiteHostOptions& options) {
       }
       case FrameType::kBuildOp: {
         wire::BuildOpFrame op;
-        if (!wire::DecodeBuildOp(r, op)) {
+        if (!wire::DecodeBody(body, op)) {
           close(fd);
           return 4;
         }
@@ -502,14 +447,12 @@ int RunSiteProcess(const SiteHostOptions& options) {
         reply.result = result;
         reply.next_event_time = agent.control_scheduler().next_event_time();
         reply.staged = agent.TakeStaged();
-        WireWriter out;
-        wire::EncodeBuildReply(out, reply);
         // Persist-then-ack, as in the step path: an acknowledged mutation
         // (an Unwire severing a cycle, say) must survive a kill -9 landing
         // right after the ack — the driver will never reissue it.
         maybe_snapshot();
-        if (wire::WriteFrame(fd, FrameType::kBuildReply, out.data()) !=
-            IoStatus::kOk) {
+        if (wire::WriteFrame(fd, FrameType::kBuildReply,
+                             wire::EncodeBody(reply)) != IoStatus::kOk) {
           agent.Restage(std::move(reply.staged));
           break;
         }
@@ -517,7 +460,7 @@ int RunSiteProcess(const SiteHostOptions& options) {
       }
       case FrameType::kQuery: {
         wire::QueryFrame query;
-        if (!wire::DecodeQuery(r, query)) {
+        if (!wire::DecodeBody(body, query)) {
           close(fd);
           return 4;
         }
@@ -536,14 +479,12 @@ int RunSiteProcess(const SiteHostOptions& options) {
         reply.traces_live = stats.traces_completed_live;
         reply.trace_in_flight = site.trace_in_flight();
         reply.incarnation = incarnation;
-        WireWriter out;
-        wire::EncodeQueryReply(out, reply);
-        (void)wire::WriteFrame(fd, FrameType::kQueryReply, out.data());
+        (void)wire::WriteFrame(fd, FrameType::kQueryReply,
+                               wire::EncodeBody(reply));
         break;
       }
       case FrameType::kShutdown: {
-        WireWriter out;
-        (void)wire::WriteFrame(fd, FrameType::kShutdownAck, out.data());
+        (void)wire::WriteFrame(fd, FrameType::kShutdownAck, {});
         close(fd);
         return 0;
       }

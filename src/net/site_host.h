@@ -21,7 +21,7 @@
 // at the *same* incarnation and resumes: kAcceptReconnect, no fencing.
 //
 // The snapshot codec and SiteAgentTransport are exposed separately from the
-// process main loop so net_test can exercise capture/encode/decode/apply
+// process main loop so wire_test can exercise capture/encode/decode/apply
 // round-trips without forking.
 #pragma once
 
@@ -201,13 +201,22 @@ struct SiteSnapshot {
 
   /// Back info: the suspected-inref outsets; insets are recomputed on
   /// restore (they are always the exact inverse).
-  std::vector<std::pair<ObjectId, std::vector<ObjectId>>> inref_outsets;
+  struct OutsetImage {
+    ObjectId inref;
+    std::vector<ObjectId> outset;
+  };
+  std::vector<OutsetImage> inref_outsets;
 };
 
 [[nodiscard]] SiteSnapshot CaptureSiteSnapshot(const Site& site,
                                                std::uint32_t incarnation);
 [[nodiscard]] std::vector<std::uint8_t> EncodeSiteSnapshot(
     const SiteSnapshot& snapshot);
+/// Fails on unreadable bytes and on a snapshot that would corrupt the site
+/// it restores into: a free slot out of range, live or listed twice; a dead
+/// slot holding references; a persistent root, or an inref not flagged
+/// garbage, that names no live local object; an inref source naming the
+/// site itself; an outref naming no other site.
 [[nodiscard]] bool DecodeSiteSnapshot(const std::vector<std::uint8_t>& bytes,
                                       SiteSnapshot& out);
 /// Restores a snapshot into a freshly constructed Site (heap, tables, back

@@ -18,8 +18,20 @@ namespace dgc {
 
 using wire::FrameType;
 using wire::IoStatus;
-using wire::WireReader;
-using wire::WireWriter;
+
+namespace {
+
+/// True when every staged send of `site`'s reply is from `site` to a site
+/// that exists — what Network::Send requires, and what keeps one process
+/// from sending as another past incarnation fencing.
+bool StagedValid(SiteId site, std::size_t site_count,
+                 const std::vector<Envelope>& staged) {
+  return std::all_of(staged.begin(), staged.end(), [&](const Envelope& env) {
+    return env.from == site && env.to < site_count;
+  });
+}
+
+}  // namespace
 
 SocketTransport::SocketTransport(std::size_t site_count, Scheduler& control,
                                  NetworkConfig config, Rng rng,
@@ -120,8 +132,7 @@ void SocketTransport::CompleteHandshake(int fd) {
     return;
   }
   wire::HelloFrame hello;
-  WireReader r(body);
-  if (!wire::DecodeHello(r, hello)) {
+  if (!wire::DecodeBody(body, hello)) {
     ++socket_counters_.handshakes_rejected;
     close(fd);
     return;
@@ -137,9 +148,8 @@ void SocketTransport::CompleteHandshake(int fd) {
   ack.now = global_now_;
   ack.failure_detection_enabled = network_.failure_detection_enabled();
   ack.config = site_config_;
-  WireWriter w;
-  wire::EncodeHelloAck(w, ack);
-  const IoStatus wrote = wire::WriteFrame(fd, FrameType::kHelloAck, w.data());
+  const IoStatus wrote =
+      wire::WriteFrame(fd, FrameType::kHelloAck, wire::EncodeBody(ack));
 
   if (!wire::HandshakeAccepted(verdict) || wrote != IoStatus::kOk) {
     ++socket_counters_.handshakes_rejected;
@@ -227,7 +237,6 @@ void SocketTransport::AbsorbLateReplies() {
       Disconnect(conn, s);
       continue;
     }
-    WireReader r(body);
     bool ok = false;
     // The owed reply finally arrived (the process was resumed). Its staged
     // sends enter the Network now — from the world's point of view the
@@ -235,21 +244,23 @@ void SocketTransport::AbsorbLateReplies() {
     // process looks like to its peers.
     if (conn.awaiting_type == FrameType::kStepReply) {
       wire::StepReplyFrame reply;
-      ok = wire::DecodeStepReply(r, reply) && reply.seq == conn.awaiting_seq;
+      ok = wire::DecodeBody(body, reply) && reply.seq == conn.awaiting_seq &&
+           StagedValid(s, conns_.size(), reply.staged);
       if (ok) {
         conn.cached_next = reply.next_event_time;
         ReplayStaged(conn, std::move(reply.staged));
       }
     } else if (conn.awaiting_type == FrameType::kBuildReply) {
       wire::BuildReplyFrame reply;
-      ok = wire::DecodeBuildReply(r, reply) && reply.seq == conn.awaiting_seq;
+      ok = wire::DecodeBody(body, reply) && reply.seq == conn.awaiting_seq &&
+           StagedValid(s, conns_.size(), reply.staged);
       if (ok) {
         conn.cached_next = reply.next_event_time;
         ReplayStaged(conn, std::move(reply.staged));
       }
     } else if (conn.awaiting_type == FrameType::kQueryReply) {
       wire::QueryReplyFrame reply;
-      ok = wire::DecodeQueryReply(r, reply) && reply.seq == conn.awaiting_seq;
+      ok = wire::DecodeBody(body, reply) && reply.seq == conn.awaiting_seq;
     }
     if (!ok) {
       Disconnect(conn, s);
@@ -360,12 +371,10 @@ void SocketTransport::SendStepRequest(SiteId site, SimTime t) {
   req.envelopes = std::move(conn.outbound);
   conn.outbound.clear();
 
-  WireWriter w;
-  wire::EncodeStepRequest(w, req);
   // writev: header + body gathered in one syscall, no frame-buffer copy of
   // what may be a large envelope batch.
-  if (wire::WriteFrameV(conn.fd, FrameType::kStepRequest, w.data()) !=
-      IoStatus::kOk) {
+  if (wire::WriteFrameV(conn.fd, FrameType::kStepRequest,
+                        wire::EncodeBody(req)) != IoStatus::kOk) {
     // Link died as we wrote. Re-queue the deliveries for after the redial
     // (a restarting site drops them in CompleteHandshake anyway).
     conn.outbound = std::move(req.envelopes);
@@ -394,38 +403,6 @@ void SocketTransport::ReplayStaged(Conn& conn, std::vector<Envelope> staged) {
   }
 }
 
-void SocketTransport::AwaitStepReply(SiteId site) {
-  Conn& conn = conns_[site];
-  if (conn.fd < 0 || conn.awaiting_seq == 0) return;  // write already failed
-  FrameType type = FrameType::kStepReply;
-  std::vector<std::uint8_t> body;
-  const IoStatus status = wire::ReadFrameBuffered(
-      conn.fd, socket_config_.step_timeout_ms, conn.rx, type, body);
-  if (status == IoStatus::kTimeout) {
-    // The process is dark but (as far as we know) alive — SIGSTOP chaos or
-    // a real stall. Leave the request outstanding; the reply is absorbed
-    // whenever it surfaces. Meanwhile the site is down to the failure
-    // detector, exactly like a crashed site, and the world moves on.
-    ++socket_counters_.step_timeouts;
-    conn.responsive = false;
-    network_.SetSiteDown(site, true);
-    return;
-  }
-  if (status != IoStatus::kOk || type != FrameType::kStepReply) {
-    Disconnect(conn, site);
-    return;
-  }
-  wire::StepReplyFrame reply;
-  WireReader r(body);
-  if (!wire::DecodeStepReply(r, reply) || reply.seq != conn.awaiting_seq) {
-    Disconnect(conn, site);
-    return;
-  }
-  conn.awaiting_seq = 0;
-  conn.cached_next = reply.next_event_time;
-  ReplayStaged(conn, std::move(reply.staged));
-}
-
 void SocketTransport::CollectStepReplies() {
   reply_state_.assign(conns_.size(), ReplySlot::kIdle);
   reply_frames_.resize(conns_.size());
@@ -439,8 +416,7 @@ void SocketTransport::CollectStepReplies() {
     }
   }
   // One deadline for the whole wave: every request is already in flight, so
-  // each site enjoys the full step_timeout_ms of real computing time — what
-  // the serial loop only granted site k after sites 0..k-1 answered.
+  // each site gets the full step_timeout_ms of real computing time.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(socket_config_.step_timeout_ms);
@@ -460,12 +436,11 @@ void SocketTransport::CollectStepReplies() {
         ++i;
         continue;
       }
-      bool ok = false;
-      if (status == IoStatus::kOk && type == FrameType::kStepReply) {
-        WireReader r(body);
-        ok = wire::DecodeStepReply(r, reply_frames_[s]) &&
-             reply_frames_[s].seq == conn.awaiting_seq;
-      }
+      const bool ok = status == IoStatus::kOk &&
+                      type == FrameType::kStepReply &&
+                      wire::DecodeBody(body, reply_frames_[s]) &&
+                      reply_frames_[s].seq == conn.awaiting_seq &&
+                      StagedValid(s, conns_.size(), reply_frames_[s].staged);
       reply_state_[s] = ok ? ReplySlot::kOk : ReplySlot::kFailed;
       pending[i] = pending.back();
       pending.pop_back();
@@ -483,7 +458,7 @@ void SocketTransport::CollectStepReplies() {
     if (rc < 0 && errno != EINTR) break;
   }
   // Whatever is still pending missed the shared deadline; ResolveStepReplies
-  // applies the serial loop's exact timeout handling.
+  // marks it paused.
 }
 
 void SocketTransport::ResolveStepReplies() {
@@ -501,9 +476,9 @@ void SocketTransport::ResolveStepReplies() {
         Disconnect(conn, s);
         break;
       case ReplySlot::kPending:
-        // Exact serial-timeout semantics: the process is dark but (as far
-        // as we know) alive. Leave the request outstanding for
-        // AbsorbLateReplies; the failure detector sees the site down.
+        // Timed out: the process is dark but (as far as we know) alive.
+        // Leave the request outstanding for AbsorbLateReplies; the failure
+        // detector sees the site down.
         ++socket_counters_.step_timeouts;
         conn.responsive = false;
         network_.SetSiteDown(s, true);
@@ -541,19 +516,13 @@ void SocketTransport::AdvanceWorldTo(SimTime t) {
     ++counters_.parallel_phases;
     counters_.site_steps += involved_.size();
 
-    // Fan the requests out first (sites compute concurrently for real).
-    // Replies are then either collected in arrival order and applied in
-    // site order (pipelined, the default) or awaited one site at a time
-    // (serial, the differential baseline) — both fix the order staged
-    // sends enter the Network to involved-site order, the same determinism
-    // contract the threaded backend's replay loop provides.
+    // Fan the requests out first (sites compute concurrently for real),
+    // collect the replies in arrival order, and apply them in involved-site
+    // order: the order staged sends enter the Network is fixed, the same
+    // determinism contract the threaded backend's replay loop provides.
     for (SiteId s : involved_) SendStepRequest(s, t);
-    if (socket_config_.pipelined_steps) {
-      CollectStepReplies();
-      ResolveStepReplies();
-    } else {
-      for (SiteId s : involved_) AwaitStepReply(s);
-    }
+    CollectStepReplies();
+    ResolveStepReplies();
   }
 }
 
@@ -625,9 +594,7 @@ bool SocketTransport::RunBuildOp(SiteId site, wire::BuildOpFrame op,
   if (conn.fd < 0 || !conn.responsive || conn.awaiting_seq != 0) return false;
   op.seq = next_seq_++;
   op.time = global_now_;
-  WireWriter w;
-  wire::EncodeBuildOp(w, op);
-  if (wire::WriteFrame(conn.fd, FrameType::kBuildOp, w.data()) !=
+  if (wire::WriteFrame(conn.fd, FrameType::kBuildOp, wire::EncodeBody(op)) !=
       IoStatus::kOk) {
     Disconnect(conn, site);
     return false;
@@ -651,8 +618,8 @@ bool SocketTransport::RunBuildOp(SiteId site, wire::BuildOpFrame op,
     Disconnect(conn, site);
     return false;
   }
-  WireReader r(body);
-  if (!wire::DecodeBuildReply(r, out) || out.seq != op.seq) {
+  if (!wire::DecodeBody(body, out) || out.seq != op.seq ||
+      !StagedValid(site, conns_.size(), out.staged)) {
     Disconnect(conn, site);
     return false;
   }
@@ -669,9 +636,7 @@ bool SocketTransport::RunQuery(SiteId site, wire::QueryReplyFrame& out) {
   wire::QueryFrame query;
   query.seq = next_seq_++;
   query.time = global_now_;
-  WireWriter w;
-  wire::EncodeQuery(w, query);
-  if (wire::WriteFrame(conn.fd, FrameType::kQuery, w.data()) !=
+  if (wire::WriteFrame(conn.fd, FrameType::kQuery, wire::EncodeBody(query)) !=
       IoStatus::kOk) {
     Disconnect(conn, site);
     return false;
@@ -692,8 +657,7 @@ bool SocketTransport::RunQuery(SiteId site, wire::QueryReplyFrame& out) {
     Disconnect(conn, site);
     return false;
   }
-  WireReader r(body);
-  if (!wire::DecodeQueryReply(r, out) || out.seq != query.seq) {
+  if (!wire::DecodeBody(body, out) || out.seq != query.seq) {
     Disconnect(conn, site);
     return false;
   }
@@ -713,9 +677,7 @@ void SocketTransport::ShutdownAll() {
   for (SiteId s = 0; s < conns_.size(); ++s) {
     Conn& conn = conns_[s];
     if (conn.fd < 0) continue;
-    WireWriter w;
-    if (wire::WriteFrame(conn.fd, FrameType::kShutdown, w.data()) ==
-        IoStatus::kOk) {
+    if (wire::WriteFrame(conn.fd, FrameType::kShutdown, {}) == IoStatus::kOk) {
       FrameType type = FrameType::kShutdownAck;
       std::vector<std::uint8_t> body;
       (void)wire::ReadFrameBuffered(conn.fd, /*timeout_ms=*/500, conn.rx,

@@ -13,13 +13,14 @@
 // the default jitter-free network produce verdicts and reclaim sets
 // identical to SimTransport.
 //
-// The step loop is PIPELINED by default (socket.pipelined_steps): one
-// StepRequest is in flight to every involved site simultaneously, replies
-// are absorbed in whatever order they arrive under a single shared
-// real-time deadline, and the wave is applied in involved-site order — so
-// N sites overlap their computing instead of serializing behind the
-// slowest, while the Network still observes the serial loop's exact
-// mutation order.
+// The step loop is pipelined: one StepRequest is in flight to every
+// involved site simultaneously, replies are absorbed in whatever order they
+// arrive under a single shared real-time deadline, and the wave is applied
+// in involved-site order — so N sites overlap their computing instead of
+// serializing behind the slowest, while the Network observes a fixed
+// mutation order. A reply whose staged sends name a site that does not
+// exist, or a sender other than the replying site, is a protocol failure:
+// the site is disconnected before any of its sends enter the Network.
 //
 // Failure handling is where this backend earns its keep:
 //
@@ -232,11 +233,6 @@ class SocketTransport final : public Transport {
   void AdvanceWorldTo(SimTime t);
   /// Ships a StepRequest at time t (envelopes + FD state) to one site.
   void SendStepRequest(SiteId site, SimTime t);
-  /// Awaits the site's owed StepReply; classifies timeout (paused) vs EOF
-  /// (crashed/severed) and replays staged sends on success. The serial
-  /// (one-site-at-a-time) collection path; the pipelined engine uses
-  /// CollectStepReplies + ResolveStepReplies instead.
-  void AwaitStepReply(SiteId site);
   /// Pipelined collection: with a StepRequest already in flight to every
   /// involved site, polls all owed connections under ONE shared real-time
   /// deadline (step_timeout_ms for the whole wave — fair, since the
@@ -246,10 +242,10 @@ class SocketTransport final : public Transport {
   void CollectStepReplies();
   /// Applies the collected wave strictly in involved-site order — success
   /// (clear awaiting, cache next event, replay staged), protocol failure
-  /// (Disconnect), or still-pending at the deadline (exact serial timeout
-  /// handling: the site is paused, its owed reply absorbs late). Site-order
-  /// replay keeps scheduler insertion order — and therefore verdicts and
-  /// reclaim sets — bit-identical to the serial loop.
+  /// (Disconnect), or still-pending at the deadline (the site is paused,
+  /// its owed reply absorbs late). Site-order replay keeps scheduler
+  /// insertion order — and therefore verdicts and reclaim sets —
+  /// independent of reply arrival order.
   void ResolveStepReplies();
   /// Replays a reply's staged sends into the Network, in call order.
   void ReplayStaged(Conn& conn, std::vector<Envelope> staged);

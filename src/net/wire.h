@@ -6,29 +6,60 @@
 //
 // with `length` counting the type byte plus the body, little-endian, and
 // bounded by kMaxFrameBytes so a corrupt peer cannot make the reader allocate
-// the moon. The body is a flat fixed-width little-endian encoding written by
-// WireWriter and read back by WireReader; the reader never trusts the peer —
-// every get is bounds-checked and flips a sticky ok() flag instead of
-// reading past the end, so truncated, oversized, and garbage frames are
-// rejected, not UB.
+// the moon. The body is one record, encoded by the generic codec below; the
+// reader never trusts the peer — every get is bounds-checked and flips a
+// sticky ok() flag instead of reading past the end, so truncated, oversized,
+// and garbage frames are rejected, not UB.
 //
-// The same codec serializes the full Payload vocabulary (messages.h), the
-// CollectorConfig shipped to site processes at handshake, and the engine's
-// step/build/query frames. Site snapshots (net/site_host.h) reuse
-// WireWriter/WireReader for their on-disk image.
+// Record layouts. Every record that crosses a socket or lands in a snapshot
+// file states its layout once: a `Fields` function in the record's own
+// namespace (argument-dependent lookup finds it) that ties its members in
+// wire order,
+//
+//   auto Fields(Is<InsertMsg> auto& m) {
+//     return std::tie(m.ref, m.new_source, m.pinned_site, m.distance);
+//   }
+//
+// and one generic encoder, one generic decoder and one minimum-size counter
+// walk that list. Integers are fixed-width little-endian; a bool is one byte,
+// 0 or 1; an enum is one byte no larger than its LastValue; a vector is a u32
+// count and then its elements; a std::variant is a u8 alternative index and
+// then the alternative. The decoder derives each vector element's minimum
+// encoded size from the element's own field list, so seq_count rejects a
+// count the remaining bytes cannot hold before anything is allocated.
+//
+// To add a payload: declare it in messages.h, add it to the Payload variant,
+// and give it a Fields list below; the variant's index is its wire tag. To
+// add a field: add it to its record's Fields list at its wire position and
+// bump kWireVersion (kSnapshotVersion in net/site_host.cc for snapshot
+// records). An enum field's type also needs a LastValue overload. No size or
+// minimum is written by hand anywhere.
 //
 // Addressing is Unix-domain today but nothing here assumes it: frames are a
 // plain byte stream, TCP-ready.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
-#include <string>
-#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/config.h"
 #include "common/ids.h"
 #include "net/messages.h"
+
+namespace dgc {
+
+/// Matches T and const T, so one field list serves the encoder (which reads
+/// a const record) and the decoder (which fills a mutable one).
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+}  // namespace dgc
 
 namespace dgc::wire {
 
@@ -41,7 +72,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /// Protocol magic ("DGC1") and version carried by every Hello.
 inline constexpr std::uint32_t kWireMagic = 0x44474331;
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 
 // ---------------------------------------------------------------------------
 // Flat little-endian writer / bounds-checked reader.
@@ -54,22 +85,6 @@ class WireWriter {
   void u64(std::uint64_t v) { PutLe(v, 8); }
   void i64(std::int64_t v) { PutLe(static_cast<std::uint64_t>(v), 8); }
   void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-  void object_id(const ObjectId& id) {
-    u32(id.site);
-    u64(id.index);
-  }
-  void trace_id(const TraceId& id) {
-    u32(id.initiator);
-    u32(id.seq);
-  }
-  void frame_id(const FrameId& id) {
-    u32(id.site);
-    u64(id.frame);
-  }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -110,34 +125,6 @@ class WireReader {
     const std::uint8_t v = u8();
     if (v > 1) fail();
     return v == 1;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > remaining()) {
-      fail();
-      return {};
-    }
-    std::string out(reinterpret_cast<const char*>(data_ + off_), n);
-    off_ += n;
-    return out;
-  }
-  ObjectId object_id() {
-    ObjectId id;
-    id.site = u32();
-    id.index = u64();
-    return id;
-  }
-  TraceId trace_id() {
-    TraceId id;
-    id.initiator = u32();
-    id.seq = u32();
-    return id;
-  }
-  FrameId frame_id() {
-    FrameId id;
-    id.site = u32();
-    id.frame = u64();
-    return id;
   }
 
   /// Element count of a variable-length sequence whose elements occupy at
@@ -251,18 +238,6 @@ IoStatus ReadFrameBuffered(int fd, int timeout_ms,
                            std::vector<std::uint8_t>& body);
 
 // ---------------------------------------------------------------------------
-// Payload / envelope codec.
-
-void EncodePayload(WireWriter& w, const Payload& payload);
-[[nodiscard]] bool DecodePayload(WireReader& r, Payload& out);
-
-void EncodeEnvelope(WireWriter& w, const Envelope& env);
-[[nodiscard]] bool DecodeEnvelope(WireReader& r, Envelope& out);
-
-void EncodeCollectorConfig(WireWriter& w, const CollectorConfig& config);
-[[nodiscard]] bool DecodeCollectorConfig(WireReader& r, CollectorConfig& out);
-
-// ---------------------------------------------------------------------------
 // Handshake.
 
 struct HelloFrame {
@@ -275,6 +250,10 @@ struct HelloFrame {
   std::uint32_t incarnation = 0;
 };
 
+auto Fields(Is<HelloFrame> auto& f) {
+  return std::tie(f.magic, f.version, f.site, f.incarnation);
+}
+
 enum class HandshakeVerdict : std::uint8_t {
   kAcceptNew,        // first connection of this site at incarnation 0
   kAcceptReconnect,  // same incarnation: the socket dropped, the process not
@@ -284,6 +263,10 @@ enum class HandshakeVerdict : std::uint8_t {
   kRejectUnknownSite,
   kRejectStale,  // an old incarnation (or a skip ahead) — zombie traffic
 };
+
+constexpr HandshakeVerdict LastValue(HandshakeVerdict) {
+  return HandshakeVerdict::kRejectStale;
+}
 
 [[nodiscard]] const char* HandshakeVerdictName(HandshakeVerdict v);
 [[nodiscard]] inline bool HandshakeAccepted(HandshakeVerdict v) {
@@ -302,9 +285,6 @@ enum class HandshakeVerdict : std::uint8_t {
     const HelloFrame& hello, std::size_t site_count,
     std::uint32_t expected_incarnation, bool seen_before);
 
-void EncodeHello(WireWriter& w, const HelloFrame& hello);
-[[nodiscard]] bool DecodeHello(WireReader& r, HelloFrame& out);
-
 struct HelloAckFrame {
   HandshakeVerdict verdict = HandshakeVerdict::kRejectStale;
   std::uint32_t site_count = 0;
@@ -313,8 +293,10 @@ struct HelloAckFrame {
   CollectorConfig config;
 };
 
-void EncodeHelloAck(WireWriter& w, const HelloAckFrame& ack);
-[[nodiscard]] bool DecodeHelloAck(WireReader& r, HelloAckFrame& out);
+auto Fields(Is<HelloAckFrame> auto& f) {
+  return std::tie(f.verdict, f.site_count, f.now, f.failure_detection_enabled,
+                  f.config);
+}
 
 // ---------------------------------------------------------------------------
 // Engine frames. The coordinator's conservative time-stepped engine sends a
@@ -337,12 +319,21 @@ struct StepRequestFrame {
   std::vector<Envelope> envelopes;
 };
 
+auto Fields(Is<StepRequestFrame> auto& f) {
+  return std::tie(f.seq, f.target_time, f.suspected, f.recovered, f.restarted,
+                  f.envelopes);
+}
+
 struct StepReplyFrame {
   std::uint64_t seq = 0;
   SimTime next_event_time = 0;  // Scheduler::kNoPendingEvent when idle
   std::uint64_t handled = 0;    // envelopes + timer events processed
   std::vector<Envelope> staged;
 };
+
+auto Fields(Is<StepReplyFrame> auto& f) {
+  return std::tie(f.seq, f.next_event_time, f.handled, f.staged);
+}
 
 /// God-mode operations the coordinator (SocketWorld) applies to a site's
 /// heap/tables, mirroring System's build surface. Cross-site Wire splits
@@ -357,8 +348,9 @@ enum class BuildOpKind : std::uint8_t {
   kStartTrace,   // start a local trace unless one is in flight
 };
 
-inline constexpr std::uint8_t kMaxBuildOpKind =
-    static_cast<std::uint8_t>(BuildOpKind::kStartTrace);
+constexpr BuildOpKind LastValue(BuildOpKind) {
+  return BuildOpKind::kStartTrace;
+}
 
 struct BuildOpFrame {
   std::uint64_t seq = 0;
@@ -370,6 +362,10 @@ struct BuildOpFrame {
   std::uint64_t n = 0;
 };
 
+auto Fields(Is<BuildOpFrame> auto& f) {
+  return std::tie(f.seq, f.time, f.op, f.a, f.b, f.slot, f.n);
+}
+
 struct BuildReplyFrame {
   std::uint64_t seq = 0;
   ObjectId result;  // kNewObject's allocation; invalid otherwise
@@ -377,10 +373,16 @@ struct BuildReplyFrame {
   std::vector<Envelope> staged;
 };
 
+auto Fields(Is<BuildReplyFrame> auto& f) {
+  return std::tie(f.seq, f.result, f.next_event_time, f.staged);
+}
+
 struct QueryFrame {
   std::uint64_t seq = 0;
   SimTime time = 0;
 };
+
+auto Fields(Is<QueryFrame> auto& f) { return std::tie(f.seq, f.time); }
 
 struct QueryReplyFrame {
   std::uint64_t seq = 0;
@@ -394,17 +396,271 @@ struct QueryReplyFrame {
   std::vector<ObjectId> survivors;  // live object ids, sorted
 };
 
-void EncodeStepRequest(WireWriter& w, const StepRequestFrame& f);
-[[nodiscard]] bool DecodeStepRequest(WireReader& r, StepRequestFrame& out);
-void EncodeStepReply(WireWriter& w, const StepReplyFrame& f);
-[[nodiscard]] bool DecodeStepReply(WireReader& r, StepReplyFrame& out);
-void EncodeBuildOp(WireWriter& w, const BuildOpFrame& f);
-[[nodiscard]] bool DecodeBuildOp(WireReader& r, BuildOpFrame& out);
-void EncodeBuildReply(WireWriter& w, const BuildReplyFrame& f);
-[[nodiscard]] bool DecodeBuildReply(WireReader& r, BuildReplyFrame& out);
-void EncodeQuery(WireWriter& w, const QueryFrame& f);
-[[nodiscard]] bool DecodeQuery(WireReader& r, QueryFrame& out);
-void EncodeQueryReply(WireWriter& w, const QueryReplyFrame& f);
-[[nodiscard]] bool DecodeQueryReply(WireReader& r, QueryReplyFrame& out);
+auto Fields(Is<QueryReplyFrame> auto& f) {
+  return std::tie(f.seq, f.objects, f.reclaimed, f.traces_started,
+                  f.traces_garbage, f.traces_live, f.trace_in_flight,
+                  f.incarnation, f.survivors);
+}
+
+}  // namespace dgc::wire
+
+// ---------------------------------------------------------------------------
+// Field lists of the shared vocabulary: ids, the Payload alternatives (in
+// variant order), the envelope, and the CollectorConfig a HelloAck ships.
+
+namespace dgc {
+
+auto Fields(Is<ObjectId> auto& id) { return std::tie(id.site, id.index); }
+auto Fields(Is<TraceId> auto& id) { return std::tie(id.initiator, id.seq); }
+auto Fields(Is<FrameId> auto& id) { return std::tie(id.site, id.frame); }
+
+auto Fields(Is<InsertMsg> auto& m) {
+  return std::tie(m.ref, m.new_source, m.pinned_site, m.distance);
+}
+auto Fields(Is<InsertAckMsg> auto& m) { return std::tie(m.ref, m.new_source); }
+auto Fields(Is<UpdateEntry> auto& e) {
+  return std::tie(e.ref, e.removed, e.distance);
+}
+auto Fields(Is<UpdateMsg> auto& m) { return std::tie(m.entries); }
+auto Fields(Is<BackLocalCallMsg> auto& m) {
+  return std::tie(m.trace, m.ref, m.caller);
+}
+auto Fields(Is<BackRemoteCallMsg> auto& m) {
+  return std::tie(m.trace, m.ref, m.caller);
+}
+auto Fields(Is<BackReplyMsg> auto& m) {
+  return std::tie(m.trace, m.to, m.result, m.participants);
+}
+auto Fields(Is<BackReportMsg> auto& m) { return std::tie(m.trace, m.outcome); }
+auto Fields(Is<BackCallBatchMsg> auto& m) { return std::tie(m.calls); }
+auto Fields(Is<MutatorReadMsg> auto& m) {
+  return std::tie(m.session, m.target, m.slot);
+}
+auto Fields(Is<MutatorReadReplyMsg> auto& m) {
+  return std::tie(m.session, m.value);
+}
+auto Fields(Is<MutatorWriteMsg> auto& m) {
+  return std::tie(m.session, m.target, m.slot, m.value);
+}
+auto Fields(Is<MutatorWriteAckMsg> auto& m) { return std::tie(m.session); }
+auto Fields(Is<FetchMsg> auto& m) { return std::tie(m.session, m.target); }
+auto Fields(Is<FetchReplyMsg> auto& m) {
+  return std::tie(m.session, m.target, m.slots);
+}
+auto Fields(Is<CommitWrite> auto& w) {
+  return std::tie(w.target, w.slot, w.value);
+}
+auto Fields(Is<CommitMsg> auto& m) { return std::tie(m.session, m.writes); }
+auto Fields(Is<CommitAckMsg> auto& m) { return std::tie(m.session); }
+auto Fields(Is<PinReleaseMsg> auto& m) { return std::tie(m.ref); }
+auto Fields(Is<GlobalGcControlMsg> auto& m) {
+  return std::tie(m.epoch, m.phase, m.value);
+}
+auto Fields(Is<GlobalGcGrayMsg> auto& m) {
+  return std::tie(m.epoch, m.targets);
+}
+auto Fields(Is<TimestampUpdateMsg::Entry> auto& e) {
+  return std::tie(e.ref, e.stamp);
+}
+auto Fields(Is<TimestampUpdateMsg> auto& m) {
+  return std::tie(m.entries, m.sender_trace_clock);
+}
+auto Fields(Is<MigrateMsg::MovedObject> auto& o) {
+  return std::tie(o.id, o.refs);
+}
+auto Fields(Is<MigrateMsg> auto& m) { return std::tie(m.objects); }
+auto Fields(Is<PatchMsg> auto& m) { return std::tie(m.old_id, m.new_id); }
+auto Fields(Is<ReachabilitySummaryMsg::InrefInfo> auto& i) {
+  return std::tie(i.inref, i.outset);
+}
+auto Fields(Is<ReachabilitySummaryMsg> auto& m) {
+  return std::tie(m.epoch, m.inrefs, m.root_reachable_outrefs);
+}
+auto Fields(Is<CondemnMsg> auto& m) { return std::tie(m.epoch, m.inrefs); }
+
+auto Fields(Is<Envelope> auto& e) { return std::tie(e.from, e.to, e.payload); }
+
+auto Fields(Is<CollectorConfig> auto& c) {
+  return std::tie(c.suspicion_threshold, c.estimated_cycle_length,
+                  c.back_threshold_increment, c.local_trace_duration,
+                  c.back_call_timeout, c.report_timeout,
+                  c.update_refresh_period, c.source_lease_ttl,
+                  c.enable_back_tracing, c.insert_mode, c.trace_threads,
+                  c.mark_threads, c.enable_verdict_cache, c.coalesce_traces,
+                  c.batch_back_calls, c.incremental_trace,
+                  c.park_on_suspected_failure, c.short_circuit_live_replies);
+}
+
+/// The largest valid value of each enum field; decoding rejects a byte
+/// above it.
+constexpr BackResult LastValue(BackResult) { return BackResult::kLive; }
+constexpr GlobalGcControlMsg::Phase LastValue(GlobalGcControlMsg::Phase) {
+  return GlobalGcControlMsg::Phase::kSweepDone;
+}
+constexpr InsertMode LastValue(InsertMode) { return InsertMode::kDeferred; }
+
+}  // namespace dgc
+
+// ---------------------------------------------------------------------------
+// The generic codec. The primitive overloads each read or write one integer
+// or bool; everything else is a record (has Fields), an enum, a vector or a
+// variant, and recurses into its parts.
+
+namespace dgc::wire {
+
+template <class T>
+concept Record = requires(T& record) { Fields(record); };
+
+inline void Encode(WireWriter& w, std::uint8_t v) { w.u8(v); }
+inline void Encode(WireWriter& w, std::uint16_t v) { w.u16(v); }
+inline void Encode(WireWriter& w, std::uint32_t v) { w.u32(v); }
+inline void Encode(WireWriter& w, std::uint64_t v) { w.u64(v); }
+inline void Encode(WireWriter& w, std::int64_t v) { w.i64(v); }
+inline void Encode(WireWriter& w, bool v) { w.boolean(v); }
+
+inline bool Decode(WireReader& r, std::uint8_t& v) {
+  v = r.u8();
+  return r.ok();
+}
+inline bool Decode(WireReader& r, std::uint16_t& v) {
+  v = r.u16();
+  return r.ok();
+}
+inline bool Decode(WireReader& r, std::uint32_t& v) {
+  v = r.u32();
+  return r.ok();
+}
+inline bool Decode(WireReader& r, std::uint64_t& v) {
+  v = r.u64();
+  return r.ok();
+}
+inline bool Decode(WireReader& r, std::int64_t& v) {
+  v = r.i64();
+  return r.ok();
+}
+inline bool Decode(WireReader& r, bool& v) {
+  v = r.boolean();
+  return r.ok();
+}
+
+/// MinBytes(Tag<T>{}) is the smallest number of bytes any encoding of a T
+/// occupies: the seq_count guard's per-element minimum, derived from T's
+/// field list.
+template <class T>
+struct Tag {};
+
+template <class T>
+  requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+constexpr std::size_t MinBytes(Tag<T>) { return sizeof(T); }
+template <class T>
+constexpr std::size_t MinBytes(Tag<std::vector<T>>) {
+  return sizeof(std::uint32_t);  // the count; the vector may be empty
+}
+template <class... A>
+constexpr std::size_t MinBytes(Tag<std::variant<A...>>) {
+  return sizeof(std::uint8_t) + std::min({MinBytes(Tag<A>{})...});
+}
+template <class... F>
+constexpr std::size_t MinBytes(Tag<std::tuple<F&...>>) {
+  return (MinBytes(Tag<F>{}) + ... + 0);
+}
+template <Record T>
+constexpr std::size_t MinBytes(Tag<T>) {
+  return MinBytes(Tag<decltype(Fields(std::declval<T&>()))>{});
+}
+
+template <class E>
+  requires std::is_enum_v<E>
+void Encode(WireWriter& w, E v) {
+  static_assert(sizeof(E) == 1, "enum fields travel as one byte");
+  Encode(w, static_cast<std::uint8_t>(v));
+}
+
+template <class E>
+  requires std::is_enum_v<E>
+bool Decode(WireReader& r, E& v) {
+  std::uint8_t raw = 0;
+  if (!Decode(r, raw)) return false;
+  if (raw > static_cast<std::uint8_t>(LastValue(E{}))) {
+    r.fail();
+    return false;
+  }
+  v = static_cast<E>(raw);
+  return true;
+}
+
+template <class T>
+void Encode(WireWriter& w, const std::vector<T>& items) {
+  Encode(w, static_cast<std::uint32_t>(items.size()));
+  for (const T& item : items) Encode(w, item);
+}
+
+template <class T>
+bool Decode(WireReader& r, std::vector<T>& items) {
+  items.resize(r.seq_count(MinBytes(Tag<T>{})));
+  for (T& item : items) {
+    if (!Decode(r, item)) return false;
+  }
+  return r.ok();
+}
+
+template <class... A>
+void Encode(WireWriter& w, const std::variant<A...>& v) {
+  Encode(w, static_cast<std::uint8_t>(v.index()));
+  std::visit([&w](const auto& alternative) { Encode(w, alternative); }, v);
+}
+
+template <class... A>
+bool Decode(WireReader& r, std::variant<A...>& v) {
+  using Decoder = bool (*)(WireReader&, std::variant<A...>&);
+  static constexpr Decoder kDecoders[] = {
+      [](WireReader& in, std::variant<A...>& out) {
+        return Decode(in, out.template emplace<A>());
+      }...};
+  std::uint8_t index = 0;
+  if (!Decode(r, index)) return false;
+  if (index >= sizeof...(A)) {
+    r.fail();
+    return false;
+  }
+  return kDecoders[index](r, v);
+}
+
+template <Record T>
+void Encode(WireWriter& w, const T& record) {
+  std::apply([&w](const auto&... field) { (Encode(w, field), ...); },
+             Fields(record));
+}
+
+template <Record T>
+bool Decode(WireReader& r, T& record) {
+  return std::apply([&r](auto&... field) { return (Decode(r, field) && ...); },
+                    Fields(record));
+}
+
+/// One record as a frame body.
+template <class T>
+std::vector<std::uint8_t> EncodeBody(const T& record) {
+  WireWriter w;
+  Encode(w, record);
+  return w.take();
+}
+
+/// A whole frame body as one record: fails on any malformed field and on
+/// trailing bytes.
+template <class T>
+[[nodiscard]] bool DecodeBody(const std::vector<std::uint8_t>& body,
+                              T& out) {
+  WireReader r(body);
+  return Decode(r, out) && r.exhausted();
+}
+
+/// Named envelope entry points (the end-to-end benchmark times them).
+inline void EncodeEnvelope(WireWriter& w, const Envelope& env) {
+  Encode(w, env);
+}
+[[nodiscard]] inline bool DecodeEnvelope(WireReader& r, Envelope& out) {
+  return Decode(r, out);
+}
 
 }  // namespace dgc::wire

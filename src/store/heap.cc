@@ -119,6 +119,27 @@ HeapImage Heap::CaptureImage() const {
   return image;
 }
 
+bool HeapImage::Holds(SiteId site, ObjectId id) const {
+  const std::uint64_t slot = Heap::SlotOf(id.index);
+  return id.site == site && slot < slots.size() && slots[slot].live &&
+         slots[slot].generation == Heap::GenerationOf(id.index);
+}
+
+bool HeapImage::Restorable(SiteId site) const {
+  std::vector<bool> listed(slots.size(), false);
+  for (const std::uint32_t slot : free_slots) {
+    if (slot >= slots.size() || slots[slot].live || listed[slot]) {
+      return false;
+    }
+    listed[slot] = true;
+  }
+  for (const SlotImage& slot : slots) {
+    if (!slot.live && !slot.slots.empty()) return false;
+  }
+  return std::all_of(persistent_roots.begin(), persistent_roots.end(),
+                     [&](ObjectId root) { return Holds(site, root); });
+}
+
 void Heap::RestoreImage(const HeapImage& image) {
   DGC_CHECK_MSG(used_slots_ == 0 && live_count_ == 0,
                 "RestoreImage requires a virgin heap");

@@ -67,6 +67,14 @@ struct HeapImage {
   std::vector<std::uint32_t> free_slots;  // LIFO order preserved
   std::vector<ObjectId> persistent_roots;
   HeapStats stats;
+
+  /// What Heap::Exists(id) answers once this image is restored into the
+  /// heap of `site`: `id` names a live slot at its current generation.
+  [[nodiscard]] bool Holds(SiteId site, ObjectId id) const;
+  /// What RestoreImage takes on trust: every free slot is in range, dead
+  /// and listed once (the next Allocate pops it), every dead slot is empty,
+  /// and every persistent root is live.
+  [[nodiscard]] bool Restorable(SiteId site) const;
 };
 
 class Heap {
@@ -320,6 +328,8 @@ class Heap {
   }
 
  private:
+  friend struct HeapImage;  // decodes ids against an image's slots
+
   // ObjectId.index = (generation << 32) | (slot + 1). The +1 bias keeps
   // index 0 unused (matching the historical numbering where ids start at 1)
   // and makes generation-0 ids read 1, 2, 3, … in allocation order.

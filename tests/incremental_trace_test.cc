@@ -3,7 +3,7 @@
 // heap/barrier choke points, crash-restart invalidation, the flat back-info
 // delta maintenance, and — the correctness anchor — differential runs where
 // every reused trace is checked against a shadow full trace
-// (CollectorConfig::incremental_differential).
+// (LocalCollector::set_check_reuse_for_testing).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -20,19 +20,26 @@
 namespace dgc {
 namespace {
 
-CollectorConfig IncrementalConfig(bool differential = true) {
+CollectorConfig IncrementalConfig() {
   CollectorConfig config;
   config.suspicion_threshold = 3;
   config.estimated_cycle_length = 6;
   config.incremental_trace = true;
-  config.incremental_differential = differential;
   return config;
+}
+
+/// Makes every site check each reused trace against a shadow full trace.
+void CheckEveryReuse(System& system) {
+  for (SiteId s = 0; s < system.site_count(); ++s) {
+    system.site(s).collector().set_check_reuse_for_testing(true);
+  }
 }
 
 // --- Quiescent short-circuit -----------------------------------------------
 
 TEST(IncrementalTraceTest, QuiescentSiteReusesThePreviousTrace) {
   System system(1, IncrementalConfig());
+  CheckEveryReuse(system);
   const ObjectId root = system.NewObject(0, 2);
   system.SetPersistentRoot(root);
   system.Wire(root, 0, system.NewObject(0, 0));
@@ -69,6 +76,7 @@ TEST(IncrementalTraceTest, KnobOffNeverSkipsAndReportsNoIncrementalWork) {
 
 TEST(IncrementalTraceTest, SlotWriteDirtiesAndForcesAFullTrace) {
   System system(1, IncrementalConfig());
+  CheckEveryReuse(system);
   const ObjectId root = system.NewObject(0, 2);
   system.SetPersistentRoot(root);
   const ObjectId child = system.NewObject(0, 0);
@@ -95,6 +103,7 @@ TEST(IncrementalTraceTest, SlotWriteDirtiesAndForcesAFullTrace) {
 
 TEST(IncrementalTraceTest, RootSetChangesInvalidateQuiescence) {
   System system(1, IncrementalConfig());
+  CheckEveryReuse(system);
   const ObjectId a = system.NewObject(0, 0);
   system.SetPersistentRoot(a);
   system.RunRounds(2);
@@ -114,6 +123,7 @@ TEST(IncrementalTraceTest, RemoteBarrierActivityInvalidatesQuiescence) {
   // snapshot comparison must catch even though the owner's heap (and hence
   // its mutation epoch) never changed.
   System system(2, IncrementalConfig());
+  CheckEveryReuse(system);
   const ObjectId target = system.NewObject(1, 0);
   const ObjectId tether = workload::TetherToRoot(system, target, 1);
   (void)tether;
@@ -137,11 +147,12 @@ TEST(IncrementalTraceTest, RemoteBarrierActivityInvalidatesQuiescence) {
 TEST(IncrementalTraceTest, RipeningCycleRefoldsDistancesWithoutRetracing) {
   // A cross-site garbage cycle's inref distances grow by one every epoch
   // (§3): the heap is quiescent but the trace inputs drift — exactly the
-  // refold level. Differential mode checks each refold against a shadow
+  // refold level. The reuse check tests each refold against a shadow
   // full trace, and back tracing is disabled so ripening runs forever.
   CollectorConfig config = IncrementalConfig();
   config.enable_back_tracing = false;
   System system(2, config);
+  CheckEveryReuse(system);
   const auto cycle =
       workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});
   (void)cycle;
@@ -164,6 +175,7 @@ TEST(IncrementalTraceTest, RipeningCycleRefoldsDistancesWithoutRetracing) {
 
 TEST(IncrementalTraceTest, CrashRestartDropsTheCacheAndDirtyKnowledge) {
   System system(2, IncrementalConfig());
+  CheckEveryReuse(system);
   const ObjectId target = system.NewObject(1, 0);
   workload::TetherToRoot(system, target, 1);
   system.RunRounds(3);
@@ -190,7 +202,7 @@ TEST(IncrementalTraceTest, CrashRestartDropsTheCacheAndDirtyKnowledge) {
 class DifferentialChurn : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DifferentialChurn, EveryReuseMatchesAShadowFullTrace) {
-  // incremental_differential makes the collector itself the oracle: every
+  // The reuse check makes the collector itself the oracle: every
   // quiescent skip and every refold also runs the full trace and DGC_CHECKs
   // semantic identity. Any divergence aborts the run (and fails the test).
   const std::uint64_t seed = GetParam();
@@ -198,6 +210,7 @@ TEST_P(DifferentialChurn, EveryReuseMatchesAShadowFullTrace) {
   net.latency = 6;
   net.latency_jitter = 6;
   System system(4, IncrementalConfig(), net, seed);
+  CheckEveryReuse(system);
   workload::ChurnDriver driver(system, Rng(seed * 2654435761ULL));
   workload::ChurnSpec spec;
   spec.steps = 50;
@@ -257,9 +270,9 @@ TEST_P(TwinFigures, IncrementalTwinMatchesFullTwinEveryRound) {
   const int figure = GetParam();
   CollectorConfig full_config = IncrementalConfig();
   full_config.incremental_trace = false;
-  full_config.incremental_differential = false;
   System full(4, full_config, {}, /*seed=*/17);
   System inc(4, IncrementalConfig(), {}, /*seed=*/17);
+  CheckEveryReuse(inc);
   for (System* system : {&full, &inc}) {
     switch (figure) {
       case 1:

@@ -1,6 +1,6 @@
 // Unit tests for the simulated network: FIFO channels, fault injection,
-// self-delivery, statistics — plus the socket transport's wire codec
-// (framing, payload round-trips, handshake classification).
+// self-delivery, statistics. The socket transport's wire codec has its own
+// suite, wire_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "net/network.h"
-#include "net/wire.h"
 #include "sim/scheduler.h"
 
 namespace dgc {
@@ -607,382 +606,6 @@ TEST(PayloadTest, WireSizeScalesWithContent) {
     big.entries.push_back(UpdateEntry{ObjectId{1, (std::uint64_t)i}, false, 3});
   }
   EXPECT_LT(ApproxWireSize(small), ApproxWireSize(big));
-}
-
-// ---------------------------------------------------------------------------
-// Wire codec (net/wire.h): the byte format every coordinator<->site frame
-// travels in. All pure — no sockets, no forks.
-
-/// One representative of every Payload alternative, in variant order, with
-/// non-default field values so a field swap or a missed vector would show.
-/// EncodePayload's static_assert points here when the vocabulary grows.
-std::vector<Payload> OnePayloadOfEachKind() {
-  std::vector<Payload> all;
-  all.push_back(InsertMsg{ObjectId{2, 7}, 1, 3, 5});
-  all.push_back(InsertAckMsg{ObjectId{2, 7}, 1});
-  all.push_back(UpdateMsg{{UpdateEntry{ObjectId{1, 2}, true, kDistanceInfinity},
-                           UpdateEntry{ObjectId{3, 4}, false, 9}}});
-  all.push_back(BackLocalCallMsg{TraceId{1, 2}, ObjectId{3, 4}, FrameId{5, 6}});
-  all.push_back(
-      BackRemoteCallMsg{TraceId{1, 2}, ObjectId{3, 4}, FrameId{5, 6}});
-  all.push_back(
-      BackReplyMsg{TraceId{1, 2}, FrameId{3, 4}, BackResult::kLive, {0, 2, 3}});
-  all.push_back(BackReportMsg{TraceId{1, 2}, BackResult::kGarbage});
-  all.push_back(BackCallBatchMsg{
-      {BackLocalCallMsg{TraceId{1, 2}, ObjectId{3, 4}, FrameId{5, 6}},
-       BackLocalCallMsg{TraceId{7, 8}, ObjectId{9, 10}, FrameId{11, 12}}}});
-  all.push_back(MutatorReadMsg{42, ObjectId{1, 2}, 3});
-  all.push_back(MutatorReadReplyMsg{42, ObjectId{1, 2}});
-  all.push_back(MutatorWriteMsg{42, ObjectId{1, 2}, 3, ObjectId{4, 5}});
-  all.push_back(MutatorWriteAckMsg{42});
-  all.push_back(FetchMsg{42, ObjectId{1, 2}});
-  all.push_back(
-      FetchReplyMsg{42, ObjectId{1, 2}, {ObjectId{3, 4}, kInvalidObject}});
-  all.push_back(CommitMsg{42, {CommitWrite{ObjectId{1, 2}, 0, ObjectId{3, 4}},
-                               CommitWrite{ObjectId{5, 6}, 1, kInvalidObject}}});
-  all.push_back(CommitAckMsg{42});
-  all.push_back(PinReleaseMsg{ObjectId{1, 2}});
-  all.push_back(
-      GlobalGcControlMsg{9, GlobalGcControlMsg::Phase::kSweepDone, 17});
-  all.push_back(GlobalGcGrayMsg{9, {ObjectId{1, 2}, ObjectId{3, 4}}});
-  all.push_back(TimestampUpdateMsg{
-      {TimestampUpdateMsg::Entry{ObjectId{1, 2}, -5}}, 11});
-  all.push_back(MigrateMsg{
-      {MigrateMsg::MovedObject{ObjectId{1, 2}, {ObjectId{3, 4}}}}});
-  all.push_back(PatchMsg{ObjectId{1, 2}, ObjectId{3, 4}});
-  ReachabilitySummaryMsg summary;
-  summary.epoch = 7;
-  summary.inrefs.push_back({ObjectId{1, 2}, {ObjectId{3, 4}, ObjectId{5, 6}}});
-  summary.root_reachable_outrefs.push_back(ObjectId{7, 8});
-  all.push_back(summary);
-  all.push_back(CondemnMsg{9, {ObjectId{1, 2}}});
-  return all;
-}
-
-std::vector<std::uint8_t> EncodeOnePayload(const Payload& payload) {
-  wire::WireWriter w;
-  wire::EncodePayload(w, payload);
-  return w.take();
-}
-
-TEST(WireCodecTest, EveryPayloadKindRoundTrips) {
-  const std::vector<Payload> all = OnePayloadOfEachKind();
-  ASSERT_EQ(all.size(), kPayloadKinds);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    SCOPED_TRACE(PayloadKindName(i));
-    ASSERT_EQ(all[i].index(), i);  // table order matches the variant
-    const std::vector<std::uint8_t> bytes = EncodeOnePayload(all[i]);
-    wire::WireReader r(bytes);
-    Payload decoded;
-    ASSERT_TRUE(wire::DecodePayload(r, decoded));
-    EXPECT_TRUE(r.exhausted());
-    ASSERT_EQ(decoded.index(), i);
-    // The structs have no operator==; byte-identical re-encoding is the
-    // equality that matters on a wire anyway.
-    EXPECT_EQ(EncodeOnePayload(decoded), bytes);
-  }
-}
-
-TEST(WireCodecTest, TruncatedPayloadsFailCleanly) {
-  for (const Payload& payload : OnePayloadOfEachKind()) {
-    SCOPED_TRACE(PayloadKindName(payload.index()));
-    const std::vector<std::uint8_t> bytes = EncodeOnePayload(payload);
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-      wire::WireReader r(bytes.data(), len);
-      Payload out;
-      EXPECT_FALSE(wire::DecodePayload(r, out)) << "prefix " << len;
-    }
-  }
-}
-
-TEST(WireCodecTest, UnknownPayloadKindIsRejected) {
-  wire::WireWriter w;
-  wire::EncodeEnvelope(w, Envelope{0, 1, InsertMsg{}});
-  std::vector<std::uint8_t> bytes = w.take();
-  bytes[8] = 0xEE;  // from(4) + to(4), then the payload kind byte
-  wire::WireReader r(bytes);
-  Envelope out;
-  EXPECT_FALSE(wire::DecodeEnvelope(r, out));
-}
-
-TEST(WireCodecTest, GarbageVectorCountCannotDriveAHugeAllocation) {
-  // A corrupt count claiming 2^32-1 entries must fail on the spot (via
-  // seq_count's plausibility check), not reserve gigabytes first.
-  wire::WireWriter w;
-  w.u8(2);           // UpdateMsg's variant index
-  w.u32(0xFFFFFFFF);  // entry count with no bytes behind it
-  wire::WireReader r(w.data());
-  Payload out;
-  EXPECT_FALSE(wire::DecodePayload(r, out));
-}
-
-TEST(WireFramingTest, EveryFrameTypeRoundTripsAndPrefixesWantMore) {
-  const std::vector<std::uint8_t> body = {0xde, 0xad, 0xbe, 0xef};
-  for (std::uint8_t t = wire::kMinFrameType; t <= wire::kMaxFrameType; ++t) {
-    SCOPED_TRACE(static_cast<int>(t));
-    std::vector<std::uint8_t> buf;
-    wire::AppendFrame(buf, static_cast<wire::FrameType>(t), body);
-    wire::FrameView view;
-    ASSERT_EQ(wire::ParseFrame(buf.data(), buf.size(), view),
-              wire::FrameParseStatus::kOk);
-    EXPECT_EQ(view.type, static_cast<wire::FrameType>(t));
-    EXPECT_EQ(view.consumed, buf.size());
-    EXPECT_EQ(std::vector<std::uint8_t>(view.body, view.body + view.body_size),
-              body);
-    for (std::size_t n = 0; n < buf.size(); ++n) {
-      EXPECT_EQ(wire::ParseFrame(buf.data(), n, view),
-                wire::FrameParseStatus::kNeedMore)
-          << "prefix " << n;
-    }
-  }
-}
-
-TEST(WireFramingTest, BackToBackFramesParseInSequence) {
-  std::vector<std::uint8_t> buf;
-  wire::AppendFrame(buf, wire::FrameType::kQuery, {1, 2});
-  wire::AppendFrame(buf, wire::FrameType::kShutdown, {});
-  wire::FrameView first;
-  ASSERT_EQ(wire::ParseFrame(buf.data(), buf.size(), first),
-            wire::FrameParseStatus::kOk);
-  EXPECT_EQ(first.type, wire::FrameType::kQuery);
-  wire::FrameView second;
-  ASSERT_EQ(wire::ParseFrame(buf.data() + first.consumed,
-                             buf.size() - first.consumed, second),
-            wire::FrameParseStatus::kOk);
-  EXPECT_EQ(second.type, wire::FrameType::kShutdown);
-  EXPECT_EQ(second.body_size, 0u);
-  EXPECT_EQ(first.consumed + second.consumed, buf.size());
-}
-
-TEST(WireFramingTest, OversizedAndGarbageFramesAreRejected) {
-  const auto parse = [](const std::vector<std::uint8_t>& buf) {
-    wire::FrameView view;
-    return wire::ParseFrame(buf.data(), buf.size(), view);
-  };
-  const auto header = [](std::uint32_t length) {
-    return std::vector<std::uint8_t>{
-        static_cast<std::uint8_t>(length), static_cast<std::uint8_t>(length >> 8),
-        static_cast<std::uint8_t>(length >> 16),
-        static_cast<std::uint8_t>(length >> 24)};
-  };
-  // Length past the ceiling: rejected from the header alone, before any
-  // body bytes exist to allocate for.
-  EXPECT_EQ(parse(header(wire::kMaxFrameBytes + 1)),
-            wire::FrameParseStatus::kOversized);
-  // Zero length: no room for even the type byte.
-  EXPECT_EQ(parse(header(0)), wire::FrameParseStatus::kBadFrame);
-  // Unknown frame types on either side of the valid range.
-  for (const std::uint8_t type :
-       {static_cast<std::uint8_t>(0),
-        static_cast<std::uint8_t>(wire::kMaxFrameType + 1),
-        static_cast<std::uint8_t>(0xFF)}) {
-    std::vector<std::uint8_t> buf = header(1);
-    buf.push_back(type);
-    EXPECT_EQ(parse(buf), wire::FrameParseStatus::kBadFrame)
-        << "type " << static_cast<int>(type);
-  }
-}
-
-TEST(WireHandshakeTest, VerdictMatrix) {
-  using wire::HandshakeVerdict;
-  const auto evaluate = [](std::uint32_t incarnation, std::uint32_t expected,
-                           bool seen_before) {
-    wire::HelloFrame hello;
-    hello.site = 1;
-    hello.incarnation = incarnation;
-    return wire::EvaluateHandshake(hello, /*site_count=*/4, expected,
-                                   seen_before);
-  };
-  // The three accepts: fresh site, socket-sever redial, crash replacement.
-  EXPECT_EQ(evaluate(0, 0, false), HandshakeVerdict::kAcceptNew);
-  EXPECT_EQ(evaluate(3, 3, true), HandshakeVerdict::kAcceptReconnect);
-  EXPECT_EQ(evaluate(4, 3, true), HandshakeVerdict::kAcceptRestart);
-  // Zombie traffic: an old incarnation redialing after its replacement.
-  EXPECT_EQ(evaluate(2, 3, true), HandshakeVerdict::kRejectStale);
-  // A skip ahead means peer and coordinator disagree about history.
-  EXPECT_EQ(evaluate(5, 3, true), HandshakeVerdict::kRejectStale);
-  // A restart claim for a site never seen is equally untrustworthy.
-  EXPECT_EQ(evaluate(1, 0, false), HandshakeVerdict::kRejectStale);
-
-  wire::HelloFrame hello;
-  hello.site = 1;
-  hello.magic = 0xBADBAD;
-  EXPECT_EQ(wire::EvaluateHandshake(hello, 4, 0, false),
-            HandshakeVerdict::kRejectBadMagic);
-  hello.magic = wire::kWireMagic;
-  hello.version = wire::kWireVersion + 1;
-  EXPECT_EQ(wire::EvaluateHandshake(hello, 4, 0, false),
-            HandshakeVerdict::kRejectVersion);
-  hello.version = wire::kWireVersion;
-  hello.site = 4;  // one past the last valid site
-  EXPECT_EQ(wire::EvaluateHandshake(hello, 4, 0, false),
-            HandshakeVerdict::kRejectUnknownSite);
-
-  for (const HandshakeVerdict v :
-       {HandshakeVerdict::kAcceptNew, HandshakeVerdict::kAcceptReconnect,
-        HandshakeVerdict::kAcceptRestart}) {
-    EXPECT_TRUE(wire::HandshakeAccepted(v));
-    EXPECT_NE(wire::HandshakeVerdictName(v), nullptr);
-  }
-  for (const HandshakeVerdict v :
-       {HandshakeVerdict::kRejectBadMagic, HandshakeVerdict::kRejectVersion,
-        HandshakeVerdict::kRejectUnknownSite, HandshakeVerdict::kRejectStale}) {
-    EXPECT_FALSE(wire::HandshakeAccepted(v));
-    EXPECT_NE(wire::HandshakeVerdictName(v), nullptr);
-  }
-}
-
-TEST(WireHandshakeTest, HelloAndAckRoundTrip) {
-  wire::HelloFrame hello;
-  hello.site = 2;
-  hello.incarnation = 5;
-  wire::WireWriter w;
-  wire::EncodeHello(w, hello);
-  wire::WireReader r(w.data());
-  wire::HelloFrame hello2;
-  ASSERT_TRUE(wire::DecodeHello(r, hello2));
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(hello2.magic, wire::kWireMagic);
-  EXPECT_EQ(hello2.version, wire::kWireVersion);
-  EXPECT_EQ(hello2.site, 2u);
-  EXPECT_EQ(hello2.incarnation, 5u);
-
-  wire::HelloAckFrame ack;
-  ack.verdict = wire::HandshakeVerdict::kAcceptRestart;
-  ack.site_count = 4;
-  ack.now = 123;
-  ack.failure_detection_enabled = true;
-  ack.config.suspicion_threshold = 7;
-  ack.config.report_timeout = 999;
-  wire::WireWriter wa;
-  wire::EncodeHelloAck(wa, ack);
-  wire::WireReader ra(wa.data());
-  wire::HelloAckFrame ack2;
-  ASSERT_TRUE(wire::DecodeHelloAck(ra, ack2));
-  EXPECT_EQ(ack2.verdict, wire::HandshakeVerdict::kAcceptRestart);
-  EXPECT_EQ(ack2.site_count, 4u);
-  EXPECT_EQ(ack2.now, 123);
-  EXPECT_TRUE(ack2.failure_detection_enabled);
-  EXPECT_EQ(ack2.config.suspicion_threshold, 7u);
-  EXPECT_EQ(ack2.config.report_timeout, 999);
-
-  // The config payload makes the ack the largest handshake frame; every
-  // strict prefix must still fail cleanly.
-  const std::vector<std::uint8_t> bytes = wa.take();
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    wire::WireReader rp(bytes.data(), len);
-    wire::HelloAckFrame out;
-    EXPECT_FALSE(wire::DecodeHelloAck(rp, out)) << "prefix " << len;
-  }
-}
-
-TEST(WireEngineFrameTest, StepRequestCarriesDetectorStateAndEnvelopes) {
-  wire::StepRequestFrame f;
-  f.seq = 9;
-  f.target_time = 77;
-  f.suspected = {2};
-  f.recovered = {1, 3};
-  f.restarted = {1};  // restart notice: scrub the dead incarnation's traces
-  f.envelopes.push_back(Envelope{0, 1, InsertMsg{ObjectId{1, 4}, 0, 2, 6}});
-  wire::WireWriter w;
-  wire::EncodeStepRequest(w, f);
-  wire::WireReader r(w.data());
-  wire::StepRequestFrame f2;
-  ASSERT_TRUE(wire::DecodeStepRequest(r, f2));
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_EQ(f2.seq, 9u);
-  EXPECT_EQ(f2.target_time, 77);
-  EXPECT_EQ(f2.suspected, std::vector<SiteId>{2});
-  EXPECT_EQ(f2.recovered, (std::vector<SiteId>{1, 3}));
-  EXPECT_EQ(f2.restarted, std::vector<SiteId>{1});
-  ASSERT_EQ(f2.envelopes.size(), 1u);
-  EXPECT_EQ(f2.envelopes[0].from, 0u);
-  EXPECT_EQ(f2.envelopes[0].to, 1u);
-  EXPECT_EQ(std::get<InsertMsg>(f2.envelopes[0].payload).ref,
-            (ObjectId{1, 4}));
-  wire::WireWriter w2;
-  wire::EncodeStepRequest(w2, f2);
-  EXPECT_EQ(w2.data(), w.data());
-}
-
-TEST(WireEngineFrameTest, StepBuildAndQueryRepliesRoundTrip) {
-  wire::StepReplyFrame step;
-  step.seq = 11;
-  step.next_event_time = 345;
-  step.handled = 6;
-  step.staged.push_back(Envelope{1, 0, PinReleaseMsg{ObjectId{0, 9}}});
-  wire::WireWriter ws;
-  wire::EncodeStepReply(ws, step);
-  wire::WireReader rs(ws.data());
-  wire::StepReplyFrame step2;
-  ASSERT_TRUE(wire::DecodeStepReply(rs, step2));
-  EXPECT_TRUE(rs.exhausted());
-  EXPECT_EQ(step2.seq, 11u);
-  EXPECT_EQ(step2.next_event_time, 345);
-  EXPECT_EQ(step2.handled, 6u);
-  ASSERT_EQ(step2.staged.size(), 1u);
-
-  wire::BuildOpFrame op;
-  op.seq = 3;
-  op.time = 50;
-  op.op = wire::BuildOpKind::kWireSource;
-  op.a = ObjectId{0, 1};
-  op.b = ObjectId{2, 3};
-  op.slot = 1;
-  op.n = 4;
-  wire::WireWriter wo;
-  wire::EncodeBuildOp(wo, op);
-  wire::WireReader ro(wo.data());
-  wire::BuildOpFrame op2;
-  ASSERT_TRUE(wire::DecodeBuildOp(ro, op2));
-  EXPECT_EQ(op2.op, wire::BuildOpKind::kWireSource);
-  EXPECT_EQ(op2.a, (ObjectId{0, 1}));
-  EXPECT_EQ(op2.b, (ObjectId{2, 3}));
-  EXPECT_EQ(op2.slot, 1u);
-  EXPECT_EQ(op2.n, 4u);
-
-  wire::BuildReplyFrame build;
-  build.seq = 3;
-  build.result = ObjectId{2, 8};
-  build.next_event_time = 60;
-  wire::WireWriter wb;
-  wire::EncodeBuildReply(wb, build);
-  wire::WireReader rb(wb.data());
-  wire::BuildReplyFrame build2;
-  ASSERT_TRUE(wire::DecodeBuildReply(rb, build2));
-  EXPECT_EQ(build2.result, (ObjectId{2, 8}));
-
-  wire::QueryFrame query;
-  query.seq = 21;
-  query.time = 900;
-  wire::WireWriter wq;
-  wire::EncodeQuery(wq, query);
-  wire::WireReader rq(wq.data());
-  wire::QueryFrame query2;
-  ASSERT_TRUE(wire::DecodeQuery(rq, query2));
-  EXPECT_EQ(query2.seq, 21u);
-  EXPECT_EQ(query2.time, 900);
-
-  wire::QueryReplyFrame census;
-  census.seq = 21;
-  census.objects = 5;
-  census.reclaimed = 7;
-  census.traces_started = 2;
-  census.traces_garbage = 1;
-  census.traces_live = 1;
-  census.trace_in_flight = true;
-  census.incarnation = 3;
-  census.survivors = {ObjectId{0, 1}, ObjectId{0, 4}};
-  wire::WireWriter wc;
-  wire::EncodeQueryReply(wc, census);
-  wire::WireReader rc(wc.data());
-  wire::QueryReplyFrame census2;
-  ASSERT_TRUE(wire::DecodeQueryReply(rc, census2));
-  EXPECT_EQ(census2.objects, 5u);
-  EXPECT_EQ(census2.reclaimed, 7u);
-  EXPECT_TRUE(census2.trace_in_flight);
-  EXPECT_EQ(census2.incarnation, 3u);
-  EXPECT_EQ(census2.survivors, (std::vector<ObjectId>{{0, 1}, {0, 4}}));
 }
 
 }  // namespace

@@ -15,18 +15,27 @@
 // `socket` ctest label: the TSan leg of check_sanitize.sh excludes it
 // (TSan's runtime does not survive fork-without-exec children).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
 #include "common/ids.h"
 #include "core/system.h"
+#include "net/socket_transport.h"
 #include "net/socket_world.h"
 #include "net/supervisor.h"
+#include "net/wire.h"
 #include "sim/fault_plan.h"
 #include "workload/scripted.h"
 
@@ -213,42 +222,6 @@ TEST(SocketWorld, MarkThreadsAndIncrementalMatchSimTenSeeds) {
     }
     EXPECT_EQ(system.TotalObjects(), socket.TotalObjects());
     EXPECT_EQ(system.TotalObjectsReclaimed(), socket.TotalObjectsReclaimed());
-  }
-}
-
-// The pipelined step loop is a pure latency optimization: disabling it
-// (socket.pipelined_steps = false restores the serial one-site-at-a-time
-// collection) must change nothing observable on a seeded run.
-TEST(SocketWorld, PipelinedStepLoopMatchesSerialLoop) {
-  const ScriptedChurnSpec spec = SmallSpec();
-  for (const std::uint64_t seed : {3u, 8u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-
-    SocketWorld pipelined(TestOptions(seed));
-    SocketGodWorld pipelined_world(pipelined);
-    const ScriptedChurnResult a = RunScriptedChurn(pipelined_world, seed, spec);
-
-    SocketWorldOptions serial_options = TestOptions(seed);
-    serial_options.network.socket.pipelined_steps = false;
-    SocketWorld serial(serial_options);
-    SocketGodWorld serial_world(serial);
-    const ScriptedChurnResult b = RunScriptedChurn(serial_world, seed, spec);
-
-    ASSERT_EQ(a.rings.size(), b.rings.size());
-    ASSERT_EQ(a.locals, b.locals);
-    ASSERT_EQ(a.cuts, b.cuts);
-    for (std::size_t i = 0; i < a.rings.size(); ++i) {
-      ASSERT_EQ(a.rings[i].objects, b.rings[i].objects);
-      ASSERT_EQ(a.rings[i].cut, b.rings[i].cut);
-    }
-    for (const ScriptedRing& ring : a.rings) {
-      for (ObjectId obj : ring.objects) {
-        EXPECT_EQ(pipelined.ObjectExists(obj), serial.ObjectExists(obj));
-      }
-    }
-    EXPECT_EQ(pipelined.TotalObjects(), serial.TotalObjects());
-    EXPECT_EQ(pipelined.TotalObjectsReclaimed(),
-              serial.TotalObjectsReclaimed());
   }
 }
 
@@ -495,6 +468,101 @@ TEST(SocketWorld, RestartPreservesCensusViaSnapshot) {
   for (ObjectId obj : ring) {
     EXPECT_FALSE(world.ObjectExists(obj)) << "severed cycle leaked";
   }
+}
+
+// ---------------------------------------------------------------------------
+// A hand-driven fake site: a thread that speaks the frames itself, so a test
+// can put replies on the wire that no real site process would send.
+
+int DialCoordinator(const std::string& path) {
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (fd < 0 ||
+      connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    if (fd >= 0) close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Handshakes as `site`, then answers every StepRequest with an empty reply
+/// whose next event is 10 ticks later — except the first, which carries
+/// `first_staged` — until the coordinator shuts it down or hangs up.
+void RunFakeSite(const std::string& path, SiteId site,
+                 std::vector<Envelope> first_staged) {
+  const int fd = DialCoordinator(path);
+  if (fd < 0) return;
+  wire::HelloFrame hello;
+  hello.site = site;
+  std::vector<std::uint8_t> carry;
+  wire::FrameType type = wire::FrameType::kHello;
+  std::vector<std::uint8_t> body;
+  if (wire::WriteFrame(fd, wire::FrameType::kHello, wire::EncodeBody(hello)) !=
+          wire::IoStatus::kOk ||
+      wire::ReadFrameBuffered(fd, 5000, carry, type, body) !=
+          wire::IoStatus::kOk) {
+    close(fd);
+    return;
+  }
+  while (wire::ReadFrameBuffered(fd, 5000, carry, type, body) ==
+         wire::IoStatus::kOk) {
+    if (type == wire::FrameType::kShutdown) {
+      (void)wire::WriteFrame(fd, wire::FrameType::kShutdownAck, {});
+      break;
+    }
+    wire::StepRequestFrame request;
+    if (type != wire::FrameType::kStepRequest ||
+        !wire::DecodeBody(body, request)) {
+      break;
+    }
+    wire::StepReplyFrame reply;
+    reply.seq = request.seq;
+    reply.next_event_time = request.target_time + 10;
+    reply.staged = std::exchange(first_staged, {});
+    if (wire::WriteFrame(fd, wire::FrameType::kStepReply,
+                         wire::EncodeBody(reply)) != wire::IoStatus::kOk) {
+      break;
+    }
+  }
+  close(fd);
+}
+
+/// Two fake sites; site 1's first reply stages `bad`. The coordinator must
+/// disconnect site 1 before `bad` reaches the Network, and keep stepping
+/// site 0.
+void ExpectBadStagedSendDisconnects(const Envelope& bad) {
+  char tmpl[] = "/tmp/dgc_fake_site_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string path = std::string(dir) + "/coordinator.sock";
+  {
+    Scheduler control;
+    SocketTransport transport(/*site_count=*/2, control, NetworkConfig{},
+                              Rng(1), path);
+    std::jthread good(RunFakeSite, path, 0, std::vector<Envelope>{});
+    std::jthread evil(RunFakeSite, path, 1, std::vector<Envelope>{bad});
+    ASSERT_TRUE(transport.WaitForAllConnected(5000));
+    EXPECT_NO_THROW(transport.RunUntilTime(100));
+    EXPECT_FALSE(transport.connected(1));
+    EXPECT_TRUE(transport.connected(0));
+    EXPECT_EQ(transport.socket_counters().disconnects, 1u);
+    EXPECT_EQ(transport.network().stats().inter_site_sent, 0u)
+        << "the bad reply's send entered the Network";
+    // Site 0 answered the resync step and then one step every 10 ticks.
+    EXPECT_GE(transport.socket_counters().step_requests, 11u);
+    transport.ShutdownAll();
+  }
+  rmdir(dir);
+}
+
+TEST(SocketTransportTest, StagedSendToAnUnknownSiteDisconnectsTheSender) {
+  ExpectBadStagedSendDisconnects(Envelope{1, 2, PinReleaseMsg{ObjectId{0, 1}}});
+}
+
+TEST(SocketTransportTest, StagedSendAsAnotherSiteDisconnectsTheSender) {
+  ExpectBadStagedSendDisconnects(Envelope{0, 1, PinReleaseMsg{ObjectId{1, 1}}});
 }
 
 }  // namespace
