@@ -8,12 +8,14 @@
 //     request/reply churn with same-instant collection rounds
 //     (round_stagger 0 — every site's trace lands in one parallel phase,
 //     the configuration the threaded engine parallelises) under BOTH
-//     backends. Reports per-backend wall-clock, the speedup, both backends'
-//     severed/collected/reclaimed figures plus verdicts_match (1 when the
-//     threaded run reproduced the sim run's counts and survivor census
-//     exactly), host_cpus (the gate only enforces a speedup floor when the
-//     host has cores to parallelise on), and the threaded engine's
-//     queue-depth/handoff counters.
+//     backends, order-balanced: two iterations, sim then threaded and
+//     threaded then sim, so neither backend always pays the cold first
+//     run. Reports each backend's mean wall-clock, the speedup of the
+//     means, both backends' severed/collected/reclaimed figures plus
+//     verdicts_match (1 when every run reproduced the first sim run's
+//     counts and survivor census exactly), host_cpus (the gate only
+//     enforces a speedup floor when the host has cores to parallelise on),
+//     and the threaded engine's queue-depth/handoff counters.
 //   * BM_Transport_ScriptedChurn: the sim-vs-socket differential as a bench
 //     row — the scripted ring churn applied to a System and to a SocketWorld
 //     (real site processes over Unix-domain sockets) with one seed. Emits
@@ -45,7 +47,18 @@ struct RunResult {
   std::uint64_t reclaimed = 0;
   std::uint64_t objects_left = 0;
   TransportCounters transport;
+
+  [[nodiscard]] bool SameVerdicts(const RunResult& other) const {
+    return severed == other.severed && collected == other.collected &&
+           reclaimed == other.reclaimed && objects_left == other.objects_left;
+  }
 };
+
+double MeanWallMs(const std::vector<RunResult>& runs) {
+  double total = 0.0;
+  for (const RunResult& run : runs) total += run.wall_ms;
+  return runs.empty() ? 0.0 : total / static_cast<double>(runs.size());
+}
 
 RunResult RunScenario(TransportKind kind, std::size_t sites,
                       std::size_t objects_per_site) {
@@ -90,26 +103,39 @@ void BM_Transport_OpenLoop(benchmark::State& state) {
   const auto sites = static_cast<std::size_t>(state.range(0));
   const auto objects_per_site = static_cast<std::size_t>(state.range(1));
 
-  RunResult sim;
-  RunResult threaded;
+  std::vector<RunResult> sims;
+  std::vector<RunResult> threadeds;
+  bool sim_first = true;
   for (auto _ : state) {
-    sim = RunScenario(TransportKind::kSim, sites, objects_per_site);
-    threaded = RunScenario(TransportKind::kThreaded, sites, objects_per_site);
+    if (sim_first) {
+      sims.push_back(RunScenario(TransportKind::kSim, sites, objects_per_site));
+    }
+    threadeds.push_back(
+        RunScenario(TransportKind::kThreaded, sites, objects_per_site));
+    if (!sim_first) {
+      sims.push_back(RunScenario(TransportKind::kSim, sites, objects_per_site));
+    }
+    sim_first = !sim_first;
   }
 
-  const bool verdicts_match = sim.severed == threaded.severed &&
-                              sim.collected == threaded.collected &&
-                              sim.reclaimed == threaded.reclaimed &&
-                              sim.objects_left == threaded.objects_left;
+  const RunResult& sim = sims.front();
+  const RunResult& threaded = threadeds.front();
+  bool verdicts_match = true;
+  for (const auto* runs : {&sims, &threadeds}) {
+    for (const RunResult& run : *runs) {
+      verdicts_match = verdicts_match && run.SameVerdicts(sim);
+    }
+  }
+  const double sim_ms = MeanWallMs(sims);
+  const double threaded_ms = MeanWallMs(threadeds);
 
   state.counters["sites"] = static_cast<double>(sites);
   state.counters["objects"] = static_cast<double>(sites * objects_per_site);
   state.counters["host_cpus"] =
       static_cast<double>(std::thread::hardware_concurrency());
-  state.counters["sim_wall_ms"] = sim.wall_ms;
-  state.counters["threaded_wall_ms"] = threaded.wall_ms;
-  state.counters["speedup"] =
-      threaded.wall_ms == 0.0 ? 0.0 : sim.wall_ms / threaded.wall_ms;
+  state.counters["sim_wall_ms"] = sim_ms;
+  state.counters["threaded_wall_ms"] = threaded_ms;
+  state.counters["speedup"] = threaded_ms == 0.0 ? 0.0 : sim_ms / threaded_ms;
   state.counters["verdicts_match"] = verdicts_match ? 1.0 : 0.0;
   state.counters["sim_cycles_severed"] = static_cast<double>(sim.severed);
   state.counters["sim_cycles_collected"] = static_cast<double>(sim.collected);
@@ -136,10 +162,11 @@ void BM_Transport_OpenLoop(benchmark::State& state) {
 }
 // The small row gates CI (and keeps TSan runs affordable); the large row is
 // the headline sim-vs-threaded comparison on the PR 7 scale scenario shape.
+// Two iterations: one per backend order.
 BENCHMARK(BM_Transport_OpenLoop)
     ->Args({4, 1'000})
     ->Args({10, 2'000})
-    ->Iterations(1)
+    ->Iterations(2)
     ->Unit(benchmark::kMillisecond);
 
 // --- sim vs socket -----------------------------------------------------

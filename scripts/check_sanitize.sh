@@ -44,6 +44,12 @@
 #                                 # single-threaded anyway, so TSan has nothing
 #                                 # to check that the in-process transports
 #                                 # don't already cover
+#   check_sanitize.sh --e2e       # ASan+UBSan over the end-to-end benchmark:
+#                                 # builds bench/e2e (its own project, which
+#                                 # compiles src/ itself) into
+#                                 # .bench_build/e2e-asan and runs its smoke
+#                                 # tests (-L bench), the socket workload's
+#                                 # real site processes included
 #   check_sanitize.sh [ctest args...]   # any extra args pass through to ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,6 +67,17 @@ elif [[ "${1:-}" == "--socket" ]]; then
 elif [[ "${1:-}" == "--wire" ]]; then
   CTEST_ARGS+=(-L wire)
   shift
+elif [[ "${1:-}" == "--e2e" ]]; then
+  shift
+  E2E_DIR=${BUILD_DIR:-.bench_build/e2e-asan}
+  SAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
+  cmake -S bench/e2e -B "$E2E_DIR" -G Ninja -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build "$E2E_DIR"
+  ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1} \
+  UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
+    exec ctest --test-dir "$E2E_DIR" --output-on-failure -L bench "$@"
 elif [[ "${1:-}" == "--tsan" ]]; then
   SANITIZE=thread
   DEFAULT_BUILD_DIR=build-tsan

@@ -48,6 +48,7 @@
 #include "backtrace/slab_table.h"
 #include "backtrace/verdict_cache.h"
 #include "common/config.h"
+#include "common/counters.h"
 #include "common/ids.h"
 #include "net/transport.h"
 #include "refs/tables.h"
@@ -84,6 +85,32 @@ struct BackTracerStats {
   std::uint64_t calls_parked = 0;    // remote steps held for a suspect peer
   std::uint64_t calls_unparked = 0;  // parked calls resumed on heal
 };
+
+auto Counters(Is<BackTracerStats> auto& s) {
+  return std::tuple{
+      Counter{"traces_started", s.traces_started},
+      Counter{"traces_completed_garbage", s.traces_completed_garbage},
+      Counter{"traces_completed_live", s.traces_completed_live},
+      Counter{"frames_created", s.frames_created},
+      Counter{"calls_handled", s.calls_handled},
+      Counter{"clean_rule_hits", s.clean_rule_hits},
+      Counter{"timeouts", s.timeouts},
+      Counter{"inrefs_flagged", s.inrefs_flagged},
+      Counter{"records_expired", s.records_expired},
+      Counter{"records_scrubbed", s.records_scrubbed},
+      Counter{"verdicts_recorded", s.verdicts_recorded},
+      Counter{"cache_hits", s.cache_hits},
+      Counter{"cache_misses", s.cache_misses},
+      Counter{"trace_starts_skipped", s.trace_starts_skipped},
+      Counter{"branches_coalesced", s.branches_coalesced},
+      Counter{"waiters_resolved", s.waiters_resolved},
+      Counter{"waiters_requeued", s.waiters_requeued},
+      Counter{"calls_batched", s.calls_batched},
+      Counter{"call_batches_sent", s.call_batches_sent},
+      Counter{"calls_parked", s.calls_parked},
+      Counter{"calls_unparked", s.calls_unparked}};
+}
+static_assert(ListsEveryMember<BackTracerStats>());
 
 /// Outcome of a completed back trace, delivered to the initiator's observer.
 struct TraceOutcome {

@@ -317,29 +317,6 @@ struct NetworkConfig {
   /// hardware_concurrency (capped by the site count). Ignored under kSim.
   std::size_t transport_threads = 0;
 
-  /// Worker threads in the threaded transport's pool, which backs both
-  /// site-level stepping and the nested per-site mark_threads shard
-  /// batches. Zero sizes it automatically:
-  /// transport_threads - 1 workers when no nested parallelism is requested
-  /// (the historical sizing), otherwise enough extra workers for
-  /// transport_nested_threads-way nesting, capped at
-  /// max(transport_threads, hardware_concurrency) so a round with 8 sites
-  /// and mark_threads = 8 does not balloon into 64 kernel threads.
-  std::size_t transport_pool_threads = 0;
-
-  /// Per-site nested parallelism the automatic pool sizing budgets for.
-  /// System fills this from CollectorConfig::mark_threads; leave 0 when
-  /// constructing a transport directly unless site code will fork nested
-  /// batches on the transport pool.
-  std::size_t transport_nested_threads = 0;
-
-  /// Soft capacity bound for each site's threaded-transport inbox. A hard
-  /// bound would let a full inbox block the delivering coordinator and
-  /// deadlock the barrier engine, so overflows are admitted but counted
-  /// (TransportCounters::inbox_overflows) — the counter is the back-pressure
-  /// signal. Zero = unbounded (nothing counted).
-  std::size_t transport_queue_capacity = 0;
-
   /// Knobs for TransportKind::kSocket (ignored by the in-process backends).
   SocketConfig socket;
 };

@@ -27,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.h"
+
 namespace dgc {
 
 struct WorkerPoolStats {
@@ -42,6 +44,14 @@ struct WorkerPoolStats {
                                 static_cast<double>(tasks_run);
   }
 };
+
+auto Counters(Is<WorkerPoolStats> auto& s) {
+  return std::tuple{Counter{"batches", s.batches},
+                    Counter{"tasks_run", s.tasks_run},
+                    Counter{"pool_tasks_run", s.pool_tasks_run},
+                    Counter{"helpers_dispatched", s.helpers_dispatched}};
+}
+static_assert(ListsEveryMember<WorkerPoolStats>());
 
 class WorkerPool {
  public:

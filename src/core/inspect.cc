@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+
+#include "common/counters.h"
 
 namespace dgc {
 
@@ -13,6 +16,16 @@ void AppendDistance(std::ostringstream& os, Distance d) {
   } else {
     os << d;
   }
+}
+
+/// " name=value" for every nonzero counter of `record`, in list order.
+template <class R>
+std::string NonZero(const R& record) {
+  std::ostringstream os;
+  ForEachCounter(record, [&os](const std::string& name, auto value) {
+    if (value != 0) os << ' ' << name << '=' << value;
+  });
+  return os.str();
 }
 
 }  // namespace
@@ -66,35 +79,19 @@ std::string DescribeSite(const Site& site) {
     os << "\n";
   }
 
-  const BackTracerStats& stats = site.back_tracer().stats();
-  os << "  back tracer: " << stats.traces_started << " started, "
-     << stats.traces_completed_garbage << " garbage, "
-     << stats.traces_completed_live << " live, "
-     << site.back_tracer().active_frames() << " active frames\n";
+  os << "  back tracer:" << NonZero(site.back_tracer().stats())
+     << " active_frames=" << site.back_tracer().active_frames() << "\n";
+  os << "  site stats:" << NonZero(site.stats())
+     << " table_occupancy=" << site.tables().occupancy();
   if (site.config().incremental_trace) {
-    os << "  incremental: " << site.stats().quiescent_skips
-       << " quiescent skips, " << site.stats().objects_retraced
-       << " objects retraced, " << site.stats().outsets_reused
-       << " outsets reused, " << site.heap().dirty_object_count()
-       << " dirty objects\n";
+    os << " dirty_objects=" << site.heap().dirty_object_count();
   }
   if (site.config().mark_threads > 1) {
-    os << "  parallel mark: " << site.config().mark_threads << " threads, "
-       << site.stats().mark_wall_ns << " ns marking, "
-       << site.stats().mark_steals << " shard steals\n";
+    os << " mark_threads=" << site.config().mark_threads;
   }
-  if (site.stats().transport_handoffs + site.stats().transport_staged_sends >
-      0) {
-    os << "  transport: " << site.stats().transport_handoffs
-       << " inbox handoffs, " << site.stats().transport_staged_sends
-       << " staged sends, queue peak " << site.stats().transport_queue_peak
-       << " (contention " << site.stats().transport_queue_contention
-       << ", overflows " << site.stats().transport_queue_overflows << ")\n";
-  }
-  os << "  ref tables: " << site.stats().table_slot_capacity
-     << " slots (occupancy " << site.stats().table_occupancy << "), "
-     << site.stats().table_slot_reuses << " slot reuses, "
-     << site.stats().table_slot_grows << " grows\n";
+  os << "\n";
+  const std::string transport = NonZero(site.transport_counters());
+  if (!transport.empty()) os << "  transport:" << transport << "\n";
   return os.str();
 }
 
@@ -123,51 +120,16 @@ std::string DescribeSystem(const System& system) {
        << " traces" << (system.network().IsSiteDown(s) ? " [DOWN]" : "")
        << "\n";
   }
-  const NetworkStats& net = system.network().stats();
-  os << "  network: " << net.inter_site_sent << " logical msgs ("
-     << net.wire_messages << " wire), " << net.approx_bytes << " bytes, "
-     << net.dropped << " dropped\n";
-  if (net.retransmits + net.dup_suppressed + net.acks_sent +
-          net.stale_incarnation_rejected >
-      0) {
-    os << "  reliable channels: " << net.retransmits << " retransmits ("
-       << net.retransmits_exhausted << " exhausted), " << net.dup_suppressed
-       << " dup-suppressed, " << net.acks_sent << " acks, "
-       << net.stale_incarnation_rejected << " stale-incarnation rejects\n";
-  }
-  const BackTracerStats bt = system.AggregateBackTracerStats();
-  os << "  back traces: " << bt.traces_started << " started, "
-     << bt.traces_completed_garbage << " garbage, "
-     << bt.traces_completed_live << " live, " << bt.clean_rule_hits
-     << " clean-rule hits, " << bt.timeouts << " timeouts\n";
-  if (net.fd_suspicions + bt.calls_parked > 0) {
-    os << "  failure detector: " << net.fd_suspicions << " suspected outages, "
-       << net.fd_recoveries << " recoveries, " << bt.calls_parked
-       << " calls parked (" << bt.calls_unparked << " resumed)\n";
-  }
+  os << "  network:" << NonZero(system.network().stats()) << "\n";
+  os << "  back traces:" << NonZero(system.AggregateBackTracerStats()) << "\n";
+  os << "  site stats:" << NonZero(system.AggregateSiteStats()) << "\n";
   const WorkerPoolStats pool = system.worker_pool().stats();
   if (pool.batches > 0) {
-    std::uint64_t steals = 0;
-    std::uint64_t mark_ns = 0;
-    for (SiteId s = 0; s < system.site_count(); ++s) {
-      steals += system.site(s).stats().mark_steals;
-      mark_ns += system.site(s).stats().mark_wall_ns;
-    }
-    os << "  worker pool: " << pool.batches << " batches, " << pool.tasks_run
-       << " tasks (occupancy " << pool.occupancy() << "), "
-       << system.trace_executor().stats().batches << " trace rounds, "
-       << mark_ns << " ns marking, " << steals << " shard steals\n";
+    os << "  worker pool:" << NonZero(pool) << " occupancy=" << pool.occupancy()
+       << " trace_rounds=" << system.trace_executor().stats().batches << "\n";
   }
-  if (system.transport().kind() == TransportKind::kThreaded) {
-    const TransportCounters transport = system.transport().counters();
-    os << "  transport: threaded, " << transport.timesteps << " timesteps, "
-       << transport.parallel_phases << " parallel phases, "
-       << transport.site_steps << " site steps, " << transport.handoffs
-       << " inbox handoffs, " << transport.staged_sends
-       << " staged sends (queue peak " << transport.inbox_peak_depth
-       << ", contention " << transport.inbox_contention << ", overflows "
-       << transport.inbox_overflows << ")\n";
-  }
+  const std::string transport = NonZero(system.transport().counters());
+  if (!transport.empty()) os << "  transport:" << transport << "\n";
   return os.str();
 }
 

@@ -26,6 +26,7 @@
 #include "backinfo/site_back_info.h"
 #include "backtrace/back_tracer.h"
 #include "common/config.h"
+#include "common/counters.h"
 #include "common/flat_map.h"
 #include "common/ids.h"
 #include "localgc/local_collector.h"
@@ -58,23 +59,34 @@ struct SiteStats {
   std::uint64_t objects_retraced = 0;  // cumulative objects full traces visited
   std::uint64_t outsets_reused = 0;    // cumulative memoized outsets served
   // Flat ref-table accounting, mirrored from RefTables when stats() is read:
-  // inserts absorbed by spare vector capacity vs. reallocations, and live
-  // entries over allocated slots. Steady-state churn should show reuses
-  // climbing while grows stay flat.
+  // inserts absorbed by spare vector capacity vs. reallocations, and the
+  // slots allocated. Steady-state churn should show reuses climbing while
+  // grows stay flat.
   std::uint64_t table_slot_reuses = 0;
   std::uint64_t table_slot_grows = 0;
   std::size_t table_slot_capacity = 0;
-  double table_occupancy = 1.0;
-  // Transport accounting, mirrored from the transport when stats() is read
-  // (all zero under SimTransport): envelopes handed to this site's inbox,
-  // sends staged on its thread, and its inbox's high-water mark and lock
-  // contention.
-  std::uint64_t transport_handoffs = 0;
-  std::uint64_t transport_staged_sends = 0;
-  std::uint64_t transport_queue_peak = 0;
-  std::uint64_t transport_queue_contention = 0;
-  std::uint64_t transport_queue_overflows = 0;
 };
+
+auto Counters(Is<SiteStats> auto& s) {
+  return std::tuple{
+      Counter{"local_traces", s.local_traces},
+      Counter{"updates_sent", s.updates_sent},
+      Counter{"update_entries_sent", s.update_entries_sent},
+      Counter{"inserts_handled", s.inserts_handled},
+      Counter{"transfer_barrier_hits", s.transfer_barrier_hits},
+      Counter{"outrefs_trimmed", s.outrefs_trimmed},
+      Counter{"trace_wall_ns", s.trace_wall_ns},
+      Counter{"mark_wall_ns", s.mark_wall_ns},
+      Counter{"mark_steals", s.mark_steals},
+      Counter{"objects_marked", s.objects_marked},
+      Counter{"quiescent_skips", s.quiescent_skips},
+      Counter{"objects_retraced", s.objects_retraced},
+      Counter{"outsets_reused", s.outsets_reused},
+      Counter{"table_slot_reuses", s.table_slot_reuses},
+      Counter{"table_slot_grows", s.table_slot_grows},
+      Counter{"table_slot_capacity", s.table_slot_capacity}};
+}
+static_assert(ListsEveryMember<SiteStats>());
 
 class Site {
  public:
@@ -100,14 +112,12 @@ class Site {
     stats_.table_slot_reuses = tables_.slot_reuses();
     stats_.table_slot_grows = tables_.slot_grows();
     stats_.table_slot_capacity = tables_.slot_capacity();
-    stats_.table_occupancy = tables_.occupancy();
-    const SiteTransportCounters transport = transport_.site_counters(id_);
-    stats_.transport_handoffs = transport.handoffs;
-    stats_.transport_staged_sends = transport.staged_sends;
-    stats_.transport_queue_peak = transport.queue_peak_depth;
-    stats_.transport_queue_contention = transport.queue_contention;
-    stats_.transport_queue_overflows = transport.queue_overflows;
     return stats_;
+  }
+  /// This site's slice of the transport's accounting (all zero under
+  /// SimTransport).
+  [[nodiscard]] SiteTransportCounters transport_counters() const {
+    return transport_.site_counters(id_);
   }
   [[nodiscard]] const CollectorConfig& config() const { return config_; }
 

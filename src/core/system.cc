@@ -19,28 +19,16 @@ std::size_t PoolWorkersFor(const CollectorConfig& config) {
   return want <= 1 ? 0 : want - 1;
 }
 
-/// Tells the transport how much nested per-site parallelism the sites will
-/// fork on its pool, so a pool-owning backend (ThreadedTransport) can size
-/// itself for mark_threads-way shard batches inside each site step.
-NetworkConfig WithNestedParallelism(NetworkConfig net,
-                                    const CollectorConfig& collector) {
-  if (net.transport_nested_threads == 0) {
-    net.transport_nested_threads =
-        std::max<std::size_t>(1, collector.mark_threads);
-  }
-  return net;
-}
-
 }  // namespace
 
 System::System(std::size_t site_count, const CollectorConfig& collector_config,
                const NetworkConfig& network_config, std::uint64_t seed)
     : collector_config_(collector_config),
       rng_(seed),
-      transport_(CreateTransport(site_count, scheduler_,
-                                 WithNestedParallelism(network_config,
-                                                       collector_config),
-                                 rng_.Fork())),
+      // The sites fork mark_threads-way shard batches inside each step, so
+      // a pool-owning backend (ThreadedTransport) sizes its pool for them.
+      transport_(CreateTransport(site_count, scheduler_, network_config,
+                                 rng_.Fork(), collector_config.mark_threads)),
       pool_(PoolWorkersFor(collector_config)),
       trace_executor_(pool_, collector_config.trace_threads) {
   DGC_CHECK(site_count >= 1);
@@ -359,48 +347,21 @@ std::string System::CheckAllInvariants() const {
   return {};
 }
 
+SiteStats System::AggregateSiteStats() const {
+  SiteStats total;
+  for (const auto& s : sites_) Accumulate(total, s->stats());
+  return total;
+}
+
 BackTracerStats System::AggregateBackTracerStats() const {
   BackTracerStats total;
-  for (const auto& s : sites_) {
-    const BackTracerStats& stats = s->back_tracer().stats();
-    total.traces_started += stats.traces_started;
-    total.traces_completed_garbage += stats.traces_completed_garbage;
-    total.traces_completed_live += stats.traces_completed_live;
-    total.frames_created += stats.frames_created;
-    total.calls_handled += stats.calls_handled;
-    total.clean_rule_hits += stats.clean_rule_hits;
-    total.timeouts += stats.timeouts;
-    total.inrefs_flagged += stats.inrefs_flagged;
-    total.records_expired += stats.records_expired;
-    total.records_scrubbed += stats.records_scrubbed;
-    total.verdicts_recorded += stats.verdicts_recorded;
-    total.cache_hits += stats.cache_hits;
-    total.cache_misses += stats.cache_misses;
-    total.trace_starts_skipped += stats.trace_starts_skipped;
-    total.branches_coalesced += stats.branches_coalesced;
-    total.waiters_resolved += stats.waiters_resolved;
-    total.waiters_requeued += stats.waiters_requeued;
-    total.calls_batched += stats.calls_batched;
-    total.call_batches_sent += stats.call_batches_sent;
-    total.calls_parked += stats.calls_parked;
-    total.calls_unparked += stats.calls_unparked;
-  }
+  for (const auto& s : sites_) Accumulate(total, s->back_tracer().stats());
   return total;
 }
 
 std::uint64_t System::TotalObjectsReclaimed() const {
   std::uint64_t total = 0;
   for (const auto& s : sites_) total += s->heap().stats().reclaimed;
-  return total;
-}
-
-System::TraceThroughput System::AggregateTraceThroughput() const {
-  TraceThroughput total;
-  for (const auto& s : sites_) {
-    total.wall_ns += s->stats().trace_wall_ns;
-    total.objects_marked += s->stats().objects_marked;
-    total.traces += s->stats().local_traces;
-  }
   return total;
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/worker_pool.h"
 #include "core/parallel_trace.h"
@@ -152,35 +153,18 @@ class System {
 
   // --- Aggregate statistics ---------------------------------------------
 
+  /// Every site's counters summed.
+  [[nodiscard]] SiteStats AggregateSiteStats() const;
   [[nodiscard]] BackTracerStats AggregateBackTracerStats() const;
   [[nodiscard]] std::uint64_t TotalObjectsReclaimed() const;
 
-  /// Cumulative local-trace throughput across all sites: real compute time,
-  /// objects marked, traces run. objects/sec marked = marked / wall.
-  struct TraceThroughput {
-    std::uint64_t wall_ns = 0;
-    std::uint64_t objects_marked = 0;
-    std::uint64_t traces = 0;
-    [[nodiscard]] double objects_per_sec() const {
-      return wall_ns == 0 ? 0.0
-                          : static_cast<double>(objects_marked) * 1e9 /
-                                static_cast<double>(wall_ns);
-    }
-  };
-  [[nodiscard]] TraceThroughput AggregateTraceThroughput() const;
-
-  /// Aggregate slab occupancy across all heaps: live objects over storage
-  /// slots ever used, plus free-list depth.
+  /// Aggregate slab occupancy across all heaps: storage slots ever used,
+  /// live objects in them, and free-list depth.
   struct HeapOccupancy {
     std::size_t slabs = 0;
     std::size_t slot_capacity = 0;
     std::size_t live_objects = 0;
     std::size_t free_slots = 0;
-    [[nodiscard]] double occupancy() const {
-      return slot_capacity == 0 ? 1.0
-                                : static_cast<double>(live_objects) /
-                                      static_cast<double>(slot_capacity);
-    }
   };
   [[nodiscard]] HeapOccupancy AggregateHeapOccupancy() const;
 
@@ -214,5 +198,13 @@ class System {
   std::vector<std::unique_ptr<Site>> sites_;
   std::size_t rounds_ = 0;
 };
+
+auto Counters(Is<System::HeapOccupancy> auto& h) {
+  return std::tuple{Counter{"slabs", h.slabs},
+                    Counter{"slot_capacity", h.slot_capacity},
+                    Counter{"live_objects", h.live_objects},
+                    Counter{"free_slots", h.free_slots}};
+}
+static_assert(ListsEveryMember<System::HeapOccupancy>());
 
 }  // namespace dgc

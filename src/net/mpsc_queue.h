@@ -1,5 +1,5 @@
-// Bounded multi-producer single-consumer queue for the threaded transport's
-// per-site inboxes.
+// Multi-producer single-consumer queue for the threaded transport's per-site
+// inboxes.
 //
 // The engine's strict phase alternation means the common case is even
 // narrower than MPSC — the coordinator is the only producer (control phase)
@@ -8,16 +8,14 @@
 // invariant is belt-and-braces rather than load-bearing, and so the data-race
 // smoke test can hammer it from many threads at once.
 //
-// Bounding is soft: a Push past `soft_capacity` is admitted and *counted*
-// (overflows) instead of blocking. A hard bound would let a full inbox block
-// the delivering coordinator inside a barrier phase and deadlock the engine;
-// the overflow counter is the back-pressure signal instead, surfaced through
-// TransportCounters / SiteStats / inspect.
+// The queue is unbounded: a bound that blocked Push would let a full inbox
+// stall the delivering coordinator inside a barrier phase and deadlock the
+// engine. Its depth high-water mark surfaces through the transport counters.
 //
-// Counter discipline: pushes/pops/peak_depth/overflows are guarded by the
-// queue mutex; contention (try_lock misses) is an atomic because it is
-// recorded while NOT holding the lock. The size mirror is an atomic so the
-// coordinator's Empty() polls between phases never take the lock.
+// Counter discipline: pushes/pops/peak_depth are guarded by the queue mutex;
+// contention (try_lock misses) is an atomic because it is recorded while NOT
+// holding the lock. The size mirror is an atomic so the coordinator's Empty()
+// polls between phases never take the lock.
 #pragma once
 
 #include <atomic>
@@ -36,13 +34,9 @@ class MpscQueue {
     std::uint64_t pops = 0;
     std::uint64_t peak_depth = 0;  // max items resident at once
     std::uint64_t contention = 0;  // lock acquisitions that had to wait
-    std::uint64_t overflows = 0;   // pushes past the soft capacity bound
   };
 
-  /// soft_capacity 0 = unbounded (no overflow counting).
-  explicit MpscQueue(std::size_t soft_capacity = 0)
-      : soft_capacity_(soft_capacity) {}
-
+  MpscQueue() = default;
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
 
@@ -52,7 +46,6 @@ class MpscQueue {
     ++stats_.pushes;
     const std::size_t depth = items_.size();
     if (depth > stats_.peak_depth) stats_.peak_depth = depth;
-    if (soft_capacity_ > 0 && depth > soft_capacity_) ++stats_.overflows;
     size_.store(depth, std::memory_order_release);
   }
 
@@ -96,7 +89,6 @@ class MpscQueue {
     return lock;
   }
 
-  const std::size_t soft_capacity_;
   mutable std::mutex mu_;
   std::deque<T> items_;
   Stats stats_;  // guarded by mu_ (except contention)

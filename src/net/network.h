@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/counters.h"
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "net/messages.h"
@@ -101,6 +102,26 @@ struct NetworkStats {
     return per_kind[detail::VariantIndex<T, Payload>::value];
   }
 };
+
+auto Counters(Is<NetworkStats> auto& s) {
+  return std::tuple{
+      Counter{"inter_site_sent", s.inter_site_sent},
+      Counter{"inter_site_delivered", s.inter_site_delivered},
+      Counter{"dropped", s.dropped},
+      Counter{"self_deliveries", s.self_deliveries},
+      Counter{"approx_bytes", s.approx_bytes},
+      Counter{"wire_messages", s.wire_messages},
+      Counter{"wire_bytes", s.wire_bytes},
+      Counter{"retransmits", s.retransmits},
+      Counter{"retransmits_exhausted", s.retransmits_exhausted},
+      Counter{"transmissions_lost", s.transmissions_lost},
+      Counter{"dup_suppressed", s.dup_suppressed},
+      Counter{"acks_sent", s.acks_sent},
+      Counter{"stale_incarnation_rejected", s.stale_incarnation_rejected},
+      Counter{"fd_suspicions", s.fd_suspicions},
+      Counter{"fd_recoveries", s.fd_recoveries}};
+}
+static_assert(ListsEveryMember<NetworkStats>(sizeof(NetworkStats::per_kind)));
 
 // Thread-confinement note (transport seam, satellite audit): every mutable
 // member of Network — the FIFO-clamp shards (channel_last_delivery_), the

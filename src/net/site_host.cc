@@ -8,6 +8,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <set>
 #include <thread>
 
 #include "common/worker_pool.h"
@@ -130,9 +131,11 @@ auto Fields(Is<SiteSnapshot> auto& s) {
 
 namespace {
 
-/// The checks ApplySiteSnapshot needs beyond well-formed bytes. A flagged
-/// inref may outlive its object: the sweep frees the object, and the entry
-/// stays until every source reports the reference dropped.
+/// The checks ApplySiteSnapshot and the next local trace need beyond
+/// well-formed bytes. A flagged inref may outlive its object: the sweep
+/// frees the object, and the entry stays until every source reports the
+/// reference dropped. A live object's references must not: a local one
+/// names a live object, a remote one has an outref.
 bool Restorable(const SiteSnapshot& s) {
   if (!s.heap.Restorable(s.site)) return false;
   for (const SiteSnapshot::InrefImage& in : s.inrefs) {
@@ -142,8 +145,19 @@ bool Restorable(const SiteSnapshot& s) {
       if (source.site == s.site) return false;
     }
   }
+  std::set<ObjectId> outrefs;
   for (const SiteSnapshot::OutrefImage& out : s.outrefs) {
     if (!out.ref.valid() || out.ref.site == s.site) return false;
+    outrefs.insert(out.ref);
+  }
+  for (const HeapImage::SlotImage& object : s.heap.slots) {
+    for (const ObjectId ref : object.slots) {
+      if (!ref.valid()) continue;
+      if (ref.site == s.site ? !s.heap.Holds(s.site, ref)
+                             : !outrefs.contains(ref)) {
+        return false;
+      }
+    }
   }
   return true;
 }

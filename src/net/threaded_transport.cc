@@ -13,13 +13,12 @@ thread_local std::vector<ThreadedTransport::StagedSend>*
 
 ThreadedTransport::ThreadedTransport(std::size_t site_count,
                                      Scheduler& control, NetworkConfig config,
-                                     Rng rng)
+                                     Rng rng, std::size_t nested_threads)
     : control_(control), network_(control, config, rng) {
   DGC_CHECK(site_count > 0);
   sites_.reserve(site_count);
   for (std::size_t i = 0; i < site_count; ++i) {
-    sites_.push_back(
-        std::make_unique<SiteState>(config.transport_queue_capacity));
+    sites_.push_back(std::make_unique<SiteState>());
   }
   handlers_.resize(site_count);
 
@@ -36,16 +35,12 @@ ThreadedTransport::ThreadedTransport(std::size_t site_count,
   // Pool sizing. The coordinator participates in every batch, so site-level
   // stepping needs threads_ - 1 workers (the historical sizing). When the
   // sites fork nested shard batches on this pool (mark_threads > 1, passed
-  // down as transport_nested_threads), over-provision for the nested level
-  // — capped at max(threads_, hardware_concurrency) total runners, so a
-  // round with 8 sites and mark_threads = 8 cannot balloon into 64 kernel
-  // threads. An explicit transport_pool_threads is honoured verbatim.
+  // down as nested_threads), over-provision for the nested level — capped
+  // at max(threads_, hardware_concurrency) total runners, so a round with 8
+  // sites and mark_threads = 8 cannot balloon into 64 kernel threads.
   std::size_t workers = threads_ - 1;
-  const std::size_t nested =
-      std::max<std::size_t>(1, config.transport_nested_threads);
-  if (config.transport_pool_threads > 0) {
-    workers = config.transport_pool_threads;
-  } else if (nested > 1) {
+  const std::size_t nested = std::max<std::size_t>(1, nested_threads);
+  if (nested > 1) {
     const std::size_t hw =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
     workers = std::min(threads_ * nested, std::max(threads_, hw)) - 1;
@@ -212,7 +207,6 @@ TransportCounters ThreadedTransport::counters() const {
     total.inbox_peak_depth = std::max(total.inbox_peak_depth,
                                       queue.peak_depth);
     total.inbox_contention += queue.contention;
-    total.inbox_overflows += queue.overflows;
   }
   return total;
 }
@@ -227,7 +221,6 @@ SiteTransportCounters ThreadedTransport::site_counters(SiteId site) const {
   out.steps = state.steps;
   out.queue_peak_depth = queue.peak_depth;
   out.queue_contention = queue.contention;
-  out.queue_overflows = queue.overflows;
   return out;
 }
 

@@ -65,8 +65,11 @@ namespace dgc {
 
 class ThreadedTransport final : public Transport {
  public:
+  /// Each site step may fork `nested_threads`-way shard batches
+  /// (mark_threads) on the transport's pool; the pool is sized for them.
   ThreadedTransport(std::size_t site_count, Scheduler& control,
-                    NetworkConfig config, Rng rng);
+                    NetworkConfig config, Rng rng,
+                    std::size_t nested_threads);
   ~ThreadedTransport() override;
 
   [[nodiscard]] TransportKind kind() const override {
@@ -110,7 +113,6 @@ class ThreadedTransport final : public Transport {
   /// confined to the thread running the site's current step; the inbox is
   /// the MPSC handoff point; the counters are coordinator-written.
   struct SiteState {
-    explicit SiteState(std::size_t queue_capacity) : inbox(queue_capacity) {}
     Scheduler scheduler;
     MpscQueue<Envelope> inbox;
     std::vector<StagedSend> staged;

@@ -9,13 +9,14 @@ namespace dgc {
 
 std::unique_ptr<Transport> CreateTransport(std::size_t site_count,
                                            Scheduler& control,
-                                           NetworkConfig config, Rng rng) {
+                                           NetworkConfig config, Rng rng,
+                                           std::size_t nested_threads) {
   switch (config.transport) {
     case TransportKind::kSim:
       return std::make_unique<SimTransport>(control, std::move(config), rng);
     case TransportKind::kThreaded:
-      return std::make_unique<ThreadedTransport>(site_count, control,
-                                                 std::move(config), rng);
+      return std::make_unique<ThreadedTransport>(
+          site_count, control, std::move(config), rng, nested_threads);
     case TransportKind::kSocket:
       DGC_CHECK_MSG(false,
                     "TransportKind::kSocket runs sites as separate OS "

@@ -41,18 +41,36 @@ struct TransportCounters {
   std::uint64_t staged_sends = 0;     // sends staged on site threads
   std::uint64_t inbox_peak_depth = 0;     // max over all site inboxes
   std::uint64_t inbox_contention = 0;     // lock waits across all inboxes
-  std::uint64_t inbox_overflows = 0;      // pushes past the soft capacity
 };
 
-/// Per-site slice of the same accounting (mirrors into SiteStats).
+auto Counters(Is<TransportCounters> auto& c) {
+  return std::tuple{Counter{"timesteps", c.timesteps},
+                    Counter{"parallel_phases", c.parallel_phases},
+                    Counter{"site_steps", c.site_steps},
+                    Counter{"handoffs", c.handoffs},
+                    Counter{"staged_sends", c.staged_sends},
+                    Counter{"inbox_peak_depth", c.inbox_peak_depth},
+                    Counter{"inbox_contention", c.inbox_contention}};
+}
+static_assert(ListsEveryMember<TransportCounters>());
+
+/// Per-site slice of the same accounting.
 struct SiteTransportCounters {
   std::uint64_t handoffs = 0;
   std::uint64_t staged_sends = 0;
   std::uint64_t steps = 0;
   std::uint64_t queue_peak_depth = 0;
   std::uint64_t queue_contention = 0;
-  std::uint64_t queue_overflows = 0;
 };
+
+auto Counters(Is<SiteTransportCounters> auto& c) {
+  return std::tuple{Counter{"handoffs", c.handoffs},
+                    Counter{"staged_sends", c.staged_sends},
+                    Counter{"steps", c.steps},
+                    Counter{"queue_peak_depth", c.queue_peak_depth},
+                    Counter{"queue_contention", c.queue_contention}};
+}
+static_assert(ListsEveryMember<SiteTransportCounters>());
 
 class Transport {
  public:
@@ -180,9 +198,11 @@ class SimTransport final : public Transport {
 
 /// Builds the backend selected by config.transport. `control` becomes the
 /// control scheduler; `site_count` sizes the threaded backend's per-site
-/// state (ignored by SimTransport).
+/// state and `nested_threads` the per-site nested parallelism its pool
+/// budgets for (System passes mark_threads). SimTransport ignores both.
 std::unique_ptr<Transport> CreateTransport(std::size_t site_count,
                                            Scheduler& control,
-                                           NetworkConfig config, Rng rng);
+                                           NetworkConfig config, Rng rng,
+                                           std::size_t nested_threads);
 
 }  // namespace dgc

@@ -40,7 +40,6 @@
 #pragma once
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <tuple>
 #include <type_traits>
@@ -49,17 +48,9 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/counters.h"
 #include "common/ids.h"
 #include "net/messages.h"
-
-namespace dgc {
-
-/// Matches T and const T, so one field list serves the encoder (which reads
-/// a const record) and the decoder (which fills a mutable one).
-template <class M, class T>
-concept Is = std::same_as<std::remove_const_t<M>, T>;
-
-}  // namespace dgc
 
 namespace dgc::wire {
 

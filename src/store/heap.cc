@@ -135,6 +135,9 @@ bool HeapImage::Restorable(SiteId site) const {
   }
   for (const SlotImage& slot : slots) {
     if (!slot.live && !slot.slots.empty()) return false;
+    if (slot.generation == std::numeric_limits<std::uint32_t>::max()) {
+      return false;  // its next Free would exhaust the generation counter
+    }
   }
   return std::all_of(persistent_roots.begin(), persistent_roots.end(),
                      [&](ObjectId root) { return Holds(site, root); });

@@ -73,7 +73,8 @@ struct HeapImage {
   [[nodiscard]] bool Holds(SiteId site, ObjectId id) const;
   /// What RestoreImage takes on trust: every free slot is in range, dead
   /// and listed once (the next Allocate pops it), every dead slot is empty,
-  /// and every persistent root is live.
+  /// every slot can still be freed without exhausting its generation, and
+  /// every persistent root is live.
   [[nodiscard]] bool Restorable(SiteId site) const;
 };
 

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -764,14 +765,15 @@ SiteSnapshot CaptureSmallSite() {
 }
 
 /// What a replacement site process does with a snapshot it accepted:
-/// restore it into a fresh Site, re-announce the outrefs and allocate, as
-/// the next build operation would.
+/// restore it into a fresh Site, re-announce the outrefs, allocate, as the
+/// next build operation would, and run the next local trace over it all.
 void RestoreIntoFreshSite(const SiteSnapshot& snapshot) {
   SiteAgentTransport agent(snapshot.site, /*failure_detection=*/false);
   Site site(snapshot.site, agent, CollectorConfig{});
   ApplySiteSnapshot(site, snapshot);
   site.ReannounceOutrefs();
   (void)site.heap().Allocate(1);
+  site.StartLocalTrace();
 }
 
 TEST(WireFuzzTest, SnapshotMutantsFailOrRestoreCleanly) {
@@ -868,6 +870,15 @@ TEST(SnapshotRulesTest, DeadSlotHoldingReferencesIsRejected) {
   EXPECT_FALSE(Restores(snapshot));
 }
 
+TEST(SnapshotRulesTest, SlotAtTheLastGenerationIsRejected) {
+  // Restored verbatim, the next Allocate hands this slot out, and the sweep
+  // that frees the object would exhaust the slot's generation counter.
+  SiteSnapshot snapshot = CaptureSmallSite();
+  snapshot.heap.slots[snapshot.heap.free_slots.back()].generation =
+      std::numeric_limits<std::uint32_t>::max();
+  EXPECT_FALSE(Restores(snapshot));
+}
+
 TEST(SnapshotRulesTest, PersistentRootMustNameALiveLocalObject) {
   const SiteSnapshot captured = CaptureSmallSite();
   const ObjectId root = captured.heap.persistent_roots.front();
@@ -899,6 +910,29 @@ TEST(SnapshotRulesTest, UnflaggedInrefMustNameALiveLocalObject) {
   snapshot.inrefs.front().ref = dead;
   snapshot.inrefs.front().garbage_flagged = true;
   EXPECT_TRUE(Restores(snapshot));
+}
+
+TEST(SnapshotRulesTest, LiveSlotMustNotNameADeadLocalObject) {
+  // Restored verbatim, the next local trace reaches the root's slot and asks
+  // the heap for an object it does not hold.
+  const SiteSnapshot captured = CaptureSmallSite();
+  const ObjectId root = captured.heap.persistent_roots.front();
+  SiteSnapshot snapshot = captured;
+  snapshot.heap.slots[Heap::SlotOfIndex(root.index)].slots.push_back(
+      ObjectId{captured.site, FirstDeadSlot(captured) + 1ULL});
+  EXPECT_FALSE(Restores(snapshot));
+}
+
+TEST(SnapshotRulesTest, LiveSlotNamingARemoteObjectNeedsAnOutref) {
+  // Restored verbatim, the next local trace meets a remote reference the
+  // outref table does not list.
+  const SiteSnapshot captured = CaptureSmallSite();
+  SiteSnapshot snapshot = captured;
+  const ObjectId unlisted{captured.site + 1, 1ULL << 20};
+  for (HeapImage::SlotImage& slot : snapshot.heap.slots) {
+    if (slot.live) slot.slots.push_back(unlisted);
+  }
+  EXPECT_FALSE(Restores(snapshot));
 }
 
 TEST(SnapshotRulesTest, InrefSourceMustNameAnotherSite) {
