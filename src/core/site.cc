@@ -632,12 +632,18 @@ void Site::ReannounceOutrefs() {
 }
 
 void Site::ApplyTraceResult(TraceResult result) {
+  // Steps 1 and 2 are merge walks (snapshots and tables are all sorted);
+  // entries created while the trace was in flight are stepped over.
   // 1. Inref cleanliness: overrides drop, except those the transfer barrier
   //    set while this trace was in flight (remembered cleanings, §6.2).
+  auto inref = tables_.inrefs().begin();
   for (const ObjectId obj : result.snapshot_inrefs) {
-    InrefEntry* entry = tables_.FindInref(obj);
-    if (entry == nullptr) continue;
-    if (!window_cleaned_inrefs_.contains(obj)) entry->clean_override = false;
+    while (inref != tables_.inrefs().end() && inref->first < obj) ++inref;
+    if (inref == tables_.inrefs().end()) break;
+    if (inref->first != obj) continue;  // lost its last source meanwhile
+    if (!window_cleaned_inrefs_.contains(obj)) {
+      inref->second.clean_override = false;
+    }
   }
 
   // 2. Outrefs: apply distances and cleanliness; trim the unreached.
@@ -647,23 +653,27 @@ void Site::ApplyTraceResult(TraceResult result) {
       config_.update_refresh_period > 0 &&
       result.epoch % config_.update_refresh_period == 0;
   FlatMap<SiteId, UpdateMsg> updates;
-  for (const ObjectId ref : result.snapshot_outrefs) {
-    OutrefEntry* entry = tables_.FindOutref(ref);
-    DGC_CHECK_MSG(entry != nullptr, "snapshot outref vanished: " << ref);
+  std::vector<ObjectId> trimmed;
+  auto outref = tables_.outrefs().begin();
+  for (const OutrefRecord& record : result.outrefs) {
+    const ObjectId ref = record.ref;
+    while (outref != tables_.outrefs().end() && outref->first < ref) ++outref;
+    DGC_CHECK_MSG(outref != tables_.outrefs().end() && outref->first == ref,
+                  "snapshot outref vanished: " << ref);
+    OutrefEntry* entry = &outref->second;
     const bool window_clean = window_cleaned_outrefs_.contains(ref);
-    if (result.outrefs_untraced.contains(ref)) {
+    if (!record.reached) {
       if (entry->pin_count > 0 || window_clean) {
         // Kept alive by the insert barrier or a mid-trace transfer barrier:
         // stays clean; state untouched until the next trace sees the paths.
         continue;
       }
       updates[ref.site].entries.push_back(UpdateEntry{ref, true, 0});
-      tables_.RemoveOutref(ref);
-      ++stats_.outrefs_trimmed;
+      trimmed.push_back(ref);
       continue;
     }
-    entry->distance = result.outref_distances.at(ref);
-    entry->traced_clean = result.outrefs_clean.contains(ref);
+    entry->distance = record.distance;
+    entry->traced_clean = record.clean;
     if (!window_clean) entry->clean_override = false;
     if (entry->distance != entry->last_reported || full_refresh) {
       updates[ref.site].entries.push_back(
@@ -671,6 +681,8 @@ void Site::ApplyTraceResult(TraceResult result) {
       entry->last_reported = entry->distance;
     }
   }
+  tables_.RemoveOutrefs(trimmed);
+  stats_.outrefs_trimmed += trimmed.size();
 
   // 3. Swap in the new back information and replay remembered barrier
   //    cleanings against it (§6.2).

@@ -4,6 +4,10 @@
 #include <sstream>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "core/parallel_trace.h"
 
 namespace dgc {
@@ -50,6 +54,19 @@ System::System(std::size_t site_count, const CollectorConfig& collector_config,
                                             *transport_, collector_config_));
     sites_.back()->set_worker_pool(site_pool);
   }
+}
+
+System::~System() {
+  // glibc keeps freed pages, so back-to-back worlds would stack their
+  // footprints. Free the world ahead of member destruction, then hand the
+  // pages back past glibc's largest dynamic trim threshold (64 MiB): small
+  // worlds keep theirs for the next one.
+  sites_.clear();
+  transport_.reset();
+#ifdef __GLIBC__
+  constexpr std::size_t kTrimAboveBytes = std::size_t{64} << 20;
+  if (mallinfo2().fordblks > kTrimAboveBytes) malloc_trim(0);
+#endif
 }
 
 ObjectId System::NewObject(SiteId site_id, std::size_t slots) {

@@ -30,6 +30,8 @@ class System {
   System(std::size_t site_count, const CollectorConfig& collector_config = {},
          const NetworkConfig& network_config = {}, std::uint64_t seed = 1);
 
+  ~System();
+
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 

@@ -16,9 +16,8 @@ namespace {
 /// mark suspect objects live for the sweep.
 class SuspectEnv {
  public:
-  SuspectEnv(Heap& heap, const RefTables& tables, std::uint64_t epoch,
-             const TraceResult& result)
-      : heap_(heap), tables_(tables), epoch_(epoch), result_(result) {}
+  SuspectEnv(Heap& heap, std::uint64_t epoch, const TraceResult& result)
+      : heap_(heap), epoch_(epoch), result_(result) {}
 
   [[nodiscard]] bool ObjectIsCleanMarked(ObjectId id) const {
     return heap_.clean_epoch(id) == epoch_;
@@ -28,19 +27,13 @@ class SuspectEnv {
   /// clean phase, or pinned (insert barrier / mutator variable), which makes
   /// it forcibly clean until released.
   [[nodiscard]] bool OutrefIsClean(ObjectId remote_ref) const {
-    if (result_.outrefs_clean.contains(remote_ref)) return true;
-    const OutrefEntry* entry = tables_.FindOutref(remote_ref);
-    DGC_CHECK_MSG(entry != nullptr,
-                  "object holds remote ref " << remote_ref
-                                             << " with no outref");
-    return entry->pin_count > 0;
+    return FindOutrefRecord(result_.outrefs, remote_ref).clean;
   }
 
   void OnSuspectMarked(ObjectId id) { heap_.set_mark_epoch(id, epoch_); }
 
  private:
   Heap& heap_;
-  const RefTables& tables_;
   std::uint64_t epoch_;
   const TraceResult& result_;
 };
@@ -79,10 +72,7 @@ void LocalCollector::MarkCleanFrom(ObjectId root, Distance distance,
       if (target.site != self) {
         // First touch wins the minimum distance because roots are processed
         // in increasing distance order.
-        auto [it, inserted] =
-            result.outref_distances.emplace(target, outref_distance);
-        if (!inserted) it->second = std::min(it->second, outref_distance);
-        result.outrefs_clean.insert(target);
+        FindOutrefRecord(result.outrefs, target).Reach(outref_distance, true);
         continue;
       }
       const Heap::Cell cell = heap_.GetCell(target);
@@ -150,7 +140,7 @@ LocalCollector::ReuseLevel LocalCollector::ClassifyReuse(
 TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
   TraceResult result = cache_.result;
   result.epoch = epoch_;
-  result.outref_distances = cache_.clean_distances;
+  result.outrefs = cache_.clean_outrefs;
   result.stats.objects_retraced = 0;
   result.stats.quiescent_skips = 0;
   // No marking happened this run; the cached trace's schedule-dependent
@@ -175,13 +165,11 @@ TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
   constexpr std::size_t kParallelFoldMin = 16;
   const std::size_t mark_threads = tables_.config().mark_threads;
   if (mark_threads > 1 && pool_ != nullptr && jobs.size() >= kParallelFoldMin) {
-    ParallelFoldOutsets(jobs, *pool_, mark_threads, result.outref_distances);
+    ParallelFoldOutsets(jobs, *pool_, mark_threads, result.outrefs);
   } else {
     for (const auto& [outref_distance, outset] : jobs) {
       for (const ObjectId outref : *outset) {
-        auto [dit, inserted] =
-            result.outref_distances.emplace(outref, outref_distance);
-        if (!inserted) dit->second = std::min(dit->second, outref_distance);
+        FindOutrefRecord(result.outrefs, outref).Reach(outref_distance, false);
       }
     }
   }
@@ -196,11 +184,8 @@ void LocalCollector::CheckEquivalent(const TraceResult& reused,
                 "incremental trace diverged from full trace on site "       \
                     << site << " epoch " << epoch_ << ": field " << #field)
   DGC_DIFF_FIELD(epoch);
-  DGC_DIFF_FIELD(snapshot_outrefs);
+  DGC_DIFF_FIELD(outrefs);
   DGC_DIFF_FIELD(snapshot_inrefs);
-  DGC_DIFF_FIELD(outref_distances);
-  DGC_DIFF_FIELD(outrefs_clean);
-  DGC_DIFF_FIELD(outrefs_untraced);
   DGC_DIFF_FIELD(objects_to_free);
   DGC_DIFF_FIELD(back_info);
 #undef DGC_DIFF_FIELD
@@ -210,7 +195,7 @@ void LocalCollector::InvalidateCache() {
   cache_.valid = false;
   cache_.result = TraceResult{};
   cache_.inputs = TraceInputs{};
-  cache_.clean_distances.clear();
+  cache_.clean_outrefs.clear();
   heap_.InvalidateDirtyTracking();
 }
 
@@ -227,18 +212,17 @@ TraceResult LocalCollector::RunFullTrace(
   // traces, so this is amortised to nothing in steady state).
   mark_stack_.reserve(heap_.object_count());
 
+  result.outrefs.reserve(tables_.outrefs().size());
   for (const auto& [ref, entry] : tables_.outrefs()) {
-    result.snapshot_outrefs.insert(ref);
     // A pinned outref is an application root / insert-barrier retention:
     // clean, distance 1, regardless of whether the heap reaches it.
-    if (entry.pin_count > 0) {
-      result.outref_distances.emplace(ref, 1);
-      result.outrefs_clean.insert(ref);
-    }
+    OutrefRecord& record = result.outrefs.emplace_back(OutrefRecord{ref});
+    if (entry.pin_count > 0) record.Reach(1, /*clean_path=*/true);
   }
+  result.snapshot_inrefs.reserve(tables_.inrefs().size());
   for (const auto& [obj, entry] : tables_.inrefs()) {
     (void)entry;
-    result.snapshot_inrefs.insert(obj);
+    result.snapshot_inrefs.push_back(obj);
   }
 
   // ---- Phase 1: clean marking, roots in increasing distance order. ----
@@ -295,8 +279,8 @@ TraceResult LocalCollector::RunFullTrace(
 
   // The refold reuse level rebuilds distances from this phase-1 base, so
   // capture it before suspect contributions land on top.
-  std::map<ObjectId, Distance> clean_distances;
-  if (inputs_for_cache != nullptr) clean_distances = result.outref_distances;
+  std::vector<OutrefRecord> clean_outrefs;
+  if (inputs_for_cache != nullptr) clean_outrefs = result.outrefs;
 
   // ---- Phase 2: suspected inrefs — bottom-up outset computation (§5.2).
   // store_ persists across traces: recurring outsets intern to their old
@@ -304,7 +288,7 @@ TraceResult LocalCollector::RunFullTrace(
   // accumulates across epochs.
   store_.Reserve(
       static_cast<std::size_t>(ordered_inrefs.end() - clean_limit));
-  SuspectEnv env(heap_, tables_, epoch_, result);
+  SuspectEnv env(heap_, epoch_, result);
   BottomUpOutsetComputer<SuspectEnv> computer(heap_, store_, env);
   for (auto it = clean_limit; it != ordered_inrefs.end(); ++it) {
     const auto [distance, obj] = *it;
@@ -318,9 +302,7 @@ TraceResult LocalCollector::RunFullTrace(
     if (heap_.clean_epoch(obj) == epoch_) continue;
     const Distance outref_distance = NextDistance(distance);
     for (const ObjectId outref : outset) {
-      auto [dit, inserted] =
-          result.outref_distances.emplace(outref, outref_distance);
-      if (!inserted) dit->second = std::min(dit->second, outref_distance);
+      FindOutrefRecord(result.outrefs, outref).Reach(outref_distance, false);
     }
     if (!outset.empty()) {
       result.back_info.inref_outsets.emplace(obj, outset);
@@ -352,7 +334,7 @@ TraceResult LocalCollector::RunFullTrace(
                                     result.stats.objects_marked_suspect;
   }
 
-  // ---- Phase 3: sweep list and untraced outrefs. ----
+  // ---- Phase 3: sweep list (untraced outrefs are the unreached records).
   if (parallel) {
     result.objects_to_free =
         ParallelSweepUnmarked(heap_, *pool_, config.mark_threads, epoch_);
@@ -363,11 +345,6 @@ TraceResult LocalCollector::RunFullTrace(
     });
   }
   result.stats.objects_swept = result.objects_to_free.size();
-  for (const ObjectId ref : result.snapshot_outrefs) {
-    if (!result.outref_distances.contains(ref)) {
-      result.outrefs_untraced.insert(ref);
-    }
-  }
 
   if (inputs_for_cache != nullptr) {
     // This trace observed the whole heap: the dirty sets are consumed, and
@@ -376,7 +353,7 @@ TraceResult LocalCollector::RunFullTrace(
     cache_.valid = true;
     cache_.inputs = *inputs_for_cache;
     cache_.result = result;
-    cache_.clean_distances = std::move(clean_distances);
+    cache_.clean_outrefs = std::move(clean_outrefs);
   }
   return result;
 }
@@ -419,7 +396,7 @@ TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
       }
       cache_.inputs = std::move(inputs);
       cache_.result = result;
-      // clean_distances is unchanged: both reuse levels require an
+      // clean_outrefs is unchanged: both reuse levels require an
       // identical clean phase.
     }
   }

@@ -41,7 +41,6 @@
 // asserts exactly that by running both and comparing.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "backinfo/outset_store.h"
@@ -162,9 +161,9 @@ class LocalCollector {
     bool valid = false;
     TraceInputs inputs;
     TraceResult result;
-    /// outref_distances as of the end of phase 1 (pins + clean marking),
+    /// The outref column as of the end of phase 1 (pins + clean marking),
     /// before suspect contributions — the base the refold starts from.
-    std::map<ObjectId, Distance> clean_distances;
+    std::vector<OutrefRecord> clean_outrefs;
   };
   TraceCache cache_;
 };

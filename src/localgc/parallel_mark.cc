@@ -75,7 +75,7 @@ void ParallelMarker::ScanSlot(WorkerState& ws, std::size_t w,
     if (target.site != site_) {
       // Same first-touch bookkeeping as the sequential mark; the layer's
       // single distance is applied at merge time.
-      ws.outrefs_touched.insert(target);
+      ws.outrefs_touched.push_back(target);
       continue;
     }
     DGC_CHECK_MSG(heap_.Exists(target),
@@ -175,10 +175,7 @@ void ParallelMarker::MarkLayer(const std::vector<ObjectId>& roots,
     result.stats.objects_marked_clean += ws.marked;
     result.stats.edges_scanned_clean += ws.edges;
     for (const ObjectId outref : ws.outrefs_touched) {
-      auto [it, inserted] =
-          result.outref_distances.emplace(outref, outref_distance);
-      if (!inserted) it->second = std::min(it->second, outref_distance);
-      result.outrefs_clean.insert(outref);
+      FindOutrefRecord(result.outrefs, outref).Reach(outref_distance, true);
     }
     stats_.steals += ws.steals;
     stats_.batches_published += ws.published;
@@ -222,30 +219,28 @@ std::vector<ObjectId> ParallelSweepUnmarked(const Heap& heap, WorkerPool& pool,
 
 void ParallelFoldOutsets(
     const std::vector<std::pair<Distance, const std::vector<ObjectId>*>>& jobs,
-    WorkerPool& pool, std::size_t workers, std::map<ObjectId, Distance>& into) {
+    WorkerPool& pool, std::size_t workers, std::vector<OutrefRecord>& into) {
   if (jobs.empty()) return;
   workers = std::max<std::size_t>(1, std::min(workers, jobs.size()));
-  std::vector<std::map<ObjectId, Distance>> parts(workers);
+  std::vector<std::vector<OutrefRecord>> parts(workers, into);
   const std::size_t chunk = (jobs.size() + workers - 1) / workers;
   pool.RunBatch(
       workers,
       [&](std::size_t w) {
         const std::size_t begin = w * chunk;
         const std::size_t end = std::min(jobs.size(), begin + chunk);
-        std::map<ObjectId, Distance>& local = parts[w];
+        std::vector<OutrefRecord>& local = parts[w];
         for (std::size_t j = begin; j < end; ++j) {
           const auto& [distance, outset] = jobs[j];
           for (const ObjectId outref : *outset) {
-            auto [it, inserted] = local.emplace(outref, distance);
-            if (!inserted) it->second = std::min(it->second, distance);
+            FindOutrefRecord(local, outref).Reach(distance, false);
           }
         }
       },
       workers);
-  for (const std::map<ObjectId, Distance>& part : parts) {
-    for (const auto& [outref, distance] : part) {
-      auto [it, inserted] = into.emplace(outref, distance);
-      if (!inserted) it->second = std::min(it->second, distance);
+  for (const std::vector<OutrefRecord>& part : parts) {
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      if (part[i].reached) into[i].Reach(part[i].distance, false);
     }
   }
 }

@@ -25,15 +25,14 @@
 // ParallelSweepUnmarked and ParallelFoldOutsets are the two embarrassingly
 // parallel passes: the sweep partitions slots by slab and splices per-slab
 // reclaim lists back in slot order; the fold partitions suspected-inref
-// outsets and min-merges per-worker distance maps in worker order.
+// outsets and min-merges per-worker copies of the outref column in worker
+// order.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -44,6 +43,7 @@
 
 namespace dgc {
 
+struct OutrefRecord;
 struct TraceResult;
 
 struct ParallelMarkStats {
@@ -83,7 +83,7 @@ class ParallelMarker {
     std::vector<std::vector<std::uint32_t>> open;
     std::vector<std::uint32_t> open_shards;  // shards with a non-empty batch
     /// Per-layer accumulators, merged deterministically after the join.
-    std::set<ObjectId> outrefs_touched;
+    std::vector<ObjectId> outrefs_touched;
     std::uint64_t marked = 0;
     std::uint64_t edges = 0;
     std::uint64_t steals = 0;
@@ -121,11 +121,12 @@ std::vector<ObjectId> ParallelSweepUnmarked(const Heap& heap, WorkerPool& pool,
                                             std::uint64_t epoch);
 
 /// Level-1 incremental reuse, parallel over suspects: folds each job's
-/// outset into `into` at the job's (already NextDistance'd) distance with a
-/// min-merge. Partitioned across `workers`; per-worker maps are merged in
-/// worker order, so the result is independent of scheduling.
+/// outset into the outref column `into` at the job's (already
+/// NextDistance'd) distance with a min-merge. Partitioned across `workers`;
+/// per-worker column copies are merged in worker order, so the result is
+/// independent of scheduling.
 void ParallelFoldOutsets(
     const std::vector<std::pair<Distance, const std::vector<ObjectId>*>>& jobs,
-    WorkerPool& pool, std::size_t workers, std::map<ObjectId, Distance>& into);
+    WorkerPool& pool, std::size_t workers, std::vector<OutrefRecord>& into);
 
 }  // namespace dgc

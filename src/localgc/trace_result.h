@@ -7,13 +7,13 @@
 // cleanings are recorded for replay into this new copy.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "backinfo/outset_store.h"
 #include "backinfo/site_back_info.h"
+#include "common/check.h"
 #include "common/distance.h"
 #include "common/ids.h"
 
@@ -56,23 +56,47 @@ struct LocalTraceStats {
   std::uint64_t quiescent_skips = 0;
 };
 
+/// What one trace learned about one snapshot outref. `reached` is its own
+/// bit because a suspected inref at kDistanceInfinity legitimately reaches
+/// outrefs at infinity: only an unreached outref is trimmed.
+struct OutrefRecord {
+  ObjectId ref;
+  bool reached = false;  // by a pin, a root, or any inref
+  bool clean = false;    // pinned, or reached from a root or clean inref
+  Distance distance = kDistanceInfinity;  // minimum over reaching paths
+
+  /// Folds in one path to the outref; `clean_path` when it starts at a
+  /// pin, a root or a clean inref.
+  void Reach(Distance d, bool clean_path) {
+    reached = true;
+    clean = clean || clean_path;
+    distance = std::min(distance, d);
+  }
+  friend bool operator==(const OutrefRecord&, const OutrefRecord&) = default;
+};
+
+/// Binary search of a column sorted by ref. Every remote ref a heap object
+/// holds has an outref, so a miss is an invariant violation.
+template <typename Column>
+auto& FindOutrefRecord(Column& column, ObjectId ref) {
+  const auto it = std::lower_bound(
+      column.begin(), column.end(), ref,
+      [](const OutrefRecord& record, ObjectId id) { return record.ref < id; });
+  DGC_CHECK_MSG(it != column.end() && it->ref == ref,
+                "object holds remote ref " << ref << " with no outref");
+  return *it;
+}
+
 struct TraceResult {
   std::uint64_t epoch = 0;
 
-  /// Outrefs that existed when the trace started (apply only touches these;
-  /// outrefs created mid-trace keep their fresh clean state untouched).
-  std::set<ObjectId> snapshot_outrefs;
-  std::set<ObjectId> snapshot_inrefs;
-
-  /// New distance per surviving (reached) outref.
-  std::map<ObjectId, Distance> outref_distances;
-
-  /// Outrefs reached from a root or clean inref ("traced clean").
-  std::set<ObjectId> outrefs_clean;
-
-  /// Snapshot outrefs reached by no trace: to be dropped at apply time
-  /// (unless pinned or barrier-cleaned meanwhile).
-  std::set<ObjectId> outrefs_untraced;
+  /// One record per outref that existed when the trace started, in
+  /// outref-table order. Apply touches only these; outrefs created mid-trace
+  /// keep their fresh clean state. Unreached records are trimmed at apply
+  /// time unless pinned or barrier-cleaned meanwhile.
+  std::vector<OutrefRecord> outrefs;
+  /// Inrefs that existed when the trace started, in inref-table order.
+  std::vector<ObjectId> snapshot_inrefs;
 
   /// Objects unreachable at the start of the trace, to be swept at apply.
   std::vector<ObjectId> objects_to_free;

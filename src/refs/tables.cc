@@ -69,13 +69,23 @@ std::pair<OutrefEntry*, bool> RefTables::EnsureOutref(ObjectId remote_ref) {
   return {&it->second, created};
 }
 
-void RefTables::RemoveOutref(ObjectId remote_ref) {
-  const auto it = outrefs_.find(remote_ref);
-  DGC_CHECK_MSG(it != outrefs_.end(), "no outref " << remote_ref);
-  DGC_CHECK_MSG(it->second.pin_count == 0,
-                "removing pinned outref " << remote_ref);
-  outrefs_.erase(it);
-  ++mutation_count_;
+void RefTables::RemoveOutrefs(const std::vector<ObjectId>& sorted_refs) {
+  if (sorted_refs.empty()) return;
+  for (const ObjectId ref : sorted_refs) {  // every check before any move
+    const OutrefEntry* entry = FindOutref(ref);
+    DGC_CHECK_MSG(entry != nullptr, "no outref " << ref);
+    DGC_CHECK_MSG(entry->pin_count == 0, "removing pinned outref " << ref);
+  }
+  auto next = sorted_refs.begin();
+  const std::size_t removed =
+      outrefs_.erase_if([&](const OutrefMap::value_type& entry) {
+        if (next == sorted_refs.end() || entry.first != *next) return false;
+        ++next;
+        return true;
+      });
+  DGC_CHECK_MSG(removed == sorted_refs.size(),
+                "outrefs to remove must be sorted and distinct");
+  mutation_count_ += removed;
 }
 
 }  // namespace dgc

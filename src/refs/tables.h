@@ -182,7 +182,11 @@ class RefTables {
   /// Creates the outref if absent and returns (entry, created).
   std::pair<OutrefEntry*, bool> EnsureOutref(ObjectId remote_ref);
 
-  void RemoveOutref(ObjectId remote_ref);
+  void RemoveOutref(ObjectId remote_ref) { RemoveOutrefs({remote_ref}); }
+
+  /// Removes every ref of `sorted_refs` (ascending, distinct) in one
+  /// compaction pass. Each must exist and be unpinned.
+  void RemoveOutrefs(const std::vector<ObjectId>& sorted_refs);
 
   [[nodiscard]] const OutrefMap& outrefs() const { return outrefs_; }
   [[nodiscard]] OutrefMap& outrefs() { return outrefs_; }

@@ -42,8 +42,9 @@ void Heap::SetSlot(ObjectId id, std::size_t slot, ObjectId target) {
   ++mutation_epoch_;
   MarkDirtySlot(SlotOf(id.index));
   // The severed edge may have been the old target's last retainer; dirty it
-  // so a partial re-trace revisits its region. (Remote old targets are the
-  // ref tables' problem — RemoveOutref marks the site dirty there.)
+  // so a partial re-trace revisits its region. (A remote old target marks
+  // nothing dirty: when its outref is trimmed, the changed
+  // TraceInputs::outrefs forces the next incremental trace to be full.)
   if (previous != kInvalidObject && Exists(previous)) {
     MarkDirtySlot(SlotOf(previous.index));
   }

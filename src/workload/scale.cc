@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -37,6 +38,10 @@ ScaleTopologyPlan BuildScaleTopology(const ScaleTopologySpec& spec) {
   const auto sites = static_cast<std::uint32_t>(spec.sites);
   const auto per_site = static_cast<std::uint32_t>(spec.objects_per_site);
 
+  // Reserved whole: growing it would leave its step buffers resident in
+  // the allocator, on top of the next world built in the same process.
+  plan.edges.reserve(spec.sites * spec.objects_per_site *
+                     spec.slots_per_object);
   for (std::uint32_t from_site = 0; from_site < sites; ++from_site) {
     for (std::uint32_t ordinal = 0; ordinal < per_site; ++ordinal) {
       for (std::uint32_t slot = 0; slot < spec.slots_per_object; ++slot) {
@@ -55,6 +60,16 @@ ScaleTopologyPlan BuildScaleTopology(const ScaleTopologySpec& spec) {
       }
     }
   }
+  // Target order makes every ref-table insert while wiring an append: both
+  // tables are keyed by target and an inref's sources by source site. Each
+  // (source, slot) is wired once, so the order cannot change the world.
+  std::sort(plan.edges.begin(), plan.edges.end(),
+            [](const PlannedEdge& a, const PlannedEdge& b) {
+              return std::tie(a.to_site, a.to_ordinal, a.from_site,
+                              a.from_ordinal, a.slot) <
+                     std::tie(b.to_site, b.to_ordinal, b.from_site,
+                              b.from_ordinal, b.slot);
+            });
 
   const auto rooted = static_cast<std::uint32_t>(
       spec.rooted_fraction * static_cast<double>(per_site));

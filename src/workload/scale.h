@@ -79,7 +79,7 @@ struct PlannedRoot {
 
 struct ScaleTopologyPlan {
   ScaleTopologySpec spec;
-  std::vector<PlannedEdge> edges;
+  std::vector<PlannedEdge> edges;  // in target order, then source order
   std::vector<PlannedRoot> roots;
 };
 

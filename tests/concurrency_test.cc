@@ -9,6 +9,7 @@
 #include "core/parallel_trace.h"
 #include "core/system.h"
 #include "mutator/session.h"
+#include "trace_dump.h"
 #include "workload/builders.h"
 #include "workload/figures.h"
 
@@ -377,45 +378,6 @@ TEST_P(Figure5Plus6, MutationRaceNeverKillsLiveObjects) {
 INSTANTIATE_TEST_SUITE_P(Fig5AndFig6, Figure5Plus6, ::testing::Bool());
 
 // --- Parallel per-site trace computation -----------------------------------
-
-// Serializes every semantic field of a TraceResult (everything except the
-// wall-clock timing, which legitimately varies run to run). Two results are
-// "byte-identical" when these dumps match.
-std::string DumpTraceResult(const TraceResult& r) {
-  std::ostringstream os;
-  os << "epoch " << r.epoch << '\n';
-  os << "snapshot_outrefs";
-  for (const ObjectId id : r.snapshot_outrefs) os << ' ' << id;
-  os << "\nsnapshot_inrefs";
-  for (const ObjectId id : r.snapshot_inrefs) os << ' ' << id;
-  os << "\noutref_distances";
-  for (const auto& [id, d] : r.outref_distances) os << ' ' << id << '=' << d;
-  os << "\noutrefs_clean";
-  for (const ObjectId id : r.outrefs_clean) os << ' ' << id;
-  os << "\noutrefs_untraced";
-  for (const ObjectId id : r.outrefs_untraced) os << ' ' << id;
-  os << "\nobjects_to_free";
-  for (const ObjectId id : r.objects_to_free) os << ' ' << id;
-  os << "\ninref_outsets";
-  for (const auto& [inref, outset] : r.back_info.inref_outsets) {
-    os << ' ' << inref << ":[";
-    for (const ObjectId out : outset) os << out << ' ';
-    os << ']';
-  }
-  os << "\noutref_insets";
-  for (const auto& [outref, inset] : r.back_info.outref_insets) {
-    os << ' ' << outref << ":[";
-    for (const ObjectId in : inset) os << in << ' ';
-    os << ']';
-  }
-  os << "\nstats " << r.stats.objects_marked_clean << ' '
-     << r.stats.objects_marked_suspect << ' ' << r.stats.objects_swept << ' '
-     << r.stats.edges_scanned_clean << ' ' << r.stats.suspect_objects_traced
-     << ' ' << r.stats.suspect_edges_scanned << ' '
-     << r.stats.suspected_inrefs << ' ' << r.stats.suspected_outrefs << ' '
-     << r.stats.distinct_outsets << ' ' << r.stats.back_info_elements << '\n';
-  return os.str();
-}
 
 // Builds the shared world used by the determinism checks: a suspected
 // 4-site ring plus per-site live trees, ripened so that local traces

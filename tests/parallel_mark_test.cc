@@ -16,49 +16,11 @@
 #include "common/worker_pool.h"
 #include "core/parallel_trace.h"
 #include "core/system.h"
+#include "trace_dump.h"
 #include "workload/builders.h"
 
 namespace dgc {
 namespace {
-
-// Serializes every semantic field of a TraceResult. Wall times and the
-// work-stealing schedule counters (mark_steals, mark_batches) legitimately
-// vary run to run and are excluded; everything else must be bit-identical
-// at any thread count.
-std::string DumpTraceResult(const TraceResult& r) {
-  std::ostringstream os;
-  os << "epoch " << r.epoch << '\n';
-  os << "snapshot_outrefs";
-  for (const ObjectId id : r.snapshot_outrefs) os << ' ' << id;
-  os << "\nsnapshot_inrefs";
-  for (const ObjectId id : r.snapshot_inrefs) os << ' ' << id;
-  os << "\noutref_distances";
-  for (const auto& [id, d] : r.outref_distances) os << ' ' << id << '=' << d;
-  os << "\noutrefs_clean";
-  for (const ObjectId id : r.outrefs_clean) os << ' ' << id;
-  os << "\noutrefs_untraced";
-  for (const ObjectId id : r.outrefs_untraced) os << ' ' << id;
-  os << "\nobjects_to_free";
-  for (const ObjectId id : r.objects_to_free) os << ' ' << id;
-  os << "\ninref_outsets";
-  for (const auto& [inref, outset] : r.back_info.inref_outsets) {
-    os << ' ' << inref << ":[";
-    for (const ObjectId out : outset) os << out << ' ';
-    os << ']';
-  }
-  os << "\noutref_insets";
-  for (const auto& [outref, inset] : r.back_info.outref_insets) {
-    os << ' ' << outref << ":[";
-    for (const ObjectId in : inset) os << in << ' ';
-    os << ']';
-  }
-  os << "\nstats " << r.stats.objects_marked_clean << ' '
-     << r.stats.objects_marked_suspect << ' ' << r.stats.objects_swept << ' '
-     << r.stats.edges_scanned_clean << ' ' << r.stats.suspect_objects_traced
-     << ' ' << r.stats.suspect_edges_scanned << ' '
-     << r.stats.suspected_inrefs << ' ' << r.stats.suspected_outrefs << '\n';
-  return os.str();
-}
 
 struct RunFingerprint {
   std::vector<std::string> trace_dumps;  // one final trace per site

@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <sstream>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/latency_reservoir.h"
@@ -101,6 +104,58 @@ TEST(ScaleTopologyTest, InstantiationMatchesThePlan) {
   }
   EXPECT_TRUE(system.CheckReferentialIntegrity().empty())
       << system.CheckReferentialIntegrity();
+}
+
+// Every ref-table entry (inref sources included) and every heap slot.
+std::string DumpWorld(System& system,
+                      const std::vector<std::vector<ObjectId>>& ids) {
+  std::ostringstream os;
+  for (SiteId s = 0; s < system.site_count(); ++s) {
+    const Site& site = system.site(s);
+    os << "site " << s << "\noutrefs";
+    for (const auto& [ref, e] : site.tables().outrefs()) {
+      os << ' ' << ref << ':' << e.distance << ',' << e.traced_clean << ','
+         << e.clean_override << ',' << e.pin_count << ',' << e.last_reported
+         << ',' << e.back_threshold;
+    }
+    os << "\ninrefs";
+    for (const auto& [obj, e] : site.tables().inrefs()) {
+      os << ' ' << obj << ':' << e.garbage_flagged << ',' << e.clean_override
+         << ',' << e.back_threshold << '[';
+      for (const auto& [source, info] : e.sources) {
+        os << source << '=' << info.distance << '@' << info.refreshed_at
+           << ' ';
+      }
+      os << ']';
+    }
+    os << "\nslots";
+    for (const ObjectId id : ids[s]) {
+      for (std::size_t slot = 0; slot < site.heap().Get(id).slots.size();
+           ++slot) {
+        os << ' ' << site.heap().GetSlot(id, slot);
+      }
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(ScaleTopologyTest, WiringOrderDoesNotChangeTheWorld) {
+  // The plan is emitted in target order so that wiring appends to the ref
+  // tables; any other order must build the same world.
+  const auto spec = SmallSpec(5);
+  const auto plan = workload::BuildScaleTopology(spec);
+  auto shuffled = plan;
+  Rng rng(11);
+  for (std::size_t i = shuffled.edges.size(); i > 1; --i) {
+    std::swap(shuffled.edges[i - 1], shuffled.edges[rng.NextBelow(i)]);
+  }
+  ASSERT_NE(shuffled.edges, plan.edges);
+  System in_order(spec.sites, CollectorConfig{});
+  System reordered(spec.sites, CollectorConfig{});
+  const auto ids = workload::InstantiateScaleTopology(in_order, plan);
+  ASSERT_EQ(workload::InstantiateScaleTopology(reordered, shuffled), ids);
+  EXPECT_EQ(DumpWorld(in_order, ids), DumpWorld(reordered, ids));
 }
 
 // --- Latency reservoir ------------------------------------------------------

@@ -241,5 +241,76 @@ TEST(SiteProtocolTest, WireLocalTargetTouchesNoTables) {
   EXPECT_TRUE(system.site(0).tables().inrefs().empty());
 }
 
+// --- Applying a trace result ------------------------------------------------
+
+TEST(SiteTraceApplyTest, OutrefReachedOnlyAtInfinityIsKept) {
+  // The holder's only root is an inref whose sole source reports infinity.
+  // The suspect phase still reaches the holder's outref, at infinity, and a
+  // reached outref is kept: "untraced" is not the same as distance infinity.
+  System system(3, Config());
+  const ObjectId target = system.NewObject(2, 0);
+  workload::TetherToRoot(system, target, 2);
+  const ObjectId holder = system.NewObject(0, 1);
+  system.Wire(holder, 0, target);
+  Site& site = system.site(0);
+  site.tables().AddInrefSource(holder, 1, kDistanceInfinity);
+  site.StartLocalTrace();
+  const OutrefEntry* outref = site.tables().FindOutref(target);
+  ASSERT_NE(outref, nullptr);
+  EXPECT_EQ(outref->distance, kDistanceInfinity);
+  EXPECT_FALSE(outref->traced_clean);
+  EXPECT_TRUE(system.ObjectExists(holder));
+  EXPECT_EQ(site.stats().outrefs_trimmed, 0u);
+  EXPECT_EQ(site.stats().update_entries_sent, 0u);  // no removal entry
+}
+
+TEST(SiteTraceApplyTest, ApplyWalksTablesThatChangedMidTrace) {
+  CollectorConfig config = Config();
+  // Applies 7 ticks after computing: before the case-4 insert's ack, which
+  // needs two hops of the default latency 5.
+  config.local_trace_duration = 7;
+  System system(3, config);
+  const ObjectId dropped = system.NewObject(1, 0);
+  const ObjectId cleaned = system.NewObject(2, 0);
+  const ObjectId fresh = system.NewObject(2, 0);
+  for (const ObjectId id : {dropped, cleaned, fresh}) {
+    workload::TetherToRoot(system, id, id.site);
+  }
+  // Site 0: an object held only by an inref, and two unreachable holders
+  // whose outrefs no trace reaches.
+  Site& site = system.site(0);
+  const ObjectId inrefd = system.NewObject(0, 0);
+  site.tables().AddInrefSource(inrefd, 1, 1);
+  system.Wire(system.NewObject(0, 1), 0, dropped);
+  system.Wire(system.NewObject(0, 1), 0, cleaned);
+
+  site.StartLocalTrace();
+  ASSERT_TRUE(site.trace_in_flight());
+  // Mid-trace: the snapshot inref loses its last source, a received
+  // reference creates an outref outside the snapshot (case 4), and another
+  // receipt barrier-cleans one unreached snapshot outref (case 3).
+  EXPECT_TRUE(site.tables().RemoveInrefSource(inrefd, 1));
+  site.ReceiveReference(fresh, [] {});
+  site.ReceiveReference(cleaned, [] {});
+  system.scheduler().RunUntil(system.now() + 7);
+  ASSERT_FALSE(site.trace_in_flight());
+
+  EXPECT_EQ(site.tables().FindInref(inrefd), nullptr);
+  const OutrefEntry* created = site.tables().FindOutref(fresh);
+  ASSERT_NE(created, nullptr);
+  EXPECT_EQ(created->distance, 1u);
+  EXPECT_EQ(created->pin_count, 1);
+  EXPECT_TRUE(created->clean_override);
+  EXPECT_EQ(site.tables().FindOutref(dropped), nullptr);
+  EXPECT_EQ(site.stats().outrefs_trimmed, 1u);
+  EXPECT_EQ(site.stats().updates_sent, 1u);
+  EXPECT_EQ(site.stats().update_entries_sent, 1u);  // the one removal
+  const OutrefEntry* kept = site.tables().FindOutref(cleaned);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_TRUE(kept->clean_override);
+  system.SettleNetwork();  // the removal reached the only source's owner
+  EXPECT_EQ(system.site(1).tables().FindInref(dropped), nullptr);
+}
+
 }  // namespace
 }  // namespace dgc
