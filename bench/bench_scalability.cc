@@ -8,10 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "core/parallel_trace.h"
 
 namespace {
 
@@ -74,55 +72,6 @@ BENCHMARK(BM_Scale_CycleSizeFixedSystem)
     ->Arg(4)
     ->Arg(8)
     ->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-// Parallel local tracing: the paper's locality property makes each site's
-// trace an independent computation, so a round's compute phase can fan out
-// across a thread pool. Fixed total work (8 sites x ~12.5k objects), swept
-// over the pool size. On a single hardware thread the Arg(2)/Arg(4) rows
-// only measure scheduling overhead; on multi-core hosts they show the
-// speedup, and objects_per_sec is the comparable figure either way.
-void BM_Scale_TraceThreads(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kSites = 8;
-  constexpr std::size_t kObjectsPerSite = 12'500;
-
-  CollectorConfig config = dgc::bench::DefaultConfig();
-  System system(kSites, config);
-  for (SiteId s = 0; s < kSites; ++s) {
-    const ObjectId root = system.NewObject(s, kObjectsPerSite);
-    system.SetPersistentRoot(root);
-    for (std::size_t i = 0; i < kObjectsPerSite; ++i) {
-      system.Wire(root, i, system.NewObject(s, 0));
-    }
-  }
-
-  std::vector<Site*> sites;
-  for (SiteId s = 0; s < kSites; ++s) sites.push_back(&system.site(s));
-
-  ParallelTraceExecutor executor(threads);
-  std::uint64_t marked_total = 0;
-  for (auto _ : state) {
-    std::vector<TraceResult> results = executor.ComputeAll(sites);
-    std::uint64_t marked = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      marked += results[i].stats.objects_marked_clean +
-                results[i].stats.objects_marked_suspect;
-      // Commit so the next iteration starts from a trace-complete state.
-      sites[i]->CommitLocalTrace(std::move(results[i]));
-    }
-    marked_total += marked;
-    benchmark::DoNotOptimize(marked);
-  }
-  state.counters["trace_threads"] = static_cast<double>(threads);
-  state.counters["sites"] = static_cast<double>(kSites);
-  state.counters["objects_per_sec"] = benchmark::Counter(
-      static_cast<double>(marked_total), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Scale_TraceThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,7 +1,7 @@
 // dgcsim — command-line driver for the simulated world.
 //
 //   dgcsim [--sites N] [--cycle W[xK]] [--hypertext D] [--churn STEPS]
-//          [--rounds R] [--threshold D] [--crash S] [--batch W]
+//          [--rounds R] [--threshold D] [--crash S] [--batch W] [--seed S]
 //          [--transport sim|threaded|socket] [--transport-threads N]
 //          [--dump] [--dot] [--csv]
 //   dgcsim --role site --site N --socket PATH [--snapshot PATH]
@@ -12,9 +12,10 @@
 // Under --transport socket every site is its own OS process: the
 // coordinator re-execs this binary with `--role site`, and the site role
 // runs the frame loop in net/site_host.h against the coordinator's
-// Unix-domain socket. The site role is spawned by the supervisor — users
-// never type it — but it is a plain CLI so `ps` output and core dumps
-// read sensibly.
+// Unix-domain socket. --batch, --hypertext, --dump, --dot and --csv need the
+// in-process world and are rejected there (exit 2). The site role is spawned
+// by the supervisor — users never type it — but it is a plain CLI so `ps`
+// output and core dumps read sensibly.
 //
 // Examples:
 //   dgcsim --sites 4 --cycle 3x2 --rounds 20 --dump
@@ -48,10 +49,9 @@ int Usage(const char* argv0) {
                "[--churn STEPS]\n"
                "          [--rounds R] [--threshold D] [--crash S] "
                "[--batch W] [--seed S]\n"
-               "          [--mark-threads N] [--trace-threads N]\n"
                "          [--transport sim|threaded|socket] "
                "[--transport-threads N]\n"
-               "          [--dump] [--dot]\n"
+               "          [--dump] [--dot] [--csv]\n"
                "       %s --role site --site N --socket PATH "
                "[--snapshot PATH]\n"
                "  --transport threaded runs each site on its own thread;\n"
@@ -232,8 +232,6 @@ int main(int argc, char** argv) {
   Distance threshold = 2;
   int crash_site = -1;
   SimTime batch_window = 0;
-  std::size_t mark_threads = 1;
-  std::size_t trace_threads = 1;
   std::uint64_t seed = 42;
   bool dump = false, dot = false, csv = false;
   TransportKind transport = TransportKind::kSim;
@@ -266,10 +264,6 @@ int main(int argc, char** argv) {
       crash_site = std::atoi(next());
     } else if (arg == "--batch") {
       batch_window = std::strtoll(next(), nullptr, 10);
-    } else if (arg == "--mark-threads") {
-      mark_threads = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--trace-threads") {
-      trace_threads = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--seed") {
       seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--transport") {
@@ -301,9 +295,9 @@ int main(int argc, char** argv) {
   }
   if (sites < 1 || (cycle_sites > sites)) return Usage(argv[0]);
   if (transport == TransportKind::kSocket) {
-    if (hypertext_docs > 0 || dump || dot || csv) {
+    if (batch_window > 0 || hypertext_docs > 0 || dump || dot || csv) {
       std::fprintf(stderr,
-                   "dgcsim: --hypertext/--dump/--dot/--csv need the "
+                   "dgcsim: --batch/--hypertext/--dump/--dot/--csv need the "
                    "in-process world; use --transport sim or threaded\n");
       return 2;
     }
@@ -318,8 +312,6 @@ int main(int argc, char** argv) {
       static_cast<Distance>(cycle_sites > 0 ? cycle_sites + 2 : 8);
   config.back_call_timeout = crash_site >= 0 ? 300 : 0;
   config.report_timeout = crash_site >= 0 ? 3000 : 0;
-  config.mark_threads = mark_threads > 0 ? mark_threads : 1;
-  config.trace_threads = trace_threads > 0 ? trace_threads : 1;
   NetworkConfig net;
   net.batch_window = batch_window;
   net.transport = transport;

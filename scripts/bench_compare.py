@@ -4,7 +4,6 @@
 Usage:
     bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
     bench_compare.py --check-fault-recovery BENCH_fault_recovery.json
-    bench_compare.py --check-parallel-mark BENCH_parallel_mark.json
     bench_compare.py --check-scale BENCH_scale.json
     bench_compare.py --check-transport BENCH_transport.json
     bench_compare.py --self-test
@@ -35,14 +34,6 @@ show retransmit_overhead <= 0.01 (the reliable machinery is nearly free on a
 clean network), and lossy rows must show collected == 1 with
 ttc_ratio_vs_lossless <= 5.0 (collection stays finite and within 5x of the
 lossless twin run).
-
-``--check-parallel-mark`` gates a single BENCH_parallel_mark.json against
-its own mark_threads == 1 row: every multi-thread row must reach at least
-half the single-thread throughput (parallel overhead must never halve the
-mark), and — only when the host has at least as many cores as the row used
-threads (the host_cpus counter) — at least 0.35x-per-thread speedup (e.g.
-2.8x at 8 threads). On smaller hosts the speedup leg prints SKIP: it is
-physically impossible there, not a regression, and it is not a pass either.
 
 ``--check-scale`` gates a single BENCH_scale.json on absolute bounds: every
 open-loop row must show the collector keeping up with the arrival rate
@@ -258,78 +249,6 @@ def _legs_summary(legs):
             f"{legs['skipped']} skipped")
 
 
-# --- parallel-mark absolute gate --------------------------------------------
-
-# A multi-thread mark may never fall below this fraction of the sequential
-# throughput, on any host — that would mean the work-stealing machinery costs
-# more than it can ever win back.
-MIN_PARALLEL_MARK_FLOOR = 0.5
-# Required speedup per thread when the host actually has the cores: 0.35x per
-# thread is a loose floor (2.8x at 8 threads) that still catches a mark that
-# stopped scaling entirely.
-MIN_SPEEDUP_PER_THREAD = 0.35
-
-
-def check_parallel_mark(path):
-    """Gate BENCH_parallel_mark.json rows against their own 1-thread row.
-
-    The mark_threads == 1 row runs the untouched sequential collector, so
-    speedup_vs_1 here is speedup against the seed code path.
-    """
-    rows = load_benchmarks(path)
-    threaded = {}
-    for name in sorted(rows):
-        row = rows[name]
-        if "mark_threads" not in row or "objects_per_sec" not in row:
-            continue
-        threaded[int(float(row["mark_threads"]))] = (name, row)
-    if not threaded:
-        _die(f"error: {path} has no rows with mark_threads/objects_per_sec "
-             "counters (not a parallel-mark benchmark file?)")
-    if 1 not in threaded:
-        _die(f"error: {path} has no mark_threads == 1 baseline row")
-    base_rate = float(threaded[1][1]["objects_per_sec"])
-    if base_rate <= 0:
-        _die(f"error: {path} baseline row has no positive objects_per_sec")
-
-    failures = []
-    legs = collections.Counter()
-    for threads in sorted(threaded):
-        name, row = threaded[threads]
-        rate = float(row["objects_per_sec"])
-        host_cpus = float(row.get("host_cpus", 0.0))
-        speedup = rate / base_rate
-        if threads == 1:
-            print(f"{'ok':>10}  {name}: 1-thread baseline "
-                  f"{rate:.4g} objects/sec")
-            continue
-        if speedup < MIN_PARALLEL_MARK_FLOOR:
-            print(f"{'FAIL':>10}  {name}: speedup_vs_1 {speedup:.2f} below "
-                  f"the {MIN_PARALLEL_MARK_FLOOR} overhead floor")
-            failures.append(f"{name} (overhead floor)")
-            continue
-        required = MIN_SPEEDUP_PER_THREAD * threads
-        if _cpu_leg(legs, host_cpus, threads):
-            ok = speedup >= required
-            print(f"{'ok' if ok else 'FAIL':>10}  {name}: speedup_vs_1 "
-                  f"{speedup:.2f} (need {required:.2f} on "
-                  f"{host_cpus:.0f} cpus)")
-            if not ok:
-                failures.append(f"{name} (speedup)")
-        else:
-            _print_skip(name, f"speedup_vs_1 {speedup:.2f}", host_cpus,
-                        threads)
-    if failures:
-        print(f"\n{len(failures)} parallel-mark bound(s) violated "
-              f"({_legs_summary(legs)}):")
-        for name in failures:
-            print(f"  {name}")
-        return 1
-    print(f"\nall parallel-mark bounds hold across {len(threaded)} row(s); "
-          f"{_legs_summary(legs)}")
-    return 0
-
-
 # Scale-engine bounds (BENCH_scale.json). The open-loop counters are purely
 # simulated (deterministic for a given seed), so absolute bounds are stable
 # across hosts; only the flat-vs-map ratio involves wall time, and it gets a
@@ -535,20 +454,6 @@ _FIXTURE_BASE = {
     ]
 }
 
-_FIXTURE_PARALLEL_MARK = {
-    "benchmarks": [
-        {"name": "BM_ParallelMark_Throughput/1", "run_type": "iteration",
-         "real_time": 8.0, "mark_threads": 1.0, "host_cpus": 16.0,
-         "objects_per_sec": 50e6},
-        {"name": "BM_ParallelMark_Throughput/2", "run_type": "iteration",
-         "real_time": 4.5, "mark_threads": 2.0, "host_cpus": 16.0,
-         "objects_per_sec": 90e6},
-        {"name": "BM_ParallelMark_Throughput/8", "run_type": "iteration",
-         "real_time": 1.6, "mark_threads": 8.0, "host_cpus": 16.0,
-         "objects_per_sec": 250e6},
-    ]
-}
-
 _FIXTURE_SCALE = {
     "benchmarks": [
         {"name": "BM_Scale_OpenLoop/10/2000/iterations:1",
@@ -706,37 +611,6 @@ def _self_test():
     crawl["benchmarks"][1]["ttc_ratio_vs_lossless"] = 7.5
     assert check_with(crawl) == 1, "5x time-to-collect blowup must fail"
 
-    def mark_with(fixture):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "mark.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(fixture, fh)
-            return check_parallel_mark(path)
-
-    # Parallel-mark bounds: the scaling fixture passes.
-    assert mark_with(copy.deepcopy(_FIXTURE_PARALLEL_MARK)) == 0, \
-        "scaling parallel-mark run must pass"
-
-    # A multi-thread mark slower than half the sequential one fails anywhere.
-    heavy = copy.deepcopy(_FIXTURE_PARALLEL_MARK)
-    heavy["benchmarks"][2]["objects_per_sec"] = 20e6
-    assert mark_with(heavy) == 1, "parallel overhead floor must fail"
-
-    # Insufficient speedup with enough cores fails...
-    flat = copy.deepcopy(_FIXTURE_PARALLEL_MARK)
-    flat["benchmarks"][2]["objects_per_sec"] = 60e6  # 1.2x on 16 cpus
-    assert mark_with(flat) == 1, "non-scaling mark on a big host must fail"
-
-    # ...but the same throughput on a single-core host is not gated: both
-    # multi-thread speedup legs print SKIP and count as skipped, not gated.
-    small_host = copy.deepcopy(flat)
-    for row in small_host["benchmarks"]:
-        row["host_cpus"] = 1.0
-    code, skips, out = captured(mark_with, small_host)
-    assert code == 0, "speedup must not be gated without the cores"
-    assert skips == 2, f"1-cpu parallel-mark run must print 2 SKIPs:\n{out}"
-    assert "0 CPU-gated leg(s) gated, 2 skipped" in out, out
-
     def scale_with(fixture):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "scale.json")
@@ -854,7 +728,6 @@ def _self_test():
     assert not os.path.exists(missing)
     expect_clean_exit(run_compare, missing, missing, 0.10)
     expect_clean_exit(check_fault_recovery, missing)
-    expect_clean_exit(check_parallel_mark, missing)
     expect_clean_exit(check_scale, missing)
     expect_clean_exit(check_transport, missing)
 
@@ -885,9 +758,6 @@ def main(argv=None):
     parser.add_argument("--check-fault-recovery", metavar="FILE",
                         help="gate a BENCH_fault_recovery.json on absolute "
                              "bounds (no baseline needed)")
-    parser.add_argument("--check-parallel-mark", metavar="FILE",
-                        help="gate a BENCH_parallel_mark.json against its own "
-                             "1-thread row (no baseline needed)")
     parser.add_argument("--check-scale", metavar="FILE",
                         help="gate a BENCH_scale.json on absolute open-loop "
                              "and flat-table bounds (no baseline needed)")
@@ -901,8 +771,6 @@ def main(argv=None):
         return _self_test()
     if args.check_fault_recovery:
         return check_fault_recovery(args.check_fault_recovery)
-    if args.check_parallel_mark:
-        return check_parallel_mark(args.check_parallel_mark)
     if args.check_scale:
         return check_scale(args.check_scale)
     if args.check_transport:

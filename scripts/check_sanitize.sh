@@ -2,11 +2,10 @@
 # Builds the tree with a sanitizer in a separate build directory and runs the
 # test suite under it. Slab recycling, flat visit records, and the message
 # batching paths all juggle raw slots and ids — ASan + UBSan is the cheap way
-# to prove none of them touch freed or uninitialized memory. The work-stealing
-# mark, the shared worker pool, the parallel trace executor, and the threaded
-# transport's per-site threads add real multithreading — TSan is the cheap way
-# to prove the claim protocol, the deque handoffs, and the MPSC inbox queues
-# are race-free.
+# to prove none of them touch freed or uninitialized memory. The threaded
+# transport's per-site threads, on its worker pool, are the one source of
+# real multithreading — TSan is the cheap way to prove the pool's batch
+# protocol and the MPSC inbox queues are race-free.
 #
 # Usage:
 #   check_sanitize.sh             # ASan+UBSan, full suite (includes chaos and
@@ -28,15 +27,13 @@
 #                                 # fail cleanly, never read out of bounds
 #   check_sanitize.sh --tsan      # ThreadSanitizer over the concurrency-heavy
 #                                 # suites
-#                                 # (-L "parallel|chaos|scale|transport"):
-#                                 # the parallel mark/trace tests, the chaos
+#                                 # (-L "chaos|scale|transport"): the chaos
 #                                 # harness, the down-scaled open-loop scale
 #                                 # smoke, and the threaded-transport suite
-#                                 # (the MPSC inbox hammer, the two-site
-#                                 # ping-pong smoke at eight threads, and the
-#                                 # mark_threads-by-transport matrix with
-#                                 # nested per-site mark pools are its
-#                                 # data-race probes).
+#                                 # (the worker pool units, the MPSC inbox
+#                                 # hammer, the two-site ping-pong smoke at
+#                                 # eight threads, and the sim/threaded
+#                                 # differentials are its data-race probes).
 #                                 # The socket label is deliberately absent:
 #                                 # its tests fork site processes (and kill -9
 #                                 # them mid-run), and TSan state does not
@@ -81,7 +78,7 @@ elif [[ "${1:-}" == "--e2e" ]]; then
 elif [[ "${1:-}" == "--tsan" ]]; then
   SANITIZE=thread
   DEFAULT_BUILD_DIR=build-tsan
-  CTEST_ARGS+=(-L 'parallel|chaos|scale|transport')
+  CTEST_ARGS+=(-L 'chaos|scale|transport')
   shift
 fi
 CTEST_ARGS+=("$@")

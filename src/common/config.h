@@ -105,27 +105,6 @@ struct CollectorConfig {
   /// Insert protocol variant (see InsertMode).
   InsertMode insert_mode = InsertMode::kSynchronous;
 
-  /// Worker threads used by System::RunRound to compute per-site local
-  /// traces. The paper's locality property makes the traces independent
-  /// computations, so with > 1 thread a round computes every site's trace
-  /// concurrently from the same snapshot and then applies the results
-  /// deterministically in site order. The default of 1 preserves the
-  /// historical sequential round (trace, settle, next site) bit for bit.
-  std::size_t trace_threads = 1;
-
-  /// Worker threads used *inside* one site's local trace: the clean-marking
-  /// phase runs as a work-stealing traversal over slab shards, the sweep as
-  /// an embarrassingly-parallel pass over slabs, and the incremental
-  /// distance refold as a partitioned fold — all on the same persistent pool
-  /// the per-site level uses (sites are coarse tasks, shards fine tasks).
-  /// Results are bit-identical at any thread count: clean marks are claimed
-  /// with first-claim-wins atomics but processed in distance layers, so every
-  /// claim in a layer carries the same distance and the min-merge of outref
-  /// distances is interleaving-independent. The default of 1 runs the
-  /// historical sequential mark/sweep code path bit for bit (and spawns no
-  /// threads at all when trace_threads is also 1).
-  std::size_t mark_threads = 1;
-
   /// Verdict caching: when a back trace reports its outcome, every
   /// participant records the Garbage/Live verdict on the iorefs it visited,
   /// versioned by the local-trace epoch. MaybeStartTraces then skips

@@ -1,15 +1,15 @@
 // Named counter records.
 //
 // Every in-process counter record (SiteStats, BackTracerStats, NetworkStats,
-// TransportCounters, WorkerPoolStats, ...) names its members once, in a
-// `Counters` function beside its declaration that pairs each member with its
-// name (argument-dependent lookup finds it), followed by a guard:
+// TransportCounters, ...) names its members once, in a `Counters` function
+// beside its declaration that pairs each member with its name
+// (argument-dependent lookup finds it), followed by a guard:
 //
-//   auto Counters(Is<WorkerPoolStats> auto& s) {
-//     return std::tuple{Counter{"batches", s.batches},
-//                       Counter{"tasks_run", s.tasks_run}, ...};
+//   auto Counters(Is<SiteTransportCounters> auto& c) {
+//     return std::tuple{Counter{"handoffs", c.handoffs},
+//                       Counter{"staged_sends", c.staged_sends}, ...};
 //   }
-//   static_assert(ListsEveryMember<WorkerPoolStats>());
+//   static_assert(ListsEveryMember<SiteTransportCounters>());
 //
 // The guard checks that the listed members' sizes add up to the record's
 // size, so a member missing from its list does not compile. Everything that

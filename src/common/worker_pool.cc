@@ -1,6 +1,7 @@
 #include "common/worker_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 namespace dgc {
@@ -24,18 +25,16 @@ struct WorkerPool::BatchState {
 
 namespace {
 
-/// Claims and runs tasks until the batch cursor is exhausted. Returns how
-/// many tasks this thread executed. Shared by pool workers and the calling
-/// thread so both sides run the identical claim/execute/complete protocol.
-std::size_t DrainBatch(WorkerPool::BatchState& batch) {
-  std::size_t executed = 0;
+/// Claims and runs tasks until the batch cursor is exhausted. Shared by pool
+/// workers and the calling thread so both sides run the identical
+/// claim/execute/complete protocol.
+void DrainBatch(WorkerPool::BatchState& batch) {
   for (;;) {
     const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.count) return executed;
+    if (i >= batch.count) return;
     if (!batch.failed.load(std::memory_order_relaxed)) {
       try {
         (*batch.task)(i);
-        ++executed;
       } catch (...) {
         // First failure wins; the remaining claims are skipped but still
         // counted as done so the caller's completion wait stays exact.
@@ -84,26 +83,20 @@ void WorkerPool::WorkerLoop() {
       batch = std::move(tickets_.front());
       tickets_.pop_front();
     }
-    const std::size_t executed = DrainBatch(*batch);
-    pool_tasks_run_.fetch_add(executed, std::memory_order_relaxed);
+    DrainBatch(*batch);
   }
 }
 
 void WorkerPool::RunBatch(std::size_t task_count,
-                          const std::function<void(std::size_t)>& task,
-                          std::size_t max_concurrency) {
+                          const std::function<void(std::size_t)>& task) {
   if (task_count == 0) return;
   const auto batch = std::make_shared<BatchState>();
   batch->task = &task;
   batch->count = task_count;
 
-  if (max_concurrency == 0) max_concurrency = 1;
-  const std::size_t helpers =
-      std::min({max_concurrency - 1, threads_.size(), task_count - 1});
+  const std::size_t helpers = std::min(threads_.size(), task_count - 1);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++batches_;
-    helpers_dispatched_ += helpers;
     for (std::size_t i = 0; i < helpers; ++i) tickets_.push_back(batch);
   }
   if (helpers == 1) {
@@ -121,7 +114,6 @@ void WorkerPool::RunBatch(std::size_t task_count,
       return batch->done.load(std::memory_order_acquire) == batch->count;
     });
   }
-  tasks_run_.fetch_add(task_count, std::memory_order_relaxed);
 
   if (batch->failed.load(std::memory_order_acquire)) {
     std::exception_ptr failure;
@@ -131,18 +123,6 @@ void WorkerPool::RunBatch(std::size_t task_count,
     }
     if (failure) std::rethrow_exception(failure);
   }
-}
-
-WorkerPoolStats WorkerPool::stats() const {
-  WorkerPoolStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.batches = batches_;
-    out.helpers_dispatched = helpers_dispatched_;
-  }
-  out.tasks_run = tasks_run_.load(std::memory_order_relaxed);
-  out.pool_tasks_run = pool_tasks_run_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace dgc

@@ -86,9 +86,6 @@ std::string DescribeSite(const Site& site) {
   if (site.config().incremental_trace) {
     os << " dirty_objects=" << site.heap().dirty_object_count();
   }
-  if (site.config().mark_threads > 1) {
-    os << " mark_threads=" << site.config().mark_threads;
-  }
   os << "\n";
   const std::string transport = NonZero(site.transport_counters());
   if (!transport.empty()) os << "  transport:" << transport << "\n";
@@ -123,11 +120,6 @@ std::string DescribeSystem(const System& system) {
   os << "  network:" << NonZero(system.network().stats()) << "\n";
   os << "  back traces:" << NonZero(system.AggregateBackTracerStats()) << "\n";
   os << "  site stats:" << NonZero(system.AggregateSiteStats()) << "\n";
-  const WorkerPoolStats pool = system.worker_pool().stats();
-  if (pool.batches > 0) {
-    os << "  worker pool:" << NonZero(pool) << " occupancy=" << pool.occupancy()
-       << " trace_rounds=" << system.trace_executor().stats().batches << "\n";
-  }
   const std::string transport = NonZero(system.transport().counters());
   if (!transport.empty()) os << "  transport:" << transport << "\n";
   return os.str();

@@ -28,7 +28,6 @@ void MetricsRecorder::Capture(const System& system) {
   sample.bt = system.AggregateBackTracerStats();
   sample.net = system.network().stats();
   sample.transport = system.transport().counters();
-  sample.pool = system.worker_pool().stats();
   samples_.push_back(sample);
 }
 

@@ -29,7 +29,6 @@ struct MetricsSample {
   BackTracerStats bt;
   NetworkStats net;
   TransportCounters transport;
-  WorkerPoolStats pool;
 };
 
 auto Counters(Is<MetricsSample> auto& s) {
@@ -45,8 +44,7 @@ auto Counters(Is<MetricsSample> auto& s) {
       Counter{"site", s.site},
       Counter{"bt", s.bt},
       Counter{"net", s.net},
-      Counter{"transport", s.transport},
-      Counter{"pool", s.pool}};
+      Counter{"transport", s.transport}};
 }
 static_assert(ListsEveryMember<MetricsSample>());
 

@@ -561,7 +561,6 @@ TraceResult Site::ComputeLocalTrace() {
   TraceResult result = collector_.Run(AppRootObjects());
   stats_.trace_wall_ns += result.stats.trace_wall_ns;
   stats_.mark_wall_ns += result.stats.mark_wall_ns;
-  stats_.mark_steals += result.stats.mark_steals;
   stats_.objects_marked += result.stats.objects_marked_clean +
                            result.stats.objects_marked_suspect;
   stats_.quiescent_skips += result.stats.quiescent_skips;

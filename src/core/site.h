@@ -52,7 +52,6 @@ struct SiteStats {
   std::uint64_t outrefs_trimmed = 0;
   std::uint64_t trace_wall_ns = 0;     // cumulative real trace-compute time
   std::uint64_t mark_wall_ns = 0;      // cumulative clean-mark phase time
-  std::uint64_t mark_steals = 0;       // work-stealing mark: batches stolen
   std::uint64_t objects_marked = 0;    // cumulative clean + suspect marks
   // Incremental-trace accounting (all zero while incremental_trace is off).
   std::uint64_t quiescent_skips = 0;   // traces served verbatim from cache
@@ -77,7 +76,6 @@ auto Counters(Is<SiteStats> auto& s) {
       Counter{"outrefs_trimmed", s.outrefs_trimmed},
       Counter{"trace_wall_ns", s.trace_wall_ns},
       Counter{"mark_wall_ns", s.mark_wall_ns},
-      Counter{"mark_steals", s.mark_steals},
       Counter{"objects_marked", s.objects_marked},
       Counter{"quiescent_skips", s.quiescent_skips},
       Counter{"objects_retraced", s.objects_retraced},
@@ -121,10 +119,6 @@ class Site {
   }
   [[nodiscard]] const CollectorConfig& config() const { return config_; }
 
-  /// Shares the system's persistent worker pool with this site's collector,
-  /// enabling the intra-trace parallel phases (mark_threads > 1).
-  void set_worker_pool(WorkerPool* pool) { collector_.set_worker_pool(pool); }
-
   // --- Network entry point -------------------------------------------
 
   void HandleMessage(const Envelope& envelope);
@@ -146,8 +140,8 @@ class Site {
   /// Compute half of a local trace: runs the collector against the current
   /// heap and tables and returns the result without applying it. Touches
   /// only this site's state (heap epoch stamps, lease expiry, collector
-  /// epoch) — no network sends, no scheduler writes — which is what lets a
-  /// ParallelTraceExecutor run many sites' computes concurrently.
+  /// epoch) — no network sends, no scheduler writes — so sites' computes
+  /// may run concurrently, and a caller may time it apart from the apply.
   [[nodiscard]] TraceResult ComputeLocalTrace();
 
   /// Apply half of a local trace: applies immediately (atomic trace) or

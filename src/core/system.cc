@@ -8,51 +8,24 @@
 #include <malloc.h>
 #endif
 
-#include "core/parallel_trace.h"
-
 namespace dgc {
-
-namespace {
-
-/// Caller threads participate in pool batches, so a pool of N - 1 workers
-/// puts N threads on the work. Zero workers when neither knob asks for
-/// parallelism — no threads are spawned and every phase runs inline.
-std::size_t PoolWorkersFor(const CollectorConfig& config) {
-  const std::size_t want =
-      std::max(config.trace_threads, config.mark_threads);
-  return want <= 1 ? 0 : want - 1;
-}
-
-}  // namespace
 
 System::System(std::size_t site_count, const CollectorConfig& collector_config,
                const NetworkConfig& network_config, std::uint64_t seed)
     : collector_config_(collector_config),
       rng_(seed),
-      // The sites fork mark_threads-way shard batches inside each step, so
-      // a pool-owning backend (ThreadedTransport) sizes its pool for them.
       transport_(CreateTransport(site_count, scheduler_, network_config,
-                                 rng_.Fork(), collector_config.mark_threads)),
-      pool_(PoolWorkersFor(collector_config)),
-      trace_executor_(pool_, collector_config.trace_threads) {
+                                 rng_.Fork())) {
   DGC_CHECK(site_count >= 1);
   // With retransmission, "0 disables timeouts" would let one exhausted
   // retransmit budget strand a trace forever; derive protocol timeouts
   // from the network's timing instead (shared with SocketWorld so both
   // coordinators compute identical values — see config.h for the rule).
   DeriveReliabilityTimeouts(collector_config_, network_config);
-  // A pool-owning transport (ThreadedTransport) hosts the sites' nested
-  // mark/sweep shard batches itself: site steps already run on its pool
-  // threads, and WorkerPool's caller-participates nesting makes the
-  // fork-from-a-pool-task shape deadlock-free. Everything else (sim) keeps
-  // the System pool, bit for bit.
-  WorkerPool* site_pool = transport_->site_worker_pool();
-  if (site_pool == nullptr) site_pool = &pool_;
   sites_.reserve(site_count);
   for (std::size_t i = 0; i < site_count; ++i) {
     sites_.push_back(std::make_unique<Site>(static_cast<SiteId>(i),
                                             *transport_, collector_config_));
-    sites_.back()->set_worker_pool(site_pool);
   }
 }
 
@@ -91,31 +64,8 @@ void System::Unwire(ObjectId source, std::size_t slot) {
 }
 
 void System::RunRound() {
-  if (collector_config_.trace_threads > 1) {
-    RunRoundParallel();
-    return;
-  }
   for (auto& s : sites_) {
     if (!s->trace_in_flight()) s->StartLocalTrace();
-    SettleNetwork();
-  }
-  ++rounds_;
-}
-
-void System::RunRoundParallel() {
-  // Compute phase: every eligible site traces concurrently against the same
-  // snapshot of the world (no messages move, so no site observes another's
-  // results mid-round — the racy-but-safe schedule of Section 6).
-  std::vector<Site*> tracing;
-  tracing.reserve(sites_.size());
-  for (auto& s : sites_) {
-    if (!s->trace_in_flight()) tracing.push_back(s.get());
-  }
-  std::vector<TraceResult> results = trace_executor_.ComputeAll(tracing);
-  // Merge phase: commit in site order, settling in between, so message
-  // interleaving is as deterministic as the sequential schedule.
-  for (std::size_t i = 0; i < tracing.size(); ++i) {
-    tracing[i]->CommitLocalTrace(std::move(results[i]));
     SettleNetwork();
   }
   ++rounds_;

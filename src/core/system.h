@@ -16,8 +16,6 @@
 #include "common/config.h"
 #include "common/counters.h"
 #include "common/rng.h"
-#include "common/worker_pool.h"
-#include "core/parallel_trace.h"
 #include "core/site.h"
 #include "net/transport.h"
 #include "sim/fault_plan.h"
@@ -84,11 +82,7 @@ class System {
 
   /// One round (Section 3's unit of progress): every site runs one local
   /// trace, in site order, letting all resulting messages and back traces
-  /// settle in between. With collector_config.trace_threads > 1 the per-site
-  /// trace *computations* run concurrently on a thread pool (the paper's
-  /// locality property makes them independent) and the results are applied
-  /// deterministically in site order; trace_threads == 1 preserves the
-  /// historical sequential schedule exactly.
+  /// settle in between.
   void RunRound();
 
   /// A round where site i starts its trace at now + i * stagger without
@@ -170,19 +164,7 @@ class System {
   };
   [[nodiscard]] HeapOccupancy AggregateHeapOccupancy() const;
 
-  /// The persistent pool behind both parallelism levels (occupancy metrics).
-  [[nodiscard]] const WorkerPool& worker_pool() const { return pool_; }
-
-  /// The persistent per-site trace executor (batch counts, wall time).
-  [[nodiscard]] const ParallelTraceExecutor& trace_executor() const {
-    return trace_executor_;
-  }
-
  private:
-  /// The trace_threads > 1 round: compute all sites' traces concurrently
-  /// from one snapshot, then commit in site order, settling in between.
-  void RunRoundParallel();
-
   CollectorConfig collector_config_;
   Scheduler scheduler_;
   Rng rng_;
@@ -190,13 +172,6 @@ class System {
   /// old Network member's position so rng_.Fork() order — and with it every
   /// seeded run — is unchanged.
   std::unique_ptr<Transport> transport_;
-  /// Persistent worker pool shared by both scheduling levels: per-site trace
-  /// computations (coarse tasks, capped at trace_threads) and intra-site
-  /// mark/sweep/refold shards (fine tasks, capped at mark_threads). Sized so
-  /// caller + pool = max(trace_threads, mark_threads); spawns no threads at
-  /// all when both knobs are 1. Declared before sites_ so it outlives them.
-  WorkerPool pool_;
-  ParallelTraceExecutor trace_executor_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::size_t rounds_ = 0;
 };

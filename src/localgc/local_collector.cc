@@ -6,7 +6,6 @@
 
 #include "backinfo/suspect_trace.h"
 #include "common/logging.h"
-#include "localgc/parallel_mark.h"
 
 namespace dgc {
 
@@ -143,11 +142,9 @@ TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
   result.outrefs = cache_.clean_outrefs;
   result.stats.objects_retraced = 0;
   result.stats.quiescent_skips = 0;
-  // No marking happened this run; the cached trace's schedule-dependent
-  // mark accounting must not be re-reported.
+  // No marking happened this run; the cached trace's mark time must not be
+  // re-reported.
   result.stats.mark_wall_ns = 0;
-  result.stats.mark_steals = 0;
-  result.stats.mark_batches = 0;
   const Distance threshold = tables_.config().suspicion_threshold;
   std::vector<std::pair<Distance, const std::vector<ObjectId>*>> jobs;
   for (const TraceInputs::Inref& in : inputs.inrefs) {
@@ -160,17 +157,9 @@ TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
     jobs.emplace_back(NextDistance(in.distance), &it->second);
   }
   result.stats.outsets_reused = jobs.size();
-  // Partitioning has fixed pool overhead; only worth it past a handful of
-  // suspects (the min-merge is identical either way).
-  constexpr std::size_t kParallelFoldMin = 16;
-  const std::size_t mark_threads = tables_.config().mark_threads;
-  if (mark_threads > 1 && pool_ != nullptr && jobs.size() >= kParallelFoldMin) {
-    ParallelFoldOutsets(jobs, *pool_, mark_threads, result.outrefs);
-  } else {
-    for (const auto& [outref_distance, outset] : jobs) {
-      for (const ObjectId outref : *outset) {
-        FindOutrefRecord(result.outrefs, outref).Reach(outref_distance, false);
-      }
+  for (const auto& [outref_distance, outset] : jobs) {
+    for (const ObjectId outref : *outset) {
+      FindOutrefRecord(result.outrefs, outref).Reach(outref_distance, false);
     }
   }
   return result;
@@ -239,41 +228,14 @@ TraceResult LocalCollector::RunFullTrace(
         return pair.first <= config.suspicion_threshold;
       });
 
-  const bool parallel = config.mark_threads > 1 && pool_ != nullptr;
-  if (!parallel) {
-    for (const ObjectId root : heap_.persistent_roots()) {
-      MarkCleanFrom(root, 0, result);
-    }
-    for (const ObjectId root : app_roots) {
-      MarkCleanFrom(root, 0, result);
-    }
-    for (auto it = ordered_inrefs.begin(); it != clean_limit; ++it) {
-      MarkCleanFrom(it->second, it->first, result);
-    }
-  } else {
-    // Distance layers: the sequential loop's increasing-distance order means
-    // every object is claimed for the minimum root distance that reaches it.
-    // A barrier between distinct distances preserves exactly that, and
-    // within one layer every claim carries the same distance, so claim
-    // interleaving cannot change the merged result.
-    ParallelMarker marker(heap_, *pool_, config.mark_threads);
-    std::vector<ObjectId> layer = heap_.persistent_roots();
-    layer.insert(layer.end(), app_roots.begin(), app_roots.end());
-    auto it = ordered_inrefs.begin();
-    while (it != clean_limit && it->first == 0) {
-      layer.push_back((it++)->second);  // distance-0 inrefs join the roots
-    }
-    marker.MarkLayer(layer, 0, epoch_, result);
-    while (it != clean_limit) {
-      const Distance layer_distance = it->first;
-      layer.clear();
-      while (it != clean_limit && it->first == layer_distance) {
-        layer.push_back((it++)->second);
-      }
-      marker.MarkLayer(layer, layer_distance, epoch_, result);
-    }
-    result.stats.mark_steals = marker.stats().steals;
-    result.stats.mark_batches = marker.stats().batches_published;
+  for (const ObjectId root : heap_.persistent_roots()) {
+    MarkCleanFrom(root, 0, result);
+  }
+  for (const ObjectId root : app_roots) {
+    MarkCleanFrom(root, 0, result);
+  }
+  for (auto it = ordered_inrefs.begin(); it != clean_limit; ++it) {
+    MarkCleanFrom(it->second, it->first, result);
   }
   result.stats.mark_wall_ns = WallNanosSince(mark_start);
 
@@ -335,15 +297,10 @@ TraceResult LocalCollector::RunFullTrace(
   }
 
   // ---- Phase 3: sweep list (untraced outrefs are the unreached records).
-  if (parallel) {
-    result.objects_to_free =
-        ParallelSweepUnmarked(heap_, *pool_, config.mark_threads, epoch_);
-  } else {
-    heap_.ForEachWithEpochs([&](ObjectId id, const Object&, std::uint64_t mark,
-                                std::uint64_t) {
-      if (mark != epoch_) result.objects_to_free.push_back(id);
-    });
-  }
+  heap_.ForEachWithEpochs([&](ObjectId id, const Object&, std::uint64_t mark,
+                              std::uint64_t) {
+    if (mark != epoch_) result.objects_to_free.push_back(id);
+  });
   result.stats.objects_swept = result.objects_to_free.size();
 
   if (inputs_for_cache != nullptr) {
@@ -377,8 +334,6 @@ TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
         result.stats.outsets_reused = result.back_info.inref_outsets.size();
         result.stats.quiescent_skips = 1;
         result.stats.mark_wall_ns = 0;
-        result.stats.mark_steals = 0;
-        result.stats.mark_batches = 0;
         break;
       case ReuseLevel::kRefold:
         result = RefoldDistances(inputs);

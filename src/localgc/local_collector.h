@@ -50,8 +50,6 @@
 
 namespace dgc {
 
-class WorkerPool;
-
 class LocalCollector {
  public:
   LocalCollector(Heap& heap, RefTables& tables)
@@ -103,12 +101,6 @@ class LocalCollector {
   /// traces, so intern_bytes_saved accumulates across epochs).
   [[nodiscard]] const OutsetStore& outset_store() const { return store_; }
 
-  /// Shares a persistent worker pool with the intra-trace parallel phases
-  /// (work-stealing mark, per-slab sweep, partitioned refold). With a null
-  /// pool or CollectorConfig::mark_threads <= 1 every phase runs the
-  /// historical sequential code path bit for bit.
-  void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
-
   /// Test hook: every reused trace also runs the full trace and must agree
   /// with it on every semantic field (snapshots, distances, cleanliness,
   /// sweep set, back information), or the run aborts. Costs a full trace
@@ -147,7 +139,6 @@ class LocalCollector {
 
   Heap& heap_;
   RefTables& tables_;
-  WorkerPool* pool_ = nullptr;
   bool check_reuse_ = false;
   std::uint64_t epoch_ = 0;
   /// Scratch mark stack, reused across traces so the hot loop never

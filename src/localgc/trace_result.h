@@ -34,14 +34,9 @@ struct LocalTraceStats {
   /// Real (wall-clock) duration of the trace computation, for throughput
   /// instrumentation only — never fed back into simulated time.
   std::uint64_t trace_wall_ns = 0;
-  /// Wall time of the clean-mark phase (phase 1) alone, sequential or
-  /// parallel. Zero when a reuse level skipped marking entirely.
+  /// Wall time of the clean-mark phase (phase 1) alone. Zero when a reuse
+  /// level skipped marking entirely.
   std::uint64_t mark_wall_ns = 0;
-  /// Work-stealing mark only (mark_threads > 1): batches taken from another
-  /// worker's deque, and batches published to deques. Schedule-dependent —
-  /// excluded from determinism comparisons, like the wall times.
-  std::uint64_t mark_steals = 0;
-  std::uint64_t mark_batches = 0;
 
   // --- Incremental-trace accounting (zero when incremental_trace is off) --
   /// Objects actually visited by this trace. A full trace re-traces every

@@ -11,7 +11,6 @@
 #include <set>
 #include <thread>
 
-#include "common/worker_pool.h"
 #include "core/site.h"
 #include "refs/tables.h"
 
@@ -317,13 +316,6 @@ int RunSiteProcess(const SiteHostOptions& options) {
 
   SiteAgentTransport agent(options.site, ack.failure_detection_enabled);
   Site site(options.site, agent, ack.config);
-  // mark_threads-way shard marking runs inside this process: a site process
-  // owns its own pool (the coordinator's threads are in another address
-  // space). Zero workers when marking is serial — RunBatch then degenerates
-  // to the caller's loop with no threads ever spawned.
-  WorkerPool mark_pool(
-      ack.config.mark_threads > 1 ? ack.config.mark_threads - 1 : 0);
-  site.set_worker_pool(&mark_pool);
   if (have_snapshot) {
     ApplySiteSnapshot(site, snapshot);
     // The tail of Site::CrashRestart: stage the re-registration InsertMsgs.

@@ -13,7 +13,7 @@ thread_local std::vector<ThreadedTransport::StagedSend>*
 
 ThreadedTransport::ThreadedTransport(std::size_t site_count,
                                      Scheduler& control, NetworkConfig config,
-                                     Rng rng, std::size_t nested_threads)
+                                     Rng rng)
     : control_(control), network_(control, config, rng) {
   DGC_CHECK(site_count > 0);
   sites_.reserve(site_count);
@@ -32,20 +32,8 @@ ThreadedTransport::ThreadedTransport(std::size_t site_count,
         site_count);
   }
   threads_ = std::max<std::size_t>(1, threads);
-  // Pool sizing. The coordinator participates in every batch, so site-level
-  // stepping needs threads_ - 1 workers (the historical sizing). When the
-  // sites fork nested shard batches on this pool (mark_threads > 1, passed
-  // down as nested_threads), over-provision for the nested level — capped
-  // at max(threads_, hardware_concurrency) total runners, so a round with 8
-  // sites and mark_threads = 8 cannot balloon into 64 kernel threads.
-  std::size_t workers = threads_ - 1;
-  const std::size_t nested = std::max<std::size_t>(1, nested_threads);
-  if (nested > 1) {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    workers = std::min(threads_ * nested, std::max(threads_, hw)) - 1;
-  }
-  pool_ = std::make_unique<WorkerPool>(workers);
+  // The coordinator participates in every batch.
+  pool_ = std::make_unique<WorkerPool>(threads_ - 1);
 
   network_.set_dispatcher([this](Envelope&& envelope) {
     // Coordinator thread (all Network processing happens there). Route the
@@ -122,14 +110,9 @@ void ThreadedTransport::AdvanceWorldTo(SimTime t) {
     for (SiteId s : involved_) ++sites_[s]->steps;
 
     // Parallel phase: involved sites step concurrently. The RunBatch
-    // fork/join barrier orders this against all coordinator work. Capped at
-    // threads_ so pool workers past the transport_threads budget stay free
-    // to serve the sites' nested shard batches instead of running whole
-    // sites.
-    pool_->RunBatch(
-        involved_.size(),
-        [this, t](std::size_t i) { SiteStep(involved_[i], t); },
-        threads_);
+    // fork/join barrier orders this against all coordinator work.
+    pool_->RunBatch(involved_.size(),
+                    [this, t](std::size_t i) { SiteStep(involved_[i], t); });
 
     // Replay: staged sends enter the Network in site order — a fixed,
     // interleaving-independent order, which is what keeps seeded runs

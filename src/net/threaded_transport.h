@@ -18,13 +18,8 @@
 //     thread-local buffer and replayed into the Network by the coordinator,
 //     in site order, at the phase boundary. Site threads never touch the
 //     Network.
-//   * The transport owns its own WorkerPool, sized independently of the
-//     System pool. Sites fork their nested mark_threads shard batches on
-//     this same pool (Transport::site_worker_pool); the caller-participates
-//     RunBatch makes the nested fork-from-a-pool-task shape deadlock-free,
-//     and the pool is over-provisioned for the nested level (capped at
-//     hardware concurrency) so shard batches get real workers instead of
-//     degrading to the site thread alone.
+//   * The transport owns its WorkerPool: threads - 1 workers, because the
+//     coordinator participates in every batch.
 //
 // Engine: for each global timestep T (the earliest pending instant across
 // all schedulers), alternate
@@ -65,11 +60,8 @@ namespace dgc {
 
 class ThreadedTransport final : public Transport {
  public:
-  /// Each site step may fork `nested_threads`-way shard batches
-  /// (mark_threads) on the transport's pool; the pool is sized for them.
   ThreadedTransport(std::size_t site_count, Scheduler& control,
-                    NetworkConfig config, Rng rng,
-                    std::size_t nested_threads);
+                    NetworkConfig config, Rng rng);
   ~ThreadedTransport() override;
 
   [[nodiscard]] TransportKind kind() const override {
@@ -87,7 +79,6 @@ class ThreadedTransport final : public Transport {
   void RunUntilTime(SimTime t) override;
   void Settle() override;
   bool StepOne() override;
-  [[nodiscard]] WorkerPool* site_worker_pool() override { return pool_.get(); }
 
   [[nodiscard]] TransportCounters counters() const override;
   [[nodiscard]] SiteTransportCounters site_counters(

@@ -9,14 +9,13 @@ namespace dgc {
 
 std::unique_ptr<Transport> CreateTransport(std::size_t site_count,
                                            Scheduler& control,
-                                           NetworkConfig config, Rng rng,
-                                           std::size_t nested_threads) {
+                                           NetworkConfig config, Rng rng) {
   switch (config.transport) {
     case TransportKind::kSim:
       return std::make_unique<SimTransport>(control, std::move(config), rng);
     case TransportKind::kThreaded:
-      return std::make_unique<ThreadedTransport>(
-          site_count, control, std::move(config), rng, nested_threads);
+      return std::make_unique<ThreadedTransport>(site_count, control,
+                                                 std::move(config), rng);
     case TransportKind::kSocket:
       DGC_CHECK_MSG(false,
                     "TransportKind::kSocket runs sites as separate OS "

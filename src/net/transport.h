@@ -30,8 +30,6 @@
 
 namespace dgc {
 
-class WorkerPool;
-
 /// Engine-level counters, all zero under SimTransport.
 struct TransportCounters {
   std::uint64_t timesteps = 0;        // distinct global instants processed
@@ -145,14 +143,6 @@ class Transport {
   /// mutator pump loops on.
   virtual bool StepOne() = 0;
 
-  /// The pool nested per-site parallelism (mark_threads shard batches)
-  /// should fork on. Null means the transport owns no pool and the caller
-  /// should fall back to its own (SimTransport: System's shared pool).
-  /// Under ThreadedTransport the returned pool is the one the site threads
-  /// themselves run batches on — WorkerPool's caller-participates nesting
-  /// makes the fork-from-a-pool-task shape deadlock-free.
-  [[nodiscard]] virtual WorkerPool* site_worker_pool() { return nullptr; }
-
   [[nodiscard]] virtual TransportCounters counters() const = 0;
   [[nodiscard]] virtual SiteTransportCounters site_counters(
       SiteId site) const = 0;
@@ -198,11 +188,9 @@ class SimTransport final : public Transport {
 
 /// Builds the backend selected by config.transport. `control` becomes the
 /// control scheduler; `site_count` sizes the threaded backend's per-site
-/// state and `nested_threads` the per-site nested parallelism its pool
-/// budgets for (System passes mark_threads). SimTransport ignores both.
+/// state (SimTransport ignores it).
 std::unique_ptr<Transport> CreateTransport(std::size_t site_count,
                                            Scheduler& control,
-                                           NetworkConfig config, Rng rng,
-                                           std::size_t nested_threads);
+                                           NetworkConfig config, Rng rng);
 
 }  // namespace dgc

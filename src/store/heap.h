@@ -28,7 +28,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -153,60 +152,11 @@ class Heap {
     return Cell{&ObjectAt(slot), &mark_epoch_[slot], &clean_epoch_[slot]};
   }
 
-  // --- Raw slot view (intra-site parallel marking and sweeping) ---------
-  //
-  // The work-stealing marker and the parallel sweep address the heap by
-  // storage slot: slots are dense, slab-aligned, and stable for a trace's
-  // lifetime (no Allocate/Free runs while a trace computes), so slot ranges
-  // partition the heap into independent shards.
-
-  /// Slot of an object id's index (low half minus the +1 bias). Only valid
-  /// for indices minted by this heap layout.
+  /// Storage slot of an object id's index (low half minus the +1 bias), the
+  /// position of its entry in a HeapImage. Only valid for indices minted by
+  /// this heap layout.
   static constexpr std::uint64_t SlotOfIndex(std::uint64_t index) {
     return SlotOf(index);
-  }
-  /// Slab shard that owns a storage slot.
-  static constexpr std::size_t ShardOfSlot(std::uint64_t slot) {
-    return static_cast<std::size_t>(slot / kSlabSize);
-  }
-
-  [[nodiscard]] bool SlotLive(std::uint64_t slot) const {
-    return slot < used_slots_ && live_[slot] != 0;
-  }
-  [[nodiscard]] ObjectId IdAtSlot(std::uint64_t slot) const {
-    DGC_DCHECK(SlotLive(slot));
-    return IdAt(slot);
-  }
-  [[nodiscard]] const Object& ObjectAtSlot(std::uint64_t slot) const {
-    DGC_DCHECK(SlotLive(slot));
-    return ObjectAt(slot);
-  }
-  [[nodiscard]] std::uint64_t MarkEpochAtSlot(std::uint64_t slot) const {
-    DGC_DCHECK(slot < used_slots_);
-    return mark_epoch_[slot];
-  }
-
-  /// Atomically claims a slot's clean stamp for `epoch`: the first caller
-  /// wins and also stamps the mark epoch; every later (or concurrent) caller
-  /// gets false. Relaxed ordering suffices — claims are independent, and the
-  /// mark phase's join (a mutex/condition-variable barrier in the worker
-  /// pool) publishes all stamps before any sequential reader looks at them.
-  /// With one thread this degenerates to the plain check-and-set the
-  /// sequential marker performs, so epoch semantics are unchanged.
-  bool TryClaimCleanSlot(std::uint64_t slot, std::uint64_t epoch) {
-    DGC_DCHECK(SlotLive(slot));
-    std::atomic_ref<std::uint64_t> clean(clean_epoch_[slot]);
-    std::uint64_t expected = clean.load(std::memory_order_relaxed);
-    if (expected == epoch) return false;
-    // The only concurrent writers store this same epoch, so one CAS decides:
-    // failure means another worker just claimed it.
-    if (!clean.compare_exchange_strong(expected, epoch,
-                                       std::memory_order_relaxed)) {
-      return false;
-    }
-    std::atomic_ref<std::uint64_t>(mark_epoch_[slot])
-        .store(epoch, std::memory_order_relaxed);
-    return true;
   }
 
   /// Stores `target` (or null) into a slot. Purely mechanical; reference-

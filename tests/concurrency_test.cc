@@ -1,15 +1,10 @@
 // Concurrency tests (Section 6): transfer/insert barriers racing back traces
 // and local traces, the clean rule, non-atomic local tracing with
-// double-buffered back information, the Figure 5/6 problem cases, and the
-// determinism of parallel per-site trace computation.
+// double-buffered back information, and the Figure 5/6 problem cases.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "core/parallel_trace.h"
 #include "core/system.h"
 #include "mutator/session.h"
-#include "trace_dump.h"
 #include "workload/builders.h"
 #include "workload/figures.h"
 
@@ -376,91 +371,6 @@ TEST_P(Figure5Plus6, MutationRaceNeverKillsLiveObjects) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig5AndFig6, Figure5Plus6, ::testing::Bool());
-
-// --- Parallel per-site trace computation -----------------------------------
-
-// Builds the shared world used by the determinism checks: a suspected
-// 4-site ring plus per-site live trees, ripened so that local traces
-// exercise both the clean phase and the suspect (back-information) phase.
-void BuildParallelWorld(System& system) {
-  const auto cycle =
-      workload::BuildCycle(system, {.sites = 4, .objects_per_site = 2});
-  (void)cycle;
-  for (SiteId s = 0; s < system.site_count(); ++s) {
-    const ObjectId root = system.NewObject(s, 3);
-    system.SetPersistentRoot(root);
-    for (std::size_t i = 0; i < 3; ++i) {
-      const ObjectId child = system.NewObject(s, 1);
-      system.Wire(root, i, child);
-      system.Wire(child, 0, system.NewObject((s + 1) % system.site_count(), 0));
-    }
-  }
-  system.RunRounds(5);  // distances ripen; the ring becomes suspected
-}
-
-TEST(ParallelTraceTest, FourThreadsMatchOneThreadByteForByte) {
-  // Two identically seeded worlds; compute one round of traces with 1 worker
-  // in one and 4 workers in the other. Every per-site TraceResult must be
-  // byte-identical: the computations share no state, so thread count cannot
-  // leak into the results.
-  CollectorConfig config = Config();
-  System sequential(4, config, {}, /*seed=*/7);
-  System parallel(4, config, {}, /*seed=*/7);
-  BuildParallelWorld(sequential);
-  BuildParallelWorld(parallel);
-
-  std::vector<Site*> seq_sites, par_sites;
-  for (SiteId s = 0; s < 4; ++s) {
-    seq_sites.push_back(&sequential.site(s));
-    par_sites.push_back(&parallel.site(s));
-  }
-  ParallelTraceExecutor one(1);
-  ParallelTraceExecutor four(4);
-  const std::vector<TraceResult> seq_results = one.ComputeAll(seq_sites);
-  const std::vector<TraceResult> par_results = four.ComputeAll(par_sites);
-  ASSERT_EQ(seq_results.size(), par_results.size());
-  for (std::size_t i = 0; i < seq_results.size(); ++i) {
-    EXPECT_EQ(DumpTraceResult(seq_results[i]), DumpTraceResult(par_results[i]))
-        << "site " << i << " diverged between 1 and 4 trace threads";
-  }
-  EXPECT_EQ(four.threads(), 4u);
-  EXPECT_EQ(four.stats().traces_computed, 4u);
-}
-
-TEST(ParallelTraceTest, ParallelRoundsCollectTheCycleSafely) {
-  // End-to-end: a system configured with trace_threads = 4 runs whole rounds
-  // through the parallel compute + ordered merge path and must still collect
-  // the distributed cycle without ever violating safety.
-  CollectorConfig config = Config();
-  config.trace_threads = 4;
-  System system(4, config);
-  const auto cycle =
-      workload::BuildCycle(system, {.sites = 4, .objects_per_site = 1});
-  system.RunRounds(25);
-  for (const ObjectId id : cycle.objects) {
-    EXPECT_FALSE(system.ObjectExists(id)) << id << " leaked";
-  }
-  EXPECT_TRUE(system.CheckSafety().empty()) << system.CheckSafety();
-  EXPECT_TRUE(system.CheckCompleteness().empty()) << system.CheckCompleteness();
-}
-
-TEST(ParallelTraceTest, ThreadCountDoesNotChangeRoundOutcomes) {
-  // The parallel round path must be deterministic in everything but wall
-  // time: 2-thread and 4-thread systems evolve identically.
-  auto run = [](std::size_t threads) {
-    CollectorConfig config = Config();
-    config.trace_threads = threads;
-    System system(4, config, {}, /*seed=*/11);
-    BuildParallelWorld(system);
-    system.RunRounds(15);
-    std::ostringstream os;
-    os << system.TotalObjects() << ' ' << system.TotalObjectsReclaimed() << ' '
-       << system.network().stats().inter_site_sent << ' '
-       << system.scheduler().now();
-    return os.str();
-  };
-  EXPECT_EQ(run(2), run(4));
-}
 
 }  // namespace
 }  // namespace dgc

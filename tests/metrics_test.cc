@@ -111,13 +111,12 @@ TEST(MetricsTest, CsvHasOneColumnPerListedCounterAfterTheWorldGauges) {
   AppendColumns<BackTracerStats>(expected, "bt");
   AppendColumns<NetworkStats>(expected, "net");
   AppendColumns<TransportCounters>(expected, "transport");
-  AppendColumns<WorkerPoolStats>(expected, "pool");
   EXPECT_EQ(SplitCsvLine(header), expected);
   // Spot checks that the lists name members as they are spelled.
   for (const char* column :
        {"site.quiescent_skips", "site.table_slot_reuses", "bt.calls_parked",
         "bt.traces_completed_live", "net.retransmits",
-        "transport.inbox_peak_depth", "pool.batches", "heap.slot_capacity"}) {
+        "transport.inbox_peak_depth", "heap.slot_capacity"}) {
     EXPECT_EQ(std::count(expected.begin(), expected.end(), column), 1)
         << column;
   }

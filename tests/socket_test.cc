@@ -178,15 +178,12 @@ TEST(SocketWorld, SimDifferentialTenSeeds) {
 }
 
 // Socket column of the composition matrix (transport_test.cc carries the
-// TSan-able sim/threaded columns): mark_threads-way shard marking inside
-// each site PROCESS — every site owns a private worker pool in its own
-// address space — composed with incremental traces must reproduce the
-// simulator bit for bit: same minted ids, same per-object verdicts, same
-// census and reclaim totals.
+// TSan-able sim/threaded columns): incremental traces inside each site
+// PROCESS must reproduce the simulator bit for bit: same minted ids, same
+// per-object verdicts, same census and reclaim totals.
 TEST(SocketWorld, MarkThreadsAndIncrementalMatchSimTenSeeds) {
   const ScriptedChurnSpec spec = SmallSpec();
   CollectorConfig collector = TestCollector();
-  collector.mark_threads = 8;
   collector.incremental_trace = true;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
