@@ -95,6 +95,9 @@ void BM_Fig1_MarkThroughput_SlabHeap(benchmark::State& state) {
   }
   std::uint64_t marked_total = 0;
   for (auto _ : state) {
+    // The heap never changes, so drop the reuse cache: every iteration
+    // must mark the whole graph.
+    collector.InvalidateCache();
     const dgc::TraceResult result = collector.Run({});
     marked_total += result.stats.objects_marked_clean;
     benchmark::DoNotOptimize(result.stats.objects_marked_clean);

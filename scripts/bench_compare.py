@@ -17,7 +17,7 @@ Compares every benchmark present in both files. Gated user counters:
 * ``msgs_per_cycle``   (lower is better) — inter-site back-trace messages
   spent per collected cycle;
 * ``reuse_hit_rate``   (higher is better) — local traces served from the
-  incremental collector's cache over traces run;
+  local collector's reuse cache over traces run;
 * ``rounds_to_collect`` (lower is better) — collection rounds until a
   garbage cycle is reclaimed under faults;
 * ``time_to_collect``  (lower is better) — simulated ticks until the cycle
@@ -570,7 +570,7 @@ def _self_test():
     cold["benchmarks"][3]["cache_hit_rate"] = 0.3
     assert run_with(cold) == 1, "cache_hit_rate drop must fail"
 
-    # reuse_hit_rate is higher-is-better: losing the incremental cache fails.
+    # reuse_hit_rate is higher-is-better: losing trace reuse fails.
     stale = copy.deepcopy(_FIXTURE_BASE)
     stale["benchmarks"][4]["reuse_hit_rate"] = 0.4
     assert run_with(stale) == 1, "reuse_hit_rate drop must fail"

@@ -11,8 +11,9 @@
 // rather than std::map: back info is rebuilt in bulk once per trace and then
 // only read (binary searches) or delta-patched (ApplyOutsetDelta), which is
 // the access pattern flat storage wins at — one contiguous allocation per
-// view, cache-line-friendly lookups, and O(changed) inset maintenance for
-// the incremental collector instead of a full inverse rebuild.
+// view, cache-line-friendly lookups, and O(changed) inset maintenance when
+// a full trace patches the cached trace's back info instead of a full
+// inverse rebuild.
 #pragma once
 
 #include <algorithm>
@@ -119,8 +120,8 @@ struct SiteBackInfo {
   /// Delta maintenance: replaces the outset stored for `inref_obj` with
   /// `new_outset` (empty = remove the entry) and patches outref_insets with
   /// only the added/removed memberships, instead of the full inverse
-  /// rebuild. Returns the number of inset memberships touched — the work an
-  /// incremental trace actually paid, reported as delta ops. Equivalent to
+  /// rebuild. Returns the number of inset memberships touched — the work a
+  /// patching trace actually paid, reported as delta ops. Equivalent to
   /// assigning the outset and calling RecomputeInsets.
   std::size_t ApplyOutsetDelta(ObjectId inref_obj,
                                const std::vector<ObjectId>& new_outset);

@@ -25,7 +25,6 @@ BackTracer::BackTracer(SiteId site, RefTables& tables, Transport& transport,
 
 std::size_t BackTracer::MaybeStartTraces() {
   if (!tables_.config().enable_back_tracing) return 0;
-  const bool use_cache = tables_.config().enable_verdict_cache;
   // Collect candidates first: starting a trace touches no table state
   // synchronously (the first step arrives as a self-message), but iterate
   // defensively anyway.
@@ -42,15 +41,12 @@ std::size_t BackTracer::MaybeStartTraces() {
     // reclaim the cycle; a Live verdict means a fresh trace would answer
     // Live again. Either way a restart is redundant until the cache entry
     // ages out (at most one local-trace round).
-    if (use_cache) {
-      const auto verdict = verdict_cache_.Lookup(IorefKind::kOutref, ref);
-      if (verdict.has_value()) {
-        ++stats_.cache_hits;
-        ++stats_.trace_starts_skipped;
-        continue;
-      }
-      ++stats_.cache_misses;
+    if (verdict_cache_.Lookup(IorefKind::kOutref, ref).has_value()) {
+      ++stats_.cache_hits;
+      ++stats_.trace_starts_skipped;
+      continue;
     }
+    ++stats_.cache_misses;
     candidates.push_back(ref);
   }
   // Also skip outrefs with a root frame already open (trace started, first
@@ -177,18 +173,17 @@ void BackTracer::HandleRemoteCall(const Envelope& envelope,
   }
   Frame& frame = CreateFrame(msg.trace, msg.caller, IorefKind::kInref, msg.ref);
   frame.pending = static_cast<int>(entry->sources.size());
-  const bool batch = tables_.config().batch_back_calls;
   for (const auto& [source, info] : entry->sources) {
     (void)info;
     // Remote step: one inter-site call per source holding the reference —
     // the "2" in the 2E + P message bound (Section 4.6).
     const BackLocalCallMsg call{msg.trace, msg.ref, FrameId{site_, frame.id}};
-    if (source != site_ && ShouldPark(source)) {
-      ParkCall(source, call, frame);
-    } else if (batch && source != site_) {
-      QueueBackCall(source, call);
-    } else {
+    if (source == site_) {
       transport_.Send(site_, source, call);
+    } else if (ShouldPark(source)) {
+      ParkCall(source, call, frame);
+    } else {
+      QueueBackCall(source, call);
     }
   }
   ArmTimeout(frame.id, msg.trace);
@@ -215,7 +210,6 @@ void BackTracer::OnPeerRecovered(SiteId peer) {
   if (it == parked_calls_.end()) return;
   std::vector<ParkedCall> resumed = std::move(it->second);
   parked_calls_.erase(it);
-  const bool batch = tables_.config().batch_back_calls;
   for (const ParkedCall& parked : resumed) {
     Frame* frame = frames_.Find(parked.frame_id);
     if (frame == nullptr || frame->trace != parked.call.trace) {
@@ -227,11 +221,7 @@ void BackTracer::OnPeerRecovered(SiteId peer) {
     DGC_CHECK(frame->parked > 0);
     --frame->parked;
     ++stats_.calls_unparked;
-    if (batch) {
-      QueueBackCall(peer, parked.call);
-    } else {
-      transport_.Send(site_, peer, parked.call);
-    }
+    QueueBackCall(peer, parked.call);
     if (frame->parked == 0 && frame->timeout_deferred) {
       frame->timeout_deferred = false;
       ArmTimeout(frame->id, frame->trace);
@@ -464,15 +454,13 @@ void BackTracer::HandleReport(const BackReportMsg& msg) {
     // closure is rootless for every backward path through it (the trace
     // fanned out fully from each visited ioref), and Live is always safe.
     ResolveWaiters(record, msg.outcome);
-    if (tables_.config().enable_verdict_cache) {
-      for (const ObjectId inref_obj : record.inrefs) {
-        verdict_cache_.Record(IorefKind::kInref, inref_obj, msg.outcome);
-      }
-      for (const ObjectId outref : record.outrefs) {
-        verdict_cache_.Record(IorefKind::kOutref, outref, msg.outcome);
-      }
-      stats_.verdicts_recorded += record.inrefs.size() + record.outrefs.size();
+    for (const ObjectId inref_obj : record.inrefs) {
+      verdict_cache_.Record(IorefKind::kInref, inref_obj, msg.outcome);
     }
+    for (const ObjectId outref : record.outrefs) {
+      verdict_cache_.Record(IorefKind::kOutref, outref, msg.outcome);
+    }
+    stats_.verdicts_recorded += record.inrefs.size() + record.outrefs.size();
     if (msg.outcome == BackResult::kGarbage) {
       for (const ObjectId inref_obj : record.inrefs) {
         if (InrefEntry* entry = tables_.FindInref(inref_obj)) {
@@ -550,7 +538,7 @@ BackTracer::VisitRecord& BackTracer::TouchRecord(TraceId trace) {
 bool BackTracer::TryCoalesce(const std::vector<TraceId>& visited,
                              TraceId trace, FrameId caller, IorefKind kind,
                              ObjectId ref) {
-  if (!tables_.config().coalesce_traces || visited.empty()) return false;
+  if (visited.empty()) return false;
   // Defer only to a *senior* trace (smaller TraceId): juniors wait for
   // seniors, never the reverse, so waiting chains are acyclic. Pick the most
   // senior in case several cover this ioref.

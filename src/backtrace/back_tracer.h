@@ -22,8 +22,8 @@
 // costs latency only — the message count (2E + P, Section 4.6) is identical.
 // Stranded marks from lost messages are still reclaimed via report_timeout.
 //
-// Three optimizations share the traces' work (all individually gated in
-// Config, all preserving the verdicts the seed engine computes):
+// Three optimizations share the traces' work (all always on, all preserving
+// the verdicts the seed engine computes):
 //
 //   * trace coalescing: a call that lands on an ioref already visited by a
 //     *senior* concurrent trace (smaller TraceId) does not re-traverse the

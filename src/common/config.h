@@ -105,48 +105,6 @@ struct CollectorConfig {
   /// Insert protocol variant (see InsertMode).
   InsertMode insert_mode = InsertMode::kSynchronous;
 
-  /// Verdict caching: when a back trace reports its outcome, every
-  /// participant records the Garbage/Live verdict on the iorefs it visited,
-  /// versioned by the local-trace epoch. MaybeStartTraces then skips
-  /// suspects already covered by a completed trace instead of re-tracing
-  /// the same cycle. Entries are evicted by the clean rule, by the second
-  /// local-trace application after recording (the verdict stays actionable
-  /// across exactly one apply, long enough for the sweep the flags trigger),
-  /// and by crash-restart. Never unsafe: a skipped start only delays a
-  /// retry by at most one round.
-  bool enable_verdict_cache = true;
-
-  /// Trace coalescing (shared back traces): when a trace's call lands on an
-  /// ioref already visited by a concurrent *senior* trace (smaller TraceId),
-  /// the junior branch does not re-traverse the shared subgraph; it parks as
-  /// a waiter and inherits the senior's verdict when the report phase
-  /// delivers it. Seniors always traverse junior-marked iorefs, so waiting
-  /// chains are acyclic and cannot deadlock. Under message loss the waiter
-  /// is reclaimed by report_timeout (assuming Live), like any stranded
-  /// visit record.
-  bool coalesce_traces = true;
-
-  /// Multi-target back calls: inter-site back-step calls queued for the
-  /// same destination during one simulated instant ride one
-  /// BackCallBatchMsg instead of separate BackLocalCallMsg payloads.
-  /// A batch of one degenerates to the plain message, so single-trace
-  /// message counts (2E + P) are unchanged.
-  bool batch_back_calls = true;
-
-  /// Incremental local traces: reuse the previous trace's result when the
-  /// site's collector inputs (heap contents, roots, ioref tables) are
-  /// provably unchanged since that trace was computed. A fully quiescent
-  /// site short-circuits the whole trace and re-serves the cached
-  /// TraceResult; a site whose only change is suspected-inref distance
-  /// drift (the steady ripening the distance heuristic produces every
-  /// epoch) reuses all marks and memoized outsets and re-folds only the
-  /// distance aggregation. Dirty tracking is strictly conservative — any
-  /// mutation the barriers or tables observe forces a full trace — so the
-  /// reused result is byte-identical to what a full trace would compute.
-  /// Default off preserves the historical always-full-trace behavior
-  /// bit for bit.
-  bool incremental_trace = false;
-
   /// Graceful degradation under failures: when the network's failure
   /// detector (NetworkConfig::heartbeat_period) suspects the destination of
   /// a back trace's next remote step, the call is *parked* instead of being

@@ -82,11 +82,7 @@ std::string DescribeSite(const Site& site) {
   os << "  back tracer:" << NonZero(site.back_tracer().stats())
      << " active_frames=" << site.back_tracer().active_frames() << "\n";
   os << "  site stats:" << NonZero(site.stats())
-     << " table_occupancy=" << site.tables().occupancy();
-  if (site.config().incremental_trace) {
-    os << " dirty_objects=" << site.heap().dirty_object_count();
-  }
-  os << "\n";
+     << " table_occupancy=" << site.tables().occupancy() << "\n";
   const std::string transport = NonZero(site.transport_counters());
   if (!transport.empty()) os << "  transport:" << transport << "\n";
   return os.str();

@@ -564,7 +564,6 @@ TraceResult Site::ComputeLocalTrace() {
   stats_.objects_marked += result.stats.objects_marked_clean +
                            result.stats.objects_marked_suspect;
   stats_.quiescent_skips += result.stats.quiescent_skips;
-  stats_.objects_retraced += result.stats.objects_retraced;
   stats_.outsets_reused += result.stats.outsets_reused;
   return result;
 }
@@ -600,9 +599,9 @@ void Site::CrashRestart() {
   // Volatile state dies with the process.
   ++trace_generation_;
   pending_trace_.reset();
-  // The incremental-trace cache and the heap's dirty sets are volatile
-  // acceleration state: the restarted collector must re-derive everything
-  // from the durable heap and tables with a full trace.
+  // The trace-reuse cache is volatile acceleration state: the restarted
+  // collector must re-derive everything from the durable heap and tables
+  // with a full trace.
   collector_.InvalidateCache();
   window_cleaned_inrefs_.clear();
   window_cleaned_outrefs_.clear();

@@ -53,9 +53,8 @@ struct SiteStats {
   std::uint64_t trace_wall_ns = 0;     // cumulative real trace-compute time
   std::uint64_t mark_wall_ns = 0;      // cumulative clean-mark phase time
   std::uint64_t objects_marked = 0;    // cumulative clean + suspect marks
-  // Incremental-trace accounting (all zero while incremental_trace is off).
+  // Trace-reuse accounting.
   std::uint64_t quiescent_skips = 0;   // traces served verbatim from cache
-  std::uint64_t objects_retraced = 0;  // cumulative objects full traces visited
   std::uint64_t outsets_reused = 0;    // cumulative memoized outsets served
   // Flat ref-table accounting, mirrored from RefTables when stats() is read:
   // inserts absorbed by spare vector capacity vs. reallocations, and the
@@ -78,7 +77,6 @@ auto Counters(Is<SiteStats> auto& s) {
       Counter{"mark_wall_ns", s.mark_wall_ns},
       Counter{"objects_marked", s.objects_marked},
       Counter{"quiescent_skips", s.quiescent_skips},
-      Counter{"objects_retraced", s.objects_retraced},
       Counter{"outsets_reused", s.outsets_reused},
       Counter{"table_slot_reuses", s.table_slot_reuses},
       Counter{"table_slot_grows", s.table_slot_grows},

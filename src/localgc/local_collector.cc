@@ -136,15 +136,24 @@ LocalCollector::ReuseLevel LocalCollector::ClassifyReuse(
   return ReuseLevel::kRefold;
 }
 
-TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
+TraceResult LocalCollector::CachedResult() const {
   TraceResult result = cache_.result;
   result.epoch = epoch_;
-  result.outrefs = cache_.clean_outrefs;
-  result.stats.objects_retraced = 0;
-  result.stats.quiescent_skips = 0;
-  // No marking happened this run; the cached trace's mark time must not be
-  // re-reported.
+  // This run marked nothing: the cached trace's work must not be counted
+  // twice.
+  result.stats.objects_marked_clean = 0;
+  result.stats.objects_marked_suspect = 0;
+  result.stats.edges_scanned_clean = 0;
+  result.stats.suspect_objects_traced = 0;
+  result.stats.suspect_edges_scanned = 0;
   result.stats.mark_wall_ns = 0;
+  result.stats.quiescent_skips = 0;
+  return result;
+}
+
+TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
+  TraceResult result = CachedResult();
+  result.outrefs = cache_.clean_outrefs;
   const Distance threshold = tables_.config().suspicion_threshold;
   std::vector<std::pair<Distance, const std::vector<ObjectId>*>> jobs;
   for (const TraceInputs::Inref& in : inputs.inrefs) {
@@ -170,7 +179,7 @@ void LocalCollector::CheckEquivalent(const TraceResult& reused,
   const SiteId site = heap_.site();
 #define DGC_DIFF_FIELD(field)                                               \
   DGC_CHECK_MSG(reused.field == full.field,                                 \
-                "incremental trace diverged from full trace on site "       \
+                "reused trace diverged from full trace on site "            \
                     << site << " epoch " << epoch_ << ": field " << #field)
   DGC_DIFF_FIELD(epoch);
   DGC_DIFF_FIELD(outrefs);
@@ -180,19 +189,12 @@ void LocalCollector::CheckEquivalent(const TraceResult& reused,
 #undef DGC_DIFF_FIELD
 }
 
-void LocalCollector::InvalidateCache() {
-  cache_.valid = false;
-  cache_.result = TraceResult{};
-  cache_.inputs = TraceInputs{};
-  cache_.clean_outrefs.clear();
-  heap_.InvalidateDirtyTracking();
-}
+void LocalCollector::InvalidateCache() { cache_ = TraceCache{}; }
 
 TraceResult LocalCollector::RunFullTrace(
     const std::vector<ObjectId>& app_roots,
     const TraceInputs* inputs_for_cache) {
   const CollectorConfig& config = tables_.config();
-  const bool incremental = config.incremental_trace;
   TraceResult result;
   result.epoch = epoch_;
 
@@ -275,7 +277,7 @@ TraceResult LocalCollector::RunFullTrace(
   // the per-inref outset deltas instead of rebuilding it — O(changed
   // memberships) plus two flat copies, and it counts how many suspects kept
   // their outset verbatim (outsets_reused).
-  if (incremental && cache_.valid && inputs_for_cache != nullptr) {
+  if (cache_.valid && inputs_for_cache != nullptr) {
     result.back_info =
         SiteBackInfo::PatchedFrom(cache_.result.back_info,
                                   result.back_info.inref_outsets,
@@ -291,10 +293,6 @@ TraceResult LocalCollector::RunFullTrace(
   result.stats.distinct_outsets = store_.distinct_outsets();
   result.stats.back_info_elements = result.back_info.stored_elements();
   result.stats.suspected_outrefs = result.back_info.outref_insets.size();
-  if (incremental) {
-    result.stats.objects_retraced = result.stats.objects_marked_clean +
-                                    result.stats.objects_marked_suspect;
-  }
 
   // ---- Phase 3: sweep list (untraced outrefs are the unreached records).
   heap_.ForEachWithEpochs([&](ObjectId id, const Object&, std::uint64_t mark,
@@ -304,56 +302,49 @@ TraceResult LocalCollector::RunFullTrace(
   result.stats.objects_swept = result.objects_to_free.size();
 
   if (inputs_for_cache != nullptr) {
-    // This trace observed the whole heap: the dirty sets are consumed, and
-    // the cache now describes the present input state exactly.
-    heap_.ClearDirty();
-    cache_.valid = true;
-    cache_.inputs = *inputs_for_cache;
-    cache_.result = result;
-    cache_.clean_outrefs = std::move(clean_outrefs);
+    // Applying a sweep bumps the heap's mutation epoch, so an entry for a
+    // result that frees objects could never hit: keep none.
+    if (result.objects_to_free.empty()) {
+      cache_ = TraceCache{true, *inputs_for_cache, result,
+                          std::move(clean_outrefs)};
+    } else {
+      InvalidateCache();
+    }
   }
   return result;
 }
 
 TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const CollectorConfig& config = tables_.config();
   ++epoch_;
 
+  TraceInputs inputs = SnapshotInputs(app_roots);
+  const ReuseLevel level = ClassifyReuse(inputs);
   TraceResult result;
-  if (!config.incremental_trace) {
-    result = RunFullTrace(app_roots, nullptr);
-  } else {
-    TraceInputs inputs = SnapshotInputs(app_roots);
-    const ReuseLevel level = ClassifyReuse(inputs);
-    switch (level) {
-      case ReuseLevel::kQuiescent:
-        result = cache_.result;
-        result.epoch = epoch_;
-        result.stats.objects_retraced = 0;
-        result.stats.outsets_reused = result.back_info.inref_outsets.size();
-        result.stats.quiescent_skips = 1;
-        result.stats.mark_wall_ns = 0;
-        break;
-      case ReuseLevel::kRefold:
-        result = RefoldDistances(inputs);
-        break;
-      case ReuseLevel::kNone:
-        result = RunFullTrace(app_roots, &inputs);
-        break;
+  switch (level) {
+    case ReuseLevel::kQuiescent:
+      result = CachedResult();
+      result.stats.outsets_reused = result.back_info.inref_outsets.size();
+      result.stats.quiescent_skips = 1;
+      break;
+    case ReuseLevel::kRefold:
+      result = RefoldDistances(inputs);
+      break;
+    case ReuseLevel::kNone:
+      result = RunFullTrace(app_roots, &inputs);
+      break;
+  }
+  if (level != ReuseLevel::kNone) {
+    if (check_reuse_) {
+      // Shadow full trace at the same epoch (mark stamps are scratch);
+      // must not clobber the cache the reuse was built from.
+      const TraceResult full = RunFullTrace(app_roots, nullptr);
+      CheckEquivalent(result, full);
     }
-    if (level != ReuseLevel::kNone) {
-      if (check_reuse_) {
-        // Shadow full trace at the same epoch (mark stamps are scratch);
-        // must not clobber the cache the reuse was built from.
-        const TraceResult full = RunFullTrace(app_roots, nullptr);
-        CheckEquivalent(result, full);
-      }
-      cache_.inputs = std::move(inputs);
-      cache_.result = result;
-      // clean_outrefs is unchanged: both reuse levels require an
-      // identical clean phase.
-    }
+    cache_.inputs = std::move(inputs);
+    cache_.result = result;
+    // clean_outrefs is unchanged: both reuse levels require an identical
+    // clean phase.
   }
 
   result.stats.trace_wall_ns = WallNanosSince(wall_start);

@@ -16,14 +16,13 @@
 // Garbage-flagged inrefs (confirmed by a completed back trace) are not roots,
 // which is how a confirmed cycle actually dies (Section 4.5).
 //
-// Incremental traces (CollectorConfig::incremental_trace): a trace is a pure
-// function of a small, exactly snapshotable input set — heap contents +
-// persistent/application roots, each inref's (distance, garbage_flagged),
-// and each outref's pinned bit. Nothing else feeds Run: barrier overrides,
-// visited marks and back thresholds are consumed elsewhere. The collector
-// snapshots those inputs every run and compares them with the previous
-// trace's snapshot (heap equality is one integer — the Heap's monotone
-// mutation epoch, maintained by the dirty-tracking barriers):
+// Trace reuse: a trace is a pure function of a small, exactly snapshotable
+// input set — heap contents + persistent/application roots, each inref's
+// (distance, garbage_flagged), and each outref's pinned bit. Nothing else
+// feeds Run: barrier overrides, visited marks and back thresholds are
+// consumed elsewhere. Every run snapshots those inputs and compares them
+// with the cached trace's snapshot (heap equality is one integer — the
+// Heap's monotone mutation epoch):
 //
 //   * all inputs identical  -> quiescent skip: the cached TraceResult is
 //     re-served verbatim with only the epoch bumped;
@@ -31,14 +30,19 @@
 //     distance heuristic produces every epoch) -> marks, sweep set, back
 //     information and memoized outsets are reused and only the distance
 //     aggregation is re-folded from the cached outsets;
-//   * anything else -> full trace (conservative), which also delta-patches
-//     the inverse inset view from the previous back info instead of
-//     rebuilding it, and refreshes the cache.
+//   * anything else -> full trace, which also delta-patches the inverse
+//     inset view from the cached back info instead of rebuilding it, and
+//     refreshes the cache.
+//
+// A full trace that frees objects caches nothing: applying it bumps the
+// mutation epoch, so the next trace is full anyway. A reused result reports
+// no marks and no mark time, since that run marked nothing.
 //
 // Both reuse levels are exact, not approximate: phase-2 outsets are
 // graph-theoretic (order-independent), so every reused field is what the
 // full trace would have computed — the set_check_reuse_for_testing hook
-// asserts exactly that by running both and comparing.
+// asserts exactly that by running the cache-free full trace beside every
+// reuse and comparing.
 #pragma once
 
 #include <vector>
@@ -89,8 +93,8 @@ class LocalCollector {
     friend bool operator==(const TraceInputs&, const TraceInputs&) = default;
   };
 
-  /// Drops the previous-trace cache and the heap's dirty tracking (crash
-  /// restart: both are volatile acceleration state; the persistent
+  /// Drops the previous-trace cache, so the next trace is full (crash
+  /// restart: the cache is volatile acceleration state; the persistent
   /// OutsetStore is a pure content-keyed memo and survives).
   void InvalidateCache();
 
@@ -123,10 +127,13 @@ class LocalCollector {
   [[nodiscard]] ReuseLevel ClassifyReuse(const TraceInputs& inputs) const;
 
   /// The classic three-phase trace. When `inputs_for_cache` is non-null the
-  /// run also refreshes the reuse cache (and consumes the heap's dirty sets);
-  /// null = plain run (incremental off, or the reuse check's shadow trace).
+  /// run also patches insets from and refreshes the reuse cache; null is the
+  /// cache-free oracle the reuse check runs.
   TraceResult RunFullTrace(const std::vector<ObjectId>& app_roots,
                            const TraceInputs* inputs_for_cache);
+
+  /// The cached result re-served at this epoch, with no marking work.
+  [[nodiscard]] TraceResult CachedResult() const;
 
   /// Level-1 reuse: cached marks/outsets/back info, distances re-folded from
   /// the cached clean-phase distances plus each suspect's cached outset.

@@ -34,15 +34,11 @@ struct LocalTraceStats {
   /// Real (wall-clock) duration of the trace computation, for throughput
   /// instrumentation only — never fed back into simulated time.
   std::uint64_t trace_wall_ns = 0;
-  /// Wall time of the clean-mark phase (phase 1) alone. Zero when a reuse
-  /// level skipped marking entirely.
+  /// Wall time of the clean-mark phase (phase 1) alone. Zero, like the
+  /// mark and scan counts above, when a reuse level skipped marking.
   std::uint64_t mark_wall_ns = 0;
 
-  // --- Incremental-trace accounting (zero when incremental_trace is off) --
-  /// Objects actually visited by this trace. A full trace re-traces every
-  /// live object; a level-1 reuse re-traces none (marks are reused); a
-  /// quiescent skip re-traces none and also bumps quiescent_skips.
-  std::uint64_t objects_retraced = 0;
+  // --- Trace-reuse accounting -------------------------------------------
   /// Suspect outsets served from the previous trace's memoized back info
   /// instead of being recomputed.
   std::uint64_t outsets_reused = 0;

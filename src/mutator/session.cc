@@ -139,10 +139,9 @@ void Session::StartWrite(ObjectId target, std::size_t slot, ObjectId value,
   if (target.site == home_) {
     // Local copy (§6.1.1): safe without a barrier here because obtaining
     // `value` already applied the transfer barrier on arrival, and variables
-    // are roots. SetSlot is also the incremental collector's write barrier:
-    // it dirties the written object and the overwritten target, so every
-    // mutator write (this local path, the remote MutatorWriteMsg path, and
-    // transaction commit slices) is observed without extra hooks here.
+    // are roots. SetSlot bumps the heap's mutation epoch, so every mutator
+    // write (this local path, the remote MutatorWriteMsg path, and
+    // transaction commit slices) ends trace reuse without extra hooks here.
     home_site.heap().SetSlot(target, slot, value);
     done();
     return;

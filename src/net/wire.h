@@ -63,7 +63,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /// Protocol magic ("DGC1") and version carried by every Hello.
 inline constexpr std::uint32_t kWireMagic = 0x44474331;
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 
 // ---------------------------------------------------------------------------
 // Flat little-endian writer / bounds-checked reader.
@@ -476,8 +476,7 @@ auto Fields(Is<CollectorConfig> auto& c) {
                   c.back_threshold_increment, c.local_trace_duration,
                   c.back_call_timeout, c.report_timeout,
                   c.update_refresh_period, c.source_lease_ttl,
-                  c.enable_back_tracing, c.insert_mode, c.enable_verdict_cache,
-                  c.coalesce_traces, c.batch_back_calls, c.incremental_trace,
+                  c.enable_back_tracing, c.insert_mode,
                   c.park_on_suspected_failure, c.short_circuit_live_replies);
 }
 

@@ -17,10 +17,7 @@ InrefEntry& RefTables::EnsureInref(ObjectId local_ref) {
                 "inref must name a local object: " << local_ref << " on site "
                                                    << site_);
   auto [it, created] = inrefs_.try_emplace(local_ref);
-  if (created) {
-    it->second.back_threshold = config_.initial_back_threshold();
-    ++mutation_count_;
-  }
+  if (created) it->second.back_threshold = config_.initial_back_threshold();
   return it->second;
 }
 
@@ -29,14 +26,13 @@ InrefEntry& RefTables::AddInrefSource(ObjectId local_ref, SiteId source,
   DGC_CHECK_MSG(source != site_, "a site cannot be its own inref source");
   InrefEntry& entry = EnsureInref(local_ref);
   entry.sources[source] = SourceInfo{distance, now};
-  ++mutation_count_;
   return entry;
 }
 
 bool RefTables::RemoveInrefSource(ObjectId local_ref, SiteId source) {
   InrefEntry* entry = FindInref(local_ref);
   if (entry == nullptr) return false;
-  if (entry->sources.erase(source) != 0) ++mutation_count_;
+  entry->sources.erase(source);
   if (entry->sources.empty()) {
     inrefs_.erase(local_ref);
     return true;
@@ -44,9 +40,7 @@ bool RefTables::RemoveInrefSource(ObjectId local_ref, SiteId source) {
   return false;
 }
 
-void RefTables::RemoveInref(ObjectId local_ref) {
-  if (inrefs_.erase(local_ref) != 0) ++mutation_count_;
-}
+void RefTables::RemoveInref(ObjectId local_ref) { inrefs_.erase(local_ref); }
 
 OutrefEntry* RefTables::FindOutref(ObjectId remote_ref) {
   const auto it = outrefs_.find(remote_ref);
@@ -62,10 +56,7 @@ std::pair<OutrefEntry*, bool> RefTables::EnsureOutref(ObjectId remote_ref) {
   DGC_CHECK_MSG(remote_ref.site != site_,
                 "outref must name a remote object: " << remote_ref);
   auto [it, created] = outrefs_.try_emplace(remote_ref);
-  if (created) {
-    it->second.back_threshold = config_.initial_back_threshold();
-    ++mutation_count_;
-  }
+  if (created) it->second.back_threshold = config_.initial_back_threshold();
   return {&it->second, created};
 }
 
@@ -85,7 +76,6 @@ void RefTables::RemoveOutrefs(const std::vector<ObjectId>& sorted_refs) {
       });
   DGC_CHECK_MSG(removed == sorted_refs.size(),
                 "outrefs to remove must be sorted and distinct");
-  mutation_count_ += removed;
 }
 
 }  // namespace dgc

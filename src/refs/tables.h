@@ -193,16 +193,6 @@ class RefTables {
 
   [[nodiscard]] const CollectorConfig& config() const { return config_; }
 
-  /// Advisory mutation counter bumped by the structural operations above
-  /// (entry add/remove, source add/remove). Advisory only: callers holding a
-  /// Find* pointer mutate entry fields without going through RefTables, so
-  /// an unchanged count does NOT prove quiescence — the incremental
-  /// collector's authoritative check is its exact ioref input snapshot. The
-  /// counter exists for cheap instrumentation ("did the table churn?").
-  [[nodiscard]] std::uint64_t mutation_count() const {
-    return mutation_count_;
-  }
-
   // --- Flat-table occupancy / reuse observability ----------------------
   //
   // The maps never shrink their backing vectors, so sustained churn should
@@ -235,7 +225,6 @@ class RefTables {
   const CollectorConfig& config_;
   InrefMap inrefs_;
   OutrefMap outrefs_;
-  std::uint64_t mutation_count_ = 0;
 };
 
 }  // namespace dgc

@@ -19,8 +19,6 @@ ObjectId Heap::Allocate(std::size_t slot_count) {
       clean_epoch_.resize(slabs_.size() * kSlabSize, 0);
       generation_.resize(slabs_.size() * kSlabSize, 0);
       live_.resize(slabs_.size() * kSlabSize, 0);
-      dirty_bits_.resize(slabs_.size() * kSlabSize / 64, 0);
-      slab_dirty_.resize(slabs_.size(), 0);
     }
     ++used_slots_;
   }
@@ -29,7 +27,6 @@ ObjectId Heap::Allocate(std::size_t slot_count) {
   ++live_count_;
   ++stats_.allocated;
   ++mutation_epoch_;
-  MarkDirtySlot(slot);
   return IdAt(slot);
 }
 
@@ -37,17 +34,8 @@ void Heap::SetSlot(ObjectId id, std::size_t slot, ObjectId target) {
   Object& object = Get(id);
   DGC_CHECK_MSG(slot < object.slots.size(),
                 "slot " << slot << " out of range for " << id);
-  const ObjectId previous = object.slots[slot];
   object.slots[slot] = target;
   ++mutation_epoch_;
-  MarkDirtySlot(SlotOf(id.index));
-  // The severed edge may have been the old target's last retainer; dirty it
-  // so a partial re-trace revisits its region. (A remote old target marks
-  // nothing dirty: when its outref is trimmed, the changed
-  // TraceInputs::outrefs forces the next incremental trace to be full.)
-  if (previous != kInvalidObject && Exists(previous)) {
-    MarkDirtySlot(SlotOf(previous.index));
-  }
 }
 
 ObjectId Heap::GetSlot(ObjectId id, std::size_t slot) const {
@@ -76,15 +64,6 @@ void Heap::Free(ObjectId id) {
   free_slots_.push_back(static_cast<std::uint32_t>(slot));
   ++stats_.reclaimed;
   ++mutation_epoch_;
-  // Drop the freed slot's dirty bit: ForEachDirty skips dead slots anyway,
-  // and a recycled slot must not inherit stale dirt accounting.
-  const std::uint64_t word = slot / 64;
-  const std::uint64_t bit = 1ULL << (slot % 64);
-  if ((dirty_bits_[word] & bit) != 0) {
-    dirty_bits_[word] &= ~bit;
-    --slab_dirty_[slot / kSlabSize];
-    --dirty_count_;
-  }
 }
 
 void Heap::AddPersistentRoot(ObjectId id) {
@@ -93,7 +72,6 @@ void Heap::AddPersistentRoot(ObjectId id) {
                       id) == persistent_roots_.end());
   persistent_roots_.push_back(id);
   ++mutation_epoch_;
-  MarkDirtySlot(SlotOf(id.index));
 }
 
 void Heap::RemovePersistentRoot(ObjectId id) {
@@ -102,7 +80,6 @@ void Heap::RemovePersistentRoot(ObjectId id) {
   DGC_CHECK_MSG(it != persistent_roots_.end(), id << " is not a root");
   persistent_roots_.erase(it);
   ++mutation_epoch_;
-  MarkDirtySlot(SlotOf(id.index));
 }
 
 HeapImage Heap::CaptureImage() const {
@@ -156,8 +133,6 @@ void Heap::RestoreImage(const HeapImage& image) {
   clean_epoch_.assign(capacity, 0);
   generation_.assign(capacity, 0);
   live_.assign(capacity, 0);
-  dirty_bits_.assign(capacity / 64, 0);
-  slab_dirty_.assign(slabs_.size(), 0);
   used_slots_ = slots;
   for (std::uint64_t slot = 0; slot < slots; ++slot) {
     const HeapImage::SlotImage& s = image.slots[slot];
@@ -170,39 +145,6 @@ void Heap::RestoreImage(const HeapImage& image) {
   free_slots_ = image.free_slots;
   persistent_roots_ = image.persistent_roots;
   stats_ = image.stats;
-  // The restored state is conservatively all-dirty, exactly as after a
-  // crash-restart's InvalidateDirtyTracking.
-  InvalidateDirtyTracking();
-}
-
-void Heap::MarkDirty(ObjectId id) {
-  ++mutation_epoch_;
-  if (Exists(id)) MarkDirtySlot(SlotOf(id.index));
-}
-
-void Heap::InvalidateDirtyTracking() {
-  ++mutation_epoch_;
-  // Conservatively dirty every live object: with no trustworthy record of
-  // what changed, the next partial trace must assume everything did.
-  for (std::uint64_t slot = 0; slot < used_slots_; ++slot) {
-    if (live_[slot] != 0) MarkDirtySlot(slot);
-  }
-}
-
-void Heap::ClearDirty() {
-  std::fill(dirty_bits_.begin(), dirty_bits_.end(), 0);
-  std::fill(slab_dirty_.begin(), slab_dirty_.end(), 0);
-  dirty_count_ = 0;
-}
-
-void Heap::MarkDirtySlot(std::uint64_t slot) {
-  const std::uint64_t word = slot / 64;
-  const std::uint64_t bit = 1ULL << (slot % 64);
-  if ((dirty_bits_[word] & bit) == 0) {
-    dirty_bits_[word] |= bit;
-    ++slab_dirty_[slot / kSlabSize];
-    ++dirty_count_;
-  }
 }
 
 }  // namespace dgc

@@ -15,20 +15,13 @@
 // makes the local trace cache-friendly and, with per-site traces being
 // independent, embarrassingly parallel.
 //
-// Mutation-driven dirty tracking: every state change that could alter a local
-// trace's outcome — allocation, reclamation, a slot write (including the slot's
-// previous target, whose reachability the overwrite may have severed), a
-// root-set change — bumps a monotone mutation epoch and records the touched
-// objects in per-slab dirty sets. The incremental local collector consumes
-// both: an unchanged mutation epoch proves the heap quiescent since the last
-// trace, and the dirty sets bound how much of the heap a future partial
-// re-trace must visit. Dirtying is strictly conservative (false positives only
-// cost re-tracing), and the tracking is volatile acceleration state: after a
-// crash-restart the site invalidates it wholesale rather than trusting it.
+// Mutation epoch: every state change that could alter a local trace's
+// outcome — allocation, reclamation, a slot write, a root-set change — bumps
+// a monotone counter. The local collector keys its trace reuse on it: an
+// unchanged epoch proves the heap unchanged since the cached trace.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -54,8 +47,8 @@ struct HeapStats {
 /// an image preserves ObjectIds exactly — slot positions, generations, and
 /// the recycling order all round-trip — so a site process restarted from a
 /// snapshot allocates the same ids the crashed incarnation would have.
-/// Epoch stamps and dirty tracking are volatile trace-acceleration state and
-/// are deliberately NOT part of the image.
+/// Epoch stamps are volatile trace state and are deliberately NOT part of
+/// the image.
 struct HeapImage {
   struct SlotImage {
     std::uint32_t generation = 0;
@@ -160,10 +153,7 @@ class Heap {
   }
 
   /// Stores `target` (or null) into a slot. Purely mechanical; reference-
-  /// tracking bookkeeping is the caller's job. Dirties the written object and
-  /// the slot's previous local target (severing an edge can change the old
-  /// target's reachability; the new target is reachable through the now-dirty
-  /// source, so tracing from dirty objects covers it).
+  /// tracking bookkeeping is the caller's job.
   void SetSlot(ObjectId id, std::size_t slot, ObjectId target);
 
   [[nodiscard]] ObjectId GetSlot(ObjectId id, std::size_t slot) const;
@@ -184,6 +174,14 @@ class Heap {
   [[nodiscard]] std::size_t object_count() const { return live_count_; }
   [[nodiscard]] const HeapStats& stats() const { return stats_; }
 
+  /// Monotone counter bumped by every mutation that can change a local
+  /// trace's outcome: Allocate, Free, SetSlot and root-set changes. A
+  /// collector that records this value at trace time and sees it unchanged
+  /// later has proof the heap is unchanged.
+  [[nodiscard]] std::uint64_t mutation_epoch() const {
+    return mutation_epoch_;
+  }
+
   // --- Snapshot / restore (socket-transport site persistence) -----------
 
   /// Copies the durable state out (see HeapImage).
@@ -191,56 +189,8 @@ class Heap {
 
   /// Rebuilds this heap from an image. Only valid on a heap that has never
   /// allocated — the restore path constructs a fresh Site and loads into it.
-  /// Epochs come back zeroed and the restored contents are conservatively
-  /// all-dirty (the snapshot carries no trustworthy dirty record).
+  /// Epochs come back zeroed.
   void RestoreImage(const HeapImage& image);
-
-  // --- Mutation-driven dirty tracking (incremental local traces) --------
-
-  /// Monotone counter bumped by every mutation that can change a local
-  /// trace's outcome: Allocate, Free, SetSlot, root-set changes, and
-  /// explicit MarkDirty calls. A collector that records this value at trace
-  /// time and sees it unchanged later has proof the heap is quiescent.
-  [[nodiscard]] std::uint64_t mutation_epoch() const {
-    return mutation_epoch_;
-  }
-
-  /// Conservatively records `id` as touched (barrier hooks; no-op for ids
-  /// that no longer exist). Bumps the mutation epoch.
-  void MarkDirty(ObjectId id);
-
-  /// Invalidates the tracking wholesale (crash-restart: the dirty sets are
-  /// volatile, so the restarted collector must not trust them). Bumps the
-  /// mutation epoch so any cached trace keyed on it is discarded.
-  void InvalidateDirtyTracking();
-
-  /// Objects dirtied since the last ClearDirty (live ones only; a freed
-  /// object's dirt is subsumed by the mutation epoch).
-  [[nodiscard]] std::size_t dirty_object_count() const {
-    return dirty_count_;
-  }
-  /// Dirty objects in one slab — the per-slab dirty set's cardinality.
-  [[nodiscard]] std::size_t SlabDirtyCount(std::size_t slab) const {
-    return slab < slab_dirty_.size() ? slab_dirty_[slab] : 0;
-  }
-
-  /// Visits every dirty live object's id, in storage-slot order.
-  template <typename Fn>
-  void ForEachDirty(Fn&& fn) const {
-    for (std::size_t word = 0; word < dirty_bits_.size(); ++word) {
-      std::uint64_t bits = dirty_bits_[word];
-      while (bits != 0) {
-        const std::uint64_t slot =
-            word * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        if (slot < used_slots_ && live_[slot] != 0) fn(IdAt(slot));
-      }
-    }
-  }
-
-  /// Consumes the dirty sets (called by the collector once a trace has
-  /// observed them). The mutation epoch is NOT reset — it is monotone.
-  void ClearDirty();
 
   // --- Occupancy (instrumentation) --------------------------------------
 
@@ -308,9 +258,6 @@ class Heap {
 
   using Slab = std::array<Object, kSlabSize>;
 
-  /// Sets the slot's dirty bit and maintains the per-slab / total counts.
-  void MarkDirtySlot(std::uint64_t slot);
-
   SiteId site_;
   std::vector<std::unique_ptr<Slab>> slabs_;
   // Side arrays indexed by storage slot, contiguous across slabs.
@@ -323,11 +270,6 @@ class Heap {
   std::size_t live_count_ = 0;
   std::vector<ObjectId> persistent_roots_;
   HeapStats stats_;
-  // Dirty tracking: one bit per storage slot (words grown with the side
-  // arrays), per-slab cardinalities, and the monotone mutation epoch.
-  std::vector<std::uint64_t> dirty_bits_;
-  std::vector<std::uint32_t> slab_dirty_;
-  std::size_t dirty_count_ = 0;
   std::uint64_t mutation_epoch_ = 0;
 };
 

@@ -5,6 +5,7 @@
 
 #include "core/system.h"
 #include "mutator/session.h"
+#include "reuse_check.h"
 #include "workload/builders.h"
 #include "workload/figures.h"
 
@@ -237,6 +238,7 @@ TEST(NonAtomicTraceTest, BackTraceDuringTraceSeesOldCopy) {
   config.local_trace_duration = 200;
   config.enable_back_tracing = false;
   System system(2, config);
+  CheckEveryReuse(system);
   const auto cycle =
       workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});
   // Ripen with several (non-overlapping) slow traces.
@@ -272,6 +274,7 @@ TEST(NonAtomicTraceTest, BarrierDuringTraceWindowIsRemembered) {
   config.local_trace_duration = 200;
   config.enable_back_tracing = false;
   System system(3, config);
+  CheckEveryReuse(system);
   RescueWorld w = BuildRescueWorld(system);
   for (int i = 0; i < 6; ++i) {
     for (SiteId s = 0; s < 3; ++s) system.site(s).StartLocalTrace();
@@ -309,6 +312,7 @@ TEST(NonAtomicTraceTest, ObjectsAllocatedMidTraceSurviveTheSweep) {
   CollectorConfig config = Config();
   config.local_trace_duration = 200;
   System system(1, config);
+  CheckEveryReuse(system);
   const ObjectId dead = system.NewObject(0, 0);
   Session session(system, 0, 1);
   system.site(0).StartLocalTrace();
@@ -333,6 +337,7 @@ TEST_P(Figure5Plus6, MutationRaceNeverKillsLiveObjects) {
     NetworkConfig net;
     net.latency = 30;
     System system(4, Config(), net);
+    CheckEveryReuse(system);
     const auto w = workload::BuildFigure5(system, second_source);
     system.RunRounds(5);  // e, f, g (and z, x) become suspected
 

@@ -1,11 +1,13 @@
 // Crash-restart tests: a site loses its volatile state (frames, visit
 // records, pins, in-flight trace, continuations) but keeps its persistent
 // store (heap, tables, back info). The rest of the system recovers through
-// timeouts, report expiry, and recovery-time re-registration.
+// timeouts, report expiry, and recovery-time re-registration. Every reused
+// local trace is checked against a shadow full trace.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
 #include "mutator/session.h"
+#include "reuse_check.h"
 #include "workload/builders.h"
 
 namespace dgc {
@@ -22,6 +24,7 @@ CollectorConfig Config() {
 
 TEST(CrashRestartTest, PersistentStateSurvives) {
   System system(2, Config());
+  CheckEveryReuse(system);
   const auto cycle =
       workload::BuildCycle(system, {.sites = 2, .objects_per_site = 2});
   const ObjectId tether = workload::TetherToRoot(system, cycle.head(), 0);
@@ -45,6 +48,7 @@ TEST(CrashRestartTest, MidTraceCrashRecoversViaTimeouts) {
   NetworkConfig net;
   net.latency = 50;
   System system(3, config, net);
+  CheckEveryReuse(system);
   const auto cycle =
       workload::BuildCycle(system, {.sites = 3, .objects_per_site = 1});
   system.RunRounds(12);  // ripen
@@ -93,6 +97,7 @@ TEST(CrashRestartTest, MidLocalTraceCrashDiscardsPendingResult) {
   CollectorConfig config = Config();
   config.local_trace_duration = 200;
   System system(2, config);
+  CheckEveryReuse(system);
   const ObjectId obj = system.NewObject(0, 0);
   system.SetPersistentRoot(obj);
   const ObjectId dead = system.NewObject(0, 0);
@@ -109,6 +114,7 @@ TEST(CrashRestartTest, MidLocalTraceCrashDiscardsPendingResult) {
 
 TEST(CrashRestartTest, SessionsDieAndTheirGarbageIsCollected) {
   System system(2, Config());
+  CheckEveryReuse(system);
   auto session = std::make_unique<Session>(system, 0, 1);
   const ObjectId local_held = session->Create(1);
   const ObjectId remote = system.NewObject(1, 0);
@@ -131,6 +137,7 @@ TEST(CrashRestartTest, ReRegistrationHealsLostInserts) {
   NetworkConfig net;
   net.latency = 50;
   System system(2, Config(), net);
+  CheckEveryReuse(system);
   const ObjectId obj = system.NewObject(1, 0);
   workload::TetherToRoot(system, obj, 1);
   // Site 0 receives the reference; the insert message is lost because site 1
@@ -164,6 +171,7 @@ TEST(CrashRestartTest, ReRegistrationToCondemnedInrefIsIgnored) {
   // The sender was down while a back trace condemned the object; its
   // recovery re-registration must not resurrect the flagged inref.
   System system(2, Config());
+  CheckEveryReuse(system);
   const ObjectId obj = system.NewObject(1, 0);
   const ObjectId holder = system.NewObject(0, 1);
   system.Wire(holder, 0, obj);  // holder itself is garbage at site 0
@@ -190,6 +198,7 @@ TEST(CrashRestartTest, CrashDropsCachedVerdicts) {
   CollectorConfig config = Config();
   config.enable_back_tracing = false;  // trigger the one trace by hand
   System system(2, config);
+  CheckEveryReuse(system);
   workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});
   system.RunRounds(12);
   Site& initiator = system.site(0);

@@ -1,11 +1,13 @@
 // Kitchen-sink soak: every optional feature enabled at once — piggybacking,
 // short-circuit replies, deferred inserts, non-atomic local traces, latency
 // jitter, message loss, timeouts, update refresh — under transactional churn
-// with a mid-run crash-restart. If the features compose badly, this is where
-// it shows.
+// with a mid-run crash-restart, and every reused local trace checked against
+// a shadow full trace. If the features compose badly, this is where it
+// shows.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "reuse_check.h"
 #include "workload/builders.h"
 #include "workload/churn.h"
 
@@ -32,6 +34,7 @@ TEST_P(KitchenSink, EverythingOnEverywhereStaysSafeAndCompletes) {
   net.drop_probability = 0.02;
   net.batch_window = 6;  // §4.6 piggybacking
   System system(5, config, net, seed);
+  CheckEveryReuse(system);
 
   // Static garbage to find: two rings, one of them large.
   const auto small_ring = workload::BuildCycle(

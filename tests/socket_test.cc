@@ -177,51 +177,6 @@ TEST(SocketWorld, SimDifferentialTenSeeds) {
   }
 }
 
-// Socket column of the composition matrix (transport_test.cc carries the
-// TSan-able sim/threaded columns): incremental traces inside each site
-// PROCESS must reproduce the simulator bit for bit: same minted ids, same
-// per-object verdicts, same census and reclaim totals.
-TEST(SocketWorld, MarkThreadsAndIncrementalMatchSimTenSeeds) {
-  const ScriptedChurnSpec spec = SmallSpec();
-  CollectorConfig collector = TestCollector();
-  collector.incremental_trace = true;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-
-    System system(kSites, collector, NetworkConfig{}, seed);
-    SystemGodWorld sim_world(system);
-    const ScriptedChurnResult sim = RunScriptedChurn(sim_world, seed, spec);
-
-    SocketWorldOptions options = TestOptions(seed);
-    options.collector = collector;
-    SocketWorld socket(options);
-    SocketGodWorld proc_world(socket);
-    const ScriptedChurnResult proc = RunScriptedChurn(proc_world, seed, spec);
-
-    ASSERT_EQ(sim.rings.size(), proc.rings.size());
-    ASSERT_EQ(sim.locals, proc.locals);
-    ASSERT_EQ(sim.cuts, proc.cuts);
-    for (std::size_t i = 0; i < sim.rings.size(); ++i) {
-      ASSERT_EQ(sim.rings[i].objects, proc.rings[i].objects);
-      ASSERT_EQ(sim.rings[i].tether, proc.rings[i].tether);
-      ASSERT_EQ(sim.rings[i].cut, proc.rings[i].cut);
-    }
-    for (const ScriptedRing& ring : sim.rings) {
-      for (ObjectId obj : ring.objects) {
-        EXPECT_EQ(system.ObjectExists(obj), socket.ObjectExists(obj))
-            << "ring object " << obj.site << ":" << obj.index;
-      }
-      EXPECT_EQ(system.ObjectExists(ring.tether),
-                socket.ObjectExists(ring.tether));
-    }
-    for (ObjectId obj : sim.locals) {
-      EXPECT_EQ(system.ObjectExists(obj), socket.ObjectExists(obj));
-    }
-    EXPECT_EQ(system.TotalObjects(), socket.TotalObjects());
-    EXPECT_EQ(system.TotalObjectsReclaimed(), socket.TotalObjectsReclaimed());
-  }
-}
-
 // Chaos against the pipelined wave itself: one site SIGSTOPped (its slot
 // expires at the shared deadline while the rest of the wave completes) and
 // another kill -9'd with a StepRequest in flight (EOF mid-wave →

@@ -21,6 +21,7 @@
 #include "core/system.h"
 #include "net/mpsc_queue.h"
 #include "net/threaded_transport.h"
+#include "reuse_check.h"
 #include "sim/fault_plan.h"
 #include "workload/builders.h"
 #include "workload/scale.h"
@@ -66,16 +67,17 @@ struct OpenLoopOutcome {
 /// collector-independent, so spawn/sever sets are identical by construction;
 /// completeness then pins the reclaim set too).
 OpenLoopOutcome RunOpenLoop(TransportKind kind, std::uint64_t seed,
-                            SimTime round_stagger, bool incremental = false) {
+                            SimTime round_stagger) {
   CollectorConfig config;
   config.suspicion_threshold = 2;
   config.estimated_cycle_length = 4;
   config.back_threshold_increment = 2;
-  config.incremental_trace = incremental;
   NetworkConfig net;
   net.transport = kind;
   net.transport_threads = 4;
   System system(4, config, net, seed);
+  // Under the threaded backend the shadow full traces run on site threads.
+  CheckEveryReuse(system);
 
   workload::ScaleTopologySpec topo;
   topo.sites = 4;
@@ -166,26 +168,6 @@ TEST(TransportDifferential, ThreadedIsReproducibleAcrossThreadCounts) {
   const auto one = run(1);
   EXPECT_EQ(one, run(2));
   EXPECT_EQ(one, run(8));
-}
-
-// Incremental traces and the engine choice must both be observationally
-// invisible: every cell reproduces the sim/full-trace baseline's verdicts,
-// reclaim totals, and survivor census bit for bit. (The socket column lives
-// in socket_test.cc; this binary carries the TSan-able legs.)
-TEST(TransportDifferential, MarkThreadsByTransportByIncrementalMatrix) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    for (const bool incremental : {false, true}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) +
-                   (incremental ? " incremental" : " baseline"));
-      const OpenLoopOutcome baseline = RunOpenLoop(
-          TransportKind::kSim, seed, /*round_stagger=*/3, incremental);
-      ASSERT_GT(baseline.severed, 0u);
-      ASSERT_TRUE(baseline.complete);
-      const OpenLoopOutcome threaded = RunOpenLoop(
-          TransportKind::kThreaded, seed, /*round_stagger=*/3, incremental);
-      ASSERT_EQ(baseline, threaded);
-    }
-  }
 }
 
 struct WebOutcome {

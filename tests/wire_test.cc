@@ -167,10 +167,6 @@ std::vector<Sample> GoldenSamples() {
   c.source_lease_ttl = 5000;
   c.enable_back_tracing = false;
   c.insert_mode = InsertMode::kDeferred;
-  c.enable_verdict_cache = false;
-  c.coalesce_traces = false;
-  c.batch_back_calls = false;
-  c.incremental_trace = true;
   c.park_on_suspected_failure = false;
   c.short_circuit_live_replies = true;
   samples.push_back(MakeSample("HelloAck", ack));
@@ -266,8 +262,8 @@ constexpr Pinned kPinned[] = {
     {"ReachabilitySummary", 69, 0x8f2357b421dea4f4ULL},
     {"Condemn", 25, 0xdb1c95da5f6bafcdULL},
     {"Envelope", 42, 0x1daaee7a3ea6b220ULL},
-    {"Hello", 14, 0x84cbd34a560e19adULL},
-    {"HelloAck", 74, 0x2845aacba25aeafcULL},
+    {"Hello", 14, 0x5d7b9c3d2cf2c2d4ULL},
+    {"HelloAck", 70, 0x9e9b68f013692177ULL},
     {"StepRequest", 111, 0x8d02d0a6030988a7ULL},
     {"StepReply", 49, 0xbd42c057bacb1a07ULL},
     {"BuildOp", 53, 0x599dbfc73c3ed4f5ULL},
