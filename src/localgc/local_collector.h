@@ -149,8 +149,15 @@ class LocalCollector {
   bool check_reuse_ = false;
   std::uint64_t epoch_ = 0;
   /// Scratch mark stack, reused across traces so the hot loop never
-  /// reallocates once the heap's size has been seen.
-  std::vector<ObjectId> mark_stack_;
+  /// reallocates once the heap's size has been seen. It holds decoded
+  /// objects that have slots: a popped object is never decoded again, and
+  /// a leaf is never pushed.
+  std::vector<const Object*> mark_stack_;
+  /// Ref -> column position for the outref column of the last full trace.
+  /// Both reuse levels require identical TraceInputs::outrefs, so the
+  /// column a refold or quiescent skip serves has exactly the refs, in the
+  /// same order, that this index was built from.
+  OutrefIndex outref_index_;
   /// Persistent across traces: suspects with outsets already seen in any
   /// earlier epoch intern to the same id, and union memo hits carry over.
   OutsetStore store_;

@@ -12,8 +12,7 @@
 // index — a recycled slot hands out a new id while stale ids fail Exists().
 // Epoch stamps live in contiguous side arrays (not in Object) so the marking
 // loop touches dense memory instead of chasing per-object nodes; this is what
-// makes the local trace cache-friendly and, with per-site traces being
-// independent, embarrassingly parallel.
+// makes the local trace cache-friendly.
 //
 // Mutation epoch: every state change that could alter a local trace's
 // outcome — allocation, reclamation, a slot write, a root-set change — bumps
@@ -132,8 +131,12 @@ class Heap {
   }
 
   /// One decoded live object: its slots plus its epoch cells, so the marking
-  /// loop pays the id decode once per object. The pointers are valid until
-  /// the next Allocate or Free (Allocate may grow the side arrays).
+  /// loop pays the id decode once per object. The epoch pointers are valid
+  /// until the next Allocate or Free (Allocate may grow the side arrays);
+  /// `object` stays valid until that object is freed, since slabs never
+  /// move. The local collector's mark stack holds these Object pointers for
+  /// the whole mark, which is safe because nothing allocates or frees
+  /// during a trace.
   struct Cell {
     Object* object;
     std::uint64_t* mark_epoch;
