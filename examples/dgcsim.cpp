@@ -2,8 +2,7 @@
 //
 //   dgcsim [--sites N] [--cycle W[xK]] [--hypertext D] [--churn STEPS]
 //          [--rounds R] [--threshold D] [--crash S] [--batch W] [--seed S]
-//          [--transport sim|threaded|socket] [--transport-threads N]
-//          [--dump] [--dot] [--csv]
+//          [--transport sim|socket] [--dump] [--dot] [--csv]
 //   dgcsim --role site --site N --socket PATH [--snapshot PATH]
 //
 // Builds a world, runs collection rounds, prints a system summary (and
@@ -23,7 +22,6 @@
 //   dgcsim --sites 3 --churn 60 --rounds 10 --dot > world.dot
 //   dgcsim --sites 4 --cycle 2 --crash 1 --rounds 15
 //   dgcsim --sites 4 --cycle 3 --rounds 20 --csv > series.csv
-//   dgcsim --sites 8 --cycle 4x2 --rounds 20 --transport threaded
 //   dgcsim --sites 4 --cycle 3 --rounds 12 --transport socket --crash 1
 #include <algorithm>
 #include <cstdio>
@@ -49,18 +47,15 @@ int Usage(const char* argv0) {
                "[--churn STEPS]\n"
                "          [--rounds R] [--threshold D] [--crash S] "
                "[--batch W] [--seed S]\n"
-               "          [--transport sim|threaded|socket] "
-               "[--transport-threads N]\n"
-               "          [--dump] [--dot] [--csv]\n"
+               "          [--transport sim|socket] [--dump] [--dot] [--csv]\n"
                "       %s --role site --site N --socket PATH "
                "[--snapshot PATH]\n"
-               "  --transport threaded runs each site on its own thread;\n"
                "  --transport socket runs each site as its own OS process\n"
-               "  (both deterministic at the protocol level; default sim).\n"
-               "  --churn runs under every backend: the transactional\n"
-               "  driver under sim/threaded, the scripted generator over\n"
-               "  the socket god-mode surface. --role site is the process\n"
-               "  the socket coordinator spawns — not for interactive use.\n",
+               "  (deterministic at the protocol level; default sim).\n"
+               "  --churn runs under both: the transactional driver under\n"
+               "  sim, the scripted generator over the socket god-mode\n"
+               "  surface. --role site is the process the socket\n"
+               "  coordinator spawns — not for interactive use.\n",
                argv0, argv0);
   return 2;
 }
@@ -234,8 +229,7 @@ int main(int argc, char** argv) {
   SimTime batch_window = 0;
   std::uint64_t seed = 42;
   bool dump = false, dot = false, csv = false;
-  TransportKind transport = TransportKind::kSim;
-  std::size_t transport_threads = 0;
+  bool socket = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -268,21 +262,15 @@ int main(int argc, char** argv) {
       seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--transport") {
       const std::string mode = next();
-      if (mode == "sim") {
-        transport = TransportKind::kSim;
-      } else if (mode == "threaded") {
-        transport = TransportKind::kThreaded;
-      } else if (mode == "socket") {
-        transport = TransportKind::kSocket;
+      if (mode == "sim" || mode == "socket") {
+        socket = mode == "socket";
       } else {
         std::fprintf(stderr,
                      "dgcsim: unknown transport '%s' (valid backends: sim, "
-                     "threaded, socket)\n",
+                     "socket)\n",
                      mode.c_str());
         return 2;
       }
-    } else if (arg == "--transport-threads") {
-      transport_threads = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--dump") {
       dump = true;
     } else if (arg == "--dot") {
@@ -294,11 +282,11 @@ int main(int argc, char** argv) {
     }
   }
   if (sites < 1 || (cycle_sites > sites)) return Usage(argv[0]);
-  if (transport == TransportKind::kSocket) {
+  if (socket) {
     if (batch_window > 0 || hypertext_docs > 0 || dump || dot || csv) {
       std::fprintf(stderr,
                    "dgcsim: --batch/--hypertext/--dump/--dot/--csv need the "
-                   "in-process world; use --transport sim or threaded\n");
+                   "in-process world; use --transport sim\n");
       return 2;
     }
     return RunSocketCoordinator(argv[0], sites, cycle_sites, cycle_objects,
@@ -314,12 +302,7 @@ int main(int argc, char** argv) {
   config.report_timeout = crash_site >= 0 ? 3000 : 0;
   NetworkConfig net;
   net.batch_window = batch_window;
-  net.transport = transport;
-  net.transport_threads = transport_threads;
   System system(sites, config, net, seed);
-  if (transport == TransportKind::kThreaded) {
-    std::printf("transport: threaded\n");
-  }
   Rng rng(seed);
 
   if (cycle_sites > 0) {

@@ -43,18 +43,12 @@ ticks); and each flat/map table-mutation pair must show the flat table
 measurably cheaper than the std::map baseline (time ratio <= 0.95). The
 open-loop counters are simulation-clock values, deterministic per seed.
 
-``--check-transport`` gates a single BENCH_transport.json on the threaded
+``--check-transport`` gates a single BENCH_transport.json on the socket
 backend's correctness contract: every row must show verdicts_match == 1 with
-the threaded run's cycles_severed/cycles_collected/reclaimed exactly equal
-to the sim run's (same seed, same garbage verdicts, same reclaim set — the
+the socket run's cycles_severed/cycles_collected/reclaimed exactly equal to
+the sim run's (same seed, same garbage verdicts, same reclaim set — the
 equality is the gate, always, on any host), on a non-vacuous run
-(cycles_severed > 0). The speedup floor (threaded at least as fast as sim)
-is enforced only when the host has enough cores (host_cpus >= 4) to
-parallelise on; on smaller hosts that leg prints SKIP.
-
-The CPU-gated checks end with a summary line that counts the legs that were
-gated and the legs that were skipped, so a host too small to arm a gate
-never reads as a clean pass.
+(cycles_severed > 0). Wall-clock is reported, never gated.
 
 Every gate degrades with a clear one-line error (exit 2, never a Python
 traceback) when its input or baseline JSON is missing or malformed.
@@ -63,7 +57,6 @@ Exit codes: 0 = no regression, 1 = regression detected, 2 = usage/input error.
 """
 
 import argparse
-import collections
 import json
 import sys
 
@@ -226,29 +219,6 @@ def check_fault_recovery(path):
     return 0
 
 
-# --- CPU-gated legs ----------------------------------------------------------
-
-# Speedup floors need cores to run on. A leg whose host lacks them prints
-# SKIP (never ok or info) and is counted apart from the legs that armed.
-
-
-def _cpu_leg(legs, host_cpus, need):
-    """True when a CPU-gated leg arms on host_cpus; tallies it either way."""
-    armed = host_cpus >= need
-    legs["gated" if armed else "skipped"] += 1
-    return armed
-
-
-def _print_skip(name, text, host_cpus, need):
-    print(f"{'SKIP':>10}  {name}: {text} not gated "
-          f"(host_cpus {host_cpus:g} < {need:g})")
-
-
-def _legs_summary(legs):
-    return (f"{legs['gated']} CPU-gated leg(s) gated, "
-            f"{legs['skipped']} skipped")
-
-
 # Scale-engine bounds (BENCH_scale.json). The open-loop counters are purely
 # simulated (deterministic for a given seed), so absolute bounds are stable
 # across hosts; only the flat-vs-map ratio involves wall time, and it gets a
@@ -339,31 +309,22 @@ def check_scale(path):
 
 # --- transport gate ---------------------------------------------------------
 
-# Threaded must at least match sim wall-clock — but only judged on hosts with
-# cores to parallelise on.
-MIN_TRANSPORT_SPEEDUP = 1.0
-MIN_CPUS_FOR_TRANSPORT_SPEEDUP = 4
-
 
 def check_transport(path):
-    """Gate BENCH_transport.json: every backend == sim verdicts.
+    """Gate BENCH_transport.json: socket verdicts == sim verdicts.
 
-    Rows come in two shapes, keyed by which backend counters they carry.
-    Threaded rows (threaded_* counters) are gated on equality plus a
-    wall-clock speedup floor enforced only when host_cpus suffices. Socket
-    rows (socket_* counters, from the real-process backend) are gated on
-    equality only — site processes pay real fork/socket syscalls, so their
-    wall-clock is reported as information, never enforced.
+    Rows carry socket_* counters (from the real-process backend) and are
+    gated on equality only — site processes pay real fork/socket syscalls,
+    so their wall-clock is reported as information, never enforced.
 
     The equality leg (same severed/collected/reclaimed figures, row-level
-    verdicts_match flag covering the survivor census) is unconditional for
-    both shapes: it holds by the engines' determinism argument and any
-    violation is a correctness bug, not noise.
+    verdicts_match flag covering the survivor census) is unconditional: it
+    holds by the engine's determinism argument and any violation is a
+    correctness bug, not noise.
     """
     rows = load_benchmarks(path)
     failures = []
     checked = 0
-    legs = collections.Counter()
     for name in sorted(rows):
         row = rows[name]
         if "verdicts_match" not in row or "sim_cycles_severed" not in row:
@@ -377,62 +338,32 @@ def check_transport(path):
             problems.append("vacuous_run")
         if float(row["verdicts_match"]) != 1.0:
             problems.append("verdicts_match")
-        notes = []
-        compared = []
-        skipped = None
-        if "threaded_cycles_severed" in row:
-            t_severed = float(row["threaded_cycles_severed"])
-            t_collected = float(row.get("threaded_cycles_collected", -1.0))
-            t_reclaimed = float(row.get("threaded_reclaimed", -1.0))
-            if (severed, collected, reclaimed) != (t_severed, t_collected,
-                                                   t_reclaimed):
-                problems.append("sim_threaded_equality")
-            compared.append(
-                f"threaded {t_severed:g}/{t_collected:g}/{t_reclaimed:g}")
-            speedup = float(row.get("speedup", 0.0))
-            host_cpus = float(row.get("host_cpus", 0.0))
-            if _cpu_leg(legs, host_cpus, MIN_CPUS_FOR_TRANSPORT_SPEEDUP):
-                if speedup < MIN_TRANSPORT_SPEEDUP:
-                    problems.append("speedup")
-                notes.append(f"speedup {speedup:.2f}x (min "
-                             f"{MIN_TRANSPORT_SPEEDUP:g}x)")
-            else:
-                skipped = f"speedup {speedup:.2f}x"
         if "socket_cycles_severed" in row:
-            s_severed = float(row["socket_cycles_severed"])
-            s_collected = float(row.get("socket_cycles_collected", -1.0))
-            s_reclaimed = float(row.get("socket_reclaimed", -1.0))
-            if (severed, collected, reclaimed) != (s_severed, s_collected,
-                                                   s_reclaimed):
+            socket = (float(row["socket_cycles_severed"]),
+                      float(row.get("socket_cycles_collected", -1.0)),
+                      float(row.get("socket_reclaimed", -1.0)))
+            if socket != (severed, collected, reclaimed):
                 problems.append("sim_socket_equality")
-            compared.append(
-                f"socket {s_severed:g}/{s_collected:g}/{s_reclaimed:g}")
-            notes.append(f"socket wall {float(row.get('socket_wall_ms', 0)):g}ms"
-                         f" vs sim {float(row.get('sim_wall_ms', 0)):g}ms"
-                         " (info)")
-        if not compared:
+            compared = "socket {:g}/{:g}/{:g}".format(*socket)
+        else:
             problems.append("no_backend_counters")
+            compared = "(nothing)"
         ok = not problems
         print(f"{'ok' if ok else 'FAIL':>10}  {name}: "
-              f"sim {severed:g}/{collected:g}/{reclaimed:g} vs "
-              f"{', '.join(compared) or '(nothing)'} "
-              f"(severed/collected/reclaimed)"
-              f"{''.join(', ' + n for n in notes)}")
-        if skipped is not None:
-            _print_skip(name, skipped, host_cpus,
-                        MIN_CPUS_FOR_TRANSPORT_SPEEDUP)
+              f"sim {severed:g}/{collected:g}/{reclaimed:g} vs {compared} "
+              f"(severed/collected/reclaimed), socket wall "
+              f"{float(row.get('socket_wall_ms', 0)):g}ms vs sim "
+              f"{float(row.get('sim_wall_ms', 0)):g}ms (info)")
         failures.extend(f"{name} ({p})" for p in problems)
     if checked == 0:
         _die(f"error: {path} has no rows with verdicts_match/"
              "sim_cycles_severed counters (not a transport benchmark file?)")
     if failures:
-        print(f"\n{len(failures)} transport bound(s) violated "
-              f"({_legs_summary(legs)}):")
+        print(f"\n{len(failures)} transport bound(s) violated:")
         for name in failures:
             print(f"  {name}")
         return 1
-    print(f"\nall backends match sim on all {checked} row(s); "
-          f"{_legs_summary(legs)}")
+    print(f"\nsocket matches sim on all {checked} row(s)")
     return 0
 
 
@@ -470,21 +401,6 @@ _FIXTURE_SCALE = {
 
 _FIXTURE_TRANSPORT = {
     "benchmarks": [
-        {"name": "BM_Transport_OpenLoop/4/1000/iterations:1",
-         "run_type": "iteration", "real_time": 900.0, "host_cpus": 8.0,
-         "sim_wall_ms": 400.0, "threaded_wall_ms": 250.0, "speedup": 1.6,
-         "verdicts_match": 1.0, "sim_cycles_severed": 800.0,
-         "sim_cycles_collected": 700.0, "sim_reclaimed": 2400.0,
-         "threaded_cycles_severed": 800.0,
-         "threaded_cycles_collected": 700.0, "threaded_reclaimed": 2400.0},
-        {"name": "BM_Transport_OpenLoop/10/2000/iterations:1",
-         "run_type": "iteration", "real_time": 2100.0, "host_cpus": 8.0,
-         "sim_wall_ms": 1200.0, "threaded_wall_ms": 600.0, "speedup": 2.0,
-         "verdicts_match": 1.0, "sim_cycles_severed": 4200.0,
-         "sim_cycles_collected": 3600.0, "sim_reclaimed": 12600.0,
-         "threaded_cycles_severed": 4200.0,
-         "threaded_cycles_collected": 3600.0,
-         "threaded_reclaimed": 12600.0},
         # The socket row carries socket_* counters and no speedup field:
         # real processes are slower than the simulator by design, so only
         # verdict equality is enforceable.
@@ -512,20 +428,9 @@ _FIXTURE_FAULT_RECOVERY = {
 
 
 def _self_test():
-    import contextlib
     import copy
-    import io
     import os
     import tempfile
-
-    def captured(check, fixture):
-        """(exit code, SKIP line count, stdout) of one gate run."""
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = check(fixture)
-        out = buf.getvalue()
-        skips = sum(line.split()[:1] == ["SKIP"] for line in out.splitlines())
-        return code, skips, out
 
     def run_with(candidate):
         with tempfile.TemporaryDirectory() as tmp:
@@ -649,68 +554,37 @@ def _self_test():
                 json.dump(fixture, fh)
             return check_transport(path)
 
-    # Transport bounds: the healthy fixture passes with every speedup leg
-    # armed (two threaded rows).
-    code, skips, out = captured(transport_with,
-                                copy.deepcopy(_FIXTURE_TRANSPORT))
-    assert code == 0, "healthy transport run must pass"
-    assert skips == 0 and "2 CPU-gated leg(s) gated, 0 skipped" in out, out
-
-    # A threaded run with different verdicts fails on any host.
-    diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
-    diverged["benchmarks"][0]["verdicts_match"] = 0.0
-    assert transport_with(diverged) == 1, "verdict divergence must fail"
-
-    # A threaded run with a different reclaim count fails even if the
-    # row-level flag lies.
-    short = copy.deepcopy(_FIXTURE_TRANSPORT)
-    short["benchmarks"][1]["threaded_reclaimed"] = 12599.0
-    assert transport_with(short) == 1, "reclaim-set mismatch must fail"
+    # Transport bounds: the healthy fixture passes.
+    assert transport_with(copy.deepcopy(_FIXTURE_TRANSPORT)) == 0, \
+        "healthy transport run must pass"
 
     # A run that never severed anything is vacuous and fails.
     idle = copy.deepcopy(_FIXTURE_TRANSPORT)
     for row in idle["benchmarks"]:
-        for key in ("sim_cycles_severed", "threaded_cycles_severed",
-                    "sim_cycles_collected", "threaded_cycles_collected",
-                    "sim_reclaimed", "threaded_reclaimed"):
+        for key in ("sim_cycles_severed", "socket_cycles_severed",
+                    "sim_cycles_collected", "socket_cycles_collected",
+                    "sim_reclaimed", "socket_reclaimed"):
             row[key] = 0.0
     assert transport_with(idle) == 1, "vacuous transport run must fail"
 
-    # Threaded slower than sim fails on a multi-core host...
-    sluggish = copy.deepcopy(_FIXTURE_TRANSPORT)
-    sluggish["benchmarks"][1]["speedup"] = 0.7
-    assert transport_with(sluggish) == 1, \
-        "threaded slower than sim on a big host must fail"
-
-    # ...but on a single-core host (nothing to parallelise on) the same
-    # speedup is not gated: every speedup leg prints SKIP and the summary
-    # counts two skipped legs, none gated.
-    one_cpu = copy.deepcopy(sluggish)
-    for row in one_cpu["benchmarks"]:
-        row["host_cpus"] = 1.0
-    code, skips, out = captured(transport_with, one_cpu)
-    assert code == 0, "speedup must not be gated without the cores"
-    assert skips == 2, f"1-cpu transport run must print 2 SKIPs:\n{out}"
-    assert "0 CPU-gated leg(s) gated, 2 skipped" in out, out
-
-    # The socket row is equality-gated like the threaded rows: a reclaim
-    # divergence between the process backend and sim fails...
+    # The socket row is equality-gated: a reclaim divergence between the
+    # process backend and sim fails...
     socket_diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
-    socket_diverged["benchmarks"][2]["socket_reclaimed"] = 31.0
+    socket_diverged["benchmarks"][0]["socket_reclaimed"] = 31.0
     assert transport_with(socket_diverged) == 1, \
         "sim-socket reclaim mismatch must fail"
 
     # ...and a census mismatch flagged by the row fails even with counts
     # equal.
     socket_census = copy.deepcopy(_FIXTURE_TRANSPORT)
-    socket_census["benchmarks"][2]["verdicts_match"] = 0.0
+    socket_census["benchmarks"][0]["verdicts_match"] = 0.0
     assert transport_with(socket_census) == 1, \
         "socket census divergence must fail"
 
     # But the socket row carries no speedup field, and real processes being
     # slower than the simulator must never fail the gate on any host.
     socket_slow = copy.deepcopy(_FIXTURE_TRANSPORT)
-    socket_slow["benchmarks"][2]["socket_wall_ms"] = 99999.0
+    socket_slow["benchmarks"][0]["socket_wall_ms"] = 99999.0
     assert transport_with(socket_slow) == 0, \
         "socket wall-clock is informational, not gated"
 
@@ -762,9 +636,8 @@ def main(argv=None):
                         help="gate a BENCH_scale.json on absolute open-loop "
                              "and flat-table bounds (no baseline needed)")
     parser.add_argument("--check-transport", metavar="FILE",
-                        help="gate a BENCH_transport.json on sim/threaded "
-                             "verdict equality and (cores permitting) the "
-                             "speedup floor (no baseline needed)")
+                        help="gate a BENCH_transport.json on sim/socket "
+                             "verdict equality (no baseline needed)")
     args = parser.parse_args(argv)
 
     if args.self_test:

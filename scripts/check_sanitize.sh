@@ -2,10 +2,8 @@
 # Builds the tree with a sanitizer in a separate build directory and runs the
 # test suite under it. Slab recycling, flat visit records, and the message
 # batching paths all juggle raw slots and ids — ASan + UBSan is the cheap way
-# to prove none of them touch freed or uninitialized memory. The threaded
-# transport's per-site threads, on its worker pool, are the one source of
-# real multithreading — TSan is the cheap way to prove the pool's batch
-# protocol and the MPSC inbox queues are race-free.
+# to prove none of them touch freed or uninitialized memory. Every process
+# is single-threaded, so there is no ThreadSanitizer flavour.
 #
 # Usage:
 #   check_sanitize.sh             # ASan+UBSan, full suite (includes chaos and
@@ -25,22 +23,6 @@
 #                                 # site snapshots, and the snapshot
 #                                 # consistency rules — hostile bytes must
 #                                 # fail cleanly, never read out of bounds
-#   check_sanitize.sh --tsan      # ThreadSanitizer over the concurrency-heavy
-#                                 # suites
-#                                 # (-L "chaos|scale|transport"): the chaos
-#                                 # harness, the down-scaled open-loop scale
-#                                 # smoke, and the threaded-transport suite
-#                                 # (the worker pool units, the MPSC inbox
-#                                 # hammer, the two-site ping-pong smoke at
-#                                 # eight threads, and the sim/threaded
-#                                 # differentials are its data-race probes).
-#                                 # The socket label is deliberately absent:
-#                                 # its tests fork site processes (and kill -9
-#                                 # them mid-run), and TSan state does not
-#                                 # survive fork-without-exec — each process is
-#                                 # single-threaded anyway, so TSan has nothing
-#                                 # to check that the in-process transports
-#                                 # don't already cover
 #   check_sanitize.sh --e2e       # ASan+UBSan over the end-to-end benchmark:
 #                                 # builds bench/e2e (its own project, which
 #                                 # compiles src/ itself) into
@@ -50,9 +32,6 @@
 #   check_sanitize.sh [ctest args...]   # any extra args pass through to ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-SANITIZE=ON
-DEFAULT_BUILD_DIR=build-asan
 
 CTEST_ARGS=()
 if [[ "${1:-}" == "--chaos" ]]; then
@@ -75,23 +54,13 @@ elif [[ "${1:-}" == "--e2e" ]]; then
   ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1} \
   UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
     exec ctest --test-dir "$E2E_DIR" --output-on-failure -L bench "$@"
-elif [[ "${1:-}" == "--tsan" ]]; then
-  SANITIZE=thread
-  DEFAULT_BUILD_DIR=build-tsan
-  CTEST_ARGS+=(-L 'chaos|scale|transport')
-  shift
 fi
 CTEST_ARGS+=("$@")
 
-BUILD_DIR=${BUILD_DIR:-$DEFAULT_BUILD_DIR}
+BUILD_DIR=${BUILD_DIR:-build-asan}
 
-cmake -B "$BUILD_DIR" -G Ninja -DDGC_SANITIZE="$SANITIZE" -DCMAKE_BUILD_TYPE=Debug
+cmake -B "$BUILD_DIR" -G Ninja -DDGC_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$BUILD_DIR"
-if [[ "$SANITIZE" == thread ]]; then
-  TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1} \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure "${CTEST_ARGS[@]}"
-else
-  ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1} \
-  UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure "${CTEST_ARGS[@]}"
-fi
+ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1} \
+UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \
+  ctest --test-dir "$BUILD_DIR" --output-on-failure "${CTEST_ARGS[@]}"

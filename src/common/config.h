@@ -127,30 +127,10 @@ struct CollectorConfig {
   bool short_circuit_live_replies = false;
 };
 
-/// Which transport backend carries cross-site traffic (see src/net/transport.h).
-enum class TransportKind : std::uint8_t {
-  /// Single-threaded deterministic simulator: one Scheduler runs every site's
-  /// events interleaved on the caller's thread. The historical (seed) path,
-  /// bit for bit.
-  kSim,
-  /// In-process multi-threaded backend: each site's events run thread-confined
-  /// on worker threads under a conservative time-stepped engine; cross-site
-  /// messages flow through per-site MPSC inboxes. Reproducible for a given
-  /// seed and produces the same garbage verdicts/reclaim sets as kSim.
-  kThreaded,
-  /// Real-process backend: each site is its own OS process connected to the
-  /// coordinator over Unix-domain sockets (length-prefixed frames, TCP-ready
-  /// addressing). The coordinator owns the Network, the seeds, and the same
-  /// conservative time-stepped engine as kThreaded, so seeded runs produce
-  /// the same garbage verdicts/reclaim sets as kSim. System cannot construct
-  /// this backend (sites live in other processes); drive it through
-  /// SocketWorld (net/socket_world.h) or `dgcsim --transport socket`.
-  kSocket,
-};
-
-/// Knobs for TransportKind::kSocket: where the rendezvous socket lives, how
-/// long the coordinator waits on a site process, and how the supervisor
-/// restarts crashed ones. All real-time values are wall-clock milliseconds —
+/// Knobs for the socket transport (net/socket_world.h), which runs each site
+/// as its own OS process: where the rendezvous socket lives, how long the
+/// coordinator waits on a site process, and how the supervisor restarts
+/// crashed ones. All real-time values are wall-clock milliseconds —
 /// the one place the otherwise simulated-time system touches real clocks.
 struct SocketConfig {
   /// Directory for the coordinator's listening socket, site snapshots, and
@@ -246,15 +226,7 @@ struct NetworkConfig {
   /// Zero derives 4 × heartbeat_period (four missed heartbeats).
   SimTime heartbeat_timeout = 0;
 
-  /// Transport backend (see TransportKind). kSim is the seed-identical
-  /// default; kThreaded runs sites concurrently on worker threads.
-  TransportKind transport = TransportKind::kSim;
-
-  /// Worker threads for TransportKind::kThreaded. Zero sizes the pool to
-  /// hardware_concurrency (capped by the site count). Ignored under kSim.
-  std::size_t transport_threads = 0;
-
-  /// Knobs for TransportKind::kSocket (ignored by the in-process backends).
+  /// Knobs for the socket transport (ignored by System).
   SocketConfig socket;
 };
 

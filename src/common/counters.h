@@ -1,15 +1,15 @@
 // Named counter records.
 //
 // Every in-process counter record (SiteStats, BackTracerStats, NetworkStats,
-// TransportCounters, ...) names its members once, in a `Counters` function
-// beside its declaration that pairs each member with its name
-// (argument-dependent lookup finds it), followed by a guard:
+// ...) names its members once, in a `Counters` function beside its
+// declaration that pairs each member with its name (argument-dependent
+// lookup finds it), followed by a guard:
 //
-//   auto Counters(Is<SiteTransportCounters> auto& c) {
-//     return std::tuple{Counter{"handoffs", c.handoffs},
-//                       Counter{"staged_sends", c.staged_sends}, ...};
+//   auto Counters(Is<SiteStats> auto& s) {
+//     return std::tuple{Counter{"local_traces", s.local_traces},
+//                       Counter{"updates_sent", s.updates_sent}, ...};
 //   }
-//   static_assert(ListsEveryMember<SiteTransportCounters>());
+//   static_assert(ListsEveryMember<SiteStats>());
 //
 // The guard checks that the listed members' sizes add up to the record's
 // size, so a member missing from its list does not compile. Everything that
@@ -17,8 +17,7 @@
 // ForEachCounter (the metrics CSV and inspect). Adding a counter is the
 // member plus its list entry, nothing else. Counters stay plain members,
 // incremented where they are; names are read only where a record is printed.
-// Ratios are on no list: they are computed where printed. A record holding a
-// peak (a maximum) is printed but never Accumulated.
+// Ratios are on no list: they are computed where printed.
 #pragma once
 
 #include <concepts>

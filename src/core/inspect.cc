@@ -83,8 +83,6 @@ std::string DescribeSite(const Site& site) {
      << " active_frames=" << site.back_tracer().active_frames() << "\n";
   os << "  site stats:" << NonZero(site.stats())
      << " table_occupancy=" << site.tables().occupancy() << "\n";
-  const std::string transport = NonZero(site.transport_counters());
-  if (!transport.empty()) os << "  transport:" << transport << "\n";
   return os.str();
 }
 
@@ -116,8 +114,6 @@ std::string DescribeSystem(const System& system) {
   os << "  network:" << NonZero(system.network().stats()) << "\n";
   os << "  back traces:" << NonZero(system.AggregateBackTracerStats()) << "\n";
   os << "  site stats:" << NonZero(system.AggregateSiteStats()) << "\n";
-  const std::string transport = NonZero(system.transport().counters());
-  if (!transport.empty()) os << "  transport:" << transport << "\n";
   return os.str();
 }
 

@@ -9,13 +9,6 @@
 // Deterministic: the replacement choices come from a seeded Rng, so two runs
 // with the same seed and the same observation stream report identical
 // percentiles.
-//
-// Threading: explicitly single-writer. Record() mutates the sample vector,
-// the seen counter and the Rng without any synchronization; under the
-// threaded transport all recording must stay on one thread (the drivers
-// record from the coordinator between engine phases, which satisfies this).
-// Concurrent Record() calls are a data race — wrap per-thread reservoirs
-// and merge instead if that is ever needed.
 #pragma once
 
 #include <algorithm>

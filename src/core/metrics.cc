@@ -27,7 +27,6 @@ void MetricsRecorder::Capture(const System& system) {
   sample.site = system.AggregateSiteStats();
   sample.bt = system.AggregateBackTracerStats();
   sample.net = system.network().stats();
-  sample.transport = system.transport().counters();
   samples_.push_back(sample);
 }
 

@@ -28,7 +28,6 @@ struct MetricsSample {
   SiteStats site;
   BackTracerStats bt;
   NetworkStats net;
-  TransportCounters transport;
 };
 
 auto Counters(Is<MetricsSample> auto& s) {
@@ -43,8 +42,7 @@ auto Counters(Is<MetricsSample> auto& s) {
       Counter{"heap", s.heap},
       Counter{"site", s.site},
       Counter{"bt", s.bt},
-      Counter{"net", s.net},
-      Counter{"transport", s.transport}};
+      Counter{"net", s.net}};
 }
 static_assert(ListsEveryMember<MetricsSample>());
 

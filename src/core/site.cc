@@ -11,7 +11,7 @@ namespace dgc {
 Site::Site(SiteId id, Transport& transport, const CollectorConfig& config)
     : id_(id),
       transport_(transport),
-      scheduler_(transport.SchedulerFor(id)),
+      scheduler_(transport.scheduler()),
       config_(config),
       heap_(id),
       tables_(id, config_),

@@ -37,12 +37,7 @@
 
 namespace dgc {
 
-/// Per-site counters. Explicitly single-writer: every field is accumulated
-/// by the owning site's protocol handlers, which run on exactly one thread
-/// at a time (the shared simulation thread under SimTransport; the site's
-/// thread during a parallel phase under ThreadedTransport, ordered against
-/// coordinator reads by the phase barrier). No field may be written from
-/// another site or from the coordinator mid-phase.
+/// Per-site counters, accumulated by the owning site's protocol handlers.
 struct SiteStats {
   std::uint64_t local_traces = 0;
   std::uint64_t updates_sent = 0;
@@ -110,11 +105,6 @@ class Site {
     stats_.table_slot_capacity = tables_.slot_capacity();
     return stats_;
   }
-  /// This site's slice of the transport's accounting (all zero under
-  /// SimTransport).
-  [[nodiscard]] SiteTransportCounters transport_counters() const {
-    return transport_.site_counters(id_);
-  }
   [[nodiscard]] const CollectorConfig& config() const { return config_; }
 
   // --- Network entry point -------------------------------------------
@@ -138,13 +128,12 @@ class Site {
   /// Compute half of a local trace: runs the collector against the current
   /// heap and tables and returns the result without applying it. Touches
   /// only this site's state (heap epoch stamps, lease expiry, collector
-  /// epoch) — no network sends, no scheduler writes — so sites' computes
-  /// may run concurrently, and a caller may time it apart from the apply.
+  /// epoch) — no network sends, no scheduler writes — so a caller may time
+  /// it apart from the apply.
   [[nodiscard]] TraceResult ComputeLocalTrace();
 
   /// Apply half of a local trace: applies immediately (atomic trace) or
-  /// parks the result for the configured duration (Section 6.2). Must run on
-  /// the simulation thread.
+  /// parks the result for the configured duration (Section 6.2).
   void CommitLocalTrace(TraceResult result);
 
   [[nodiscard]] bool trace_in_flight() const {
@@ -274,9 +263,7 @@ class Site {
 
   SiteId id_;
   Transport& transport_;
-  /// This site's own scheduler (== the control scheduler under
-  /// SimTransport; the site thread's private scheduler under
-  /// ThreadedTransport).
+  /// The transport's scheduler, which this site's timers live on.
   Scheduler& scheduler_;
   CollectorConfig config_;
 

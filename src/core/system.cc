@@ -14,8 +14,7 @@ System::System(std::size_t site_count, const CollectorConfig& collector_config,
                const NetworkConfig& network_config, std::uint64_t seed)
     : collector_config_(collector_config),
       rng_(seed),
-      transport_(CreateTransport(site_count, scheduler_, network_config,
-                                 rng_.Fork())) {
+      transport_(scheduler_, network_config, rng_.Fork()) {
   DGC_CHECK(site_count >= 1);
   // With retransmission, "0 disables timeouts" would let one exhausted
   // retransmit budget strand a trace forever; derive protocol timeouts
@@ -25,7 +24,7 @@ System::System(std::size_t site_count, const CollectorConfig& collector_config,
   sites_.reserve(site_count);
   for (std::size_t i = 0; i < site_count; ++i) {
     sites_.push_back(std::make_unique<Site>(static_cast<SiteId>(i),
-                                            *transport_, collector_config_));
+                                            transport_, collector_config_));
   }
 }
 
@@ -35,7 +34,6 @@ System::~System() {
   // pages back past glibc's largest dynamic trim threshold (64 MiB): small
   // worlds keep theirs for the next one.
   sites_.clear();
-  transport_.reset();
 #ifdef __GLIBC__
   constexpr std::size_t kTrimAboveBytes = std::size_t{64} << 20;
   if (mallinfo2().fordblks > kTrimAboveBytes) malloc_trim(0);
@@ -72,17 +70,11 @@ void System::RunRound() {
 }
 
 void System::RunRoundStaggered(SimTime stagger) {
-  // Schedule each site's trace on its own scheduler: under the sim
-  // transport every SchedulerFor is the shared scheduler and the At calls
-  // reproduce the historical After(offset) schedule exactly; under the
-  // threaded transport the traces run on the site threads — with stagger 0
-  // they all land in one parallel phase, which is where the backend's
-  // speedup comes from.
-  const SimTime base = transport_->now();
+  const SimTime base = now();
   SimTime offset = 0;
   for (auto& s : sites_) {
     Site* raw = s.get();
-    transport_->SchedulerFor(raw->id()).At(base + offset, [raw] {
+    scheduler_.At(base + offset, [raw] {
       if (!raw->trace_in_flight()) raw->StartLocalTrace();
     });
     offset += stagger;
@@ -95,7 +87,7 @@ void System::RunRounds(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) RunRound();
 }
 
-void System::SettleNetwork() { transport_->Settle(); }
+void System::SettleNetwork() { transport_.Settle(); }
 
 void System::ArmFaultPlan(const FaultPlan& plan) {
   FaultHooks hooks;

@@ -42,28 +42,19 @@ class System {
     DGC_CHECK(id < sites_.size());
     return *sites_[id];
   }
-  /// The control scheduler (== every site's scheduler under the sim
-  /// transport). Driving it directly bypasses the threaded engine; prefer
-  /// now()/RunUntilTime()/SettleNetwork() in transport-agnostic code.
+  /// The one scheduler: the network's events and every site's timers.
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
-  [[nodiscard]] Network& network() { return transport_->network(); }
-  [[nodiscard]] const Network& network() const {
-    return transport_->network();
-  }
-  [[nodiscard]] Transport& transport() { return *transport_; }
-  [[nodiscard]] const Transport& transport() const { return *transport_; }
+  [[nodiscard]] Network& network() { return transport_.network(); }
+  [[nodiscard]] const Network& network() const { return transport_.network(); }
+  [[nodiscard]] Transport& transport() { return transport_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  /// Global simulated time (all schedulers agree whenever the world is
-  /// settled).
-  [[nodiscard]] SimTime now() const { return transport_->now(); }
+  /// Global simulated time.
+  [[nodiscard]] SimTime now() const { return transport_.now(); }
 
-  /// The scheduler a given site's timers live on (the shared scheduler
-  /// under the sim transport; the site's private one under threaded).
-  [[nodiscard]] Scheduler& SchedulerFor(SiteId site) {
-    return transport_->SchedulerFor(site);
-  }
+  /// The scheduler a site's timers live on: the one scheduler.
+  [[nodiscard]] Scheduler& SchedulerFor(SiteId /*site*/) { return scheduler_; }
 
   // --- World building (god mode; bypasses the mutator protocol) --------
 
@@ -91,7 +82,7 @@ class System {
 
   void RunRounds(std::size_t n);
 
-  /// Drains all schedulers (message deliveries, back traces, timeouts).
+  /// Drains the scheduler (message deliveries, back traces, timeouts).
   void SettleNetwork();
 
   /// Advances the simulated clock by `delta`, running any events that fall
@@ -99,9 +90,8 @@ class System {
   /// where no events would otherwise move time forward.
   void AdvanceTime(SimTime delta) { RunUntilTime(now() + delta); }
 
-  /// Runs every event (on every scheduler) with time <= t, then advances
-  /// all clocks to t.
-  void RunUntilTime(SimTime t) { transport_->RunUntilTime(t); }
+  /// Runs every event with time <= t, then advances the clock to t.
+  void RunUntilTime(SimTime t) { transport_.RunUntilTime(t); }
 
   [[nodiscard]] std::size_t rounds_run() const { return rounds_; }
 
@@ -168,10 +158,9 @@ class System {
   CollectorConfig collector_config_;
   Scheduler scheduler_;
   Rng rng_;
-  /// The pluggable message/time engine (owns the Network). Declared in the
-  /// old Network member's position so rng_.Fork() order — and with it every
-  /// seeded run — is unchanged.
-  std::unique_ptr<Transport> transport_;
+  /// Owns the Network, whose Rng is the first fork of rng_: moving this
+  /// member changes every seeded run.
+  SimTransport transport_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::size_t rounds_ = 0;
 };

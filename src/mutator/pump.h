@@ -1,18 +1,12 @@
 // Blocking-style wait loop for mutator clients, with idempotent retry.
 //
 // The clients' blocking wrappers drive the world until their operation
-// completes — one Transport::StepOne at a time, which is one event under the
-// sim transport (the historical RunOne, bit for bit) and one engine timestep
-// under the threaded and socket backends, where deliveries land in site
-// inboxes that only the engine drains. The continuation's `done` write
-// happens on whatever thread runs the destination site's handler; the
-// engine's fork/join (or reply-absorb) barrier orders it before StepOne
-// returns, so the loop's read is race-free. Under message loss a request or
-// its reply may vanish; when the world drains with the operation still
-// pending, the client retries (every RPC and insert in the system is
-// idempotent and every ack path is duplicate-tolerant). A retry cap turns a
-// permanently unreachable peer into a crisp invariant failure instead of a
-// silent hang.
+// completes — one Transport::StepOne (one scheduler event) at a time. Under
+// message loss a request or its reply may vanish; when the world drains with
+// the operation still pending, the client retries (every RPC and insert in
+// the system is idempotent and every ack path is duplicate-tolerant). A
+// retry cap turns a permanently unreachable peer into a crisp invariant
+// failure instead of a silent hang.
 #pragma once
 
 #include <functional>

@@ -619,9 +619,9 @@ void Network::Dispatch(Envelope envelope) {
       envelope.to < handlers_.size() && handlers_[envelope.to] != nullptr,
       "deliver to unregistered site " << envelope.to);
   if (dispatcher_) {
-    // Transport interposition (ThreadedTransport inbox routing); the
-    // registered-handler check above still applies so an unregistered
-    // destination fails identically under either backend.
+    // Transport interposition (SocketTransport's outbound buffers, a
+    // tracer); the registered-handler check above still applies so an
+    // unregistered destination fails identically either way.
     dispatcher_(std::move(envelope));
     return;
   }

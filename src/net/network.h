@@ -123,19 +123,6 @@ auto Counters(Is<NetworkStats> auto& s) {
 }
 static_assert(ListsEveryMember<NetworkStats>(sizeof(NetworkStats::per_kind)));
 
-// Thread-confinement note (transport seam, satellite audit): every mutable
-// member of Network — the FIFO-clamp shards (channel_last_delivery_), the
-// reliable sender/receiver channels (whose out-of-order stash is a std::map
-// mutated while being iterated by AdvanceReceiverTo/OnWireArrival), the
-// pending-batch shards, incarnations, fault records, and stats — is written
-// with NO internal synchronization. The class is single-writer by contract:
-// under SimTransport everything runs on the caller's thread; under
-// ThreadedTransport the whole Network object is confined to the coordinator
-// thread (sites *stage* sends on their own threads and the coordinator
-// replays them into Send between parallel phases, see
-// net/threaded_transport.h). Concurrent enqueue into Send/ShipBatch would
-// invalidate FlatMap iterators mid-shard and corrupt the stash maps — the
-// seam keeps that structurally impossible instead of guarding it with locks.
 class Network {
  public:
   using Handler = std::function<void(const Envelope&)>;
@@ -213,10 +200,9 @@ class Network {
   /// Interposes on final delivery: when set, every envelope that would be
   /// handed to its destination handler goes to `dispatcher` instead (after
   /// all transport processing — FIFO clamp, reliable reassembly, incarnation
-  /// checks, stats). ThreadedTransport uses this to route deliveries into
-  /// per-site inboxes so the handler runs on the destination site's thread;
-  /// null (default) calls the registered handler directly, bit-identical to
-  /// the historical path.
+  /// checks, stats). SocketTransport uses this to collect deliveries for
+  /// shipment to site processes; null (default) calls the registered
+  /// handler directly.
   void set_dispatcher(Dispatcher dispatcher) {
     dispatcher_ = std::move(dispatcher);
   }

@@ -378,16 +378,15 @@ int RunSiteProcess(const SiteHostOptions& options) {
         for (SiteId peer : req.recovered) {
           agent.NotifyRecovered(peer, /*restarted=*/false);
         }
-        // Mirror ThreadedTransport::SiteStep: own timers first, then the
-        // delivered envelopes, then anything the handlers scheduled at <= t.
+        // One site step: own timers first, then the delivered envelopes,
+        // then anything the handlers scheduled at <= t.
         agent.RunUntilTime(req.target_time);
         for (const Envelope& env : req.envelopes) agent.Deliver(env);
         agent.RunUntilTime(req.target_time);
-        agent.NoteStep();
 
         wire::StepReplyFrame reply;
         reply.seq = req.seq;
-        reply.next_event_time = agent.control_scheduler().next_event_time();
+        reply.next_event_time = agent.scheduler().next_event_time();
         reply.handled = req.envelopes.size();
         reply.staged = agent.TakeStaged();
         // Persist BEFORE acknowledging: once the reply is on the wire the
@@ -451,7 +450,7 @@ int RunSiteProcess(const SiteHostOptions& options) {
         wire::BuildReplyFrame reply;
         reply.seq = op.seq;
         reply.result = result;
-        reply.next_event_time = agent.control_scheduler().next_event_time();
+        reply.next_event_time = agent.scheduler().next_event_time();
         reply.staged = agent.TakeStaged();
         // Persist-then-ack, as in the step path: an acknowledged mutation
         // (an Unwire severing a cycle, say) must survive a kill -9 landing

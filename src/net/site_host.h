@@ -45,9 +45,9 @@ namespace dgc {
 
 class Site;
 
-/// Transport implementation a site process runs its Site over. Single
-/// threaded: the host's frame loop calls RunUntilTime / handler / TakeStaged
-/// in strict alternation, so no synchronization is needed anywhere.
+/// Transport implementation a site process runs its Site over. The host's
+/// frame loop calls RunUntilTime / Deliver / TakeStaged in strict
+/// alternation.
 class SiteAgentTransport final : public Transport {
  public:
   SiteAgentTransport(SiteId site, bool failure_detection)
@@ -55,9 +55,6 @@ class SiteAgentTransport final : public Transport {
         failure_detection_(failure_detection),
         stub_network_(scheduler_, NetworkConfig{}, Rng(0)) {}
 
-  [[nodiscard]] TransportKind kind() const override {
-    return TransportKind::kSocket;
-  }
   /// The stub exists only so the accessor has a referent; nothing in the
   /// site-side protocol path consults it (fault switches, channels and
   /// incarnations all live in the coordinator's real Network).
@@ -65,10 +62,7 @@ class SiteAgentTransport final : public Transport {
   [[nodiscard]] const Network& network() const override {
     return stub_network_;
   }
-  [[nodiscard]] Scheduler& control_scheduler() override { return scheduler_; }
-  [[nodiscard]] Scheduler& SchedulerFor(SiteId /*site*/) override {
-    return scheduler_;
-  }
+  [[nodiscard]] Scheduler& scheduler() override { return scheduler_; }
 
   void RegisterSite(SiteId site, Network::Handler handler) override {
     DGC_CHECK(site == site_);
@@ -79,7 +73,6 @@ class SiteAgentTransport final : public Transport {
   void Send(SiteId from, SiteId to, Payload payload) override {
     DGC_CHECK(from == site_);
     staged_.push_back(Envelope{from, to, std::move(payload)});
-    ++counters_.staged_sends;
   }
 
   void SetRecoveryListener(SiteId observer,
@@ -104,17 +97,6 @@ class SiteAgentTransport final : public Transport {
   void RunUntilTime(SimTime t) override { scheduler_.RunUntil(t); }
   bool StepOne() override { return scheduler_.RunOne(); }
   void Settle() override { scheduler_.RunUntilIdle(); }
-  [[nodiscard]] TransportCounters counters() const override {
-    return counters_;
-  }
-  [[nodiscard]] SiteTransportCounters site_counters(
-      SiteId /*site*/) const override {
-    SiteTransportCounters c;
-    c.handoffs = counters_.handoffs;
-    c.staged_sends = counters_.staged_sends;
-    c.steps = counters_.site_steps;
-    return c;
-  }
 
   // --- Host-facing surface ----------------------------------------------
 
@@ -132,7 +114,6 @@ class SiteAgentTransport final : public Transport {
   /// Hands one coordinator-delivered envelope to the site's handler.
   void Deliver(const Envelope& env) {
     DGC_CHECK(handler_ != nullptr);
-    ++counters_.handoffs;
     handler_(env);
   }
   [[nodiscard]] std::vector<Envelope> TakeStaged() {
@@ -147,10 +128,6 @@ class SiteAgentTransport final : public Transport {
                      std::make_move_iterator(staged_.end()));
     staged_ = std::move(envelopes);
   }
-  void NoteStep() {
-    ++counters_.site_steps;
-    ++counters_.timesteps;
-  }
 
  private:
   SiteId site_;
@@ -161,7 +138,6 @@ class SiteAgentTransport final : public Transport {
   Network::RecoveryListener recovery_listener_;
   std::vector<SiteId> suspected_;  // sorted
   std::vector<Envelope> staged_;
-  TransportCounters counters_;
 };
 
 // ---------------------------------------------------------------------------

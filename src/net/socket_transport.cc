@@ -248,7 +248,7 @@ void SocketTransport::AbsorbLateReplies() {
            StagedValid(s, conns_.size(), reply.staged);
       if (ok) {
         conn.cached_next = reply.next_event_time;
-        ReplayStaged(conn, std::move(reply.staged));
+        ReplayStaged(std::move(reply.staged));
       }
     } else if (conn.awaiting_type == FrameType::kBuildReply) {
       wire::BuildReplyFrame reply;
@@ -256,7 +256,7 @@ void SocketTransport::AbsorbLateReplies() {
            StagedValid(s, conns_.size(), reply.staged);
       if (ok) {
         conn.cached_next = reply.next_event_time;
-        ReplayStaged(conn, std::move(reply.staged));
+        ReplayStaged(std::move(reply.staged));
       }
     } else if (conn.awaiting_type == FrameType::kQueryReply) {
       wire::QueryReplyFrame reply;
@@ -389,16 +389,11 @@ void SocketTransport::SendStepRequest(SiteId site, SimTime t) {
   }
   conn.awaiting_seq = req.seq;
   conn.awaiting_type = FrameType::kStepReply;
-  conn.handoffs += req.envelopes.size();
-  counters_.handoffs += req.envelopes.size();
-  ++conn.steps;
   ++socket_counters_.step_requests;
 }
 
-void SocketTransport::ReplayStaged(Conn& conn, std::vector<Envelope> staged) {
+void SocketTransport::ReplayStaged(std::vector<Envelope> staged) {
   for (Envelope& env : staged) {
-    ++counters_.staged_sends;
-    ++conn.staged_sends;
     network_.Send(env.from, env.to, std::move(env.payload));
   }
 }
@@ -470,7 +465,7 @@ void SocketTransport::ResolveStepReplies() {
       case ReplySlot::kOk:
         conn.awaiting_seq = 0;
         conn.cached_next = reply_frames_[s].next_event_time;
-        ReplayStaged(conn, std::move(reply_frames_[s].staged));
+        ReplayStaged(std::move(reply_frames_[s].staged));
         break;
       case ReplySlot::kFailed:
         Disconnect(conn, s);
@@ -491,12 +486,10 @@ void SocketTransport::ResolveStepReplies() {
 void SocketTransport::AdvanceWorldTo(SimTime t) {
   DGC_CHECK(t >= global_now_);
   global_now_ = t;
-  ++counters_.timesteps;
   std::uint64_t phases_this_step = 0;
   for (;;) {
     // Control phase: deliveries (into outbound buffers via the dispatcher),
-    // retransmit timers, fault-plan hooks — single-threaded, same as the
-    // threaded backend's coordinator.
+    // retransmit timers, fault-plan hooks.
     control_.RunUntil(t);
 
     involved_.clear();
@@ -513,13 +506,11 @@ void SocketTransport::AdvanceWorldTo(SimTime t) {
     DGC_CHECK_MSG(++phases_this_step <= kMaxPhasesPerTimestep,
                   "transport livelock: " << phases_this_step
                                          << " phases at t=" << t);
-    ++counters_.parallel_phases;
-    counters_.site_steps += involved_.size();
 
     // Fan the requests out first (sites compute concurrently for real),
     // collect the replies in arrival order, and apply them in involved-site
-    // order: the order staged sends enter the Network is fixed, the same
-    // determinism contract the threaded backend's replay loop provides.
+    // order: the order staged sends enter the Network is fixed, whatever
+    // order the replies arrive in.
     for (SiteId s : involved_) SendStepRequest(s, t);
     CollectStepReplies();
     ResolveStepReplies();
@@ -625,7 +616,7 @@ bool SocketTransport::RunBuildOp(SiteId site, wire::BuildOpFrame op,
   }
   ++socket_counters_.build_ops;
   conn.cached_next = out.next_event_time;
-  ReplayStaged(conn, std::move(out.staged));
+  ReplayStaged(std::move(out.staged));
   return true;
 }
 
@@ -686,23 +677,6 @@ void SocketTransport::ShutdownAll() {
     close(conn.fd);
     conn.fd = -1;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Counters.
-
-TransportCounters SocketTransport::counters() const {
-  return counters_;
-}
-
-SiteTransportCounters SocketTransport::site_counters(SiteId site) const {
-  DGC_CHECK(site < conns_.size());
-  const Conn& conn = conns_[site];
-  SiteTransportCounters out;
-  out.handoffs = conn.handoffs;
-  out.staged_sends = conn.staged_sends;
-  out.steps = conn.steps;
-  return out;
 }
 
 }  // namespace dgc

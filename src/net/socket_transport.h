@@ -1,17 +1,25 @@
 // Coordinator side of the socket transport: real-process sites over
 // Unix-domain stream sockets.
 //
-// The engine is ThreadedTransport's conservative time-stepped fixpoint with
-// the parallel phase replaced by StepRequest/StepReply round trips: the
-// coordinator owns the control Scheduler and the ONE Network (so the whole
-// reliable-delivery / incarnation / failure-detector machinery from PR 4
-// applies to real links unchanged), intercepts finished deliveries with the
-// Network dispatcher into per-site outbound buffers, ships them to the site
-// processes inside StepRequests, and replays the staged sends that come back
-// in StepReplies into the Network in site order — the same fixed,
-// interleaving-free order the threaded backend uses, so seeded runs under
-// the default jitter-free network produce verdicts and reclaim sets
-// identical to SimTransport.
+// The engine is a conservative time-stepped fixpoint. For each global
+// timestep T (the earliest pending instant across the control Scheduler and
+// every site's last reported next event) it alternates
+//
+//     control phase: run control events <= T (Network deliveries land in
+//                    per-site outbound buffers through its dispatcher)
+//     site phase:    every involved site (outbound envelopes, or its own
+//                    events <= T) gets a StepRequest carrying its envelopes
+//                    and runs its events <= T
+//     replay:        the staged sends that come back in StepReplies enter
+//                    the Network in site order
+//
+// until the world is quiescent at T. The coordinator owns the control
+// Scheduler and the ONE Network (so the whole reliable-delivery /
+// incarnation / failure-detector machinery applies to real links
+// unchanged), and all RNG draws happen here; replaying in a fixed,
+// interleaving-free site order means seeded runs under the default
+// jitter-free network produce verdicts and reclaim sets identical to
+// SimTransport.
 //
 // The step loop is pipelined: one StepRequest is in flight to every
 // involved site simultaneously, replies are absorbed in whatever order they
@@ -83,17 +91,11 @@ class SocketTransport final : public Transport {
 
   // --- Transport interface ----------------------------------------------
 
-  [[nodiscard]] TransportKind kind() const override {
-    return TransportKind::kSocket;
-  }
   [[nodiscard]] Network& network() override { return network_; }
   [[nodiscard]] const Network& network() const override { return network_; }
-  [[nodiscard]] Scheduler& control_scheduler() override { return control_; }
-  /// There are no in-process sites; every site-side scheduler lives in its
-  /// own process. God-mode callers get the control scheduler.
-  [[nodiscard]] Scheduler& SchedulerFor(SiteId /*site*/) override {
-    return control_;
-  }
+  /// The control scheduler. There are no in-process sites; every site-side
+  /// scheduler lives in its own process.
+  [[nodiscard]] Scheduler& scheduler() override { return control_; }
 
   /// Sites are remote processes; nothing in this process may register one.
   void RegisterSite(SiteId site, Network::Handler handler) override;
@@ -109,10 +111,6 @@ class SocketTransport final : public Transport {
   /// false when the visible world is idle.
   bool StepOne() override;
   void Settle() override;
-
-  [[nodiscard]] TransportCounters counters() const override;
-  [[nodiscard]] SiteTransportCounters site_counters(
-      SiteId site) const override;
 
   // --- Coordinator surface (SocketWorld) --------------------------------
 
@@ -178,8 +176,7 @@ class SocketTransport final : public Transport {
     return conns_[site].fd >= 0 && conns_[site].responsive;
   }
 
-  /// Phase-alternation budget per timestep (same livelock guard as the
-  /// threaded backend).
+  /// Phase-alternation budget per timestep: a livelock guard.
   static constexpr std::uint64_t kMaxPhasesPerTimestep = 1'000'000;
 
  private:
@@ -208,10 +205,6 @@ class SocketTransport final : public Transport {
     std::vector<SiteId> restarted_pending;
     /// Receive carry buffer: partial frames survive poll timeouts.
     std::vector<std::uint8_t> rx;
-    // Per-site accounting (mirrors into SiteStats via site_counters()).
-    std::uint64_t handoffs = 0;
-    std::uint64_t staged_sends = 0;
-    std::uint64_t steps = 0;
   };
 
   void BindListener();
@@ -248,7 +241,7 @@ class SocketTransport final : public Transport {
   /// independent of reply arrival order.
   void ResolveStepReplies();
   /// Replays a reply's staged sends into the Network, in call order.
-  void ReplayStaged(Conn& conn, std::vector<Envelope> staged);
+  void ReplayStaged(std::vector<Envelope> staged);
   void SyncClocksTo(SimTime t);
   [[nodiscard]] std::vector<SiteId> SuspectedBy(SiteId site) const;
   /// True while any real-time external event may still produce simulated
@@ -278,7 +271,6 @@ class SocketTransport final : public Transport {
   std::vector<ReplySlot> reply_state_;             // scratch, per site
   std::vector<wire::StepReplyFrame> reply_frames_; // scratch, per site
 
-  TransportCounters counters_;
   SocketCounters socket_counters_;
 };
 

@@ -15,7 +15,6 @@ namespace dgc {
 SocketWorld::SocketWorld(SocketWorldOptions options)
     : options_(std::move(options)) {
   DGC_CHECK(options_.site_count > 0);
-  options_.network.transport = TransportKind::kSocket;
   // Same derivation System's constructor applies, so the CollectorConfig
   // shipped to site processes carries identical protocol timeouts.
   DeriveReliabilityTimeouts(options_.collector, options_.network);

@@ -1,11 +1,11 @@
 // Coordinator-process driver for socket-transport runs: the process-mode
 // analogue of System.
 //
-// System cannot host TransportKind::kSocket (its Sites are in-process
-// objects; socket sites live in their own OS processes), so SocketWorld
-// owns the coordinator half instead: the control Scheduler, the
-// SocketTransport (one Network + the per-connection engine), the Supervisor
-// that spawns/restarts the site processes, and a god-mode build/query
+// System cannot host socket sites (its Sites are in-process objects; socket
+// sites live in their own OS processes), so SocketWorld owns the
+// coordinator half instead: the control Scheduler, the SocketTransport (one
+// Network + the per-connection engine), the Supervisor that
+// spawns/restarts the site processes, and a god-mode build/query
 // surface that mirrors System's — NewObject, SetPersistentRoot, Wire,
 // Unwire, RunRound, census queries — implemented as BuildOp/Query frames.
 // Timeout derivation is shared with System (DeriveReliabilityTimeouts), so
@@ -37,7 +37,7 @@ namespace dgc {
 struct SocketWorldOptions {
   std::size_t site_count = 4;
   CollectorConfig collector;
-  /// transport is forced to kSocket; socket.* tunes timeouts and backoff.
+  /// socket.* tunes timeouts and backoff.
   NetworkConfig network;
   std::uint64_t seed = 1;
   /// Exec mode: argv template for site processes; SocketWorld appends

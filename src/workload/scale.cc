@@ -244,16 +244,13 @@ void ScaleDriver::Harvest() {
 
 void ScaleDriver::StartStaggeredRound() {
   ++stats_.rounds_started;
-  // Each site's trace is scheduled on its own scheduler so the threaded
-  // transport runs it on the site's thread; under the sim transport every
-  // SchedulerFor is the shared scheduler and this is the historical
-  // After(offset) schedule verbatim. With round_stagger 0 all traces share
-  // one instant — one parallel phase under the threaded backend.
+  // Site s starts its trace at now + s * round_stagger; with round_stagger 0
+  // all traces share one instant.
   const SimTime base = system_.now();
   SimTime offset = 0;
   for (SiteId s = 0; s < system_.site_count(); ++s) {
     Site* site = &system_.site(s);
-    system_.SchedulerFor(s).At(base + offset, [site] {
+    system_.scheduler().At(base + offset, [site] {
       if (!site->trace_in_flight()) site->StartLocalTrace();
     });
     offset += spec_.round_stagger;

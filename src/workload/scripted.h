@@ -1,8 +1,8 @@
 // Scripted seeded churn over an abstract god-mode world.
 //
 // The sim-vs-socket differential needs ONE op stream applied to two worlds
-// that share nothing but the protocol: a System (sim or threaded transport)
-// and a SocketWorld (real processes). GodWorld is that seam — the minimal
+// that share nothing but the protocol: a System (in-process sites) and a
+// SocketWorld (real processes). GodWorld is that seam — the minimal
 // god-mode surface both expose — and RunScriptedChurn is a deterministic
 // generator over it: every RNG draw happens here, on the driver side, and
 // object ids are whatever the worlds mint (identical by construction, since

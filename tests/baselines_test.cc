@@ -37,6 +37,7 @@ TEST(GlobalTraceTest, CollectsCyclesAndPlainGarbage) {
   EXPECT_TRUE(stats.completed);
   EXPECT_EQ(stats.objects_swept, 4u);  // 3 cycle objects + dead
   EXPECT_TRUE(system.ObjectExists(live));
+  EXPECT_FALSE(system.ObjectExists(dead));
   for (const ObjectId id : cycle.objects) {
     EXPECT_FALSE(system.ObjectExists(id));
   }

@@ -298,6 +298,48 @@ TEST(ScriptedChaos, CrashRestartMidCollectionRecovers) {
   ExpectNoStrandedTraceState(system, "crash-restart");
 }
 
+// A site outage overlapping a link flap on a reliable network: a garbage
+// ring spanning both must still be collected once they heal, and the rooted
+// ring beside it must survive.
+TEST(ScriptedChaos, PartitionOutageHealsAndCollects) {
+  CollectorConfig config;
+  config.suspicion_threshold = 2;
+  config.estimated_cycle_length = 4;
+  config.update_refresh_period = 3;
+  NetworkConfig net;
+  net.latency = 3;
+  net.reliable_delivery = true;
+  System system(4, config, net, 9);
+
+  const auto garbage = workload::BuildCycle(
+      system, {.sites = 3, .objects_per_site = 1, .first_site = 0});
+  const auto live_ring = workload::BuildCycle(
+      system, {.sites = 2, .objects_per_site = 1, .first_site = 2});
+  const ObjectId tether =
+      workload::TetherToRoot(system, live_ring.head(), /*root_site=*/3);
+
+  FaultPlan plan;
+  plan.SiteOutage(/*at=*/60, /*site=*/2, /*duration=*/300)
+      .LinkFlap(/*at=*/120, /*a=*/0, /*b=*/1, /*duration=*/240);
+  system.ArmFaultPlan(plan);
+
+  ScheduleTraceWaves(system, /*start=*/30, /*waves=*/10, /*spacing=*/80,
+                     /*stagger=*/7);
+  system.SettleNetwork();
+  ASSERT_TRUE(system.CheckSafety().empty()) << system.CheckSafety();
+
+  RecoverUntilClean(system, /*max_rounds=*/40);
+  for (const ObjectId id : garbage.objects) {
+    EXPECT_FALSE(system.ObjectExists(id)) << id;
+  }
+  for (const ObjectId id : live_ring.objects) {
+    EXPECT_TRUE(system.ObjectExists(id)) << id;
+  }
+  EXPECT_TRUE(system.ObjectExists(tether));
+  EXPECT_TRUE(system.CheckCompleteness().empty()) << system.CheckCompleteness();
+  ExpectNoStrandedTraceState(system, "partition");
+}
+
 // --- Random chaos soak -----------------------------------------------------
 
 class ChaosSoak : public ::testing::TestWithParam<std::uint64_t> {};

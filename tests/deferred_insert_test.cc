@@ -81,7 +81,9 @@ TEST(DeferredInsertTest, PublishOwnObjectLatencyBeatsSynchronous) {
     // Either way, the registration must exist afterwards.
     const InrefEntry* inref = system.site(0).tables().FindInref(mine);
     EXPECT_NE(inref, nullptr);
-    if (inref != nullptr) EXPECT_TRUE(inref->sources.contains(1));
+    if (inref != nullptr) {
+      EXPECT_TRUE(inref->sources.contains(1));
+    }
     return elapsed;
   };
   const SimTime synchronous = measure(InsertMode::kSynchronous);

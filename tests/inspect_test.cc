@@ -46,32 +46,6 @@ TEST(InspectTest, DescribeSiteShowsFlaggedAndBarrierState) {
             std::string::npos);
 }
 
-TEST(InspectTest, DescribeSitePrintsItsTransportCounters) {
-  NetworkConfig net;
-  net.transport = TransportKind::kThreaded;
-  net.transport_threads = 2;
-  System system(2, Config(), net, 5);
-  workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});
-  system.RunRounds(4);
-  const SiteTransportCounters counters = system.site(0).transport_counters();
-  ASSERT_GT(counters.handoffs, 0u);
-  ASSERT_GT(counters.steps, 0u);
-  const std::string text = DescribeSite(system.site(0));
-  EXPECT_NE(text.find("  transport: handoffs=" +
-                      std::to_string(counters.handoffs)),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find(" steps=" + std::to_string(counters.steps)),
-            std::string::npos)
-      << text;
-
-  // Under the sim transport every such counter is zero: no section.
-  System sim(2, Config());
-  workload::BuildCycle(sim, {.sites = 2, .objects_per_site = 1});
-  sim.RunRounds(4);
-  EXPECT_EQ(DescribeSite(sim.site(0)).find("transport:"), std::string::npos);
-}
-
 TEST(InspectTest, DescribeSystemSummarizes) {
   System system(3, Config());
   workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});

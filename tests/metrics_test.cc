@@ -110,13 +110,12 @@ TEST(MetricsTest, CsvHasOneColumnPerListedCounterAfterTheWorldGauges) {
   AppendColumns<SiteStats>(expected, "site");
   AppendColumns<BackTracerStats>(expected, "bt");
   AppendColumns<NetworkStats>(expected, "net");
-  AppendColumns<TransportCounters>(expected, "transport");
   EXPECT_EQ(SplitCsvLine(header), expected);
   // Spot checks that the lists name members as they are spelled.
   for (const char* column :
        {"site.quiescent_skips", "site.table_slot_reuses", "bt.calls_parked",
         "bt.traces_completed_live", "net.retransmits",
-        "transport.inbox_peak_depth", "heap.slot_capacity"}) {
+        "heap.slot_capacity"}) {
     EXPECT_EQ(std::count(expected.begin(), expected.end(), column), 1)
         << column;
   }

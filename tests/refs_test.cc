@@ -137,7 +137,9 @@ TEST_F(RefTablesTest, TablesIterateInDeterministicOrder) {
   bool first = true;
   for (const auto& [ref, entry] : tables_.outrefs()) {
     (void)entry;
-    if (!first) EXPECT_LT(previous, ref);
+    if (!first) {
+      EXPECT_LT(previous, ref);
+    }
     previous = ref;
     first = false;
   }

@@ -66,7 +66,7 @@ TEST(HeapTest, ForeignIdDoesNotExist) {
   Heap other(2);
   const ObjectId foreign = other.Allocate(0);
   EXPECT_FALSE(heap.Exists(foreign));
-  EXPECT_THROW(heap.Get(foreign), InvariantViolation);
+  EXPECT_THROW((void)heap.Get(foreign), InvariantViolation);
 }
 
 TEST(HeapTest, PersistentRoots) {
@@ -132,7 +132,7 @@ TEST(SlabHeapTest, FreeRecyclesStorageSlotUnderFreshId) {
   EXPECT_TRUE(heap.Exists(c));
   EXPECT_TRUE(heap.Exists(b));
   EXPECT_EQ(heap.Get(c).slots.size(), 2u);
-  EXPECT_THROW(heap.Get(a), InvariantViolation);
+  EXPECT_THROW((void)heap.Get(a), InvariantViolation);
 }
 
 TEST(SlabHeapTest, RepeatedReuseKeepsIdsDistinct) {

@@ -129,6 +129,36 @@ TEST(HypertextTest, UnrootedWebIsEventuallyCollected) {
   (void)web;
 }
 
+// The paper's motivating web at 8 sites and 1,024 documents, collected by
+// System::RunRound alone: safe after every round, complete at the end.
+TEST(HypertextTest, EightSiteWebsCollectUnderRunRound) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CollectorConfig config;
+    config.suspicion_threshold = 3;
+    config.estimated_cycle_length = 16;
+    config.back_threshold_increment = 2;
+    System system(8, config, NetworkConfig{}, seed);
+    workload::HypertextSpec spec;
+    spec.sites = 8;
+    spec.documents = 1024;
+    spec.sections_per_document = 3;
+    Rng rng(seed);
+    workload::BuildHypertextWeb(system, spec, rng);
+    const std::size_t live = system.ComputeLiveSet().size();
+    ASSERT_LT(live, system.TotalObjects()) << "the web holds no garbage";
+
+    for (int round = 0; system.TotalObjects() > live && round < 200;
+         ++round) {
+      system.RunRound();
+      ASSERT_TRUE(system.CheckSafety().empty()) << system.CheckSafety();
+    }
+    EXPECT_TRUE(system.CheckCompleteness().empty())
+        << system.CheckCompleteness();
+    EXPECT_GT(system.TotalObjectsReclaimed(), 0u);
+  }
+}
+
 TEST(FigureWorldsTest, Figure1TablesMatchPaper) {
   System system(3);
   const auto w = workload::BuildFigure1(system);
