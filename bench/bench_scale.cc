@@ -132,6 +132,11 @@ BENCHMARK(BM_Scale_OpenLoop)
 /// the traffic, from barriers and trace scans — span the whole table. This
 /// is the pattern that favours a sorted vector: contiguous binary search for
 /// the lookups, O(window) shifts (not O(table)) for the structural ops.
+/// Erases anywhere else shift the table's tail, which is why batches of
+/// them go through one compaction pass instead: a trace's outref trims
+/// (RefTables::RemoveOutrefs) and the inrefs an update message empties
+/// (RefTables::ApplyUpdate), which in the scale workload land all over the
+/// table, not in this window.
 template <typename Map>
 std::uint64_t RunMutationMix(Map& map, Rng& rng, std::size_t ops,
                              std::uint64_t bulk, std::uint64_t window,

@@ -59,7 +59,9 @@ CTEST_ARGS+=("$@")
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
 
-cmake -B "$BUILD_DIR" -G Ninja -DDGC_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug
+# -Werror too: the tree builds warning-free, so a new warning fails the run.
+cmake -B "$BUILD_DIR" -G Ninja -DDGC_SANITIZE=ON -DDGC_WERROR=ON \
+  -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$BUILD_DIR"
 ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1} \

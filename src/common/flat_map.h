@@ -18,34 +18,29 @@
 //   * value_type is std::pair<Key, T> (non-const Key): structured bindings
 //     and `it->first` read identically, but writing the key of a live entry
 //     is undefined — nothing in this codebase does;
-//   * erase(key) and erase(iterator) are O(n) shifts, insert is O(n) —
-//     acceptable because the tables see ~2 structural ops per mutation
-//     against thousands of lookups, and n is the *active* entry count.
+//   * erase(key) and erase(iterator) are O(n) shifts, insert is O(n). A
+//     single op per mutation is fine; a batch is not: k one-at-a-time
+//     erasures cost k shifts of the tail. Remove a batch with one
+//     erase_sorted compaction pass (RefTables::RemoveOutrefs for a trace's
+//     trims, RefTables::ApplyUpdate for the inrefs an update message
+//     empties), and look up an ascending batch with lower_bound_from,
+//     which searches forward from the previous answer.
 //
-// Spare-capacity accounting: the map never shrinks its vector, so steady
-// state churn (insert/erase cycles under workload) is served from already-
-// allocated slots. `stats().reuses` counts inserts absorbed by spare
-// capacity and `stats().grows` counts reallocations — the observable that
-// tells a scale run its tables stopped allocating.
+// The map never shrinks its vector, so steady-state churn (insert/erase
+// cycles under workload) is served from already-allocated slots;
+// RefTables counts which of its inserts reallocated.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 
 namespace dgc {
-
-struct FlatMapStats {
-  std::uint64_t inserts = 0;  // structural insertions
-  std::uint64_t erases = 0;   // structural removals
-  std::uint64_t reuses = 0;   // inserts absorbed by spare capacity
-  std::uint64_t grows = 0;    // inserts that reallocated the vector
-};
 
 template <typename Key, typename T, typename Compare = std::less<Key>>
 class FlatMap {
@@ -77,6 +72,29 @@ class FlatMap {
   [[nodiscard]] const_iterator lower_bound(const Key& key) const {
     return std::lower_bound(entries_.begin(), entries_.end(), key,
                             KeyLess{Compare{}});
+  }
+
+  /// lower_bound(key) for callers that walk ascending keys: a galloping
+  /// search forward from `hint` (a previous answer) in O(log distance)
+  /// probes. When a key before `hint` is not below `key` (the walk went
+  /// backwards) it searches the whole map, so any key order is answered.
+  [[nodiscard]] iterator lower_bound_from(iterator hint, const Key& key) {
+    const KeyLess less{Compare{}};
+    if (hint != entries_.begin() && !less(*std::prev(hint), key)) {
+      return lower_bound(key);
+    }
+    // Every entry before `first` is below `key`; probes double their stride.
+    iterator first = hint;
+    iterator last = entries_.end();
+    for (std::ptrdiff_t step = 1; last - first >= step; step *= 2) {
+      const iterator probe = first + (step - 1);
+      if (!less(*probe, key)) {
+        last = probe;
+        break;
+      }
+      first = probe + 1;
+    }
+    return std::lower_bound(first, last, key, less);
   }
 
   [[nodiscard]] iterator find(const Key& key) {
@@ -114,10 +132,9 @@ class FlatMap {
   std::pair<iterator, bool> try_emplace(const Key& key, Args&&... args) {
     iterator it = lower_bound(key);
     if (it != entries_.end() && KeysEqual(it->first, key)) return {it, false};
-    it = Insert(it, value_type(std::piecewise_construct,
-                               std::forward_as_tuple(key),
-                               std::forward_as_tuple(
-                                   std::forward<Args>(args)...)));
+    it = entries_.insert(
+        it, value_type(std::piecewise_construct, std::forward_as_tuple(key),
+                       std::forward_as_tuple(std::forward<Args>(args)...)));
     return {it, true};
   }
 
@@ -127,7 +144,7 @@ class FlatMap {
     const Key k(std::forward<K>(key));
     iterator it = lower_bound(k);
     if (it != entries_.end() && KeysEqual(it->first, k)) return {it, false};
-    it = Insert(it, value_type(k, T(std::forward<V>(value))));
+    it = entries_.insert(it, value_type(k, T(std::forward<V>(value))));
     return {it, true};
   }
 
@@ -137,25 +154,40 @@ class FlatMap {
     const iterator it = find(key);
     if (it == entries_.end()) return 0;
     entries_.erase(it);
-    ++stats_.erases;
     return 1;
   }
-  iterator erase(const_iterator it) {
-    ++stats_.erases;
-    return entries_.erase(it);
-  }
+  iterator erase(const_iterator it) { return entries_.erase(it); }
 
   /// Removes every entry matching the predicate in one linear pass (the
   /// iterator-erase loop would be quadratic). Returns the count removed.
   template <typename Pred>
   std::size_t erase_if(Pred pred) {
-    const std::size_t removed = std::erase_if(
+    return std::erase_if(
         entries_, [&pred](const value_type& entry) { return pred(entry); });
-    stats_.erases += removed;
-    return removed;
   }
 
-  [[nodiscard]] const FlatMapStats& stats() const { return stats_; }
+  /// Removes the entries keyed by `sorted_keys` (ascending, distinct) in one
+  /// compaction pass that starts at the first of them: the entries before
+  /// it are not even read. A key without an entry is skipped. Returns the
+  /// count removed.
+  std::size_t erase_sorted(const std::vector<Key>& sorted_keys) {
+    if (sorted_keys.empty()) return 0;
+    const Compare compare{};
+    auto next = sorted_keys.begin();
+    iterator write = lower_bound(*next);
+    for (iterator read = write; read != entries_.end(); ++read) {
+      while (next != sorted_keys.end() && compare(*next, read->first)) ++next;
+      if (next != sorted_keys.end() && !compare(read->first, *next)) {
+        ++next;  // removed: the next kept entry overwrites it
+        continue;
+      }
+      if (write != read) *write = std::move(*read);
+      ++write;
+    }
+    const auto removed = static_cast<std::size_t>(entries_.end() - write);
+    entries_.erase(write, entries_.end());
+    return removed;
+  }
 
  private:
   struct KeyLess {
@@ -169,18 +201,7 @@ class FlatMap {
     return !compare(a, b) && !compare(b, a);
   }
 
-  iterator Insert(iterator position, value_type&& entry) {
-    ++stats_.inserts;
-    if (entries_.size() < entries_.capacity()) {
-      ++stats_.reuses;
-    } else {
-      ++stats_.grows;
-    }
-    return entries_.insert(position, std::move(entry));
-  }
-
   storage_type entries_;
-  FlatMapStats stats_;
 };
 
 }  // namespace dgc

@@ -152,24 +152,11 @@ void Site::HandleInsertAck(const InsertAckMsg& msg) {
 }
 
 void Site::HandleUpdate(const Envelope& envelope, const UpdateMsg& msg) {
-  for (const UpdateEntry& entry : msg.entries) {
-    DGC_CHECK(entry.ref.site == id_);
-    if (entry.removed) {
-      tables_.RemoveInrefSource(entry.ref, envelope.from);
-      continue;
-    }
-    InrefEntry* inref = tables_.FindInref(entry.ref);
-    if (inref == nullptr) continue;  // stale update for a removed inref
-    const auto source = inref->sources.find(envelope.from);
-    if (source != inref->sources.end()) {
-      const bool was_clean = inref->clean(config_.suspicion_threshold);
-      source->second = SourceInfo{entry.distance, scheduler_.now()};
-      if (!was_clean && inref->clean(config_.suspicion_threshold)) {
-        // A distance drop cleaned the inref: clean rule (§6.4).
-        back_tracer_.OnIorefCleaned(IorefKind::kInref, entry.ref);
-      }
-    }
-  }
+  tables_.ApplyUpdate(envelope.from, msg.entries, scheduler_.now(),
+                      [this](ObjectId ref) {
+                        // A distance drop cleaned the inref: clean rule (§6.4).
+                        back_tracer_.OnIorefCleaned(IorefKind::kInref, ref);
+                      });
   // Note: no back-trace trigger rescan here. The trigger compares OUTREF
   // distances against back thresholds, and outref distances only change
   // when a local trace recomputes them — so the post-trace check in
@@ -546,16 +533,16 @@ TraceResult Site::ComputeLocalTrace() {
   // safety caveat in CollectorConfig).
   if (config_.source_lease_ttl > 0) {
     const SimTime now = scheduler_.now();
-    std::vector<std::pair<ObjectId, SiteId>> expired;
+    FlatMap<SiteId, std::vector<UpdateEntry>> expired;  // ascending per source
     for (const auto& [obj, entry] : tables_.inrefs()) {
       for (const auto& [source, info] : entry.sources) {
         if (now - info.refreshed_at > config_.source_lease_ttl) {
-          expired.emplace_back(obj, source);
+          expired[source].push_back(UpdateEntry{obj, /*removed=*/true});
         }
       }
     }
-    for (const auto& [obj, source] : expired) {
-      tables_.RemoveInrefSource(obj, source);
+    for (const auto& [source, removals] : expired) {
+      tables_.ApplyUpdate(source, removals, now, [](ObjectId) {});
     }
   }
   TraceResult result = collector_.Run(AppRootObjects());

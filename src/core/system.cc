@@ -87,7 +87,7 @@ void System::RunRounds(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) RunRound();
 }
 
-void System::SettleNetwork() { transport_.Settle(); }
+void System::SettleNetwork() { scheduler_.RunUntilIdle(); }
 
 void System::ArmFaultPlan(const FaultPlan& plan) {
   FaultHooks hooks;

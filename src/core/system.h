@@ -47,11 +47,10 @@ class System {
   [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
   [[nodiscard]] Network& network() { return transport_.network(); }
   [[nodiscard]] const Network& network() const { return transport_.network(); }
-  [[nodiscard]] Transport& transport() { return transport_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
   /// Global simulated time.
-  [[nodiscard]] SimTime now() const { return transport_.now(); }
+  [[nodiscard]] SimTime now() const { return scheduler_.now(); }
 
   /// The scheduler a site's timers live on: the one scheduler.
   [[nodiscard]] Scheduler& SchedulerFor(SiteId /*site*/) { return scheduler_; }
@@ -91,7 +90,7 @@ class System {
   void AdvanceTime(SimTime delta) { RunUntilTime(now() + delta); }
 
   /// Runs every event with time <= t, then advances the clock to t.
-  void RunUntilTime(SimTime t) { transport_.RunUntilTime(t); }
+  void RunUntilTime(SimTime t) { scheduler_.RunUntil(t); }
 
   [[nodiscard]] std::size_t rounds_run() const { return rounds_; }
 

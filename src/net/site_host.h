@@ -93,10 +93,8 @@ class SiteAgentTransport final : public Transport {
     return failure_detection_;
   }
 
-  [[nodiscard]] SimTime now() const override { return scheduler_.now(); }
-  void RunUntilTime(SimTime t) override { scheduler_.RunUntil(t); }
-  bool StepOne() override { return scheduler_.RunOne(); }
-  void Settle() override { scheduler_.RunUntilIdle(); }
+  [[nodiscard]] SimTime now() const { return scheduler_.now(); }
+  void RunUntilTime(SimTime t) { scheduler_.RunUntil(t); }
 
   // --- Host-facing surface ----------------------------------------------
 

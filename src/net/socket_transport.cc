@@ -535,14 +535,6 @@ void SocketTransport::RunUntilTime(SimTime t) {
   SyncClocksTo(t);
 }
 
-bool SocketTransport::StepOne() {
-  PollIo();
-  const SimTime next = NextEventTime();
-  if (next == Scheduler::kNoPendingEvent) return false;
-  AdvanceWorldTo(std::max(next, global_now_));
-  return true;
-}
-
 bool SocketTransport::ExternalProgressPossible() const {
   for (const Conn& conn : conns_) {
     if (conn.fd < 0) return true;  // a redial or restart may arrive

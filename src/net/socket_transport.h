@@ -104,13 +104,11 @@ class SocketTransport final : public Transport {
   /// the other backends between engine calls.
   void Send(SiteId from, SiteId to, Payload payload) override;
 
-  [[nodiscard]] SimTime now() const override { return global_now_; }
-  void RunUntilTime(SimTime t) override;
-  /// One engine timestep: poll I/O, then advance to the earliest pending
-  /// instant (coordinator timer or a site's cached next event). Returns
-  /// false when the visible world is idle.
-  bool StepOne() override;
-  void Settle() override;
+  /// Runs every event with time <= t, then advances the clock to t.
+  void RunUntilTime(SimTime t);
+  /// Runs until no event is pending anywhere, granting bounded real time
+  /// for external progress (restarts, resumes, redials).
+  void Settle();
 
   // --- Coordinator surface (SocketWorld) --------------------------------
 

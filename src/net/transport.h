@@ -2,9 +2,9 @@
 // and whatever actually moves messages and time forward.
 //
 // Sites see a small site-facing surface (RegisterSite / Send / the
-// failure-detector queries) plus the Scheduler their timers live on; the
-// world driver sees an engine surface (now / RunUntilTime / Settle /
-// StepOne). Three backends implement it, each on one thread:
+// failure-detector queries) plus the Scheduler their timers live on. Each
+// world driver moves time through its own backend, by concrete type. Three
+// backends implement the seam, each on one thread:
 //
 //   * SimTransport (below) — a zero-cost adapter over the deterministic
 //     simulator: one shared Scheduler, one Network, every site in the
@@ -67,25 +67,6 @@ class Transport {
   [[nodiscard]] virtual bool failure_detection_enabled() const {
     return network().failure_detection_enabled();
   }
-
-  // --- Engine surface (world-facing) ------------------------------------
-
-  /// Global simulated time.
-  [[nodiscard]] virtual SimTime now() const = 0;
-
-  /// Runs every event with time <= t, then advances the clock to t.
-  virtual void RunUntilTime(SimTime t) = 0;
-
-  /// Runs until no event is pending anywhere: the transport-agnostic
-  /// spelling of "drain the simulation to idle".
-  virtual void Settle() = 0;
-
-  /// Runs the smallest unit of forward progress the backend has: one event
-  /// under SimTransport, one pending timestep (every site step at the next
-  /// event instant) under SocketTransport. Returns false when no work is
-  /// pending anywhere. The transport-agnostic spelling of "RunOne" that the
-  /// mutator pump loops on.
-  virtual bool StepOne() = 0;
 };
 
 /// The simulator backend: one shared scheduler, everything inline.
@@ -104,11 +85,6 @@ class SimTransport final : public Transport {
   void Send(SiteId from, SiteId to, Payload payload) override {
     network_.Send(from, to, std::move(payload));
   }
-
-  [[nodiscard]] SimTime now() const override { return scheduler_.now(); }
-  void RunUntilTime(SimTime t) override { scheduler_.RunUntil(t); }
-  void Settle() override { scheduler_.RunUntilIdle(); }
-  bool StepOne() override { return scheduler_.RunOne(); }
 
  private:
   Scheduler& scheduler_;

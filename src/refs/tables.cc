@@ -1,5 +1,7 @@
 #include "refs/tables.h"
 
+#include <array>
+
 namespace dgc {
 
 InrefEntry* RefTables::FindInref(ObjectId local_ref) {
@@ -16,8 +18,12 @@ InrefEntry& RefTables::EnsureInref(ObjectId local_ref) {
   DGC_CHECK_MSG(local_ref.site == site_,
                 "inref must name a local object: " << local_ref << " on site "
                                                    << site_);
+  const std::size_t capacity = inrefs_.capacity();
   auto [it, created] = inrefs_.try_emplace(local_ref);
-  if (created) it->second.back_threshold = config_.initial_back_threshold();
+  if (created) {
+    ++(inrefs_.capacity() == capacity ? slot_reuses_ : slot_grows_);
+    it->second.back_threshold = config_.initial_back_threshold();
+  }
   return it->second;
 }
 
@@ -30,14 +36,26 @@ InrefEntry& RefTables::AddInrefSource(ObjectId local_ref, SiteId source,
 }
 
 bool RefTables::RemoveInrefSource(ObjectId local_ref, SiteId source) {
-  InrefEntry* entry = FindInref(local_ref);
-  if (entry == nullptr) return false;
-  entry->sources.erase(source);
-  if (entry->sources.empty()) {
-    inrefs_.erase(local_ref);
-    return true;
+  struct Removal {
+    ObjectId ref;
+    bool removed = true;
+    Distance distance = kDistanceInfinity;
+  };
+  const std::size_t before = inrefs_.size();
+  ApplyUpdate(source, std::array{Removal{local_ref}}, /*now=*/0,
+              [](ObjectId) {});
+  return inrefs_.size() < before;
+}
+
+void RefTables::EraseInrefs(std::vector<ObjectId>& refs) {
+  if (refs.empty()) return;
+  if (!std::is_sorted(refs.begin(), refs.end())) {
+    std::sort(refs.begin(), refs.end());
   }
-  return false;
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  const std::size_t removed = inrefs_.erase_sorted(refs);
+  DGC_CHECK_MSG(removed == refs.size(), "erasing an absent inref");
+  refs.clear();
 }
 
 void RefTables::RemoveInref(ObjectId local_ref) { inrefs_.erase(local_ref); }
@@ -55,8 +73,12 @@ const OutrefEntry* RefTables::FindOutref(ObjectId remote_ref) const {
 std::pair<OutrefEntry*, bool> RefTables::EnsureOutref(ObjectId remote_ref) {
   DGC_CHECK_MSG(remote_ref.site != site_,
                 "outref must name a remote object: " << remote_ref);
+  const std::size_t capacity = outrefs_.capacity();
   auto [it, created] = outrefs_.try_emplace(remote_ref);
-  if (created) it->second.back_threshold = config_.initial_back_threshold();
+  if (created) {
+    ++(outrefs_.capacity() == capacity ? slot_reuses_ : slot_grows_);
+    it->second.back_threshold = config_.initial_back_threshold();
+  }
   return {&it->second, created};
 }
 
@@ -67,13 +89,7 @@ void RefTables::RemoveOutrefs(const std::vector<ObjectId>& sorted_refs) {
     DGC_CHECK_MSG(entry != nullptr, "no outref " << ref);
     DGC_CHECK_MSG(entry->pin_count == 0, "removing pinned outref " << ref);
   }
-  auto next = sorted_refs.begin();
-  const std::size_t removed =
-      outrefs_.erase_if([&](const OutrefMap::value_type& entry) {
-        if (next == sorted_refs.end() || entry.first != *next) return false;
-        ++next;
-        return true;
-      });
+  const std::size_t removed = outrefs_.erase_sorted(sorted_refs);
   DGC_CHECK_MSG(removed == sorted_refs.size(),
                 "outrefs to remove must be sorted and distinct");
 }

@@ -36,10 +36,21 @@ struct SourceInfo {
 /// inref entries; they enter the local trace directly as distance-0 roots
 /// (the paper models them as permanent inrefs — same semantics).
 struct InrefEntry {
+  // Declared largest first, so that an entry and its key fill 72 bytes on
+  // a 64-bit build: an update's compaction pass moves every entry after the
+  // first one it erases.
+
   /// Source sites known to contain the reference. Sorted flat map: iteration
   /// stays deterministic (site order) and the handful of sources per inref
   /// fit one cache line instead of a node apiece.
   FlatMap<SiteId, SourceInfo> sources;
+
+  /// Back traces that have visited this inref and not yet reported.
+  std::vector<TraceId> visited;
+
+  /// Distance that must be exceeded before a back trace may start here;
+  /// bumped on every back-trace visit (Section 4.3).
+  Distance back_threshold = 0;
 
   /// Set when a back trace confirmed this inref garbage (Section 4.5). A
   /// flagged inref is no longer used as a root by the local trace; the entry
@@ -50,13 +61,6 @@ struct InrefEntry {
   /// Set by the transfer barrier (Section 6.1.1); cleared when the next
   /// local trace's results are applied.
   bool clean_override = false;
-
-  /// Back traces that have visited this inref and not yet reported.
-  std::vector<TraceId> visited;
-
-  /// Distance that must be exceeded before a back trace may start here;
-  /// bumped on every back-trace visit (Section 4.3).
-  Distance back_threshold = 0;
 
   /// Estimated distance: minimum over sources, infinity if none.
   [[nodiscard]] Distance distance() const {
@@ -165,8 +169,25 @@ class RefTables {
   InrefEntry& AddInrefSource(ObjectId local_ref, SiteId source,
                              Distance distance, SimTime now = 0);
 
-  /// Removes a source; removes the whole entry when the source list empties.
-  /// Returns true if the entry was removed.
+  /// Applies one source's update message (Section 2) in one walk of the
+  /// inref table. A removed entry drops `source` from its inref; any other
+  /// entry overwrites that source's distance and lease, and leaves an inref
+  /// that does not list the source (or does not exist) alone: the news is
+  /// stale. When a distance drop cleans an inref, `on_cleaned(ref)` runs
+  /// the clean rule (Section 6.4). Each inref a removal leaves without a
+  /// source is erased, all of them in one compaction pass: at the end, or
+  /// before `on_cleaned` runs, so the callback always sees the table an
+  /// entry-by-entry application would show. Entries sorted by ref, as the
+  /// sender's outref column produces them, make each lookup a short search
+  /// forward from the previous one; any other order (a foreign peer's)
+  /// gives the same result, only slower. `entries` is a range of records
+  /// with `ref`, `removed` and `distance` (net's UpdateEntry).
+  template <typename Entries, typename OnCleaned>
+  void ApplyUpdate(SiteId source, const Entries& entries, SimTime now,
+                   OnCleaned&& on_cleaned);
+
+  /// ApplyUpdate's one-removal case: removes a source, and the whole entry
+  /// when the source list empties. Returns true if the entry was removed.
   bool RemoveInrefSource(ObjectId local_ref, SiteId source);
 
   void RemoveInref(ObjectId local_ref);
@@ -201,13 +222,9 @@ class RefTables {
   // tables stop allocating (reuses climbing, grows flat).
 
   /// Inserts (across both tables) absorbed by spare vector capacity.
-  [[nodiscard]] std::uint64_t slot_reuses() const {
-    return inrefs_.stats().reuses + outrefs_.stats().reuses;
-  }
+  [[nodiscard]] std::uint64_t slot_reuses() const { return slot_reuses_; }
   /// Inserts (across both tables) that reallocated a backing vector.
-  [[nodiscard]] std::uint64_t slot_grows() const {
-    return inrefs_.stats().grows + outrefs_.stats().grows;
-  }
+  [[nodiscard]] std::uint64_t slot_grows() const { return slot_grows_; }
   /// Allocated entry slots across both tables (vector capacities).
   [[nodiscard]] std::size_t slot_capacity() const {
     return inrefs_.capacity() + outrefs_.capacity();
@@ -221,10 +238,48 @@ class RefTables {
   }
 
  private:
+  /// Erases the inrefs in `refs` (each present, any order, repeats allowed)
+  /// in one compaction pass, and clears `refs`.
+  void EraseInrefs(std::vector<ObjectId>& refs);
+
   SiteId site_;
   const CollectorConfig& config_;
   InrefMap inrefs_;
   OutrefMap outrefs_;
+  std::uint64_t slot_reuses_ = 0;
+  std::uint64_t slot_grows_ = 0;
 };
+
+template <typename Entries, typename OnCleaned>
+void RefTables::ApplyUpdate(SiteId source, const Entries& entries, SimTime now,
+                            OnCleaned&& on_cleaned) {
+  for (const auto& entry : entries) {  // every check before any change
+    DGC_CHECK_MSG(entry.ref.site == site_,
+                  "update names a remote object: " << entry.ref);
+  }
+  std::vector<ObjectId> emptied;  // erased together, by EraseInrefs
+  auto at = inrefs_.begin();
+  for (const auto& entry : entries) {
+    at = inrefs_.lower_bound_from(at, entry.ref);
+    if (at == inrefs_.end() || at->first != entry.ref) continue;  // no inref
+    InrefEntry& inref = at->second;
+    if (entry.removed) {
+      inref.sources.erase(source);
+      if (inref.sources.empty()) emptied.push_back(entry.ref);
+      continue;
+    }
+    // An emptied inref lists no source, so later entries leave it alone,
+    // as they would find nothing once it is erased.
+    const auto info = inref.sources.find(source);
+    if (info == inref.sources.end()) continue;
+    const bool was_clean = inref.clean(config_.suspicion_threshold);
+    info->second = SourceInfo{entry.distance, now};
+    if (was_clean || !inref.clean(config_.suspicion_threshold)) continue;
+    EraseInrefs(emptied);
+    on_cleaned(entry.ref);
+    at = inrefs_.begin();  // the erasures (or the callback) moved entries
+  }
+  EraseInrefs(emptied);
+}
 
 }  // namespace dgc

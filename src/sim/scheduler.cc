@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace dgc {
@@ -8,16 +9,15 @@ void Scheduler::At(SimTime t, Action action) {
   DGC_CHECK_MSG(t >= now_, "cannot schedule in the past: t=" << t
                                                              << " now=" << now_);
   DGC_CHECK(action != nullptr);
-  queue_.push(Event{t, next_seq_++, std::move(action)});
+  queue_.push_back(Event{t, next_seq_++, std::move(action)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 bool Scheduler::RunOne() {
   if (queue_.empty()) return false;
-  // priority_queue::top returns const&; the action must be moved out, so copy
-  // the event before popping. Actions are small closures; this is cheap
-  // relative to what they do.
-  Event event = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event event = std::move(queue_.back());
+  queue_.pop_back();
   DGC_CHECK(event.time >= now_);
   now_ = event.time;
   ++executed_;
@@ -37,7 +37,7 @@ bool Scheduler::RunUntilIdle(std::uint64_t max_events) {
 
 void Scheduler::RunUntil(SimTime t) {
   DGC_CHECK(t >= now_);
-  while (!queue_.empty() && queue_.top().time <= t) {
+  while (!queue_.empty() && queue_.front().time <= t) {
     RunOne();
   }
   now_ = t;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "common/check.h"
@@ -54,7 +53,7 @@ class Scheduler {
   /// The conservative time-stepped transport engine uses this to pick the
   /// next global timestep across many schedulers.
   [[nodiscard]] SimTime next_event_time() const {
-    return queue_.empty() ? kNoPendingEvent : queue_.top().time;
+    return queue_.empty() ? kNoPendingEvent : queue_.front().time;
   }
 
  private:
@@ -69,7 +68,10 @@ class Scheduler {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// A binary heap under Later (std::push_heap / std::pop_heap), not a
+  /// std::priority_queue: its top() is const, so running an event would
+  /// copy its action, and a delivery's action holds the whole batch.
+  std::vector<Event> queue_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

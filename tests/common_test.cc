@@ -1,12 +1,16 @@
-// Unit tests for the common substrate: ids, distance arithmetic, RNG, checks.
+// Unit tests for the common substrate: ids, distance arithmetic, RNG, checks,
+// and the sorted-vector map's batch operations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "common/check.h"
 #include "common/distance.h"
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "common/rng.h"
 
@@ -164,6 +168,51 @@ TEST(RngTest, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (child.Next() == b.Next());
   EXPECT_LT(same, 4);
+}
+
+// Keys 0, 3, 6, ... so that every other key in between has no entry.
+FlatMap<int, int> EveryThird(int count) {
+  FlatMap<int, int> map;
+  for (int i = 0; i < count; ++i) map[3 * i] = i;
+  return map;
+}
+
+TEST(FlatMapTest, LowerBoundFromMatchesLowerBoundInAnyKeyOrder) {
+  FlatMap<int, int> map = EveryThird(200);
+  Rng rng(5);
+  for (int walk = 0; walk < 200; ++walk) {
+    auto hint = map.begin();
+    for (int step = 0; step < 40; ++step) {
+      // Mostly ascending (with repeats), sometimes backwards or past the end.
+      const int key = rng.NextBelow(4) == 0
+                          ? static_cast<int>(rng.NextBelow(620))
+                          : (hint == map.end() ? 600 : hint->first) +
+                                static_cast<int>(rng.NextBelow(30));
+      const auto got = map.lower_bound_from(hint, key);
+      ASSERT_EQ(got, map.lower_bound(key)) << "key " << key;
+      hint = got;
+    }
+  }
+  FlatMap<int, int> empty;
+  EXPECT_EQ(empty.lower_bound_from(empty.begin(), 1), empty.end());
+}
+
+TEST(FlatMapTest, EraseSortedRemovesPresentKeysAndSkipsAbsentOnes) {
+  FlatMap<int, int> map = EveryThird(100);
+  // 1 and 299 have no entry; 0 and 297 are the first and last entries.
+  EXPECT_EQ(map.erase_sorted({0, 1, 30, 31, 33, 297, 299}), 4u);
+  EXPECT_EQ(map.size(), 96u);
+  for (const int gone : {0, 30, 33, 297}) EXPECT_FALSE(map.contains(gone));
+  for (const int kept : {3, 27, 36, 294}) {
+    ASSERT_TRUE(map.contains(kept));
+    EXPECT_EQ(map.at(kept), kept / 3);
+  }
+  EXPECT_TRUE(std::is_sorted(
+      map.begin(), map.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  EXPECT_EQ(map.erase_sorted({}), 0u);
+  EXPECT_EQ(map.erase_sorted({1000}), 0u);
+  EXPECT_EQ(map.size(), 96u);
 }
 
 }  // namespace

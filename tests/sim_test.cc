@@ -85,6 +85,36 @@ TEST(SchedulerTest, EventBudgetGuardsLivelock) {
   EXPECT_THROW(s.RunUntilIdle(100), InvariantViolation);
 }
 
+// Counts its own copies. A closure holding one shows whether the scheduler
+// copies an event's action, which for a delivery holds the whole batch.
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* count) : copies(count) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+};
+
+TEST(SchedulerTest, RunningAnEventNeverCopiesItsAction) {
+  Scheduler s;
+  int copies = 0;
+  std::vector<int> order;
+  // Later events scheduled first, so the heap reorders every one of them.
+  for (int i = 0; i < 16; ++i) {
+    s.At(16 - i, [counter = CopyCounter(&copies), &order, i] {
+      (void)counter;
+      order.push_back(i);
+    });
+  }
+  EXPECT_EQ(copies, 0);
+  s.RunUntilIdle();
+  ASSERT_EQ(order.size(), 16u);
+  EXPECT_EQ(order.front(), 15);
+  EXPECT_EQ(order.back(), 0);
+  EXPECT_EQ(copies, 0) << "an action was copied between At and its run";
+}
+
 TEST(SchedulerTest, CountsExecutedEvents) {
   Scheduler s;
   for (int i = 0; i < 7; ++i) s.At(i, [] {});
