@@ -11,6 +11,12 @@
 //     reclamation), messages per collected cycle, a peak-RSS proxy (VmHWM)
 //     and the flat-table reuse counters. The small row is the CI gate; the
 //     100 x 10'000 row is the headline configuration.
+//   * BM_Scale_Oracles/<sites>/<objects_per_site>: the cost of System's
+//     god-mode checks on the OpenLoop world, driven for 6,000 ticks and
+//     quiesced: CheckSafety, CheckCompleteness and CheckReferentialIntegrity
+//     timed once each, plus the VmHWM rise from the quiesced world across
+//     the checks. A check that reports a violation fails the row, and the
+//     binary then exits 1.
 //   * BM_Scale_TableMutation/<impl>/<entries>: the per-mutation table cost
 //     the flat swap targets — an identical find/insert/erase mix against
 //     FlatMap (impl 1) and the old std::map (impl 0) at per-site table
@@ -18,6 +24,7 @@
 //     measurably cheaper.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -125,6 +132,84 @@ BENCHMARK(BM_Scale_OpenLoop)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
+// Rows whose world failed a god-mode check; main exits 1 if any.
+int oracle_failures = 0;
+
+void BM_Scale_Oracles(benchmark::State& state) {
+  const auto sites = static_cast<std::size_t>(state.range(0));
+  const auto objects_per_site = static_cast<std::size_t>(state.range(1));
+
+  double safety_ms = 0.0;
+  double completeness_ms = 0.0;
+  double integrity_ms = 0.0;
+  double rss_rise_mb = 0.0;
+  std::size_t objects = 0;
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    System system(sites, dgc::bench::DefaultConfig());
+    workload::ScaleTopologySpec topo;
+    topo.sites = sites;
+    topo.objects_per_site = objects_per_site;
+    topo.seed = 42;
+    workload::InstantiateScaleTopology(system,
+                                       workload::BuildScaleTopology(topo));
+    workload::ScaleDriverSpec drive;
+    drive.duration = 6'000;
+    drive.mean_interarrival = 5;
+    drive.mean_lifetime = 400;
+    drive.round_period = 500;
+    drive.seed = 7;
+    workload::ScaleDriver driver(system, drive);
+    driver.Run();
+    driver.Quiesce();
+    // The rise counts from the quiesced world, so it includes the first
+    // check the world sees (below); later checks reuse the memory it freed.
+    const double rss_before = PeakRssMb();
+    // Quiesce stops once every severed ring is gone; the topology's own
+    // garbage may take a few more rounds (bench_e2e's scale unit does the
+    // same before its checks).
+    for (int i = 0; i < 20 && !system.CheckCompleteness().empty(); ++i) {
+      system.RunRound();
+    }
+    objects = system.TotalObjects();
+    state.ResumeTiming();
+
+    std::string violation;
+    const auto timed = [&](double& ms, auto check) {
+      const auto start = std::chrono::steady_clock::now();
+      std::string v = check();
+      ms = std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+               .count();
+      if (violation.empty()) violation = std::move(v);
+    };
+    timed(safety_ms, [&] { return system.CheckSafety(); });
+    timed(completeness_ms, [&] { return system.CheckCompleteness(); });
+    timed(integrity_ms, [&] { return system.CheckReferentialIntegrity(); });
+    rss_rise_mb = PeakRssMb() - rss_before;
+    if (!violation.empty()) {
+      ++oracle_failures;
+      state.SkipWithError(("oracle violation: " + violation).c_str());
+      break;
+    }
+  }
+
+  state.counters["sites"] = static_cast<double>(sites);
+  state.counters["objects"] = static_cast<double>(objects);
+  state.counters["safety_ms"] = safety_ms;
+  state.counters["completeness_ms"] = completeness_ms;
+  state.counters["integrity_ms"] = integrity_ms;
+  state.counters["peak_rss_rise_mb"] = rss_rise_mb;
+}
+// The 10 x 2'000 row runs in tier-1 (ctest bench_scale_oracles); the
+// 100 x 10'000 row is the size of bench_e2e's scale world.
+BENCHMARK(BM_Scale_Oracles)
+    ->Args({10, 2'000})
+    ->Args({100, 10'000})
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
 /// The table traffic one driver mutation induces on a site's ref tables.
 /// Object ids are allocated monotonically, so barrier inserts land at the
 /// tail of the key order; actor cohorts die young, so erases also hit near
@@ -203,6 +288,8 @@ BENCHMARK(BM_Scale_TableMutation)
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dgc::bench::RunBenchmarksWithDefaultOut(argc, argv,
-                                                 "BENCH_scale.json");
+  const int status =
+      dgc::bench::RunBenchmarksWithDefaultOut(argc, argv, "BENCH_scale.json");
+  if (status != 0) return status;
+  return oracle_failures == 0 ? 0 : 1;
 }

@@ -126,26 +126,75 @@ void System::ArmFaultPlan(const FaultPlan& plan) {
   plan.Schedule(scheduler_, std::move(hooks));
 }
 
-std::set<ObjectId> System::ComputeLiveSet() const {
+namespace {
+
+/// One walk of the world from every root (persistent roots, app roots and
+/// pinned outrefs, site by site), then depth first along slots. It marks each
+/// existing object it reaches, one bit per heap slot, once Exists has checked
+/// the id's generation, and keeps the first edge into a missing object: a
+/// live object that was reclaimed, which CheckSafety reports.
+struct RootWalk {
+  std::vector<std::vector<bool>> marks;  // [site][heap slot]
+  std::string missing;
+
+  [[nodiscard]] bool Marked(ObjectId existing) const {
+    return marks[existing.site][Heap::SlotOfIndex(existing.index)];
+  }
+};
+
+RootWalk WalkFromRoots(const System& system) {
+  RootWalk walk;
+  walk.marks.reserve(system.site_count());
+  for (SiteId s = 0; s < system.site_count(); ++s) {
+    walk.marks.emplace_back(system.site(s).heap().slot_capacity());
+  }
   std::vector<ObjectId> stack;
-  std::set<ObjectId> live;
-  const auto push = [&](ObjectId id) {
+  const auto reach = [&](ObjectId id, const char* why, ObjectId holder) {
     if (!id.valid()) return;
-    if (!ObjectExists(id)) return;  // dangling root/pin: ignore here,
-                                    // CheckSafety reports real violations
-    if (live.insert(id).second) stack.push_back(id);
+    if (!system.ObjectExists(id)) {
+      if (walk.missing.empty()) {
+        std::ostringstream os;
+        os << "live object " << id << " (" << why << " of " << holder
+           << ") was reclaimed";
+        walk.missing = os.str();
+      }
+      return;
+    }
+    auto mark = walk.marks[id.site][Heap::SlotOfIndex(id.index)];
+    if (mark) return;
+    mark = true;
+    stack.push_back(id);
   };
-  for (const auto& s : sites_) {
-    for (const ObjectId root : s->heap().persistent_roots()) push(root);
-    for (const ObjectId root : s->AppRootObjects()) push(root);
-    for (const ObjectId pinned : s->PinnedRemoteRefs()) push(pinned);
+  const auto reach_roots = [&](const std::vector<ObjectId>& roots,
+                               const char* why) {
+    for (const ObjectId root : roots) reach(root, why, root);
+  };
+  for (SiteId s = 0; s < system.site_count(); ++s) {
+    const Site& site = system.site(s);
+    reach_roots(site.heap().persistent_roots(), "persistent root");
+    reach_roots(site.AppRootObjects(), "app root");
+    reach_roots(site.PinnedRemoteRefs(), "pinned ref");
   }
   while (!stack.empty()) {
     const ObjectId current = stack.back();
     stack.pop_back();
-    for (const ObjectId target : site(current.site).heap().Get(current).slots) {
-      push(target);
+    for (const ObjectId target :
+         system.site(current.site).heap().Get(current).slots) {
+      reach(target, "slot", current);
     }
+  }
+  return walk;
+}
+
+}  // namespace
+
+std::set<ObjectId> System::ComputeLiveSet() const {
+  const RootWalk walk = WalkFromRoots(*this);
+  std::set<ObjectId> live;
+  for (const auto& s : sites_) {
+    s->heap().ForEach([&](ObjectId id, const Object&) {
+      if (walk.Marked(id)) live.insert(id);
+    });
   }
   return live;
 }
@@ -162,51 +211,15 @@ bool System::ObjectExists(ObjectId id) const {
 }
 
 std::string System::CheckSafety() const {
-  // A live object that was reclaimed would be unreachable via existing
-  // objects, so walk roots without the existence filter and report any edge
-  // into a missing object.
-  std::vector<ObjectId> stack;
-  std::set<ObjectId> seen;
-  std::ostringstream violation;
-  const auto push = [&](ObjectId id, const char* why,
-                        ObjectId holder) -> bool {
-    if (!id.valid()) return true;
-    if (!ObjectExists(id)) {
-      violation << "live object " << id << " (" << why << " of " << holder
-                << ") was reclaimed";
-      return false;
-    }
-    if (seen.insert(id).second) stack.push_back(id);
-    return true;
-  };
-  for (const auto& s : sites_) {
-    for (const ObjectId root : s->heap().persistent_roots()) {
-      if (!push(root, "persistent root", root)) return violation.str();
-    }
-    for (const ObjectId root : s->AppRootObjects()) {
-      if (!push(root, "app root", root)) return violation.str();
-    }
-    for (const ObjectId pinned : s->PinnedRemoteRefs()) {
-      if (!push(pinned, "pinned ref", pinned)) return violation.str();
-    }
-  }
-  while (!stack.empty()) {
-    const ObjectId current = stack.back();
-    stack.pop_back();
-    for (const ObjectId target : site(current.site).heap().Get(current).slots) {
-      if (!push(target, "slot", current)) return violation.str();
-    }
-  }
-  return {};
+  return WalkFromRoots(*this).missing;
 }
 
 std::string System::CheckCompleteness() const {
-  const std::set<ObjectId> live = ComputeLiveSet();
-  std::ostringstream violation;
+  const RootWalk walk = WalkFromRoots(*this);
   for (const auto& s : sites_) {
     std::string found;
     s->heap().ForEach([&](ObjectId id, const Object&) {
-      if (found.empty() && !live.contains(id)) {
+      if (found.empty() && !walk.Marked(id)) {
         std::ostringstream os;
         os << "garbage object " << id << " still stored";
         found = os.str();
@@ -219,20 +232,29 @@ std::string System::CheckCompleteness() const {
 
 std::string System::CheckReferentialIntegrity() const {
   std::ostringstream violation;
-  const std::set<ObjectId> live = ComputeLiveSet();
+  const RootWalk walk = WalkFromRoots(*this);
   // Every cross-site reference held by a live object must be covered by an
   // outref at the holder's site, and every outref by an inref source entry.
   for (const auto& s : sites_) {
-    for (const ObjectId id : live) {
-      if (id.site != s->id()) continue;
-      for (const ObjectId target : s->heap().Get(id).slots) {
+    // The heap runs in slot order, but a recycled slot's id sorts by its
+    // generation first; report the lowest live holder, as ids sort.
+    ObjectId holder = kInvalidObject;
+    ObjectId held;
+    s->heap().ForEach([&](ObjectId id, const Object& object) {
+      if (!walk.Marked(id) || (holder.valid() && holder < id)) return;
+      for (const ObjectId target : object.slots) {
         if (!target.valid() || target.site == s->id()) continue;
         if (s->tables().FindOutref(target) == nullptr) {
-          violation << "live object " << id << " holds " << target
-                    << " with no outref at site " << s->id();
-          return violation.str();
+          holder = id;
+          held = target;
+          return;
         }
       }
+    });
+    if (holder.valid()) {
+      violation << "live object " << holder << " holds " << held
+                << " with no outref at site " << s->id();
+      return violation.str();
     }
     for (const auto& [ref, entry] : s->tables().outrefs()) {
       (void)entry;
@@ -255,29 +277,43 @@ std::string System::CheckReferentialIntegrity() const {
 
 std::string System::CheckLocalSafetyInvariant() const {
   std::ostringstream violation;
+  std::vector<ObjectId> stack;
+  std::vector<ObjectId> reached_remote;
   for (const auto& s : sites_) {
+    const Heap& heap = s->heap();
+    // Per heap slot, the stamp of the last inref walk that reached it.
+    std::vector<std::uint32_t> reached_in(heap.slot_capacity());
+    std::uint32_t stamp = 0;
     // True local reachability: from each live inref's object, which remote
     // references (outrefs) does the local heap reach?
     for (const auto& [inref_obj, inref_entry] : s->tables().inrefs()) {
       if (inref_entry.garbage_flagged) continue;
-      if (!s->heap().Exists(inref_obj)) continue;
-      // BFS over local objects from inref_obj.
-      std::set<std::uint64_t> seen{inref_obj.index};
-      std::vector<ObjectId> stack{inref_obj};
-      std::set<ObjectId> reached_remote;
+      if (!heap.Exists(inref_obj)) continue;
+      ++stamp;
+      reached_in[Heap::SlotOfIndex(inref_obj.index)] = stamp;
+      stack.assign(1, inref_obj);
+      reached_remote.clear();
       while (!stack.empty()) {
         const ObjectId current = stack.back();
         stack.pop_back();
-        for (const ObjectId target : s->heap().Get(current).slots) {
+        for (const ObjectId target : heap.Get(current).slots) {
           if (!target.valid()) continue;
           if (target.site != s->id()) {
-            reached_remote.insert(target);
+            reached_remote.push_back(target);
             continue;
           }
-          if (!s->heap().Exists(target)) continue;  // racing sweep
-          if (seen.insert(target.index).second) stack.push_back(target);
+          if (!heap.Exists(target)) continue;  // racing sweep
+          std::uint32_t& seen = reached_in[Heap::SlotOfIndex(target.index)];
+          if (seen != stamp) {
+            seen = stamp;
+            stack.push_back(target);
+          }
         }
       }
+      std::sort(reached_remote.begin(), reached_remote.end());
+      reached_remote.erase(
+          std::unique(reached_remote.begin(), reached_remote.end()),
+          reached_remote.end());
       for (const ObjectId outref : reached_remote) {
         const OutrefEntry* entry = s->tables().FindOutref(outref);
         if (entry == nullptr || entry->clean()) continue;  // clean: exempt
@@ -294,14 +330,6 @@ std::string System::CheckLocalSafetyInvariant() const {
         }
       }
     }
-  }
-  return {};
-}
-
-std::string System::CheckAllInvariants() const {
-  if (std::string v = CheckSafety(); !v.empty()) return "safety: " + v;
-  if (std::string v = CheckReferentialIntegrity(); !v.empty()) {
-    return "integrity: " + v;
   }
   return {};
 }

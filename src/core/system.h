@@ -4,7 +4,9 @@
 // The oracle computes true liveness by tracing the union of all heaps from
 // every root (persistent roots, application roots, and remote references
 // pinned by mutator variables or the insert barrier) — knowledge no real
-// site has, used only for validation.
+// site has, used only for validation. The safety, completeness and
+// integrity checks share that one walk, which marks one bit per heap slot
+// instead of building a set.
 #pragma once
 
 #include <cstdint>
@@ -106,7 +108,8 @@ class System {
 
   // --- Oracle and invariant checks --------------------------------------
 
-  /// Objects truly reachable from some root anywhere, right now.
+  /// Objects truly reachable from some root anywhere, right now: the
+  /// checks' walk, copied into a set for callers that want one.
   [[nodiscard]] std::set<ObjectId> ComputeLiveSet() const;
 
   /// Total objects currently stored across all sites.
@@ -132,9 +135,6 @@ class System {
   /// the transfer barrier cleaning o instead, which the check honours by
   /// skipping clean outrefs. Empty string when the invariant holds.
   [[nodiscard]] std::string CheckLocalSafetyInvariant() const;
-
-  /// Runs all three checks; returns first violation or empty string.
-  [[nodiscard]] std::string CheckAllInvariants() const;
 
   // --- Aggregate statistics ---------------------------------------------
 

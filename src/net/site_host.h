@@ -32,9 +32,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/config.h"
 #include "common/ids.h"
-#include "common/rng.h"
 #include "net/network.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -51,17 +49,8 @@ class Site;
 class SiteAgentTransport final : public Transport {
  public:
   SiteAgentTransport(SiteId site, bool failure_detection)
-      : site_(site),
-        failure_detection_(failure_detection),
-        stub_network_(scheduler_, NetworkConfig{}, Rng(0)) {}
+      : site_(site), failure_detection_(failure_detection) {}
 
-  /// The stub exists only so the accessor has a referent; nothing in the
-  /// site-side protocol path consults it (fault switches, channels and
-  /// incarnations all live in the coordinator's real Network).
-  [[nodiscard]] Network& network() override { return stub_network_; }
-  [[nodiscard]] const Network& network() const override {
-    return stub_network_;
-  }
   [[nodiscard]] Scheduler& scheduler() override { return scheduler_; }
 
   void RegisterSite(SiteId site, Network::Handler handler) override {
@@ -131,7 +120,6 @@ class SiteAgentTransport final : public Transport {
   SiteId site_;
   bool failure_detection_;
   Scheduler scheduler_;
-  Network stub_network_;
   Network::Handler handler_;
   Network::RecoveryListener recovery_listener_;
   std::vector<SiteId> suspected_;  // sorted

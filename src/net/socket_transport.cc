@@ -98,17 +98,6 @@ void SocketTransport::QueueRestartNotice(Conn& conn, SiteId peer) {
   }
 }
 
-void SocketTransport::RegisterSite(SiteId /*site*/,
-                                   Network::Handler /*handler*/) {
-  DGC_CHECK_MSG(false,
-                "socket transport sites are separate processes; there is "
-                "nothing to register in the coordinator");
-}
-
-void SocketTransport::Send(SiteId from, SiteId to, Payload payload) {
-  network_.Send(from, to, std::move(payload));
-}
-
 // ---------------------------------------------------------------------------
 // Connection management.
 

@@ -59,7 +59,6 @@
 #include "common/config.h"
 #include "common/rng.h"
 #include "net/network.h"
-#include "net/transport.h"
 #include "net/wire.h"
 #include "sim/scheduler.h"
 
@@ -80,31 +79,24 @@ struct SocketCounters {
   std::uint64_t disconnects = 0;  // EOF/EPIPE observed on a site link
 };
 
-class SocketTransport final : public Transport {
+/// Not a Transport: no Site runs in the coordinator's process.
+class SocketTransport final {
  public:
   /// Binds the listening socket at `socket_path` (must not exist yet; the
   /// caller owns the directory). Site processes are spawned by the caller
   /// and dial in; WaitForAllConnected gates the first engine call.
   SocketTransport(std::size_t site_count, Scheduler& control,
                   NetworkConfig config, Rng rng, std::string socket_path);
-  ~SocketTransport() override;
+  ~SocketTransport();
+  SocketTransport(const SocketTransport&) = delete;
+  SocketTransport& operator=(const SocketTransport&) = delete;
 
-  // --- Transport interface ----------------------------------------------
+  /// The one Network instance (fault injection, stats, reliable channels).
+  [[nodiscard]] Network& network() { return network_; }
 
-  [[nodiscard]] Network& network() override { return network_; }
-  [[nodiscard]] const Network& network() const override { return network_; }
-  /// The control scheduler. There are no in-process sites; every site-side
-  /// scheduler lives in its own process.
-  [[nodiscard]] Scheduler& scheduler() override { return control_; }
-
-  /// Sites are remote processes; nothing in this process may register one.
-  void RegisterSite(SiteId site, Network::Handler handler) override;
-
-  /// God-mode send from the coordinator: straight into the Network, same as
-  /// the other backends between engine calls.
-  void Send(SiteId from, SiteId to, Payload payload) override;
-
-  /// Runs every event with time <= t, then advances the clock to t.
+  /// Runs every event with time <= t, then advances the clock to t. The
+  /// bounded run for a world whose sites always report a next event, so
+  /// that Settle never goes idle (socket_test's fake sites).
   void RunUntilTime(SimTime t);
   /// Runs until no event is pending anywhere, granting bounded real time
   /// for external progress (restarts, resumes, redials).

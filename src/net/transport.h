@@ -1,10 +1,10 @@
 // Pluggable transport: the seam between the protocol layer (Site, BackTracer)
 // and whatever actually moves messages and time forward.
 //
-// Sites see a small site-facing surface (RegisterSite / Send / the
-// failure-detector queries) plus the Scheduler their timers live on. Each
-// world driver moves time through its own backend, by concrete type. Three
-// backends implement the seam, each on one thread:
+// It is exactly what a Site calls: RegisterSite, Send, the four
+// failure-detector calls, and the Scheduler its timers live on. Each world
+// driver moves time through its own backend, by concrete type. Two backends
+// implement the seam, each on one thread:
 //
 //   * SimTransport (below) — a zero-cost adapter over the deterministic
 //     simulator: one shared Scheduler, one Network, every site in the
@@ -14,10 +14,9 @@
 //     process runs over: sends are staged for the coordinator, and the
 //     failure-detector queries answer from state the coordinator ships.
 //
-//   * SocketTransport (net/socket_transport.h) — the coordinator of a world
-//     whose sites are separate OS processes; SocketWorld runs on it. It owns
-//     the Network, so the reliable-delivery, incarnation and
-//     failure-detector machinery applies to real links unchanged.
+// The coordinator of a socket world (SocketTransport, net/socket_transport.h)
+// hosts no Site, so it is not a Transport: it owns the Network those staged
+// sends enter, and SocketWorld drives it directly.
 #pragma once
 
 #include <utility>
@@ -33,16 +32,9 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// The one Network instance (fault injection, stats, reliable channels).
-  [[nodiscard]] virtual Network& network() = 0;
-  [[nodiscard]] virtual const Network& network() const = 0;
-
-  /// The scheduler that runs the Network's own events (deliveries,
-  /// retransmit timers, recovery notifications), any world-level scripting
-  /// and the timers of every site hosted in this process.
+  /// The scheduler that runs the timers of every site hosted in this
+  /// process (and, in process, the Network's own events).
   [[nodiscard]] virtual Scheduler& scheduler() = 0;
-
-  // --- Site-facing surface (mirrors Network, so call sites just rename) --
 
   virtual void RegisterSite(SiteId site, Network::Handler handler) = 0;
 
@@ -50,23 +42,14 @@ class Transport {
   /// coordinator's next step in a site process.
   virtual void Send(SiteId from, SiteId to, Payload payload) = 0;
 
-  // Virtual so a site-process agent (net/site_host.h) can answer them from
-  // failure-detector state shipped by the coordinator instead of a local
-  // Network. The defaults forward to network().
+  // The failure detector: the Network's in process; in a site process,
+  // state shipped by the coordinator (net/site_host.h).
   virtual void SetRecoveryListener(SiteId observer,
-                                   Network::RecoveryListener l) {
-    network().SetRecoveryListener(observer, std::move(l));
-  }
-  virtual void NoteSiteRestarted(SiteId site) {
-    network().NoteSiteRestarted(site);
-  }
+                                   Network::RecoveryListener l) = 0;
+  virtual void NoteSiteRestarted(SiteId site) = 0;
   [[nodiscard]] virtual bool IsPeerSuspected(SiteId observer,
-                                             SiteId peer) const {
-    return network().IsPeerSuspected(observer, peer);
-  }
-  [[nodiscard]] virtual bool failure_detection_enabled() const {
-    return network().failure_detection_enabled();
-  }
+                                             SiteId peer) const = 0;
+  [[nodiscard]] virtual bool failure_detection_enabled() const = 0;
 };
 
 /// The simulator backend: one shared scheduler, everything inline.
@@ -75,8 +58,9 @@ class SimTransport final : public Transport {
   SimTransport(Scheduler& scheduler, NetworkConfig config, Rng rng)
       : scheduler_(scheduler), network_(scheduler, std::move(config), rng) {}
 
-  [[nodiscard]] Network& network() override { return network_; }
-  [[nodiscard]] const Network& network() const override { return network_; }
+  /// The one Network instance (fault injection, stats, reliable channels).
+  [[nodiscard]] Network& network() { return network_; }
+  [[nodiscard]] const Network& network() const { return network_; }
   [[nodiscard]] Scheduler& scheduler() override { return scheduler_; }
 
   void RegisterSite(SiteId site, Network::Handler handler) override {
@@ -84,6 +68,21 @@ class SimTransport final : public Transport {
   }
   void Send(SiteId from, SiteId to, Payload payload) override {
     network_.Send(from, to, std::move(payload));
+  }
+
+  void SetRecoveryListener(SiteId observer,
+                           Network::RecoveryListener l) override {
+    network_.SetRecoveryListener(observer, std::move(l));
+  }
+  void NoteSiteRestarted(SiteId site) override {
+    network_.NoteSiteRestarted(site);
+  }
+  [[nodiscard]] bool IsPeerSuspected(SiteId observer,
+                                     SiteId peer) const override {
+    return network_.IsPeerSuspected(observer, peer);
+  }
+  [[nodiscard]] bool failure_detection_enabled() const override {
+    return network_.failure_detection_enabled();
   }
 
  private:

@@ -148,9 +148,10 @@ class Heap {
     return Cell{&ObjectAt(slot), &mark_epoch_[slot], &clean_epoch_[slot]};
   }
 
-  /// Storage slot of an object id's index (low half minus the +1 bias), the
-  /// position of its entry in a HeapImage. Only valid for indices minted by
-  /// this heap layout.
+  /// Storage slot of an object id's index (low half minus the +1 bias): the
+  /// position of its entry in a HeapImage and, second user, of its mark bit
+  /// in System's oracle walk, which checks Exists first (a recycled slot
+  /// hands out new ids). Only valid for indices minted by this heap layout.
   static constexpr std::uint64_t SlotOfIndex(std::uint64_t index) {
     return SlotOf(index);
   }
