@@ -322,14 +322,6 @@ void BackTracer::HandleReply(const BackReplyMsg& msg) {
   if (msg.result == BackResult::kLive) frame.result = BackResult::kLive;
   DGC_CHECK(frame.pending > 0);
   --frame.pending;
-  // §4.4's early return: once any branch answers Live the frame's answer is
-  // known; answer the caller now and keep the frame only to absorb the
-  // remaining replies. Participants arriving after this are stranded (their
-  // visited marks expire via report_timeout).
-  if (tables_.config().short_circuit_live_replies &&
-      frame.result == BackResult::kLive && !frame.replied) {
-    FinalizeFrame(frame);
-  }
   if (frame.pending == 0) CompleteFrame(frame);
 }
 
@@ -340,13 +332,6 @@ void BackTracer::Reply(TraceId trace, FrameId to, BackResult result,
 }
 
 void BackTracer::CompleteFrame(Frame& frame) {
-  if (!frame.replied) FinalizeFrame(frame);
-  frames_.Erase(frame.id);
-}
-
-void BackTracer::FinalizeFrame(Frame& frame) {
-  DGC_CHECK(!frame.replied);
-  frame.replied = true;
   AddParticipant(frame, site_);
   if (frame.is_root) {
     const BackResult outcome = frame.result;
@@ -372,8 +357,10 @@ void BackTracer::FinalizeFrame(Frame& frame) {
                                      frame.participants.size()});
     }
   } else {
-    Reply(frame.trace, frame.parent, frame.result, frame.participants);
+    Reply(frame.trace, frame.parent, frame.result,
+          std::move(frame.participants));
   }
+  frames_.Erase(frame.id);
 }
 
 BackTracer::Frame& BackTracer::CreateFrame(TraceId trace, FrameId parent,
@@ -435,9 +422,6 @@ void BackTracer::OnIorefCleaned(IorefKind kind, ObjectId ref) {
                             << " Live at "
                             << (kind == IorefKind::kInref ? "inref " : "outref ")
                             << ref);
-      if (tables_.config().short_circuit_live_replies && !frame.replied) {
-        FinalizeFrame(frame);  // answer known; propagate it promptly
-      }
     }
   });
 }

@@ -220,10 +220,6 @@ class BackTracer {
     BackResult result = BackResult::kGarbage;
     std::vector<SiteId> participants;  // sorted, unique
     bool is_root = false;
-    /// Set once the frame has answered its caller (short-circuit mode may
-    /// answer before all children do; the frame then lingers only to absorb
-    /// straggler replies).
-    bool replied = false;
     /// Children whose calls are parked on a suspected peer. While positive,
     /// the frame's call timeout defers instead of assuming Live.
     int parked = 0;
@@ -261,8 +257,8 @@ class BackTracer {
     std::vector<Waiter> waiters;
     SimTime last_touched = 0;
     /// Set when a waiter's patience ran out before this trace's report
-    /// arrived — evidence the report may never come (short-circuited
-    /// participant sets and dropped messages strand records by design).
+    /// arrived — evidence the report may never come (dropped messages and
+    /// crashed initiators strand records).
     /// A stranded record accepts no further waiters, so traces fall back to
     /// traversing alongside the stale marks exactly as without coalescing.
     bool stranded = false;
@@ -272,9 +268,8 @@ class BackTracer {
                      ObjectId ioref);
   void Reply(TraceId trace, FrameId to, BackResult result,
              std::vector<SiteId> participants);
-  /// Answers the frame's caller (or finishes the trace for a root frame).
-  void FinalizeFrame(Frame& frame);
-  /// Finalizes if not yet done, then erases the frame.
+  /// Answers the frame's caller (or finishes the trace for a root frame),
+  /// then erases the frame.
   void CompleteFrame(Frame& frame);
   void ArmTimeout(std::uint64_t frame_id, TraceId trace);
   void ClearRecordMarks(const VisitRecord& record, TraceId trace);

@@ -118,8 +118,7 @@ ObjectId MigrationCollector::Migrate(ObjectId victim, SiteId destination) {
     if (!holds) continue;
     auto [outref, created] = holder.tables().EnsureOutref(new_id);
     if (created) outref->distance = carried_distance;
-    dest.tables().AddInrefSource(new_id, s, carried_distance,
-                                 system_.scheduler().now());
+    dest.tables().AddInrefSource(new_id, s, carried_distance);
   }
   // 4. The moved object's own outgoing references: remote ones need an
   // outref at the destination and a source entry at their owners.
@@ -131,8 +130,8 @@ ObjectId MigrationCollector::Migrate(ObjectId victim, SiteId destination) {
         system_.site(ref.site).tables().FindInref(ref);
     const Distance source_distance =
         target_inref != nullptr ? target_inref->distance() : carried_distance;
-    system_.site(ref.site).tables().AddInrefSource(
-        ref, destination, source_distance, system_.scheduler().now());
+    system_.site(ref.site).tables().AddInrefSource(ref, destination,
+                                                   source_distance);
   }
   system_.SettleNetwork();
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/distance.h"
 
@@ -87,16 +86,11 @@ struct CollectorConfig {
   /// Every this-many local traces, a site resends ALL outref distances in
   /// its update messages instead of only changed ones, so distance
   /// information lost to dropped messages or crashed sites recovers
-  /// (Section 2 assumes fault-tolerant update messaging, cf. ML94).
+  /// (Section 2 assumes fault-tolerant update messaging, cf. ML94). A lost
+  /// *removal* is never resent (its outref is gone), so networks that drop
+  /// messages need NetworkConfig::reliable_delivery for those.
   /// Zero disables refresh (changes only).
   std::uint64_t update_refresh_period = 4;
-
-  /// Optional source leases: an inref source not refreshed by an update or
-  /// insert within this long is dropped at the next local trace, recovering
-  /// from *lost removal* updates. UNSAFE if set below the sender's refresh
-  /// cadence — a live source could be dropped. Zero (default) disables
-  /// expiry.
-  SimTime source_lease_ttl = 0;
 
   /// When false, only local tracing runs (the baseline that leaks cycles,
   /// as in Figure 1 where f and g are never collected).
@@ -116,28 +110,14 @@ struct CollectorConfig {
   /// resume), so parking never converts into a timeout by itself. Inert
   /// unless the failure detector is enabled.
   bool park_on_suspected_failure = true;
-
-  /// The paper's pseudocode returns Live as soon as any branch answers Live
-  /// (§4.4). With parallel branches that can strand late-reporting
-  /// participants outside the initiator's report set, leaking their visited
-  /// marks until report_timeout expires them — so it is an opt-in latency
-  /// optimization here (set report_timeout > 0 with it). When false
-  /// (default), a frame replies only after all children answer; the message
-  /// count 2E + P is identical either way.
-  bool short_circuit_live_replies = false;
 };
 
 /// Knobs for the socket transport (net/socket_world.h), which runs each site
-/// as its own OS process: where the rendezvous socket lives, how long the
-/// coordinator waits on a site process, and how the supervisor restarts
-/// crashed ones. All real-time values are wall-clock milliseconds —
-/// the one place the otherwise simulated-time system touches real clocks.
+/// as its own OS process: how long the coordinator waits on a site process,
+/// how the supervisor restarts crashed ones, and whether sites snapshot.
+/// All real-time values are wall-clock milliseconds — the one place the
+/// otherwise simulated-time system touches real clocks.
 struct SocketConfig {
-  /// Directory for the coordinator's listening socket, site snapshots, and
-  /// any per-run scratch. Empty (default) creates a private mkdtemp
-  /// directory, which keeps parallel test runs from colliding.
-  std::string state_dir;
-
   /// How long the coordinator waits for one site's StepReply before marking
   /// the process unresponsive (SIGSTOP'd, wedged, or dying). The site is
   /// then treated as down — the failure detector and park machinery take
@@ -154,14 +134,6 @@ struct SocketConfig {
   /// failure up to the cap.
   int restart_backoff_initial_ms = 50;
   int restart_backoff_max_ms = 2'000;
-
-  /// A site incarnation that stays up this long is considered healthy: its
-  /// next crash restarts from restart_backoff_initial_ms again and with a
-  /// fresh max_restarts budget, so a process that crashes once an hour does
-  /// not march toward give-up forever. Crash loops (every life shorter than
-  /// the window) still exhaust the budget. Zero = never reset (every crash
-  /// over the process's whole history counts against one budget).
-  int restart_backoff_reset_ms = 30'000;
 
   /// Restarts the supervisor will attempt per site before giving up and
   /// leaving the site permanently down (the heartbeat/park machinery then
@@ -192,20 +164,15 @@ struct NetworkConfig {
   SimTime batch_window = 0;
 
   /// Reliable channels: per-channel sequence numbers, cumulative acks,
-  /// retransmission with exponential backoff + jitter and bounded attempts,
-  /// and duplicate suppression on delivery. Loss injected by
+  /// retransmission with exponential backoff + jitter and bounded attempts
+  /// (the first after 2 × (latency + latency_jitter) + batch_window + 1,
+  /// just past one worst-case round trip, so an ack in flight usually beats
+  /// the timer), and duplicate suppression on delivery. Loss injected by
   /// drop_probability (or a chaos plan's drop bursts) then costs latency
   /// instead of a permanent drop; the per-channel FIFO order of R1 is
   /// preserved by delivering in sequence-number order at the receiver.
   /// Default off keeps the unreliable datagram transport bit-for-bit.
   bool reliable_delivery = false;
-
-  /// Base delay before the first retransmission of an unacked wire message;
-  /// doubles per attempt (plus deterministic jitter of up to a quarter of
-  /// the delay). Zero derives 2 × (latency + latency_jitter) +
-  /// batch_window + 1 — just past one worst-case round trip, so an ack in
-  /// flight usually beats the timer.
-  SimTime retransmit_base = 0;
 
   /// Transmission attempts per wire message before it is abandoned as
   /// undeliverable (counted as dropped; the protocol timeouts then recover

@@ -45,10 +45,10 @@ std::string DescribeSite(const Site& site) {
     AppendDistance(os, entry.distance());
     os << " sources={";
     bool first = true;
-    for (const auto& [source, info] : entry.sources) {
+    for (const auto& [source, distance] : entry.sources) {
       if (!first) os << ",";
       os << "s" << source << ":";
-      AppendDistance(os, info.distance);
+      AppendDistance(os, distance);
       first = false;
     }
     os << "}" << (entry.clean(threshold) ? " clean" : " SUSPECTED")

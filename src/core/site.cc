@@ -110,8 +110,8 @@ void Site::HandleInsert(const Envelope& envelope, const InsertMsg& msg) {
   const InrefEntry* existing = tables_.FindInref(msg.ref);
   const bool was_clean =
       existing == nullptr || existing->clean(config_.suspicion_threshold);
-  InrefEntry& entry = tables_.AddInrefSource(msg.ref, msg.new_source,
-                                             msg.distance, scheduler_.now());
+  InrefEntry& entry =
+      tables_.AddInrefSource(msg.ref, msg.new_source, msg.distance);
   if (!was_clean && entry.clean(config_.suspicion_threshold)) {
     back_tracer_.OnIorefCleaned(IorefKind::kInref, msg.ref);
   }
@@ -152,11 +152,10 @@ void Site::HandleInsertAck(const InsertAckMsg& msg) {
 }
 
 void Site::HandleUpdate(const Envelope& envelope, const UpdateMsg& msg) {
-  tables_.ApplyUpdate(envelope.from, msg.entries, scheduler_.now(),
-                      [this](ObjectId ref) {
-                        // A distance drop cleaned the inref: clean rule (§6.4).
-                        back_tracer_.OnIorefCleaned(IorefKind::kInref, ref);
-                      });
+  tables_.ApplyUpdate(envelope.from, msg.entries, [this](ObjectId ref) {
+    // A distance drop cleaned the inref: clean rule (§6.4).
+    back_tracer_.OnIorefCleaned(IorefKind::kInref, ref);
+  });
   // Note: no back-trace trigger rescan here. The trigger compares OUTREF
   // distances against back thresholds, and outref distances only change
   // when a local trace recomputes them — so the post-trace check in
@@ -527,24 +526,6 @@ TraceResult Site::ComputeLocalTrace() {
   DGC_CHECK_MSG(!pending_trace_.has_value(),
                 "local trace already in flight at site " << id_);
   ++stats_.local_traces;
-
-  // Optional source-lease expiry: drop sources whose holder has not
-  // confirmed within the TTL (recovers from lost removal updates; see the
-  // safety caveat in CollectorConfig).
-  if (config_.source_lease_ttl > 0) {
-    const SimTime now = scheduler_.now();
-    FlatMap<SiteId, std::vector<UpdateEntry>> expired;  // ascending per source
-    for (const auto& [obj, entry] : tables_.inrefs()) {
-      for (const auto& [source, info] : entry.sources) {
-        if (now - info.refreshed_at > config_.source_lease_ttl) {
-          expired[source].push_back(UpdateEntry{obj, /*removed=*/true});
-        }
-      }
-    }
-    for (const auto& [source, removals] : expired) {
-      tables_.ApplyUpdate(source, removals, now, [](ObjectId) {});
-    }
-  }
   TraceResult result = collector_.Run(AppRootObjects());
   stats_.trace_wall_ns += result.stats.trace_wall_ns;
   stats_.mark_wall_ns += result.stats.mark_wall_ns;
@@ -722,10 +703,8 @@ void Site::WireSlotTo(ObjectId source, std::size_t slot, ObjectId target,
   DGC_CHECK(&target_site != this && target_site.id() == target.site);
   auto [entry, created] = tables_.EnsureOutref(target);
   if (created) entry->distance = 1;
-  InrefEntry& inref = target_site.tables_.EnsureInref(target);
-  if (!inref.sources.contains(id_)) {
-    inref.sources.emplace(id_, SourceInfo{1, scheduler_.now()});
-  }
+  // A new source starts at distance 1; an existing one keeps its distance.
+  target_site.tables_.EnsureInref(target).sources.try_emplace(id_, 1);
 }
 
 }  // namespace dgc

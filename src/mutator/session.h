@@ -81,8 +81,6 @@ class Session {
                   std::function<void()> done);
 
  private:
-  void RunUntilIdleOp();
-
   System& system_;
   SiteId home_;
   std::uint64_t id_;

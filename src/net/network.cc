@@ -13,7 +13,6 @@ Network::Network(Scheduler& scheduler, NetworkConfig config, Rng rng)
   DGC_CHECK(config_.latency >= 0);
   DGC_CHECK(config_.latency_jitter >= 0);
   DGC_CHECK(config_.drop_probability >= 0.0 && config_.drop_probability <= 1.0);
-  DGC_CHECK(config_.retransmit_base >= 0);
   DGC_CHECK(config_.max_retransmit_attempts >= 1);
   DGC_CHECK(config_.heartbeat_period >= 0);
   DGC_CHECK(config_.heartbeat_timeout >= 0);
@@ -183,7 +182,6 @@ void Network::PurgeInertClampEntries() {
 // --- Reliable channels -----------------------------------------------------
 
 SimTime Network::RetransmitBase() const {
-  if (config_.retransmit_base > 0) return config_.retransmit_base;
   // Just past one worst-case round trip: an ack already in flight usually
   // beats the timer, so a healthy channel rarely retransmits.
   return 2 * (config_.latency + config_.latency_jitter) +

@@ -25,7 +25,7 @@ using wire::WireWriter;
 /// Snapshot file magic ("DGCS") and version, distinct from the socket
 /// protocol's so a snapshot can never be mistaken for a frame.
 constexpr std::uint32_t kSnapshotMagic = 0x44474353;
-constexpr std::uint16_t kSnapshotVersion = 2;
+constexpr std::uint16_t kSnapshotVersion = 3;
 
 }  // namespace
 
@@ -40,8 +40,8 @@ SiteSnapshot CaptureSiteSnapshot(const Site& site, std::uint32_t incarnation) {
   for (const auto& [ref, entry] : site.tables().inrefs()) {
     SiteSnapshot::InrefImage image;
     image.ref = ref;
-    for (const auto& [source, info] : entry.sources) {
-      image.sources.push_back({source, info.distance, info.refreshed_at});
+    for (const auto& [source, distance] : entry.sources) {
+      image.sources.push_back({source, distance});
     }
     image.garbage_flagged = entry.garbage_flagged;
     image.clean_override = entry.clean_override;
@@ -70,8 +70,7 @@ void ApplySiteSnapshot(Site& site, const SiteSnapshot& snapshot) {
   for (const auto& image : snapshot.inrefs) {
     InrefEntry& entry = site.tables().EnsureInref(image.ref);
     for (const auto& source : image.sources) {
-      site.tables().AddInrefSource(image.ref, source.site, source.distance,
-                                   source.refreshed_at);
+      site.tables().AddInrefSource(image.ref, source.site, source.distance);
     }
     entry.garbage_flagged = image.garbage_flagged;
     entry.clean_override = image.clean_override;
@@ -110,7 +109,7 @@ auto Fields(Is<HeapImage> auto& h) {
   return std::tie(h.slots, h.free_slots, h.persistent_roots, h.stats);
 }
 auto Fields(Is<SiteSnapshot::InrefSource> auto& s) {
-  return std::tie(s.site, s.distance, s.refreshed_at);
+  return std::tie(s.site, s.distance);
 }
 auto Fields(Is<SiteSnapshot::InrefImage> auto& i) {
   return std::tie(i.ref, i.sources, i.garbage_flagged, i.clean_override,
@@ -434,10 +433,7 @@ int RunSiteProcess(const SiteHostOptions& options) {
           case wire::BuildOpKind::kWireTarget: {
             // Target half: register the inref for local object b held by
             // source site a.site (a's index is unused).
-            InrefEntry& inref = site.tables().EnsureInref(op.b);
-            if (!inref.sources.contains(op.a.site)) {
-              inref.sources.emplace(op.a.site, SourceInfo{1, agent.now()});
-            }
+            site.tables().EnsureInref(op.b).sources.try_emplace(op.a.site, 1);
             break;
           }
           case wire::BuildOpKind::kUnwire:

@@ -82,7 +82,6 @@ class SiteAgentTransport final : public Transport {
     return failure_detection_;
   }
 
-  [[nodiscard]] SimTime now() const { return scheduler_.now(); }
   void RunUntilTime(SimTime t) { scheduler_.RunUntil(t); }
 
   // --- Host-facing surface ----------------------------------------------
@@ -139,7 +138,6 @@ struct SiteSnapshot {
   struct InrefSource {
     SiteId site = kInvalidSite;
     Distance distance = 1;
-    SimTime refreshed_at = 0;
   };
   struct InrefImage {
     ObjectId ref;

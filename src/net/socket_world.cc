@@ -38,8 +38,9 @@ SocketWorld::SocketWorld(SocketWorldOptions options)
   sup.backoff_initial_ms = options_.network.socket.restart_backoff_initial_ms;
   sup.backoff_max_ms = options_.network.socket.restart_backoff_max_ms;
   sup.max_restarts = options_.network.socket.max_restarts;
-  sup.healthy_uptime_reset_ms =
-      options_.network.socket.restart_backoff_reset_ms;
+  // A site that stays up 30 s is healthy again: its next crash starts a
+  // fresh backoff and max_restarts budget.
+  sup.healthy_uptime_reset_ms = 30'000;
   supervisor_ = std::make_unique<Supervisor>(sup);
 
   for (SiteId s = 0; s < options_.site_count; ++s) {

@@ -103,7 +103,6 @@ class SocketWorld {
   void KillSite(SiteId site) { supervisor_->Kill(site); }
   void PauseSite(SiteId site) { supervisor_->Pause(site); }
   void ResumeSite(SiteId site) { supervisor_->Resume(site); }
-  void SeverSite(SiteId site) { transport_->SeverConnection(site); }
 
  private:
   [[nodiscard]] std::string SnapshotPathFor(SiteId site) const;

@@ -63,7 +63,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /// Protocol magic ("DGC1") and version carried by every Hello.
 inline constexpr std::uint32_t kWireMagic = 0x44474331;
-inline constexpr std::uint16_t kWireVersion = 5;
+inline constexpr std::uint16_t kWireVersion = 6;
 
 // ---------------------------------------------------------------------------
 // Flat little-endian writer / bounds-checked reader.
@@ -475,9 +475,8 @@ auto Fields(Is<CollectorConfig> auto& c) {
   return std::tie(c.suspicion_threshold, c.estimated_cycle_length,
                   c.back_threshold_increment, c.local_trace_duration,
                   c.back_call_timeout, c.report_timeout,
-                  c.update_refresh_period, c.source_lease_ttl,
-                  c.enable_back_tracing, c.insert_mode,
-                  c.park_on_suspected_failure, c.short_circuit_live_replies);
+                  c.update_refresh_period, c.enable_back_tracing,
+                  c.insert_mode, c.park_on_suspected_failure);
 }
 
 /// The largest valid value of each enum field; decoding rejects a byte

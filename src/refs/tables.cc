@@ -28,10 +28,10 @@ InrefEntry& RefTables::EnsureInref(ObjectId local_ref) {
 }
 
 InrefEntry& RefTables::AddInrefSource(ObjectId local_ref, SiteId source,
-                                      Distance distance, SimTime now) {
+                                      Distance distance) {
   DGC_CHECK_MSG(source != site_, "a site cannot be its own inref source");
   InrefEntry& entry = EnsureInref(local_ref);
-  entry.sources[source] = SourceInfo{distance, now};
+  entry.sources[source] = distance;
   return entry;
 }
 
@@ -42,8 +42,7 @@ bool RefTables::RemoveInrefSource(ObjectId local_ref, SiteId source) {
     Distance distance = kDistanceInfinity;
   };
   const std::size_t before = inrefs_.size();
-  ApplyUpdate(source, std::array{Removal{local_ref}}, /*now=*/0,
-              [](ObjectId) {});
+  ApplyUpdate(source, std::array{Removal{local_ref}}, [](ObjectId) {});
   return inrefs_.size() < before;
 }
 

@@ -22,15 +22,6 @@ namespace dgc {
 
 enum class IorefKind : std::uint8_t { kInref, kOutref };
 
-/// What an inref knows about one source site holding the reference.
-struct SourceInfo {
-  /// Distance last reported by this source's update messages (Section 3).
-  Distance distance = 1;
-  /// When this source last confirmed it still holds the reference (insert
-  /// or update message); drives the optional source-lease expiry.
-  SimTime refreshed_at = 0;
-};
-
 /// An entry in the table of incoming inter-site references. Keyed by the
 /// local object it designates. Persistent and application roots are *not*
 /// inref entries; they enter the local trace directly as distance-0 roots
@@ -40,10 +31,11 @@ struct InrefEntry {
   // a 64-bit build: an update's compaction pass moves every entry after the
   // first one it erases.
 
-  /// Source sites known to contain the reference. Sorted flat map: iteration
-  /// stays deterministic (site order) and the handful of sources per inref
-  /// fit one cache line instead of a node apiece.
-  FlatMap<SiteId, SourceInfo> sources;
+  /// Source sites known to contain the reference, each with the distance
+  /// its last insert or update message reported (Section 3). Sorted flat
+  /// map: iteration stays deterministic (site order) and the handful of
+  /// sources per inref fit one cache line instead of a node apiece.
+  FlatMap<SiteId, Distance> sources;
 
   /// Back traces that have visited this inref and not yet reported.
   std::vector<TraceId> visited;
@@ -65,7 +57,7 @@ struct InrefEntry {
   /// Estimated distance: minimum over sources, infinity if none.
   [[nodiscard]] Distance distance() const {
     Distance d = kDistanceInfinity;
-    for (const auto& [site, info] : sources) d = std::min(d, info.distance);
+    for (const auto& [site, distance] : sources) d = std::min(d, distance);
     return d;
   }
 
@@ -164,26 +156,25 @@ class RefTables {
   /// threshold) and returns it.
   InrefEntry& EnsureInref(ObjectId local_ref);
 
-  /// Adds/updates a source site's distance (refreshing its lease). Creates
-  /// the inref if needed.
+  /// Adds/updates a source site's distance. Creates the inref if needed.
   InrefEntry& AddInrefSource(ObjectId local_ref, SiteId source,
-                             Distance distance, SimTime now = 0);
+                             Distance distance);
 
   /// Applies one source's update message (Section 2) in one walk of the
   /// inref table. A removed entry drops `source` from its inref; any other
-  /// entry overwrites that source's distance and lease, and leaves an inref
-  /// that does not list the source (or does not exist) alone: the news is
-  /// stale. When a distance drop cleans an inref, `on_cleaned(ref)` runs
-  /// the clean rule (Section 6.4). Each inref a removal leaves without a
-  /// source is erased, all of them in one compaction pass: at the end, or
-  /// before `on_cleaned` runs, so the callback always sees the table an
-  /// entry-by-entry application would show. Entries sorted by ref, as the
-  /// sender's outref column produces them, make each lookup a short search
-  /// forward from the previous one; any other order (a foreign peer's)
-  /// gives the same result, only slower. `entries` is a range of records
-  /// with `ref`, `removed` and `distance` (net's UpdateEntry).
+  /// entry overwrites that source's distance, and leaves an inref that does
+  /// not list the source (or does not exist) alone: the news is stale. When
+  /// a distance drop cleans an inref, `on_cleaned(ref)` runs the clean rule
+  /// (Section 6.4). Each inref a removal leaves without a source is erased,
+  /// all of them in one compaction pass: at the end, or before `on_cleaned`
+  /// runs, so the callback always sees the table an entry-by-entry
+  /// application would show. Entries sorted by ref, as the sender's outref
+  /// column produces them, make each lookup a short search forward from the
+  /// previous one; any other order (a foreign peer's) gives the same
+  /// result, only slower. `entries` is a range of records with `ref`,
+  /// `removed` and `distance` (net's UpdateEntry).
   template <typename Entries, typename OnCleaned>
-  void ApplyUpdate(SiteId source, const Entries& entries, SimTime now,
+  void ApplyUpdate(SiteId source, const Entries& entries,
                    OnCleaned&& on_cleaned);
 
   /// ApplyUpdate's one-removal case: removes a source, and the whole entry
@@ -251,7 +242,7 @@ class RefTables {
 };
 
 template <typename Entries, typename OnCleaned>
-void RefTables::ApplyUpdate(SiteId source, const Entries& entries, SimTime now,
+void RefTables::ApplyUpdate(SiteId source, const Entries& entries,
                             OnCleaned&& on_cleaned) {
   for (const auto& entry : entries) {  // every check before any change
     DGC_CHECK_MSG(entry.ref.site == site_,
@@ -270,10 +261,10 @@ void RefTables::ApplyUpdate(SiteId source, const Entries& entries, SimTime now,
     }
     // An emptied inref lists no source, so later entries leave it alone,
     // as they would find nothing once it is erased.
-    const auto info = inref.sources.find(source);
-    if (info == inref.sources.end()) continue;
+    const auto listed = inref.sources.find(source);
+    if (listed == inref.sources.end()) continue;
     const bool was_clean = inref.clean(config_.suspicion_threshold);
-    info->second = SourceInfo{entry.distance, now};
+    listed->second = entry.distance;
     if (was_clean || !inref.clean(config_.suspicion_threshold)) continue;
     EraseInrefs(emptied);
     on_cleaned(entry.ref);

@@ -212,6 +212,65 @@ TEST(BranchingTest, VisitedMarksPreventInfiniteLooping) {
   EXPECT_TRUE(q.back_tracer().idle());
 }
 
+TEST(BranchingTest, PinnedBranchAnswersLiveBesideSlowGarbageRing) {
+  // A trace from outref y at site 0 forks at y's inset {x1, x2}. The fast
+  // branch finds x1's holder at site 2 pinned clean by a mutator, one
+  // remote round trip away; the slow branch walks a garbage ring over sites
+  // 4-7. The frame answers Live once both branches have replied, so every
+  // participant gets the report and no visited mark is left behind.
+  CollectorConfig config;
+  config.suspicion_threshold = 2;
+  config.estimated_cycle_length = 8;
+  config.enable_back_tracing = false;  // one manual trace
+  NetworkConfig net;
+  net.latency = 50;
+  System system(8, config, net);
+  const ObjectId y = system.NewObject(1, 0);
+  const ObjectId x1 = system.NewObject(0, 1);
+  const ObjectId x2 = system.NewObject(0, 1);
+  system.Wire(x1, 0, y);
+  system.Wire(x2, 0, y);
+  // x1 is held from site 2 by a member of a {2, 3} garbage cycle, so its
+  // inref distance ripens high.
+  const ObjectId g2 = system.NewObject(2, 2);
+  const ObjectId g3 = system.NewObject(3, 1);
+  system.Wire(g2, 0, g3);
+  system.Wire(g3, 0, g2);
+  system.Wire(g2, 1, x1);
+  // x2 is held from a garbage ring spanning sites 4-7.
+  const auto ring = workload::BuildCycle(
+      system, {.sites = 4, .objects_per_site = 1, .first_site = 4});
+  system.Wire(ring.objects[0], 1, x2);
+  RipenSuspicion(system, 10);
+
+  // A mutator variable takes hold of x1 at site 2: pinned clean, but site 2
+  // runs no further local trace, so x1's inref at site 0 keeps its stale
+  // suspected distance and the branch must discover the pin remotely.
+  system.site(2).PinOutref(x1);
+  Site& site0 = system.site(0);
+  ASSERT_NE(site0.tables().FindOutref(y), nullptr);
+  bool completed = false;
+  TraceOutcome outcome;
+  site0.back_tracer().set_outcome_observer([&](const TraceOutcome& result) {
+    completed = true;
+    outcome = result;
+  });
+  site0.back_tracer().StartTrace(y);
+  system.SettleNetwork();
+  ASSERT_TRUE(completed);
+  EXPECT_EQ(outcome.result, BackResult::kLive);
+  EXPECT_EQ(outcome.participants, 6u);  // sites 0, 2 and the ring's 4-7
+  for (SiteId s = 0; s < 8; ++s) {
+    for (const auto& [obj, entry] : system.site(s).tables().inrefs()) {
+      EXPECT_TRUE(entry.visited.empty()) << "site " << s << " inref " << obj;
+      EXPECT_FALSE(entry.garbage_flagged) << "site " << s << " inref " << obj;
+    }
+    for (const auto& [ref, entry] : system.site(s).tables().outrefs()) {
+      EXPECT_TRUE(entry.visited.empty()) << "site " << s << " outref " << ref;
+    }
+  }
+}
+
 // --- Concurrent traces (§4.7) -------------------------------------------------
 
 TEST(ConcurrentTracesTest, TwoSimultaneousTracesOnOneCycleAreHarmless) {

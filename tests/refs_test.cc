@@ -70,7 +70,7 @@ TEST_F(RefTablesTest, InrefCleanlinessFollowsDistanceThreshold) {
   config_.suspicion_threshold = 3;
   InrefEntry& entry = tables_.AddInrefSource(local_, 2, 3);
   EXPECT_TRUE(entry.clean(3));
-  entry.sources[2] = SourceInfo{4, 0};
+  entry.sources[2] = 4;
   EXPECT_FALSE(entry.clean(3));
   entry.clean_override = true;  // transfer barrier
   EXPECT_TRUE(entry.clean(3));
@@ -166,7 +166,7 @@ using CleanedFn = std::function<void(ObjectId)>;
 // RemoveInrefSource inlined: one binary search per entry and one erase (a
 // shift of the table's tail) per inref a removal empties.
 void ApplyEntryByEntry(RefTables& tables, SiteId from,
-                       const std::vector<UpdateEntry>& entries, SimTime now,
+                       const std::vector<UpdateEntry>& entries,
                        const CleanedFn& on_cleaned) {
   const Distance threshold = tables.config().suspicion_threshold;
   for (const UpdateEntry& entry : entries) {
@@ -180,13 +180,13 @@ void ApplyEntryByEntry(RefTables& tables, SiteId from,
     const auto source = inref->sources.find(from);
     if (source == inref->sources.end()) continue;
     const bool was_clean = inref->clean(threshold);
-    source->second = SourceInfo{entry.distance, now};
+    source->second = entry.distance;
     if (!was_clean && inref->clean(threshold)) on_cleaned(entry.ref);
   }
 }
 
 // Describes the first difference between two inref tables (keys, sources,
-// distances, leases, flags, visit marks, thresholds); empty when equal.
+// distances, flags, visit marks, thresholds); empty when equal.
 std::string FirstDifference(const RefTables::InrefMap& got,
                             const RefTables::InrefMap& want) {
   std::ostringstream out;
@@ -199,15 +199,12 @@ std::string FirstDifference(const RefTables::InrefMap& got,
     }
     const InrefEntry& x = a->second;
     const InrefEntry& y = b->second;
-    bool same = x.sources.size() == y.sources.size() &&
-                x.garbage_flagged == y.garbage_flagged &&
-                x.clean_override == y.clean_override &&
-                x.visited == y.visited && x.back_threshold == y.back_threshold;
-    for (auto i = x.sources.begin(), j = y.sources.begin();
-         same && i != x.sources.end(); ++i, ++j) {
-      same = i->first == j->first && i->second.distance == j->second.distance &&
-             i->second.refreshed_at == j->second.refreshed_at;
-    }
+    const bool same =
+        std::equal(x.sources.begin(), x.sources.end(), y.sources.begin(),
+                   y.sources.end()) &&
+        x.garbage_flagged == y.garbage_flagged &&
+        x.clean_override == y.clean_override && x.visited == y.visited &&
+        x.back_threshold == y.back_threshold;
     if (!same) {
       out << "inref " << a->first << " differs";
       return out.str();
@@ -237,8 +234,7 @@ void FillInrefs(RefTables& tables, Rng& rng) {
     for (std::uint64_t k = 0; k < sources; ++k) {
       const SiteId source = kSources[rng.NextBelow(std::size(kSources))];
       tables.AddInrefSource(ref, source,
-                            static_cast<Distance>(rng.NextInRange(1, 12)),
-                            static_cast<SimTime>(rng.NextBelow(100)));
+                            static_cast<Distance>(rng.NextInRange(1, 12)));
     }
     inref.garbage_flagged = rng.NextBelow(20) == 0;
     inref.clean_override = rng.NextBelow(20) == 0;
@@ -293,12 +289,9 @@ std::vector<UpdateEntry> RandomUpdate(const RefTables& tables, Order order,
   return entries;
 }
 
-class ApplyUpdateDifferential : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ApplyUpdateDifferential, MatchesEntryByEntryLoop) {
+TEST(ApplyUpdateDifferential, MatchesEntryByEntryLoop) {
   CollectorConfig config;
   config.suspicion_threshold = kThreshold;
-  config.short_circuit_live_replies = GetParam();
   std::size_t removals_emptying = 0, cleans = 0, orders_seen = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     Rng rng(seed);
@@ -312,19 +305,18 @@ TEST_P(ApplyUpdateDifferential, MatchesEntryByEntryLoop) {
       const SiteId from = kSources[rng.NextBelow(std::size(kSources))];
       const std::vector<UpdateEntry> entries =
           RandomUpdate(reference, order, rng);
-      const SimTime now = 1'000 + message;
 
       // The reference's clean calls, each with the table it showed.
       std::vector<std::pair<ObjectId, RefTables::InrefMap>> want;
       const std::size_t size_before = reference.inrefs().size();
-      ApplyEntryByEntry(reference, from, entries, now, [&](ObjectId ref) {
+      ApplyEntryByEntry(reference, from, entries, [&](ObjectId ref) {
         want.emplace_back(ref, reference.inrefs());
       });
       removals_emptying += size_before - reference.inrefs().size();
       cleans += want.size();
 
       std::size_t call = 0;
-      fast.ApplyUpdate(from, entries, now, [&](ObjectId ref) {
+      fast.ApplyUpdate(from, entries, [&](ObjectId ref) {
         ASSERT_LT(call, want.size()) << "extra clean-rule call for " << ref;
         EXPECT_EQ(ref, want[call].first) << "clean-rule call " << call;
         EXPECT_EQ(FirstDifference(fast.inrefs(), want[call].second), "")
@@ -349,8 +341,7 @@ TEST_P(ApplyUpdateDifferential, MatchesEntryByEntryLoop) {
 // traces under way, so an update from site 0 can clean inrefs they visit.
 class TraceWorld {
  public:
-  explicit TraceWorld(bool short_circuit)
-      : system_(3, Config(short_circuit), Net()) {
+  TraceWorld() : system_(3, Config(), Net()) {
     std::vector<ObjectId> ring_heads;
     for (int ring = 0; ring < 6; ++ring) {
       const auto cycle =
@@ -390,12 +381,11 @@ class TraceWorld {
   }
 
  private:
-  static CollectorConfig Config(bool short_circuit) {
+  static CollectorConfig Config() {
     CollectorConfig config;
     config.suspicion_threshold = 2;
     config.estimated_cycle_length = 3;
     config.enable_back_tracing = false;  // only the traces started above
-    config.short_circuit_live_replies = short_circuit;
     config.report_timeout = 100'000;
     return config;
   }
@@ -412,13 +402,12 @@ class TraceWorld {
 
 // Through Site::HandleMessage in one world and through the entry-by-entry
 // loop in its twin, the same update from site 0 must leave the same tables,
-// force the same frames Live (and, short-circuiting, send the same early
-// replies), and let the traces end the same way.
-TEST_P(ApplyUpdateDifferential, SiteMatchesEntryByEntryLoopMidTrace) {
+// force the same frames Live, and let the traces end the same way.
+TEST(ApplyUpdateDifferential, SiteMatchesEntryByEntryLoopMidTrace) {
   std::uint64_t clean_rule_hits = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    TraceWorld fast(GetParam());
-    TraceWorld reference(GetParam());
+    TraceWorld fast;
+    TraceWorld reference;
     ASSERT_TRUE(fast.VisitedAtSite1());
     Rng rng(seed);
     std::vector<UpdateEntry> entries;
@@ -439,12 +428,9 @@ TEST_P(ApplyUpdateDifferential, SiteMatchesEntryByEntryLoopMidTrace) {
 
     fast.site1().HandleMessage(Envelope{0, 1, UpdateMsg{entries}});
     Site& site = reference.site1();
-    ApplyEntryByEntry(site.tables(), 0, entries,
-                      reference.system().scheduler().now(),
-                      [&](ObjectId ref) {
-                        site.back_tracer().OnIorefCleaned(IorefKind::kInref,
-                                                          ref);
-                      });
+    ApplyEntryByEntry(site.tables(), 0, entries, [&](ObjectId ref) {
+      site.back_tracer().OnIorefCleaned(IorefKind::kInref, ref);
+    });
 
     EXPECT_EQ(FirstDifference(fast.site1().tables().inrefs(),
                               site.tables().inrefs()),
@@ -472,9 +458,6 @@ TEST_P(ApplyUpdateDifferential, SiteMatchesEntryByEntryLoopMidTrace) {
   EXPECT_GT(clean_rule_hits, 0u) << "no update cleaned a visited inref";
 }
 
-INSTANTIATE_TEST_SUITE_P(ShortCircuitLiveReplies, ApplyUpdateDifferential,
-                         ::testing::Bool());
-
 TEST_F(RefTablesTest, ApplyUpdateCleansAfterErasingEmptiedInrefs) {
   // Removing b's only source, then a distance drop that cleans c: the clean
   // rule must not see b, which the entry-by-entry loop had already erased.
@@ -488,7 +471,7 @@ TEST_F(RefTablesTest, ApplyUpdateCleansAfterErasingEmptiedInrefs) {
   tables_.ApplyUpdate(
       /*source=*/2,
       std::vector<UpdateEntry>{{b, true}, {c, false, 1}, {a, true}},
-      /*now=*/7, [&](ObjectId ref) {
+      [&](ObjectId ref) {
         EXPECT_EQ(ref, c);
         for (const auto& [key, inref] : tables_.inrefs()) seen.push_back(key);
       });
@@ -496,9 +479,8 @@ TEST_F(RefTablesTest, ApplyUpdateCleansAfterErasingEmptiedInrefs) {
   ASSERT_EQ(tables_.inrefs().size(), 1u);
   const InrefEntry* inref = tables_.FindInref(c);
   ASSERT_NE(inref, nullptr);
-  EXPECT_EQ(inref->sources.at(2).distance, 1u);
-  EXPECT_EQ(inref->sources.at(2).refreshed_at, 7);
-  EXPECT_EQ(inref->sources.at(3).distance, 9u);
+  EXPECT_EQ(inref->sources.at(2), 1u);
+  EXPECT_EQ(inref->sources.at(3), 9u);
 }
 
 TEST_F(RefTablesTest, ApplyUpdateChecksEveryRefBeforeAnyChange) {
@@ -506,7 +488,7 @@ TEST_F(RefTablesTest, ApplyUpdateChecksEveryRefBeforeAnyChange) {
   EXPECT_THROW(tables_.ApplyUpdate(2,
                                    std::vector<UpdateEntry>{{local_, true},
                                                             {remote_, true}},
-                                   0, [](ObjectId) {}),
+                                   [](ObjectId) {}),
                InvariantViolation);
   EXPECT_NE(tables_.FindInref(local_), nullptr);
 }

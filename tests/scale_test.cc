@@ -125,9 +125,8 @@ std::string DumpWorld(System& system,
     for (const auto& [obj, e] : site.tables().inrefs()) {
       os << ' ' << obj << ':' << e.garbage_flagged << ',' << e.clean_override
          << ',' << e.back_threshold << '[';
-      for (const auto& [source, info] : e.sources) {
-        os << source << '=' << info.distance << '@' << info.refreshed_at
-           << ' ';
+      for (const auto& [source, distance] : e.sources) {
+        os << source << '=' << distance << ' ';
       }
       os << ']';
     }

@@ -1,6 +1,6 @@
 // Site-level protocol tests: insert/update message edge cases, periodic
-// update refresh, source leases, pins, app roots, and trace lifecycle
-// assertions — the glue logic of core::Site.
+// update refresh, lost-removal recovery, pins, app roots, and trace
+// lifecycle assertions — the glue logic of core::Site.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
@@ -25,7 +25,7 @@ TEST(SiteProtocolTest, InsertAddsSourceAtConservativeDistanceOne) {
   const InrefEntry* inref = system.site(1).tables().FindInref(obj);
   ASSERT_NE(inref, nullptr);
   ASSERT_TRUE(inref->sources.contains(0));
-  EXPECT_EQ(inref->sources.at(0).distance, 1u);
+  EXPECT_EQ(inref->sources.at(0), 1u);
 }
 
 TEST(SiteProtocolTest, InsertAcksToThePinnedSite) {
@@ -101,7 +101,7 @@ TEST(SiteProtocolTest, PeriodicRefreshHealsLostDistanceUpdates) {
   system.Wire(holder, 0, obj);
   system.RunRounds(2);  // distance 1 reported
   // Corrupt the target's view (simulating an earlier lost update).
-  system.site(1).tables().FindInref(obj)->sources.at(0).distance = 40;
+  system.site(1).tables().FindInref(obj)->sources.at(0) = 40;
   system.RunRounds(3);  // a refresh trace resends distance 1
   EXPECT_EQ(system.site(1).tables().FindInref(obj)->distance(), 1u);
 }
@@ -115,39 +115,41 @@ TEST(SiteProtocolTest, RefreshDisabledLeavesStaleDistance) {
   system.SetPersistentRoot(holder);
   system.Wire(holder, 0, obj);
   system.RunRounds(2);
-  system.site(1).tables().FindInref(obj)->sources.at(0).distance = 40;
+  system.site(1).tables().FindInref(obj)->sources.at(0) = 40;
   system.RunRounds(3);  // no change at the source: no update sent
   EXPECT_EQ(system.site(1).tables().FindInref(obj)->distance(), 40u);
 }
 
-TEST(SiteProtocolTest, SourceLeaseDropsSilentSource) {
-  CollectorConfig config = Config();
-  config.source_lease_ttl = 100;
-  config.update_refresh_period = 0;  // nothing refreshes the lease
-  System system(2, config);
-  const ObjectId obj = system.NewObject(1, 0);
-  // Phantom source: site 0 listed but holds nothing (a removal update was
-  // "lost" before the world began).
-  system.site(1).tables().AddInrefSource(obj, 0, 1, /*now=*/0);
-  system.scheduler().RunUntil(200);
-  system.site(1).StartLocalTrace();  // expiry happens before the trace
-  system.SettleNetwork();
-  EXPECT_EQ(system.site(1).tables().FindInref(obj), nullptr);
-  EXPECT_FALSE(system.ObjectExists(obj));
-}
-
-TEST(SiteProtocolTest, LeaseRefreshedByUpdatesKeepsSource) {
-  CollectorConfig config = Config();
-  config.source_lease_ttl = 5'000;  // > a few rounds of refresh traffic
-  config.update_refresh_period = 1;
-  System system(2, config);
+TEST(SiteProtocolTest, LostRemovalIsRetransmittedAfterTheLinkHeals) {
+  // The periodic refresh resends distances of outrefs that still exist; a
+  // removal names an outref that is gone, so only reliable delivery can
+  // bring a removal lost on a severed link to the owner.
+  NetworkConfig net;
+  net.reliable_delivery = true;
+  System system(2, Config(), net);
   const ObjectId obj = system.NewObject(1, 0);
   const ObjectId holder = system.NewObject(0, 1);
   system.SetPersistentRoot(holder);
   system.Wire(holder, 0, obj);
-  system.RunRounds(8);
+  system.RunRounds(2);
   ASSERT_NE(system.site(1).tables().FindInref(obj), nullptr);
-  EXPECT_TRUE(system.ObjectExists(obj));
+
+  system.network().SetLinkDown(0, 1, true);
+  system.Unwire(holder, 0);
+  system.site(0).StartLocalTrace();  // trims the outref, sends the removal
+  system.scheduler().RunUntil(system.scheduler().now() + 500);
+  EXPECT_EQ(system.site(0).tables().FindOutref(obj), nullptr);
+  const InrefEntry* inref = system.site(1).tables().FindInref(obj);
+  ASSERT_NE(inref, nullptr) << "the removal crossed a severed link";
+  EXPECT_TRUE(inref->sources.contains(0));
+  EXPECT_GT(system.network().stats().retransmits, 0u);
+
+  system.network().SetLinkDown(0, 1, false);
+  system.SettleNetwork();  // a retransmission lands after the heal
+  EXPECT_EQ(system.site(1).tables().FindInref(obj), nullptr);
+  system.RunRound();
+  EXPECT_FALSE(system.ObjectExists(obj));
+  EXPECT_TRUE(system.CheckSafety().empty()) << system.CheckSafety();
 }
 
 TEST(SiteProtocolTest, SecondTraceWhileInFlightThrows) {

@@ -1,9 +1,8 @@
 // Kitchen-sink soak: every optional feature enabled at once — piggybacking,
-// short-circuit replies, deferred inserts, non-atomic local traces, latency
-// jitter, message loss, timeouts, update refresh — under transactional churn
-// with a mid-run crash-restart, and every reused local trace checked against
-// a shadow full trace. If the features compose badly, this is where it
-// shows.
+// deferred inserts, non-atomic local traces, latency jitter, message loss,
+// timeouts, update refresh — under transactional churn with a mid-run
+// crash-restart, and every reused local trace checked against a shadow full
+// trace. If the features compose badly, this is where it shows.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
@@ -22,11 +21,10 @@ TEST_P(KitchenSink, EverythingOnEverywhereStaysSafeAndCompletes) {
   config.suspicion_threshold = 3;
   config.estimated_cycle_length = 6;
   config.back_threshold_increment = 3;
-  config.local_trace_duration = 25;          // §6.2 non-atomic traces
-  config.back_call_timeout = 600;            // §4.6 timeouts
-  config.report_timeout = 5000;              // §4.6 outcome expiry
-  config.update_refresh_period = 3;          // loss recovery
-  config.short_circuit_live_replies = true;  // §4.4 early Live
+  config.local_trace_duration = 25;  // §6.2 non-atomic traces
+  config.back_call_timeout = 600;    // §4.6 timeouts
+  config.report_timeout = 5000;      // §4.6 outcome expiry
+  config.update_refresh_period = 3;  // loss recovery
   config.insert_mode = InsertMode::kDeferred;
   NetworkConfig net;
   net.latency = 10;

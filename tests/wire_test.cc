@@ -164,11 +164,9 @@ std::vector<Sample> GoldenSamples() {
   c.back_call_timeout = 17;
   c.report_timeout = 999;
   c.update_refresh_period = 6;
-  c.source_lease_ttl = 5000;
   c.enable_back_tracing = false;
   c.insert_mode = InsertMode::kDeferred;
   c.park_on_suspected_failure = false;
-  c.short_circuit_live_replies = true;
   samples.push_back(MakeSample("HelloAck", ack));
 
   wire::StepRequestFrame step;
@@ -262,8 +260,8 @@ constexpr Pinned kPinned[] = {
     {"ReachabilitySummary", 69, 0x8f2357b421dea4f4ULL},
     {"Condemn", 25, 0xdb1c95da5f6bafcdULL},
     {"Envelope", 42, 0x1daaee7a3ea6b220ULL},
-    {"Hello", 14, 0x5d7b9c3d2cf2c2d4ULL},
-    {"HelloAck", 70, 0x9e9b68f013692177ULL},
+    {"Hello", 14, 0xcf6cad677b2afd9fULL},
+    {"HelloAck", 61, 0x845324bc2b9e0abfULL},
     {"StepRequest", 111, 0x8d02d0a6030988a7ULL},
     {"StepReply", 49, 0xbd42c057bacb1a07ULL},
     {"BuildOp", 53, 0x599dbfc73c3ed4f5ULL},
