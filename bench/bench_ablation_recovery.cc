@@ -20,6 +20,7 @@ namespace {
 using namespace dgc;
 
 constexpr std::size_t kRecoveryRoundCap = 80;
+constexpr std::size_t kSteadyRounds = 16;
 
 // Rows with a refresh period whose cycle outlived the cap; main exits 1 if
 // any.
@@ -31,7 +32,7 @@ int recovery_failures = 0;
 void BM_RefreshPeriod_RecoveryAfterPartition(benchmark::State& state) {
   const std::uint64_t period = static_cast<std::uint64_t>(state.range(0));
   std::size_t recovery_rounds = 0;
-  std::uint64_t steady_msgs_per_round = 0;
+  double steady_msgs_per_round = 0.0;
   for (auto _ : state) {
     CollectorConfig config = dgc::bench::DefaultConfig();
     config.update_refresh_period = period;
@@ -65,16 +66,17 @@ void BM_RefreshPeriod_RecoveryAfterPartition(benchmark::State& state) {
       break;
     }
 
-    // Steady-state cost: garbage-free world, count update messages/round.
+    // Steady-state cost: garbage-free world, count update messages/round
+    // over a window that is a multiple of every swept period.
     system.network().ResetStats();
-    system.RunRounds(8);
+    system.RunRounds(kSteadyRounds);
     steady_msgs_per_round =
-        system.network().stats().count_of<UpdateMsg>() / 8;
+        static_cast<double>(system.network().stats().count_of<UpdateMsg>()) /
+        kSteadyRounds;
   }
   state.counters["refresh_period"] = static_cast<double>(period);
   state.counters["recovery_rounds"] = static_cast<double>(recovery_rounds);
-  state.counters["steady_update_msgs_per_round"] =
-      static_cast<double>(steady_msgs_per_round);
+  state.counters["steady_update_msgs_per_round"] = steady_msgs_per_round;
 }
 BENCHMARK(BM_RefreshPeriod_RecoveryAfterPartition)
     ->Arg(0)   // disabled: never recovers (hits the round cap)

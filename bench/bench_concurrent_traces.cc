@@ -4,13 +4,33 @@
 // trace sweeps the cycle before others trigger) and harmless when it
 // happens. Measures: traces started when all sites trigger simultaneously,
 // message overhead versus the single-trace baseline, and correctness.
+//
+// A row whose cycle survives fails with an error, as does a simultaneous-
+// trigger row in which fewer traces end Garbage than were started: every
+// initiator's trace must reach the verdict, its own or, through trace
+// coalescing, the senior trace's. The binary then exits 1.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "bench_util.h"
 
 namespace {
 
 using namespace dgc;
+
+// Rows that failed one of the checks above; main exits 1 if any.
+int failures = 0;
+
+void Fail(benchmark::State& state, const char* why) {
+  ++failures;
+  state.SkipWithError(why);
+}
+
+bool Collected(const System& system, const workload::CycleHandles& cycle) {
+  return std::none_of(cycle.objects.begin(), cycle.objects.end(),
+                      [&](ObjectId id) { return system.ObjectExists(id); });
+}
 
 void BM_Concurrent_SimultaneousTriggers(benchmark::State& state) {
   const std::size_t sites = static_cast<std::size_t>(state.range(0));
@@ -19,7 +39,6 @@ void BM_Concurrent_SimultaneousTriggers(benchmark::State& state) {
   std::uint64_t garbage_outcomes = 0;
   std::uint64_t batches = 0;
   std::uint64_t coalesced = 0;
-  double cache_hit_rate = 0.0;
   bool collected = false;
   for (auto _ : state) {
     CollectorConfig config = dgc::bench::DefaultConfig();
@@ -42,15 +61,15 @@ void BM_Concurrent_SimultaneousTriggers(benchmark::State& state) {
     const BackTracerStats bt = system.AggregateBackTracerStats();
     garbage_outcomes = bt.traces_completed_garbage;
     coalesced = bt.branches_coalesced;
-    const std::uint64_t lookups = bt.cache_hits + bt.cache_misses;
-    cache_hit_rate =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(bt.cache_hits) /
-                           static_cast<double>(lookups);
     system.RunRounds(3);
-    collected = true;
-    for (const ObjectId id : cycle.objects) {
-      if (system.ObjectExists(id)) collected = false;
+    collected = Collected(system, cycle);
+    if (!collected) {
+      Fail(state, "the cycle survived");
+      break;
+    }
+    if (garbage_outcomes < initiators) {
+      Fail(state, "fewer Garbage outcomes than initiators");
+      break;
     }
   }
   state.counters["sites"] = static_cast<double>(sites);
@@ -65,7 +84,6 @@ void BM_Concurrent_SimultaneousTriggers(benchmark::State& state) {
   state.counters["msgs_per_cycle"] = static_cast<double>(messages);
   state.counters["call_batches"] = static_cast<double>(batches);
   state.counters["branches_coalesced"] = static_cast<double>(coalesced);
-  state.counters["cache_hit_rate"] = cache_hit_rate;
 }
 BENCHMARK(BM_Concurrent_SimultaneousTriggers)
     ->Args({4, 1})
@@ -82,7 +100,6 @@ void BM_Concurrent_NaturalTriggering(benchmark::State& state) {
   const std::size_t sites = static_cast<std::size_t>(state.range(0));
   std::uint64_t traces_started = 0;
   std::uint64_t messages = 0;
-  double cache_hit_rate = 0.0;
   for (auto _ : state) {
     CollectorConfig config = dgc::bench::DefaultConfig();
     config.estimated_cycle_length = static_cast<Distance>(sites);
@@ -97,16 +114,14 @@ void BM_Concurrent_NaturalTriggering(benchmark::State& state) {
     messages = net.count_of<BackLocalCallMsg>() +
                net.count_of<BackCallBatchMsg>() +
                net.count_of<BackReplyMsg>() + net.count_of<BackReportMsg>();
-    const std::uint64_t lookups = bt.cache_hits + bt.cache_misses;
-    cache_hit_rate =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(bt.cache_hits) /
-                           static_cast<double>(lookups);
+    if (!Collected(system, cycle)) {
+      Fail(state, "the cycle survived");
+      break;
+    }
   }
   state.counters["sites"] = static_cast<double>(sites);
   state.counters["traces_per_cycle"] = static_cast<double>(traces_started);
   state.counters["msgs_per_cycle"] = static_cast<double>(messages);
-  state.counters["cache_hit_rate"] = cache_hit_rate;
 }
 BENCHMARK(BM_Concurrent_NaturalTriggering)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
@@ -132,11 +147,12 @@ void BM_Concurrent_DisjointCycles(benchmark::State& state) {
                system.network().stats().count_of<BackCallBatchMsg>() +
                system.network().stats().count_of<BackReplyMsg>() +
                system.network().stats().count_of<BackReportMsg>();
-    all_collected = true;
-    for (const auto& cycle : cycles) {
-      for (const ObjectId id : cycle.objects) {
-        if (system.ObjectExists(id)) all_collected = false;
-      }
+    all_collected = std::all_of(
+        cycles.begin(), cycles.end(),
+        [&](const workload::CycleHandles& c) { return Collected(system, c); });
+    if (!all_collected) {
+      Fail(state, "a cycle survived");
+      break;
     }
   }
   state.counters["cycles"] = static_cast<double>(pairs);
@@ -152,6 +168,8 @@ BENCHMARK(BM_Concurrent_DisjointCycles)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dgc::bench::RunBenchmarksWithDefaultOut(argc, argv,
-                                                 "BENCH_trace_concurrent.json");
+  const int status = dgc::bench::RunBenchmarksWithDefaultOut(
+      argc, argv, "BENCH_trace_concurrent.json");
+  if (status != 0) return status;
+  return failures == 0 ? 0 : 1;
 }

@@ -12,8 +12,6 @@ Compares every benchmark present in both files. Gated user counters:
 
 * ``objects_per_sec``  (higher is better) — marked-objects/sec of the local
   trace;
-* ``cache_hit_rate``   (higher is better) — verdict-cache hits over lookups
-  in the back-trace trigger scan;
 * ``msgs_per_cycle``   (lower is better) — inter-site back-trace messages
   spent per collected cycle;
 * ``reuse_hit_rate``   (higher is better) — local traces served from the
@@ -95,7 +93,6 @@ def load_benchmarks(path):
 # "positive = improvement", so the single threshold applies uniformly.
 GATED_COUNTERS = (
     ("objects_per_sec", True),
-    ("cache_hit_rate", True),
     ("msgs_per_cycle", False),
     ("reuse_hit_rate", True),
     ("rounds_to_collect", False),
@@ -377,7 +374,7 @@ _FIXTURE_BASE = {
          "real_time": 4.0, "objects_per_sec": 20e6},
         {"name": "BM_Rounds/8", "run_type": "iteration", "real_time": 9.0},
         {"name": "BM_Trace/4/4", "run_type": "iteration", "real_time": 3.0,
-         "msgs_per_cycle": 20.0, "cache_hit_rate": 0.5},
+         "msgs_per_cycle": 20.0},
         {"name": "BM_Soak/16", "run_type": "iteration", "real_time": 5.0,
          "reuse_hit_rate": 0.8},
         {"name": "BM_FaultRecovery_GarbageRing/10", "run_type": "iteration",
@@ -469,11 +466,6 @@ def _self_test():
     quiet = copy.deepcopy(_FIXTURE_BASE)
     quiet["benchmarks"][3]["msgs_per_cycle"] = 10.0
     assert run_with(quiet) == 0, "msgs_per_cycle decrease must pass"
-
-    # cache_hit_rate is higher-is-better: a drop beyond threshold fails.
-    cold = copy.deepcopy(_FIXTURE_BASE)
-    cold["benchmarks"][3]["cache_hit_rate"] = 0.3
-    assert run_with(cold) == 1, "cache_hit_rate drop must fail"
 
     # reuse_hit_rate is higher-is-better: losing trace reuse fails.
     stale = copy.deepcopy(_FIXTURE_BASE)

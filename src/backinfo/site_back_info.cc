@@ -21,88 +21,6 @@ void SiteBackInfo::RecomputeInsets() {
   }
 }
 
-std::size_t SiteBackInfo::ApplyOutsetDelta(
-    ObjectId inref_obj, const std::vector<ObjectId>& new_outset) {
-  DGC_DCHECK(std::is_sorted(new_outset.begin(), new_outset.end()));
-  static const std::vector<ObjectId> kEmpty;
-  const auto old_it = inref_outsets.find(inref_obj);
-  const std::vector<ObjectId>& old_outset =
-      old_it == inref_outsets.end() ? kEmpty : old_it->second;
-
-  // Walk both sorted outsets once; memberships only in one side are the
-  // delta to patch into the inverse view.
-  std::size_t delta_ops = 0;
-  auto old_pos = old_outset.begin();
-  auto new_pos = new_outset.begin();
-  while (old_pos != old_outset.end() || new_pos != new_outset.end()) {
-    if (new_pos == new_outset.end() ||
-        (old_pos != old_outset.end() && *old_pos < *new_pos)) {
-      // Removed membership: drop inref_obj from the old outref's inset.
-      auto inset_it = outref_insets.find(*old_pos);
-      DGC_CHECK_MSG(inset_it != outref_insets.end(),
-                    "inset missing for " << *old_pos);
-      auto& inset = inset_it->second;
-      const auto mem =
-          std::lower_bound(inset.begin(), inset.end(), inref_obj);
-      DGC_CHECK(mem != inset.end() && *mem == inref_obj);
-      inset.erase(mem);
-      if (inset.empty()) outref_insets.erase(*old_pos);
-      ++old_pos;
-      ++delta_ops;
-    } else if (old_pos == old_outset.end() || *new_pos < *old_pos) {
-      // Added membership: insert inref_obj into the new outref's inset at
-      // its sorted position.
-      auto& inset = outref_insets[*new_pos];
-      const auto mem =
-          std::lower_bound(inset.begin(), inset.end(), inref_obj);
-      DGC_DCHECK(mem == inset.end() || *mem != inref_obj);
-      inset.insert(mem, inref_obj);
-      ++new_pos;
-      ++delta_ops;
-    } else {
-      ++old_pos;
-      ++new_pos;
-    }
-  }
-
-  if (new_outset.empty()) {
-    inref_outsets.erase(inref_obj);
-  } else {
-    inref_outsets[inref_obj] = new_outset;
-  }
-  return delta_ops;
-}
-
-SiteBackInfo SiteBackInfo::PatchedFrom(const SiteBackInfo& prev,
-                                       const OutsetMap& fresh_outsets,
-                                       std::uint64_t* outsets_reused) {
-  SiteBackInfo patched;
-  patched.inref_outsets = prev.inref_outsets;
-  patched.outref_insets = prev.outref_insets;
-  for (const auto& [obj, outset] : prev.inref_outsets) {
-    (void)outset;
-    if (!fresh_outsets.contains(obj)) {
-      patched.ApplyOutsetDelta(obj, {});
-    }
-  }
-  for (const auto& [obj, outset] : fresh_outsets) {
-    const auto old_it = prev.inref_outsets.find(obj);
-    if (old_it != prev.inref_outsets.end() && old_it->second == outset) {
-      if (outsets_reused != nullptr) ++*outsets_reused;
-      continue;
-    }
-    patched.ApplyOutsetDelta(obj, outset);
-  }
-  DGC_DCHECK(patched.inref_outsets == fresh_outsets);
-#if !defined(NDEBUG)
-  SiteBackInfo rebuilt;
-  rebuilt.inref_outsets = patched.inref_outsets;
-  rebuilt.RecomputeInsets();
-  DGC_DCHECK(rebuilt.outref_insets == patched.outref_insets);
-#endif
-  return patched;
-}
-
 std::size_t SiteBackInfo::stored_elements() const {
   std::size_t total = 0;
   for (const auto& [inref_obj, outset] : inref_outsets) {

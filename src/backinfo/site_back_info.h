@@ -8,16 +8,14 @@
 // one is being prepared (Section 6.2).
 //
 // Storage is a flat sorted vector behind a map-like wrapper (OutsetMap)
-// rather than std::map: back info is rebuilt in bulk once per trace and then
-// only read (binary searches) or delta-patched (ApplyOutsetDelta), which is
-// the access pattern flat storage wins at — one contiguous allocation per
-// view, cache-line-friendly lookups, and O(changed) inset maintenance when
-// a full trace patches the cached trace's back info instead of a full
-// inverse rebuild.
+// rather than std::map: back info is built in bulk once per full trace (the
+// outsets in inref order, then the insets by one inversion) and afterwards
+// only read by binary search, which is the access pattern flat storage wins
+// at — one contiguous allocation per view and cache-line-friendly lookups.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -116,25 +114,6 @@ struct SiteBackInfo {
 
   /// Rebuilds outref_insets from inref_outsets.
   void RecomputeInsets();
-
-  /// Delta maintenance: replaces the outset stored for `inref_obj` with
-  /// `new_outset` (empty = remove the entry) and patches outref_insets with
-  /// only the added/removed memberships, instead of the full inverse
-  /// rebuild. Returns the number of inset memberships touched — the work a
-  /// patching trace actually paid, reported as delta ops. Equivalent to
-  /// assigning the outset and calling RecomputeInsets.
-  std::size_t ApplyOutsetDelta(ObjectId inref_obj,
-                               const std::vector<ObjectId>& new_outset);
-
-  /// Builds this trace's back info by patching the previous trace's forward:
-  /// copies `prev`, removes the outsets of inrefs absent from
-  /// `fresh_outsets`, applies a delta for each changed outset, and skips —
-  /// counting into `outsets_reused` — every inref whose outset is verbatim
-  /// unchanged. O(changed memberships) plus two flat copies, and exactly
-  /// equivalent to storing `fresh_outsets` and calling RecomputeInsets.
-  [[nodiscard]] static SiteBackInfo PatchedFrom(const SiteBackInfo& prev,
-                                               const OutsetMap& fresh_outsets,
-                                               std::uint64_t* outsets_reused);
 
   /// Σ of stored set elements — the O(ni + no)-style space figure reported
   /// by bench_outset_sharing (counts both views).

@@ -36,17 +36,6 @@ std::size_t BackTracer::MaybeStartTraces() {
     // Already being examined (by any trace, ours or a peer's): let that
     // trace finish rather than piling on (Section 4.7).
     if (!entry.visited.empty()) continue;
-    // A completed trace already settled this suspect recently: a Garbage
-    // verdict means its inrefs are flagged and the next local traces will
-    // reclaim the cycle; a Live verdict means a fresh trace would answer
-    // Live again. Either way a restart is redundant until the cache entry
-    // ages out (at most one local-trace round).
-    if (verdict_cache_.Lookup(IorefKind::kOutref, ref).has_value()) {
-      ++stats_.cache_hits;
-      ++stats_.trace_starts_skipped;
-      continue;
-    }
-    ++stats_.cache_misses;
     candidates.push_back(ref);
   }
   // Also skip outrefs with a root frame already open (trace started, first
@@ -412,7 +401,6 @@ void BackTracer::ArmTimeout(std::uint64_t frame_id, TraceId trace) {
 }
 
 void BackTracer::OnIorefCleaned(IorefKind kind, ObjectId ref) {
-  verdict_cache_.OnIorefCleaned(kind, ref);
   frames_.ForEach([&](Frame& frame) {
     if (frame.kind == kind && frame.ioref == ref &&
         frame.result != BackResult::kLive) {
@@ -426,10 +414,6 @@ void BackTracer::OnIorefCleaned(IorefKind kind, ObjectId ref) {
   });
 }
 
-void BackTracer::OnLocalTraceApplied(std::uint64_t epoch) {
-  verdict_cache_.OnLocalTraceApplied(epoch);
-}
-
 void BackTracer::HandleReport(const BackReportMsg& msg) {
   for (std::size_t i = 0; i < visit_records_.size(); ++i) {
     if (visit_records_[i].first != msg.trace) continue;
@@ -438,13 +422,6 @@ void BackTracer::HandleReport(const BackReportMsg& msg) {
     // closure is rootless for every backward path through it (the trace
     // fanned out fully from each visited ioref), and Live is always safe.
     ResolveWaiters(record, msg.outcome);
-    for (const ObjectId inref_obj : record.inrefs) {
-      verdict_cache_.Record(IorefKind::kInref, inref_obj, msg.outcome);
-    }
-    for (const ObjectId outref : record.outrefs) {
-      verdict_cache_.Record(IorefKind::kOutref, outref, msg.outcome);
-    }
-    stats_.verdicts_recorded += record.inrefs.size() + record.outrefs.size();
     if (msg.outcome == BackResult::kGarbage) {
       for (const ObjectId inref_obj : record.inrefs) {
         if (InrefEntry* entry = tables_.FindInref(inref_obj)) {
@@ -490,7 +467,6 @@ void BackTracer::DropVolatileState() {
   visit_records_.clear();
   pending_calls_.clear();
   parked_calls_.clear();
-  verdict_cache_.Clear();
 }
 
 void BackTracer::ClearRecordMarks(const VisitRecord& record, TraceId trace) {

@@ -22,7 +22,7 @@
 // costs latency only — the message count (2E + P, Section 4.6) is identical.
 // Stranded marks from lost messages are still reclaimed via report_timeout.
 //
-// Three optimizations share the traces' work (all always on, all preserving
+// Two mechanisms share the traces' work (both always on, both preserving
 // the verdicts the seed engine computes):
 //
 //   * trace coalescing: a call that lands on an ioref already visited by a
@@ -31,12 +31,13 @@
 //     record and is answered with the senior's verdict when its report
 //     arrives (Live if the record expires instead). Juniors defer only to
 //     seniors, so waiting chains are acyclic and cannot deadlock;
-//   * verdict caching: report-phase outcomes are remembered per ioref in a
-//     VerdictCache so the trigger scan skips suspects a completed trace
-//     already settled this round (see verdict_cache.h for the invalidation
-//     rules);
 //   * call batching: inter-site back calls issued in one simulated instant
 //     to the same destination ride a single BackCallBatchMsg.
+//
+// What keeps a settled suspect from restarting is §4.3's back threshold:
+// every visit raises the ioref's threshold by back_threshold_increment, and
+// the trigger scan skips an outref whose distance does not exceed it (or
+// that a trace is visiting right now).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,6 @@
 
 #include "backinfo/site_back_info.h"
 #include "backtrace/slab_table.h"
-#include "backtrace/verdict_cache.h"
 #include "common/config.h"
 #include "common/counters.h"
 #include "common/ids.h"
@@ -69,11 +69,6 @@ struct BackTracerStats {
   /// Visit records scrubbed because their trace's initiator restarted (the
   /// report can never arrive; waiting out report_timeout would be dead time).
   std::uint64_t records_scrubbed = 0;
-  // Verdict cache (mirrors VerdictCache::Stats for aggregation/benches).
-  std::uint64_t verdicts_recorded = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t trace_starts_skipped = 0;  // trigger scans satisfied by cache
   // Trace coalescing.
   std::uint64_t branches_coalesced = 0;  // calls parked on a senior trace
   std::uint64_t waiters_resolved = 0;    // parked calls answered Garbage
@@ -84,6 +79,10 @@ struct BackTracerStats {
   // Failure-detector parking (zero unless the detector is enabled).
   std::uint64_t calls_parked = 0;    // remote steps held for a suspect peer
   std::uint64_t calls_unparked = 0;  // parked calls resumed on heal
+  /// Always zero, and on no list: bench/e2e/bench_e2e.cc still reads them
+  /// for its backtrace.cache_hit_frac column. They go when that column does.
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
 };
 
 auto Counters(Is<BackTracerStats> auto& s) {
@@ -98,10 +97,6 @@ auto Counters(Is<BackTracerStats> auto& s) {
       Counter{"inrefs_flagged", s.inrefs_flagged},
       Counter{"records_expired", s.records_expired},
       Counter{"records_scrubbed", s.records_scrubbed},
-      Counter{"verdicts_recorded", s.verdicts_recorded},
-      Counter{"cache_hits", s.cache_hits},
-      Counter{"cache_misses", s.cache_misses},
-      Counter{"trace_starts_skipped", s.trace_starts_skipped},
       Counter{"branches_coalesced", s.branches_coalesced},
       Counter{"waiters_resolved", s.waiters_resolved},
       Counter{"waiters_requeued", s.waiters_requeued},
@@ -110,7 +105,9 @@ auto Counters(Is<BackTracerStats> auto& s) {
       Counter{"calls_parked", s.calls_parked},
       Counter{"calls_unparked", s.calls_unparked}};
 }
-static_assert(ListsEveryMember<BackTracerStats>());
+static_assert(ListsEveryMember<BackTracerStats>(
+    sizeof(BackTracerStats::cache_hits) +
+    sizeof(BackTracerStats::cache_misses)));
 
 /// Outcome of a completed back trace, delivered to the initiator's observer.
 struct TraceOutcome {
@@ -151,13 +148,8 @@ class BackTracer {
   void HandleReport(const BackReportMsg& msg);
 
   /// The clean rule (Section 6.4): an ioref was just cleaned; every trace
-  /// with a call active on it must answer Live. Also evicts the ioref's
-  /// cached verdict — it just proved reachable.
+  /// with a call active on it must answer Live.
   void OnIorefCleaned(IorefKind kind, ObjectId ref);
-
-  /// A local trace's result was applied: advances the verdict cache's epoch
-  /// (entries age out after surviving one apply; see verdict_cache.h).
-  void OnLocalTraceApplied(std::uint64_t epoch);
 
   /// The failure detector reports `peer` healed: re-dispatches every back
   /// call parked on it (for frames still alive) and re-arms the call
@@ -180,11 +172,11 @@ class BackTracer {
   void ExpireStaleRecords();
 
   /// Models a crash-restart of the hosting site: activation frames, the
-  /// per-trace visit records, queued outbound calls and the verdict cache
-  /// are volatile and vanish (visited marks on the persistent iorefs are
-  /// cleared — equivalent to recovery-time scrubbing); peers waiting on this
-  /// site's replies recover via their call timeouts, which safely assume
-  /// Live (Section 4.6).
+  /// per-trace visit records and queued outbound calls are volatile and
+  /// vanish (visited marks on the persistent iorefs are cleared — equivalent
+  /// to recovery-time scrubbing); peers waiting on this site's replies
+  /// recover via their call timeouts, which safely assume Live (Section
+  /// 4.6).
   void DropVolatileState();
 
   /// Observer invoked on completion of traces this site initiated.
@@ -193,9 +185,6 @@ class BackTracer {
   }
 
   [[nodiscard]] const BackTracerStats& stats() const { return stats_; }
-  [[nodiscard]] const VerdictCache& verdict_cache() const {
-    return verdict_cache_;
-  }
   [[nodiscard]] std::size_t active_frames() const { return frames_.size(); }
   [[nodiscard]] bool idle() const { return frames_.empty(); }
   /// Visit records currently held (traces whose report has not arrived).
@@ -321,7 +310,6 @@ class BackTracer {
   /// deterministic resume order). Volatile: a crash drops them with the
   /// frames they belong to.
   std::map<SiteId, std::vector<ParkedCall>> parked_calls_;
-  VerdictCache verdict_cache_;
   std::uint32_t next_trace_seq_ = 1;
   BackTracerStats stats_;
 };

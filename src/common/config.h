@@ -48,6 +48,8 @@ struct CollectorConfig {
 
   /// Increment applied to an ioref's back threshold each time a back trace
   /// visits it (Section 4.3), so live suspects eventually stop triggering.
+  /// Zero turns that quieting off: a live suspect above D2 then starts a
+  /// back trace after every local trace.
   Distance back_threshold_increment = 4;
 
   /// Initial back threshold D2 = suspicion_threshold + estimated_cycle_length

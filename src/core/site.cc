@@ -687,7 +687,6 @@ void Site::ApplyTraceResult(TraceResult result) {
   //    expire orphaned visit records, and start back traces from suspects
   //    past their back threshold (Section 4.3).
   FlushDeferredInserts();
-  back_tracer_.OnLocalTraceApplied(result.epoch);
   back_tracer_.ExpireStaleRecords();
   back_tracer_.MaybeStartTraces();
 }

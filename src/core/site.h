@@ -50,7 +50,7 @@ struct SiteStats {
   std::uint64_t objects_marked = 0;    // cumulative clean + suspect marks
   // Trace-reuse accounting.
   std::uint64_t quiescent_skips = 0;   // traces served verbatim from cache
-  std::uint64_t outsets_reused = 0;    // cumulative memoized outsets served
+  std::uint64_t outsets_reused = 0;    // outsets refolds and skips re-served
   // Flat ref-table accounting, mirrored from RefTables when stats() is read:
   // inserts absorbed by spare vector capacity vs. reallocations, and the
   // slots allocated. Steady-state churn should show reuses climbing while

@@ -280,19 +280,7 @@ TraceResult LocalCollector::RunFullTrace(
     result.stats.objects_marked_suspect = computer.stats().objects_traced;
   }
 
-  // Inverse (inset) view: with a cached previous trace, patch it forward by
-  // the per-inref outset deltas instead of rebuilding it — O(changed
-  // memberships) plus two flat copies, and it counts how many suspects kept
-  // their outset verbatim (outsets_reused).
-  if (cache_.valid && inputs_for_cache != nullptr) {
-    result.back_info =
-        SiteBackInfo::PatchedFrom(cache_.result.back_info,
-                                  result.back_info.inref_outsets,
-                                  &result.stats.outsets_reused);
-  } else {
-    result.back_info.RecomputeInsets();
-  }
-
+  result.back_info.RecomputeInsets();
   result.stats.suspected_outrefs = result.back_info.outref_insets.size();
 
   // ---- Phase 3: sweep list (untraced outrefs are the unreached records).

@@ -30,9 +30,9 @@
 //     distance heuristic produces every epoch) -> marks, sweep set, back
 //     information and memoized outsets are reused and only the distance
 //     aggregation is re-folded from the cached outsets;
-//   * anything else -> full trace, which also delta-patches the inverse
-//     inset view from the cached back info instead of rebuilding it, and
-//     refreshes the cache.
+//   * anything else -> full trace, which computes every suspect's outset
+//     afresh, rebuilds the inverse inset view from them, and refreshes the
+//     cache.
 //
 // A full trace that frees objects caches nothing: applying it bumps the
 // mutation epoch, so the next trace is full anyway. A reused result reports
@@ -127,8 +127,8 @@ class LocalCollector {
   [[nodiscard]] ReuseLevel ClassifyReuse(const TraceInputs& inputs) const;
 
   /// The classic three-phase trace. When `inputs_for_cache` is non-null the
-  /// run also patches insets from and refreshes the reuse cache; null is the
-  /// cache-free oracle the reuse check runs.
+  /// run also refreshes the reuse cache; null is the cache-free oracle the
+  /// reuse check runs.
   TraceResult RunFullTrace(const std::vector<ObjectId>& app_roots,
                            const TraceInputs* inputs_for_cache);
 

@@ -35,7 +35,8 @@ struct LocalTraceStats {
 
   // --- Trace-reuse accounting -------------------------------------------
   /// Suspect outsets served from the previous trace's memoized back info
-  /// instead of being recomputed.
+  /// instead of being recomputed: every outset of a refold or quiescent
+  /// skip, none of a full trace.
   std::uint64_t outsets_reused = 0;
   /// 1 when this result is a verbatim reuse of the previous epoch's trace
   /// on a provably quiescent site (sites aggregate it into a counter).

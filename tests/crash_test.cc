@@ -192,31 +192,5 @@ TEST(CrashRestartTest, ReRegistrationToCondemnedInrefIsIgnored) {
   EXPECT_FALSE(system.ObjectExists(holder));
 }
 
-TEST(CrashRestartTest, CrashDropsCachedVerdicts) {
-  // The verdict cache is volatile: after a restart no stale verdict may
-  // suppress a fresh trace (the tables it summarized were rebuilt around it).
-  CollectorConfig config = Config();
-  config.enable_back_tracing = false;  // trigger the one trace by hand
-  System system(2, config);
-  CheckEveryReuse(system);
-  workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});
-  system.RunRounds(12);
-  Site& initiator = system.site(0);
-  const ObjectId start = initiator.tables().outrefs().begin()->first;
-  initiator.back_tracer().StartTrace(start);
-  system.SettleNetwork();
-  ASSERT_TRUE(initiator.back_tracer()
-                  .verdict_cache()
-                  .Peek(IorefKind::kOutref, start)
-                  .has_value());
-  initiator.CrashRestart();
-  EXPECT_EQ(initiator.back_tracer().verdict_cache().size(), 0u);
-  EXPECT_FALSE(initiator.back_tracer()
-                   .verdict_cache()
-                   .Peek(IorefKind::kOutref, start)
-                   .has_value());
-  EXPECT_GE(initiator.back_tracer().verdict_cache().stats().dropped, 1u);
-}
-
 }  // namespace
 }  // namespace dgc

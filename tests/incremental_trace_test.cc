@@ -1,9 +1,8 @@
 // Tests for local-trace reuse: the quiescent short-circuit, the
 // suspect-distance-drift refold, the mutation epoch and input snapshot that
-// end reuse, crash-restart invalidation, the flat back-info delta
-// maintenance, and — the correctness anchor — runs where every reused trace
-// is checked against a shadow full trace
-// (LocalCollector::set_check_reuse_for_testing).
+// end reuse, crash-restart invalidation, the flat back-info map, and — the
+// correctness anchor — runs where every reused trace is checked against a
+// shadow full trace (LocalCollector::set_check_reuse_for_testing).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -269,7 +268,7 @@ TEST_P(TwinFigures, IncrementalTwinMatchesFullTwinEveryRound) {
 
 INSTANTIATE_TEST_SUITE_P(Figures, TwinFigures, ::testing::Values(1, 4, 5));
 
-// --- Flat back-info delta maintenance --------------------------------------
+// --- Flat back-info storage ------------------------------------------------
 
 TEST(OutsetMapTest, BehavesLikeASortedMap) {
   OutsetMap map;
@@ -294,39 +293,6 @@ TEST(OutsetMapTest, BehavesLikeASortedMap) {
   EXPECT_EQ(map.erase(b), 0u);
   EXPECT_EQ(map.find(b), map.end());
   EXPECT_EQ(map.size(), 2u);
-}
-
-TEST(OutsetDeltaTest, DeltaMatchesFullRecomputeAcrossRandomEdits) {
-  // Property: starting from the same back info, ApplyOutsetDelta must land on
-  // exactly what assigning the outset and rebuilding the inverse would.
-  Rng rng(20260806);
-  SiteBackInfo delta_maintained;
-  for (int edit = 0; edit < 200; ++edit) {
-    const ObjectId inref{0, 1 + rng.NextBelow(6)};
-    std::vector<ObjectId> outset;
-    for (std::uint64_t r = 1; r <= 8; ++r) {
-      if (rng.NextBool(0.4)) outset.push_back(ObjectId{1, r});
-    }
-    const std::size_t ops = delta_maintained.ApplyOutsetDelta(inref, outset);
-    (void)ops;
-    SiteBackInfo rebuilt;
-    rebuilt.inref_outsets = delta_maintained.inref_outsets;
-    rebuilt.RecomputeInsets();
-    ASSERT_EQ(rebuilt.outref_insets, delta_maintained.outref_insets)
-        << "divergence after edit " << edit;
-  }
-}
-
-TEST(OutsetDeltaTest, DeltaOpsCountOnlyChangedMemberships) {
-  SiteBackInfo info;
-  const ObjectId i1{0, 1};
-  const ObjectId o1{1, 1}, o2{1, 2}, o3{1, 3};
-  EXPECT_EQ(info.ApplyOutsetDelta(i1, {o1, o2}), 2u);
-  EXPECT_EQ(info.ApplyOutsetDelta(i1, {o1, o2}), 0u);  // no-op edit
-  EXPECT_EQ(info.ApplyOutsetDelta(i1, {o2, o3}), 2u);  // -o1 +o3
-  EXPECT_EQ(info.ApplyOutsetDelta(i1, {}), 2u);        // removal
-  EXPECT_TRUE(info.inref_outsets.empty());
-  EXPECT_TRUE(info.outref_insets.empty());
 }
 
 }  // namespace
