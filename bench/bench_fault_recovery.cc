@@ -3,17 +3,27 @@
 // under sustained message loss (retransmission must keep the collection
 // finite and within a small factor of the lossless baseline).
 //
-// Emits BENCH_fault_recovery.json; scripts/bench_compare.py gates the
-// counters both relatively (rounds/time vs a stored baseline) and absolutely
-// (--check-fault-recovery: retransmit_overhead at 0% loss, collected and
-// ttc_ratio_vs_lossless under loss).
+// Each row checks absolute bounds: at 0% loss, retransmit_overhead <= 0.01;
+// under loss, the ring is collected with ttc_ratio_vs_lossless <= 5. A row
+// that breaks one fails with an error and the binary exits 1. The counters
+// are simulated and deterministic, so the bounds hold on any host. Emits
+// BENCH_fault_recovery.json; scripts/bench_compare.py compares two runs'
+// rounds_to_collect and time_to_collect.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "bench_util.h"
 
 namespace {
 
 using namespace dgc;
+
+constexpr double kMaxLosslessRetransmitOverhead = 0.01;
+constexpr double kMaxTtcRatioVsLossless = 5.0;
+
+// Rows that broke a bound; main exits 1 if any.
+int failures = 0;
 
 struct RecoveryRun {
   std::size_t rounds = 0;
@@ -60,12 +70,27 @@ void BM_FaultRecovery_GarbageRing(benchmark::State& state) {
   state.counters["time_to_collect"] = static_cast<double>(run.ticks);
   state.counters["collected"] = run.collected ? 1.0 : 0.0;
   state.counters["retransmit_overhead"] = run.retransmit_overhead;
-  if (loss > 0.0) {
-    state.counters["ttc_ratio_vs_lossless"] =
-        lossless.ticks > 0
-            ? static_cast<double>(run.ticks) /
-                  static_cast<double>(lossless.ticks)
-            : 0.0;
+  std::string broken;
+  if (loss == 0.0) {
+    if (run.retransmit_overhead > kMaxLosslessRetransmitOverhead) {
+      broken = "lossless retransmit_overhead " +
+               std::to_string(run.retransmit_overhead) + " > 0.01";
+    }
+  } else {
+    const double ratio = lossless.ticks > 0
+                             ? static_cast<double>(run.ticks) /
+                                   static_cast<double>(lossless.ticks)
+                             : 0.0;
+    state.counters["ttc_ratio_vs_lossless"] = ratio;
+    if (!run.collected) {
+      broken = "the ring was not collected under loss";
+    } else if (ratio > kMaxTtcRatioVsLossless) {
+      broken = "ttc_ratio_vs_lossless " + std::to_string(ratio) + " > 5";
+    }
+  }
+  if (!broken.empty()) {
+    ++failures;
+    state.SkipWithError(broken.c_str());
   }
 }
 BENCHMARK(BM_FaultRecovery_GarbageRing)->Arg(0)->Arg(10);
@@ -73,6 +98,8 @@ BENCHMARK(BM_FaultRecovery_GarbageRing)->Arg(0)->Arg(10);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dgc::bench::RunBenchmarksWithDefaultOut(argc, argv,
-                                                 "BENCH_fault_recovery.json");
+  const int status = dgc::bench::RunBenchmarksWithDefaultOut(
+      argc, argv, "BENCH_fault_recovery.json");
+  if (status != 0) return status;
+  return failures == 0 ? 0 : 1;
 }

@@ -7,9 +7,7 @@
 //   * reuse_hit_rate     — fraction of local traces served from the cache
 //     (quiescent skips / traces), gated by bench_compare.py;
 //   * marked_per_epoch   — objects actually marked per epoch, across all
-//     sites (reused traces mark none);
-//   * intern_bytes_saved — cumulative outset-interning savings from the
-//     store persisting across epochs.
+//     sites (reused traces mark none).
 //
 // Reused traces are checked against full traces by the shadow-checked test
 // suites (LocalCollector::set_check_reuse_for_testing); here CheckSafety
@@ -109,7 +107,6 @@ void BM_LowChurnSoak(benchmark::State& state) {
   const std::size_t slots_per_site = static_cast<std::size_t>(state.range(1));
 
   SoakTotals totals{};
-  std::uint64_t intern_saved = 0;
   std::uint64_t reclaimed = 0;
   for (auto _ : state) {
     System system(sites, bench::DefaultConfig(), {}, /*seed=*/29);
@@ -133,11 +130,6 @@ void BM_LowChurnSoak(benchmark::State& state) {
     const SoakTotals end = Totals(system);
     totals = {end.marked - base.marked, end.traces - base.traces,
               end.skips - base.skips};
-    intern_saved = 0;
-    for (SiteId s = 0; s < system.site_count(); ++s) {
-      intern_saved +=
-          system.site(s).collector().outset_store().stats().intern_bytes_saved;
-    }
     reclaimed = system.TotalObjectsReclaimed();
   }
 
@@ -147,7 +139,6 @@ void BM_LowChurnSoak(benchmark::State& state) {
   state.counters["reuse_hit_rate"] =
       static_cast<double>(totals.skips) /
       static_cast<double>(totals.traces ? totals.traces : 1);
-  state.counters["intern_bytes_saved"] = static_cast<double>(intern_saved);
   state.counters["objects_reclaimed"] = static_cast<double>(reclaimed);
 }
 BENCHMARK(BM_LowChurnSoak)

@@ -34,7 +34,7 @@ void MeasureTrace(System& system, std::size_t expected_edges,
   // The initiator's own report is a free self-delivery.
   state.counters["formula_2E_plus_P"] =
       static_cast<double>(2 * expected_edges + participants - 1);
-  state.counters["bytes"] = static_cast<double>(stats.approx_bytes);
+  state.counters["bytes"] = static_cast<double>(stats.logical_bytes);
   // One cycle condemned per measured trace: inter-site back messages spent
   // per collected cycle. bench_compare.py gates on this (lower is better).
   state.counters["msgs_per_cycle"] = static_cast<double>(stats.inter_site_sent);

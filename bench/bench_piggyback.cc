@@ -43,7 +43,7 @@ void BM_Piggyback_ManyCyclesOneChannel(benchmark::State& state) {
     }
     logical = system.network().stats().inter_site_sent;
     wire = system.network().stats().wire_messages;
-    logical_bytes = system.network().stats().approx_bytes;
+    logical_bytes = system.network().stats().logical_bytes;
     wire_bytes = system.network().stats().wire_bytes;
   }
   state.counters["batch_window"] = static_cast<double>(window);

@@ -9,8 +9,14 @@
 //     between mutations. Reports sustained mutation throughput, p50/p99
 //     time-to-collect (simulated ticks from tether-sever to full
 //     reclamation), messages per collected cycle, a peak-RSS proxy (VmHWM)
-//     and the flat-table reuse counters. The small row is the CI gate; the
-//     100 x 10'000 row is the headline configuration.
+//     and the flat-table reuse counters. Every row must keep up with the
+//     arrival rate: cycles_collected >= 0.5 x cycles_severed, backlog <=
+//     0.5 x cycles_severed, and 0 < ttc_p50 <= ttc_p99 <= 10,000 ticks
+//     (a few 500-tick rounds, not dozens). These counters run on the
+//     simulated clock, so the bounds hold on any host. A row that breaks
+//     one fails, and the binary then exits 1. The small row runs in tier-1
+//     (ctest bench_scale_open_loop); the 100 x 10'000 row is the headline
+//     configuration.
 //   * BM_Scale_Oracles/<sites>/<objects_per_site>: the cost of System's
 //     god-mode checks on the OpenLoop world, driven for 6,000 ticks and
 //     quiesced: CheckSafety, CheckCompleteness and CheckReferentialIntegrity
@@ -20,8 +26,9 @@
 //   * BM_Scale_TableMutation/<impl>/<entries>: the per-mutation table cost
 //     the flat swap targets — an identical find/insert/erase mix against
 //     FlatMap (impl 1) and the old std::map (impl 0) at per-site table
-//     sizes, so bench_compare.py --check-scale can assert the flat path is
-//     measurably cheaper.
+//     sizes. Informational only: the 2,048-entry flat/map time ratio
+//     follows host load, and on one 4-CPU host it has read from 0.69 to
+//     1.06, too wide to gate (EXPERIMENTS.md, "Flat-table spread").
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -54,6 +61,14 @@ double PeakRssMb() {
     }
   }
   return 0.0;
+}
+
+// Rows that broke a bound or failed a god-mode check; main exits 1 if any.
+int failures = 0;
+
+void Fail(benchmark::State& state, const std::string& why) {
+  ++failures;
+  state.SkipWithError(why.c_str());
 }
 
 void BM_Scale_OpenLoop(benchmark::State& state) {
@@ -123,17 +138,29 @@ void BM_Scale_OpenLoop(benchmark::State& state) {
   state.counters["table_slot_reuses"] = static_cast<double>(reuses);
   state.counters["table_slot_grows"] = static_cast<double>(grows);
   state.counters["peak_rss_mb"] = PeakRssMb();
+
+  std::string broken;
+  if (severed == 0 || 2 * collected < severed) {
+    broken = "fewer than half the severed cycles collected";
+  } else if (2 * backlog > severed) {
+    broken = "backlog above half the severed cycles";
+  } else if (p50 <= 0 || p99 < p50 || p99 > 10'000) {
+    broken = "ttc p50/p99 outside 0 < p50 <= p99 <= 10000 ticks";
+  }
+  if (!broken.empty()) {
+    Fail(state, broken + " (collected " + std::to_string(collected) + "/" +
+                    std::to_string(severed) + ", backlog " +
+                    std::to_string(backlog) + ", p50/p99 " +
+                    std::to_string(p50) + "/" + std::to_string(p99) + ")");
+  }
 }
-// The small row gates CI; the 100 x 10'000 row is the paper-scale headline
-// (10^6 objects, single iteration — construction dominates re-runs).
+// The small row runs in tier-1; the 100 x 10'000 row is the paper-scale
+// headline (10^6 objects, single iteration — construction dominates re-runs).
 BENCHMARK(BM_Scale_OpenLoop)
     ->Args({10, 2'000})
     ->Args({100, 10'000})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-
-// Rows whose world failed a god-mode check; main exits 1 if any.
-int oracle_failures = 0;
 
 void BM_Scale_Oracles(benchmark::State& state) {
   const auto sites = static_cast<std::size_t>(state.range(0));
@@ -189,8 +216,7 @@ void BM_Scale_Oracles(benchmark::State& state) {
     timed(integrity_ms, [&] { return system.CheckReferentialIntegrity(); });
     rss_rise_mb = PeakRssMb() - rss_before;
     if (!violation.empty()) {
-      ++oracle_failures;
-      state.SkipWithError(("oracle violation: " + violation).c_str());
+      Fail(state, "oracle violation: " + violation);
       break;
     }
   }
@@ -291,5 +317,5 @@ int main(int argc, char** argv) {
   const int status =
       dgc::bench::RunBenchmarksWithDefaultOut(argc, argv, "BENCH_scale.json");
   if (status != 0) return status;
-  return oracle_failures == 0 ? 0 : 1;
+  return failures == 0 ? 0 : 1;
 }

@@ -1,11 +1,13 @@
-// Sim vs socket head-to-head, gated by bench_compare.py --check-transport.
+// Sim vs socket head-to-head.
 //
 // BM_Transport_ScriptedChurn is the sim-vs-socket differential as a bench
 // row: the scripted ring churn applied to a System and to a SocketWorld (real
 // site processes over Unix-domain sockets) with one seed. It emits socket_*
-// figures and the socket engine's handshake/step counters. Verdict equality
-// is the gate; wall-clock is informational (real processes pay real
-// syscalls — there is no speedup leg to enforce).
+// figures, the socket engine's handshake/step counters and verdicts_match
+// (1 when both backends severed, collected and reclaimed the same objects).
+// Tier-1's SocketWorld.SimDifferentialTenSeeds checks the same churn over
+// ten seeds, object by object; wall-clock here is informational (real
+// processes pay real syscalls).
 #include <benchmark/benchmark.h>
 
 #include <chrono>

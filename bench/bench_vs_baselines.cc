@@ -51,7 +51,7 @@ void ReportNetwork(benchmark::State& state, const System& system,
                    bool collected, std::size_t bystander_calls) {
   const NetworkStats& stats = system.network().stats();
   state.counters["messages"] = static_cast<double>(stats.inter_site_sent);
-  state.counters["bytes"] = static_cast<double>(stats.approx_bytes);
+  state.counters["bytes"] = static_cast<double>(stats.logical_bytes);
   state.counters["collected"] = collected ? 1.0 : 0.0;
   state.counters["bystander_backtrace_calls"] =
       static_cast<double>(bystander_calls);

@@ -3,9 +3,6 @@
 
 Usage:
     bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
-    bench_compare.py --check-fault-recovery BENCH_fault_recovery.json
-    bench_compare.py --check-scale BENCH_scale.json
-    bench_compare.py --check-transport BENCH_transport.json
     bench_compare.py --self-test
 
 Compares every benchmark present in both files. Gated user counters:
@@ -26,30 +23,13 @@ Any benchmark whose candidate value worsens by more than ``--threshold``
 of these counters are compared on ``real_time`` and reported for
 information only — wall time on shared CI hardware is too noisy to gate on.
 
-``--check-fault-recovery`` gates a single BENCH_fault_recovery.json on
-absolute bounds instead of a baseline: lossless rows (loss_pct == 0) must
-show retransmit_overhead <= 0.01 (the reliable machinery is nearly free on a
-clean network), and lossy rows must show collected == 1 with
-ttc_ratio_vs_lossless <= 5.0 (collection stays finite and within 5x of the
-lossless twin run).
+Absolute bounds, which need no baseline, live in the benches that produce
+the rows: a row that breaks one fails with an error and the binary exits 1.
+Tier-1 runs those rows as the ctests labelled ``microbench``
+(bench/CMakeLists.txt).
 
-``--check-scale`` gates a single BENCH_scale.json on absolute bounds: every
-open-loop row must show the collector keeping up with the arrival rate
-(cycles_collected >= 0.5x cycles_severed, end-of-run backlog <= 0.5x
-severed) with a bounded time-to-collect tail (p99 <= 10000 simulated
-ticks); and each flat/map table-mutation pair must show the flat table
-measurably cheaper than the std::map baseline (time ratio <= 0.95). The
-open-loop counters are simulation-clock values, deterministic per seed.
-
-``--check-transport`` gates a single BENCH_transport.json on the socket
-backend's correctness contract: every row must show verdicts_match == 1 with
-the socket run's cycles_severed/cycles_collected/reclaimed exactly equal to
-the sim run's (same seed, same garbage verdicts, same reclaim set — the
-equality is the gate, always, on any host), on a non-vacuous run
-(cycles_severed > 0). Wall-clock is reported, never gated.
-
-Every gate degrades with a clear one-line error (exit 2, never a Python
-traceback) when its input or baseline JSON is missing or malformed.
+A missing or malformed input JSON is a clear one-line error (exit 2, never a
+Python traceback).
 
 Exit codes: 0 = no regression, 1 = regression detected, 2 = usage/input error.
 """
@@ -160,210 +140,6 @@ def run_compare(baseline_path, candidate_path, threshold):
     return 0
 
 
-# --- fault-recovery absolute gate -------------------------------------------
-
-# Absolute acceptance bounds for BENCH_fault_recovery.json (no baseline
-# needed; a fresh checkout can gate its own run).
-MAX_LOSSLESS_RETRANSMIT_OVERHEAD = 0.01
-MAX_TTC_RATIO_VS_LOSSLESS = 5.0
-
-
-def check_fault_recovery(path):
-    """Gate BENCH_fault_recovery.json rows on absolute fault-recovery bounds.
-
-    Lossless rows must show (nearly) no retransmit overhead; lossy rows must
-    still collect, within a bounded slowdown of the lossless twin run.
-    """
-    rows = load_benchmarks(path)
-    failures = []
-    checked = 0
-    for name in sorted(rows):
-        row = rows[name]
-        if "loss_pct" not in row:
-            continue
-        checked += 1
-        loss = float(row["loss_pct"])
-        if loss == 0.0:
-            overhead = float(row.get("retransmit_overhead", 0.0))
-            ok = overhead <= MAX_LOSSLESS_RETRANSMIT_OVERHEAD
-            print(f"{'ok' if ok else 'FAIL':>10}  {name}: lossless "
-                  f"retransmit_overhead {overhead:.4g} "
-                  f"(max {MAX_LOSSLESS_RETRANSMIT_OVERHEAD})")
-            if not ok:
-                failures.append(f"{name} (retransmit_overhead)")
-            continue
-        collected = float(row.get("collected", 0.0))
-        if collected != 1.0:
-            print(f"{'FAIL':>10}  {name}: loss {loss:g}% did not collect")
-            failures.append(f"{name} (collected)")
-            continue
-        ratio = float(row.get("ttc_ratio_vs_lossless", float("inf")))
-        ok = ratio <= MAX_TTC_RATIO_VS_LOSSLESS
-        print(f"{'ok' if ok else 'FAIL':>10}  {name}: loss {loss:g}% "
-              f"ttc_ratio_vs_lossless {ratio:.4g} "
-              f"(max {MAX_TTC_RATIO_VS_LOSSLESS})")
-        if not ok:
-            failures.append(f"{name} (ttc_ratio_vs_lossless)")
-    if checked == 0:
-        _die(f"error: {path} has no rows with a loss_pct counter "
-             "(not a fault-recovery benchmark file?)")
-    if failures:
-        print(f"\n{len(failures)} fault-recovery bound(s) violated:")
-        for name in failures:
-            print(f"  {name}")
-        return 1
-    print(f"\nall fault-recovery bounds hold across {checked} row(s)")
-    return 0
-
-
-# Scale-engine bounds (BENCH_scale.json). The open-loop counters are purely
-# simulated (deterministic for a given seed), so absolute bounds are stable
-# across hosts; only the flat-vs-map ratio involves wall time, and it gets a
-# wide margin for noisy single-CPU runners.
-# The collector must keep up with the arrival rate: most severed cycles are
-# reclaimed within the run, not deferred to a quiesce phase.
-MIN_COLLECTED_FRACTION = 0.5
-# Time-to-collect tail bound in simulated ticks (the drivers use a 500-tick
-# round period; measured p99 is ~4k ticks, so 10k means "a few rounds, not
-# dozens").
-MAX_TTC_P99 = 10_000.0
-# Uncollected-severed backlog at end of run, as a fraction of everything
-# severed: bounded work-in-flight, not an ever-growing queue.
-MAX_BACKLOG_FRACTION = 0.5
-# The flat table must be measurably cheaper than the std::map baseline on the
-# same mutation mix: flat_time <= 0.95 * map_time (measured ~0.5-0.8x).
-MAX_FLAT_VS_MAP_RATIO = 0.95
-
-
-def check_scale(path):
-    """Gate BENCH_scale.json on absolute open-loop and flat-table bounds.
-
-    Open-loop rows carry simulation-clock counters (deterministic per seed);
-    the table-mutation rows compare FlatMap against the std::map it replaced
-    on identical op streams.
-    """
-    rows = load_benchmarks(path)
-    failures = []
-    open_loop = 0
-    mutation_rows = {}
-    for name in sorted(rows):
-        row = rows[name]
-        if "ttc_p50" in row and "cycles_severed" in row:
-            open_loop += 1
-            collected = float(row.get("cycles_collected", 0.0))
-            severed = float(row.get("cycles_severed", 0.0))
-            backlog = float(row.get("backlog", 0.0))
-            p50 = float(row["ttc_p50"])
-            p99 = float(row.get("ttc_p99", 0.0))
-            problems = []
-            if severed <= 0 or collected < MIN_COLLECTED_FRACTION * severed:
-                problems.append("cycles_collected")
-            if p50 <= 0 or p99 < p50:
-                problems.append("ttc_percentiles")
-            if p99 > MAX_TTC_P99:
-                problems.append("ttc_p99")
-            if backlog > MAX_BACKLOG_FRACTION * severed:
-                problems.append("backlog")
-            ok = not problems
-            print(f"{'ok' if ok else 'FAIL':>10}  {name}: collected "
-                  f"{collected:g}/{severed:g} severed (min "
-                  f"{MIN_COLLECTED_FRACTION:g}x), ttc p50/p99 "
-                  f"{p50:g}/{p99:g} (max p99 {MAX_TTC_P99:g}), "
-                  f"backlog {backlog:g}")
-            failures.extend(f"{name} ({p})" for p in problems)
-        elif "flat" in row and "entries" in row:
-            key = float(row["entries"])
-            mutation_rows.setdefault(key, {})[float(row["flat"])] = row
-    if open_loop == 0:
-        _die(f"error: {path} has no open-loop rows with ttc_p50/"
-             "cycles_severed counters (not a scale benchmark file?)")
-    pairs = 0
-    for entries in sorted(mutation_rows):
-        pair = mutation_rows[entries]
-        if 0.0 not in pair or 1.0 not in pair:
-            continue
-        pairs += 1
-        map_time = float(pair[0.0].get("real_time", 0.0))
-        flat_time = float(pair[1.0].get("real_time", 0.0))
-        ratio = flat_time / map_time if map_time > 0 else float("inf")
-        ok = ratio <= MAX_FLAT_VS_MAP_RATIO
-        print(f"{'ok' if ok else 'FAIL':>10}  table mutation @{entries:g} "
-              f"entries: flat/map time ratio {ratio:.3f} "
-              f"(max {MAX_FLAT_VS_MAP_RATIO:g})")
-        if not ok:
-            failures.append(f"table mutation @{entries:g} (flat_vs_map_ratio)")
-    if pairs == 0:
-        _die(f"error: {path} has no flat/map table-mutation row pairs")
-    if failures:
-        print(f"\n{len(failures)} scale bound(s) violated:")
-        for name in failures:
-            print(f"  {name}")
-        return 1
-    print(f"\nall scale bounds hold across {open_loop} open-loop row(s) and "
-          f"{pairs} table pair(s)")
-    return 0
-
-
-# --- transport gate ---------------------------------------------------------
-
-
-def check_transport(path):
-    """Gate BENCH_transport.json: socket verdicts == sim verdicts.
-
-    Rows carry socket_* counters (from the real-process backend) and are
-    gated on equality only — site processes pay real fork/socket syscalls,
-    so their wall-clock is reported as information, never enforced.
-
-    The equality leg (same severed/collected/reclaimed figures, row-level
-    verdicts_match flag covering the survivor census) is unconditional: it
-    holds by the engine's determinism argument and any violation is a
-    correctness bug, not noise.
-    """
-    rows = load_benchmarks(path)
-    failures = []
-    checked = 0
-    for name in sorted(rows):
-        row = rows[name]
-        if "verdicts_match" not in row or "sim_cycles_severed" not in row:
-            continue
-        checked += 1
-        severed = float(row["sim_cycles_severed"])
-        collected = float(row.get("sim_cycles_collected", 0.0))
-        reclaimed = float(row.get("sim_reclaimed", 0.0))
-        problems = []
-        if severed <= 0:
-            problems.append("vacuous_run")
-        if float(row["verdicts_match"]) != 1.0:
-            problems.append("verdicts_match")
-        if "socket_cycles_severed" in row:
-            socket = (float(row["socket_cycles_severed"]),
-                      float(row.get("socket_cycles_collected", -1.0)),
-                      float(row.get("socket_reclaimed", -1.0)))
-            if socket != (severed, collected, reclaimed):
-                problems.append("sim_socket_equality")
-            compared = "socket {:g}/{:g}/{:g}".format(*socket)
-        else:
-            problems.append("no_backend_counters")
-            compared = "(nothing)"
-        ok = not problems
-        print(f"{'ok' if ok else 'FAIL':>10}  {name}: "
-              f"sim {severed:g}/{collected:g}/{reclaimed:g} vs {compared} "
-              f"(severed/collected/reclaimed), socket wall "
-              f"{float(row.get('socket_wall_ms', 0)):g}ms vs sim "
-              f"{float(row.get('sim_wall_ms', 0)):g}ms (info)")
-        failures.extend(f"{name} ({p})" for p in problems)
-    if checked == 0:
-        _die(f"error: {path} has no rows with verdicts_match/"
-             "sim_cycles_severed counters (not a transport benchmark file?)")
-    if failures:
-        print(f"\n{len(failures)} transport bound(s) violated:")
-        for name in failures:
-            print(f"  {name}")
-        return 1
-    print(f"\nsocket matches sim on all {checked} row(s)")
-    return 0
-
-
 # --- self test --------------------------------------------------------------
 
 _FIXTURE_BASE = {
@@ -381,48 +157,6 @@ _FIXTURE_BASE = {
          "real_time": 6.0, "rounds_to_collect": 5.0, "time_to_collect": 300.0},
     ]
 }
-
-_FIXTURE_SCALE = {
-    "benchmarks": [
-        {"name": "BM_Scale_OpenLoop/10/2000/iterations:1",
-         "run_type": "iteration", "real_time": 1000.0,
-         "cycles_collected": 3600.0, "cycles_severed": 4200.0,
-         "backlog": 580.0, "ttc_p50": 3000.0, "ttc_p99": 3950.0,
-         "msgs_per_cycle": 12.0},
-        {"name": "BM_Scale_TableMutation/0/2048", "run_type": "iteration",
-         "real_time": 11000.0, "flat": 0.0, "entries": 2048.0},
-        {"name": "BM_Scale_TableMutation/1/2048", "run_type": "iteration",
-         "real_time": 8500.0, "flat": 1.0, "entries": 2048.0},
-    ]
-}
-
-_FIXTURE_TRANSPORT = {
-    "benchmarks": [
-        # The socket row carries socket_* counters and no speedup field:
-        # real processes are slower than the simulator by design, so only
-        # verdict equality is enforceable.
-        {"name": "BM_Transport_ScriptedChurn/iterations:1",
-         "run_type": "iteration", "real_time": 120.0, "host_cpus": 8.0,
-         "sim_wall_ms": 0.5, "socket_wall_ms": 115.0,
-         "verdicts_match": 1.0, "sim_cycles_severed": 8.0,
-         "sim_cycles_collected": 8.0, "sim_reclaimed": 32.0,
-         "socket_cycles_severed": 8.0, "socket_cycles_collected": 8.0,
-         "socket_reclaimed": 32.0, "handshakes": 4.0,
-         "step_requests": 165.0, "build_ops": 168.0, "step_timeouts": 0.0},
-    ]
-}
-
-_FIXTURE_FAULT_RECOVERY = {
-    "benchmarks": [
-        {"name": "BM_FaultRecovery_GarbageRing/0", "run_type": "iteration",
-         "real_time": 4.0, "loss_pct": 0.0, "collected": 1.0,
-         "retransmit_overhead": 0.0},
-        {"name": "BM_FaultRecovery_GarbageRing/10", "run_type": "iteration",
-         "real_time": 6.0, "loss_pct": 10.0, "collected": 1.0,
-         "retransmit_overhead": 0.15, "ttc_ratio_vs_lossless": 1.3},
-    ]
-}
-
 
 def _self_test():
     import copy
@@ -482,106 +216,8 @@ def _self_test():
     faster["benchmarks"][5]["time_to_collect"] = 250.0
     assert run_with(faster) == 0, "faster recovery must pass"
 
-    def check_with(fixture):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "fault.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(fixture, fh)
-            return check_fault_recovery(path)
-
-    # Absolute fault-recovery bounds: the healthy fixture passes.
-    assert check_with(copy.deepcopy(_FIXTURE_FAULT_RECOVERY)) == 0, \
-        "healthy fault-recovery run must pass"
-
-    # Retransmit overhead on a lossless network fails.
-    noisy = copy.deepcopy(_FIXTURE_FAULT_RECOVERY)
-    noisy["benchmarks"][0]["retransmit_overhead"] = 0.2
-    assert check_with(noisy) == 1, "lossless retransmit overhead must fail"
-
-    # A lossy run that never collects fails.
-    stuck = copy.deepcopy(_FIXTURE_FAULT_RECOVERY)
-    stuck["benchmarks"][1]["collected"] = 0.0
-    assert check_with(stuck) == 1, "uncollected lossy run must fail"
-
-    # A lossy run more than 5x slower than its lossless twin fails.
-    crawl = copy.deepcopy(_FIXTURE_FAULT_RECOVERY)
-    crawl["benchmarks"][1]["ttc_ratio_vs_lossless"] = 7.5
-    assert check_with(crawl) == 1, "5x time-to-collect blowup must fail"
-
-    def scale_with(fixture):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "scale.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(fixture, fh)
-            return check_scale(path)
-
-    # Scale bounds: the healthy fixture passes.
-    assert scale_with(copy.deepcopy(_FIXTURE_SCALE)) == 0, \
-        "healthy scale run must pass"
-
-    # A collector that falls behind the arrival rate fails.
-    behind = copy.deepcopy(_FIXTURE_SCALE)
-    behind["benchmarks"][0]["cycles_collected"] = 100.0
-    assert scale_with(behind) == 1, "collector falling behind must fail"
-
-    # An unbounded end-of-run backlog fails.
-    queued = copy.deepcopy(_FIXTURE_SCALE)
-    queued["benchmarks"][0]["backlog"] = 3000.0
-    assert scale_with(queued) == 1, "unbounded backlog must fail"
-
-    # A time-to-collect tail of dozens of rounds fails.
-    tail = copy.deepcopy(_FIXTURE_SCALE)
-    tail["benchmarks"][0]["ttc_p99"] = 50000.0
-    assert scale_with(tail) == 1, "ttc tail blowup must fail"
-
-    # A flat table no cheaper than the std::map it replaced fails.
-    regressed = copy.deepcopy(_FIXTURE_SCALE)
-    regressed["benchmarks"][2]["real_time"] = 11000.0
-    assert scale_with(regressed) == 1, "flat-vs-map regression must fail"
-
-    def transport_with(fixture):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "transport.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(fixture, fh)
-            return check_transport(path)
-
-    # Transport bounds: the healthy fixture passes.
-    assert transport_with(copy.deepcopy(_FIXTURE_TRANSPORT)) == 0, \
-        "healthy transport run must pass"
-
-    # A run that never severed anything is vacuous and fails.
-    idle = copy.deepcopy(_FIXTURE_TRANSPORT)
-    for row in idle["benchmarks"]:
-        for key in ("sim_cycles_severed", "socket_cycles_severed",
-                    "sim_cycles_collected", "socket_cycles_collected",
-                    "sim_reclaimed", "socket_reclaimed"):
-            row[key] = 0.0
-    assert transport_with(idle) == 1, "vacuous transport run must fail"
-
-    # The socket row is equality-gated: a reclaim divergence between the
-    # process backend and sim fails...
-    socket_diverged = copy.deepcopy(_FIXTURE_TRANSPORT)
-    socket_diverged["benchmarks"][0]["socket_reclaimed"] = 31.0
-    assert transport_with(socket_diverged) == 1, \
-        "sim-socket reclaim mismatch must fail"
-
-    # ...and a census mismatch flagged by the row fails even with counts
-    # equal.
-    socket_census = copy.deepcopy(_FIXTURE_TRANSPORT)
-    socket_census["benchmarks"][0]["verdicts_match"] = 0.0
-    assert transport_with(socket_census) == 1, \
-        "socket census divergence must fail"
-
-    # But the socket row carries no speedup field, and real processes being
-    # slower than the simulator must never fail the gate on any host.
-    socket_slow = copy.deepcopy(_FIXTURE_TRANSPORT)
-    socket_slow["benchmarks"][0]["socket_wall_ms"] = 99999.0
-    assert transport_with(socket_slow) == 0, \
-        "socket wall-clock is informational, not gated"
-
-    # Every gate must degrade with a clear message and exit code 2 — never a
-    # Python traceback — when its input/baseline JSON does not exist.
+    # A missing input must degrade with a clear message and exit code 2 —
+    # never a Python traceback.
     def expect_clean_exit(fn, *args):
         try:
             fn(*args)
@@ -593,16 +229,13 @@ def _self_test():
     missing = os.path.join(tempfile.gettempdir(), "bench_compare_no_such.json")
     assert not os.path.exists(missing)
     expect_clean_exit(run_compare, missing, missing, 0.10)
-    expect_clean_exit(check_fault_recovery, missing)
-    expect_clean_exit(check_scale, missing)
-    expect_clean_exit(check_transport, missing)
 
     # ...and the same for structurally malformed files.
     with tempfile.TemporaryDirectory() as tmp:
         broken = os.path.join(tmp, "broken.json")
         with open(broken, "w", encoding="utf-8") as fh:
             fh.write("{\"benchmarks\": [{\"real_time\": 1.0}]}")
-        expect_clean_exit(check_transport, broken)
+        expect_clean_exit(run_compare, broken, broken, 0.10)
         not_bench = os.path.join(tmp, "not_bench.json")
         with open(not_bench, "w", encoding="utf-8") as fh:
             fh.write("{\"context\": {}}")
@@ -621,25 +254,10 @@ def main(argv=None):
                              "(fraction, default 0.10)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the embedded fixture tests and exit")
-    parser.add_argument("--check-fault-recovery", metavar="FILE",
-                        help="gate a BENCH_fault_recovery.json on absolute "
-                             "bounds (no baseline needed)")
-    parser.add_argument("--check-scale", metavar="FILE",
-                        help="gate a BENCH_scale.json on absolute open-loop "
-                             "and flat-table bounds (no baseline needed)")
-    parser.add_argument("--check-transport", metavar="FILE",
-                        help="gate a BENCH_transport.json on sim/socket "
-                             "verdict equality (no baseline needed)")
     args = parser.parse_args(argv)
 
     if args.self_test:
         return _self_test()
-    if args.check_fault_recovery:
-        return check_fault_recovery(args.check_fault_recovery)
-    if args.check_scale:
-        return check_scale(args.check_scale)
-    if args.check_transport:
-        return check_transport(args.check_transport)
     if not args.baseline or not args.candidate:
         parser.print_usage(sys.stderr)
         return 2

@@ -62,8 +62,6 @@ OutsetStore::OutsetId OutsetStore::Intern(std::vector<ObjectId> canonical) {
   if (!inserted) {
     sets_.pop_back();
     ++stats_.interned_existing;
-    stats_.intern_bytes_saved +=
-        sets_[*it].size() * sizeof(ObjectId) + sizeof(std::vector<ObjectId>);
     return *it;
   }
   stats_.stored_elements += sets_[tentative].size();

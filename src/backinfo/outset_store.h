@@ -64,10 +64,6 @@ class OutsetStore {
     std::uint64_t unions_computed = 0;    // actually merged element-wise
     std::uint64_t interned_existing = 0;  // merge produced an existing set
     std::uint64_t stored_elements = 0;    // Σ |set| over distinct sets
-    /// Bytes the id-keyed intern table avoids versus the old content-keyed
-    /// map, which stored every canonical vector twice (as the map key and
-    /// in sets_): the elements plus one vector header per distinct set.
-    std::uint64_t intern_bytes_saved = 0;
     std::uint64_t union_memo_entries = 0;      // pairs memoized
     double union_memo_load_factor = 0.0;       // entries / buckets
   };

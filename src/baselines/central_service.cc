@@ -6,6 +6,7 @@
 #include "backinfo/outset_store.h"
 #include "backinfo/suspect_trace.h"
 #include "common/check.h"
+#include "net/wire.h"
 
 namespace dgc::baselines {
 
@@ -85,7 +86,7 @@ void CentralServiceCollector::SendSummary(SiteId site_id) {
   }
 
   ++stats_.summary_messages;
-  stats_.summary_bytes += ApproxWireSize(Payload{summary});
+  stats_.summary_bytes += wire::EncodedSize(summary);
   system_.network().Send(site_id, service_site_, std::move(summary));
 }
 

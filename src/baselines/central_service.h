@@ -33,7 +33,8 @@ class CentralServiceCollector {
  public:
   struct Stats {
     std::uint64_t summary_messages = 0;
-    std::uint64_t summary_bytes = 0;  // the bottleneck figure
+    /// The bottleneck figure: the summaries' encoded bytes.
+    std::uint64_t summary_bytes = 0;
     std::uint64_t condemn_messages = 0;
     std::uint64_t inrefs_condemned = 0;
     std::size_t sites_reported = 0;

@@ -1,20 +1,19 @@
 // FlatMap: a sorted-vector map with the std::map surface the hot paths use.
 //
-// The ref tables, the site's root/ack books, and the network's per-channel
-// state are all keyed lookups that are read and iterated far more often than
-// they are structurally mutated. std::map pays a node allocation per entry
-// and a pointer chase per comparison; at 10^6 objects those dominate the
-// per-mutation profile. A sorted std::vector keeps the same ordered,
-// deterministic iteration (so verdict and sweep order are bit-identical to
-// the std::map code) while lookups become cache-friendly binary searches and
-// iteration a linear scan.
+// The ref tables, the site's root/ack books, the back information's two
+// views, and the network's per-channel state are all keyed lookups that are
+// read and iterated far more often than they are structurally mutated.
+// std::map pays a node allocation per entry and a pointer chase per
+// comparison; at 10^6 objects those dominate the per-mutation profile. A
+// sorted std::vector keeps the same ordered, deterministic iteration (so
+// verdict and sweep order are bit-identical to the std::map code) while
+// lookups become cache-friendly binary searches and iteration a linear scan.
 //
 // Deliberate differences from std::map, which every call site must respect:
 //
 //   * insert/erase invalidate ALL iterators, references, and entry pointers
 //     into the map (vector reallocation / element shifting). Callers may
-//     hold a pointer only across non-structural mutations — the same
-//     discipline the OutsetMap of PR 3 established;
+//     hold a pointer only across non-structural mutations;
 //   * value_type is std::pair<Key, T> (non-const Key): structured bindings
 //     and `it->first` read identically, but writing the key of a live entry
 //     is undefined — nothing in this codebase does;
@@ -157,6 +156,8 @@ class FlatMap {
     return 1;
   }
   iterator erase(const_iterator it) { return entries_.erase(it); }
+
+  friend bool operator==(const FlatMap&, const FlatMap&) = default;
 
   /// Removes every entry matching the predicate in one linear pass (the
   /// iterator-erase loop would be quadratic). Returns the count removed.

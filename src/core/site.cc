@@ -83,10 +83,13 @@ void Site::HandleMessage(const Envelope& envelope) {
 void Site::HandleInsert(const Envelope& envelope, const InsertMsg& msg) {
   DGC_CHECK(msg.ref.site == id_);
   if (!heap_.Exists(msg.ref)) {
-    // A recovery-time re-registration (no pin held) may race a lease-based
-    // source expiry that already reclaimed the object: the sender's outref
-    // is stale and will be trimmed. A *pinned* insert for a dead object,
-    // however, means a mutator held a reference to garbage — a safety bug.
+    // A recovery-time re-registration (no pin held) may name an object that
+    // a completed back trace condemned and this site then swept while the
+    // sender was down (condemned but not yet swept is the case below): the
+    // sender's outref is stale and will be trimmed. Under the socket
+    // transport this also refuses a stale name in another process's input.
+    // A *pinned* insert for a dead object, however, means a mutator held a
+    // reference to garbage — a safety bug.
     DGC_CHECK_MSG(msg.pinned_site == kInvalidSite,
                   "insert for reclaimed object " << msg.ref);
     return;
@@ -238,8 +241,6 @@ void Site::ReceiveReference(ObjectId ref, std::function<void()> done,
   pending_insert_acks_[ref].push_back(std::move(done));
   transport_.Send(id_, ref.site, InsertMsg{ref, id_, id_});
 }
-
-void Site::FlushDeferredInserts() { ResendPendingInserts(); }
 
 void Site::ResendPendingInserts() {
   // Both queues hold pinned outrefs awaiting the owner's ack; inserts are
@@ -686,7 +687,7 @@ void Site::ApplyTraceResult(TraceResult result) {
   // 6. Post-trace housekeeping: retry unacknowledged deferred inserts,
   //    expire orphaned visit records, and start back traces from suspects
   //    past their back threshold (Section 4.3).
-  FlushDeferredInserts();
+  ResendPendingInserts();
   back_tracer_.ExpireStaleRecords();
   back_tracer_.MaybeStartTraces();
 }

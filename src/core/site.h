@@ -127,9 +127,9 @@ class Site {
 
   /// Compute half of a local trace: runs the collector against the current
   /// heap and tables and returns the result without applying it. Touches
-  /// only this site's state (heap epoch stamps, lease expiry, collector
-  /// epoch) — no network sends, no scheduler writes — so a caller may time
-  /// it apart from the apply.
+  /// only this site's state (heap epoch stamps, collector epoch) — no
+  /// network sends, no scheduler writes — so a caller may time it apart
+  /// from the apply.
   [[nodiscard]] TraceResult ComputeLocalTrace();
 
   /// Apply half of a local trace: applies immediately (atomic trace) or
@@ -293,8 +293,6 @@ class Site {
   /// not yet acknowledged; resent on every flush until the ack lands. The
   /// outrefs stay pinned clean throughout (the insert-barrier retention).
   std::set<ObjectId> deferred_inserts_;
-
-  void FlushDeferredInserts();
 
   /// Mutator RPC continuations keyed by session id.
   std::unordered_map<std::uint64_t, std::function<void(ObjectId)>>

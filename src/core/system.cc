@@ -90,38 +90,10 @@ void System::RunRounds(std::size_t n) {
 void System::SettleNetwork() { scheduler_.RunUntilIdle(); }
 
 void System::ArmFaultPlan(const FaultPlan& plan) {
-  FaultHooks hooks;
-  hooks.set_site_down = [this](SiteId site, bool down) {
-    DGC_CHECK(site < sites_.size());
-    network().SetSiteDown(site, down);
-  };
-  hooks.set_link_down = [this](SiteId a, SiteId b, bool down) {
-    DGC_CHECK(a < sites_.size() && b < sites_.size());
-    network().SetLinkDown(a, b, down);
-  };
+  FaultHooks hooks = network().PlanHooks();
   hooks.crash_restart = [this](SiteId site) {
     DGC_CHECK(site < sites_.size());
     sites_[site]->CrashRestart();
-  };
-  // Overlapping windows stack: the overrides restore only when the last
-  // open window closes (the nested values themselves do not compose — the
-  // strongest recent burst/spike wins, which chaos testing does not care
-  // about).
-  const auto open_bursts = std::make_shared<int>(0);
-  hooks.begin_drop_burst = [this, open_bursts](double p) {
-    ++*open_bursts;
-    network().set_drop_probability_override(p);
-  };
-  hooks.end_drop_burst = [this, open_bursts] {
-    if (--*open_bursts == 0) network().set_drop_probability_override(-1.0);
-  };
-  const auto open_spikes = std::make_shared<int>(0);
-  hooks.begin_latency_spike = [this, open_spikes](SimTime extra) {
-    ++*open_spikes;
-    network().set_extra_latency(extra);
-  };
-  hooks.end_latency_spike = [this, open_spikes] {
-    if (--*open_spikes == 0) network().set_extra_latency(0);
   };
   plan.Schedule(scheduler_, std::move(hooks));
 }

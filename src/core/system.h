@@ -87,8 +87,8 @@ class System {
   void SettleNetwork();
 
   /// Advances the simulated clock by `delta`, running any events that fall
-  /// due. Useful for timeout/lease experiments in otherwise-quiet worlds,
-  /// where no events would otherwise move time forward.
+  /// due. Useful for timeout experiments in otherwise-quiet worlds, where
+  /// no events would otherwise move time forward.
   void AdvanceTime(SimTime delta) { RunUntilTime(now() + delta); }
 
   /// Runs every event with time <= t, then advances the clock to t.

@@ -250,9 +250,9 @@ TraceResult LocalCollector::RunFullTrace(
 
   // ---- Phase 2: suspected inrefs — bottom-up outset computation (§5.2).
   // store_ persists across traces: recurring outsets intern to their old
-  // ids and previously memoized unions stay hits, so intern_bytes_saved
-  // accumulates across epochs. The computer sizes a side array to the
-  // heap's slot capacity, so a trace without suspects builds none.
+  // ids and previously memoized unions stay hits. The computer sizes a side
+  // array to the heap's slot capacity, so a trace without suspects builds
+  // none.
   if (clean_limit != ordered_inrefs.end()) {
     store_.Reserve(
         static_cast<std::size_t>(ordered_inrefs.end() - clean_limit));

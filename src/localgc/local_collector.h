@@ -101,10 +101,6 @@ class LocalCollector {
   /// True when a previous trace is cached and eligible for reuse checks.
   [[nodiscard]] bool cache_valid() const { return cache_.valid; }
 
-  /// The persistent outset store (interning/memo tables survive across
-  /// traces, so intern_bytes_saved accumulates across epochs).
-  [[nodiscard]] const OutsetStore& outset_store() const { return store_; }
-
   /// Test hook: every reused trace also runs the full trace and must agree
   /// with it on every semantic field (snapshots, distances, cleanliness,
   /// sweep set, back information), or the run aborts. Costs a full trace

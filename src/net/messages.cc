@@ -19,108 +19,11 @@ constexpr std::array<const char*, kPayloadKinds> kNames = {
     "Patch",           "ReachabilitySummary", "Condemn",
 };
 
-// Rough per-field wire costs: 8 bytes per object id or 64-bit field, 4 bytes
-// per site id or small integer, matching the paper's observation that
-// protocol messages are "small and can be piggybacked".
-constexpr std::size_t kRefBytes = 8;
-constexpr std::size_t kSiteBytes = 4;
-constexpr std::size_t kHeaderBytes = kEnvelopeHeaderBytes;
-
-struct SizeVisitor {
-  std::size_t operator()(const InsertMsg&) const {
-    return kHeaderBytes + kRefBytes + 2 * kSiteBytes;
-  }
-  std::size_t operator()(const InsertAckMsg&) const {
-    return kHeaderBytes + kRefBytes + kSiteBytes;
-  }
-  std::size_t operator()(const UpdateMsg& m) const {
-    return kHeaderBytes + m.entries.size() * (kRefBytes + 1 + 4);
-  }
-  std::size_t operator()(const BackLocalCallMsg&) const {
-    return kHeaderBytes + 2 * kRefBytes + 12;
-  }
-  std::size_t operator()(const BackRemoteCallMsg&) const {
-    return kHeaderBytes + 2 * kRefBytes + 12;
-  }
-  std::size_t operator()(const BackReplyMsg& m) const {
-    return kHeaderBytes + kRefBytes + 12 + 1 +
-           m.participants.size() * kSiteBytes;
-  }
-  std::size_t operator()(const BackReportMsg&) const {
-    return kHeaderBytes + 8 + 1;
-  }
-  std::size_t operator()(const BackCallBatchMsg& m) const {
-    // One header for the batch; each target pays its field bytes only.
-    return kHeaderBytes + m.calls.size() * (2 * kRefBytes + 12);
-  }
-  std::size_t operator()(const MutatorReadMsg&) const {
-    return kHeaderBytes + 8 + kRefBytes + 4;
-  }
-  std::size_t operator()(const MutatorReadReplyMsg&) const {
-    return kHeaderBytes + 8 + kRefBytes;
-  }
-  std::size_t operator()(const MutatorWriteMsg&) const {
-    return kHeaderBytes + 8 + 2 * kRefBytes + 4;
-  }
-  std::size_t operator()(const MutatorWriteAckMsg&) const {
-    return kHeaderBytes + 8;
-  }
-  std::size_t operator()(const FetchMsg&) const {
-    return kHeaderBytes + 8 + kRefBytes;
-  }
-  std::size_t operator()(const FetchReplyMsg& m) const {
-    return kHeaderBytes + 8 + kRefBytes + m.slots.size() * kRefBytes;
-  }
-  std::size_t operator()(const CommitMsg& m) const {
-    return kHeaderBytes + 8 + m.writes.size() * (2 * kRefBytes + 4);
-  }
-  std::size_t operator()(const CommitAckMsg&) const {
-    return kHeaderBytes + 8;
-  }
-  std::size_t operator()(const PinReleaseMsg&) const {
-    return kHeaderBytes + kRefBytes;
-  }
-  std::size_t operator()(const GlobalGcControlMsg&) const {
-    return kHeaderBytes + 9;
-  }
-  std::size_t operator()(const GlobalGcGrayMsg& m) const {
-    return kHeaderBytes + 8 + m.targets.size() * kRefBytes;
-  }
-  std::size_t operator()(const TimestampUpdateMsg& m) const {
-    return kHeaderBytes + 8 + m.entries.size() * (kRefBytes + 8);
-  }
-  std::size_t operator()(const MigrateMsg& m) const {
-    std::size_t total = kHeaderBytes;
-    for (const auto& obj : m.objects) {
-      total += kRefBytes + 8 + obj.refs.size() * kRefBytes;
-    }
-    return total;
-  }
-  std::size_t operator()(const PatchMsg&) const {
-    return kHeaderBytes + 2 * kRefBytes;
-  }
-  std::size_t operator()(const ReachabilitySummaryMsg& m) const {
-    std::size_t total = kHeaderBytes + 8 +
-                        m.root_reachable_outrefs.size() * kRefBytes;
-    for (const auto& info : m.inrefs) {
-      total += kRefBytes + 4 + info.outset.size() * kRefBytes;
-    }
-    return total;
-  }
-  std::size_t operator()(const CondemnMsg& m) const {
-    return kHeaderBytes + 8 + m.inrefs.size() * kRefBytes;
-  }
-};
-
 }  // namespace
 
 const char* PayloadKindName(std::size_t index) {
   DGC_CHECK(index < kPayloadKinds);
   return kNames[index];
-}
-
-std::size_t ApproxWireSize(const Payload& payload) {
-  return std::visit(SizeVisitor{}, payload);
 }
 
 }  // namespace dgc

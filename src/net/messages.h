@@ -281,16 +281,8 @@ using Payload =
 
 inline constexpr std::size_t kPayloadKinds = std::variant_size_v<Payload>;
 
-/// Per-wire-message framing overhead assumed by ApproxWireSize. When the
-/// network batches several payloads into one wire message (piggybacking,
-/// §4.6), the batch pays this once instead of per payload.
-inline constexpr std::size_t kEnvelopeHeaderBytes = 16;
-
 /// Human-readable payload-type name, indexed by Payload::index().
 const char* PayloadKindName(std::size_t index);
-
-/// Approximate wire size in bytes, for bandwidth accounting in benches.
-std::size_t ApproxWireSize(const Payload& payload);
 
 /// A message in flight.
 struct Envelope {

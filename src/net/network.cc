@@ -1,12 +1,27 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "net/wire.h"
 
 namespace dgc {
+
+namespace {
+
+/// A wire message's frame header: the length prefix and the type byte.
+constexpr std::size_t kFrameBytes = wire::kFrameHeaderBytes + 1;
+
+std::size_t WireMessageBytes(const std::vector<Envelope>& batch) {
+  std::size_t bytes = kFrameBytes;
+  for (const Envelope& envelope : batch) bytes += wire::EncodedSize(envelope);
+  return bytes;
+}
+
+}  // namespace
 
 Network::Network(Scheduler& scheduler, NetworkConfig config, Rng rng)
     : scheduler_(scheduler), config_(config), rng_(rng) {
@@ -47,7 +62,7 @@ void Network::Send(SiteId from, SiteId to, Payload payload) {
 
   ++stats_.inter_site_sent;
   ++stats_.per_kind[envelope.payload.index()];
-  stats_.approx_bytes += ApproxWireSize(envelope.payload);
+  stats_.logical_bytes += kFrameBytes + wire::EncodedSize(envelope);
   ++in_flight_;  // until delivered or dropped (including while batched)
 
   if (config_.batch_window > 0) {
@@ -119,11 +134,7 @@ bool Network::TransmissionLost(SiteId from, SiteId to) {
 void Network::ShipBatch(SiteId from, SiteId to, std::vector<Envelope> batch) {
   DGC_CHECK(!batch.empty());
   ++stats_.wire_messages;
-  std::size_t payload_bytes = 0;
-  for (const Envelope& envelope : batch) {
-    payload_bytes += ApproxWireSize(envelope.payload) - kEnvelopeHeaderBytes;
-  }
-  stats_.wire_bytes += kEnvelopeHeaderBytes + payload_bytes;
+  stats_.wire_bytes += WireMessageBytes(batch);
 
   if (config_.reliable_delivery) {
     // Enroll in the channel's retransmit queue; the entry is retired by a
@@ -193,11 +204,7 @@ void Network::TransmitWire(SiteId from, SiteId to, SenderEntry& entry) {
   if (entry.attempts > 1) {
     ++stats_.retransmits;
     ++stats_.wire_messages;  // first attempt was counted by ShipBatch
-    std::size_t payload_bytes = 0;
-    for (const Envelope& envelope : entry.envelopes) {
-      payload_bytes += ApproxWireSize(envelope.payload) - kEnvelopeHeaderBytes;
-    }
-    stats_.wire_bytes += kEnvelopeHeaderBytes + payload_bytes;
+    stats_.wire_bytes += WireMessageBytes(entry.envelopes);
   }
   if (TransmissionLost(from, to)) {
     // Recoverable: the retransmit timer covers it.
@@ -369,7 +376,7 @@ void Network::SendAck(SiteId from, SiteId to) {
       Shard(receiver_channels_, from)[to].next_expected;
   ++stats_.acks_sent;
   ++stats_.wire_messages;
-  stats_.wire_bytes += kEnvelopeHeaderBytes;
+  stats_.wire_bytes += kFrameBytes;
   if (TransmissionLost(to, from)) {
     ++stats_.transmissions_lost;
     return;
@@ -494,6 +501,35 @@ void Network::NoteSiteRestarted(SiteId site) {
 }
 
 // --- Faults and failure detection ------------------------------------------
+
+FaultHooks Network::PlanHooks() {
+  FaultHooks hooks;
+  hooks.set_site_down = [this](SiteId site, bool down) {
+    DGC_CHECK(site < handlers_.size());
+    SetSiteDown(site, down);
+  };
+  hooks.set_link_down = [this](SiteId a, SiteId b, bool down) {
+    DGC_CHECK(a < handlers_.size() && b < handlers_.size());
+    SetLinkDown(a, b, down);
+  };
+  const auto open_bursts = std::make_shared<int>(0);
+  hooks.begin_drop_burst = [this, open_bursts](double p) {
+    ++*open_bursts;
+    drop_override_ = p;
+  };
+  hooks.end_drop_burst = [this, open_bursts] {
+    if (--*open_bursts == 0) drop_override_ = -1.0;
+  };
+  const auto open_spikes = std::make_shared<int>(0);
+  hooks.begin_latency_spike = [this, open_spikes](SimTime extra) {
+    ++*open_spikes;
+    extra_latency_ = extra;
+  };
+  hooks.end_latency_spike = [this, open_spikes] {
+    if (--*open_spikes == 0) extra_latency_ = 0;
+  };
+  return hooks;
+}
 
 void Network::SetSiteDown(SiteId site, bool down) {
   if (down) {

@@ -50,6 +50,7 @@
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "net/messages.h"
+#include "sim/fault_plan.h"
 #include "sim/scheduler.h"
 
 namespace dgc {
@@ -77,11 +78,16 @@ struct NetworkStats {
   std::uint64_t inter_site_delivered = 0;
   std::uint64_t dropped = 0;          // payloads permanently lost
   std::uint64_t self_deliveries = 0;  // intra-site, not counted as traffic
-  std::uint64_t approx_bytes = 0;     // logical bytes (header per payload)
+  /// Bytes of every payload as if each shipped alone: one frame header
+  /// (length prefix and type byte) plus its envelope as the wire codec
+  /// encodes it, whatever the batching.
+  std::uint64_t logical_bytes = 0;
   /// Physical messages on the wire: equals inter_site_sent without batching;
   /// with piggybacking, several payloads share one wire message. With
   /// reliable delivery, retransmissions and acks count here too.
   std::uint64_t wire_messages = 0;
+  /// One frame header per wire message plus its envelopes' encoded bytes;
+  /// an ack is a bare frame header.
   std::uint64_t wire_bytes = 0;
   // Reliable-channel accounting (all zero while reliable_delivery is off).
   std::uint64_t retransmits = 0;          // wire messages sent again
@@ -109,7 +115,7 @@ auto Counters(Is<NetworkStats> auto& s) {
       Counter{"inter_site_delivered", s.inter_site_delivered},
       Counter{"dropped", s.dropped},
       Counter{"self_deliveries", s.self_deliveries},
-      Counter{"approx_bytes", s.approx_bytes},
+      Counter{"logical_bytes", s.logical_bytes},
       Counter{"wire_messages", s.wire_messages},
       Counter{"wire_bytes", s.wire_bytes},
       Counter{"retransmits", s.retransmits},
@@ -207,13 +213,15 @@ class Network {
     dispatcher_ = std::move(dispatcher);
   }
 
-  // --- Chaos-injection overrides --------------------------------------
+  // --- Chaos injection ------------------------------------------------
 
-  /// Overrides the configured drop probability (negative restores it).
-  /// Drives the chaos harness's drop bursts without touching config.
-  void set_drop_probability_override(double p) { drop_override_ = p; }
-  /// Extra latency added to every transmission (latency spikes).
-  void set_extra_latency(SimTime extra) { extra_latency_ = extra; }
+  /// Hooks that apply a FaultPlan's network faults to this network: site
+  /// outages, link flaps, drop bursts (overriding the configured drop
+  /// probability) and latency spikes (extra latency on every transmission).
+  /// Overlapping bursts or spikes stack: the override holds until the last
+  /// open window closes (the strongest recent value wins meanwhile). The
+  /// caller adds its own crash or process hooks before scheduling the plan.
+  [[nodiscard]] FaultHooks PlanHooks();
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   void ResetStats() { stats_ = NetworkStats{}; }
@@ -419,7 +427,7 @@ class Network {
   /// Retired batch buffers awaiting reuse (capacity kept, contents cleared).
   std::vector<std::vector<Envelope>> batch_pool_;
   std::uint64_t batch_pool_hits_ = 0;
-  // Chaos overrides (negative / zero = none).
+  // Chaos overrides set by PlanHooks (negative / zero = none).
   double drop_override_ = -1.0;
   SimTime extra_latency_ = 0;
   NetworkStats stats_;

@@ -228,30 +228,7 @@ bool SocketWorld::ObjectExists(ObjectId id) {
 // Chaos.
 
 void SocketWorld::ArmFaultPlan(const FaultPlan& plan) {
-  FaultHooks hooks;
-  Network& net = transport_->network();
-  hooks.set_site_down = [&net](SiteId site, bool down) {
-    net.SetSiteDown(site, down);
-  };
-  hooks.set_link_down = [&net](SiteId a, SiteId b, bool down) {
-    net.SetLinkDown(a, b, down);
-  };
-  const auto open_bursts = std::make_shared<int>(0);
-  hooks.begin_drop_burst = [&net, open_bursts](double p) {
-    ++*open_bursts;
-    net.set_drop_probability_override(p);
-  };
-  hooks.end_drop_burst = [&net, open_bursts] {
-    if (--*open_bursts == 0) net.set_drop_probability_override(-1.0);
-  };
-  const auto open_spikes = std::make_shared<int>(0);
-  hooks.begin_latency_spike = [&net, open_spikes](SimTime extra) {
-    ++*open_spikes;
-    net.set_extra_latency(extra);
-  };
-  hooks.end_latency_spike = [&net, open_spikes] {
-    if (--*open_spikes == 0) net.set_extra_latency(0);
-  };
+  FaultHooks hooks = transport_->network().PlanHooks();
   // Process-level chaos: real signals and real socket closes. No
   // crash_restart hook — a killed process's supervised restart IS the
   // crash-restart under this transport.

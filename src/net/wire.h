@@ -20,20 +20,22 @@
 //     return std::tie(m.ref, m.new_source, m.pinned_site, m.distance);
 //   }
 //
-// and one generic encoder, one generic decoder and one minimum-size counter
-// walk that list. Integers are fixed-width little-endian; a bool is one byte,
-// 0 or 1; an enum is one byte no larger than its LastValue; a vector is a u32
-// count and then its elements; a std::variant is a u8 alternative index and
-// then the alternative. The decoder derives each vector element's minimum
-// encoded size from the element's own field list, so seq_count rejects a
-// count the remaining bytes cannot hold before anything is allocated.
+// and one generic encoder, one generic decoder, one size counter and one
+// minimum-size counter walk that list. Integers are fixed-width
+// little-endian; a bool is one byte, 0 or 1; an enum is one byte no larger
+// than its LastValue; a vector is a u32 count and then its elements; a
+// std::variant is a u8 alternative index and then the alternative. The
+// decoder derives each vector element's minimum encoded size from the
+// element's own field list, so seq_count rejects a count the remaining
+// bytes cannot hold before anything is allocated.
 //
 // To add a payload: declare it in messages.h, add it to the Payload variant,
 // and give it a Fields list below; the variant's index is its wire tag. To
 // add a field: add it to its record's Fields list at its wire position and
 // bump kWireVersion (kSnapshotVersion in net/site_host.cc for snapshot
 // records). An enum field's type also needs a LastValue overload. No size or
-// minimum is written by hand anywhere.
+// minimum is written by hand anywhere: the Network's byte counters and the
+// central service's summary bytes come from EncodedSize.
 //
 // Addressing is Unix-domain today but nothing here assumes it: frames are a
 // plain byte stream, TCP-ready.
@@ -624,6 +626,44 @@ template <Record T>
 bool Decode(WireReader& r, T& record) {
   return std::apply([&r](auto&... field) { return (Decode(r, field) && ...); },
                     Fields(record));
+}
+
+/// EncodedSize(x) is the number of bytes Encode(w, x) appends, walking the
+/// same field lists without writing them. The compound overloads are
+/// declared first so each can name the others (no argument type here
+/// brings this namespace in by lookup, as WireWriter does for Encode).
+template <class T>
+  requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+constexpr std::size_t EncodedSize(const T&) {
+  return sizeof(T);
+}
+template <class T>
+std::size_t EncodedSize(const std::vector<T>& items);
+template <class... A>
+std::size_t EncodedSize(const std::variant<A...>& v);
+template <Record T>
+std::size_t EncodedSize(const T& record);
+
+template <class T>
+std::size_t EncodedSize(const std::vector<T>& items) {
+  std::size_t total = sizeof(std::uint32_t);
+  for (const T& item : items) total += EncodedSize(item);
+  return total;
+}
+template <class... A>
+std::size_t EncodedSize(const std::variant<A...>& v) {
+  return sizeof(std::uint8_t) +
+         std::visit(
+             [](const auto& alternative) { return EncodedSize(alternative); },
+             v);
+}
+template <Record T>
+std::size_t EncodedSize(const T& record) {
+  return std::apply(
+      [](const auto&... field) {
+        return (EncodedSize(field) + ... + std::size_t{0});
+      },
+      Fields(record));
 }
 
 /// One record as a frame body.

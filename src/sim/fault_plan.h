@@ -2,10 +2,12 @@
 // faults — site outages (optionally ending in a crash-restart), link flaps,
 // drop bursts and latency spikes — that the chaos harness arms against a
 // running system. The plan itself only knows *when* faults begin and end;
-// the hooks supplied at Schedule time decide *how* each fault is applied
-// (System::ArmFaultPlan wires them to Network fault switches and
-// Site::CrashRestart, with reference counting so overlapping bursts/spikes
-// restore cleanly).
+// the hooks supplied at Schedule time decide *how* each fault is applied.
+// Network::PlanHooks wires the network faults to the Network's fault
+// switches, with reference counting so overlapping bursts/spikes restore
+// cleanly; System::ArmFaultPlan adds Site::CrashRestart, and
+// SocketWorld::ArmFaultPlan adds the process faults (signals and socket
+// closes).
 //
 // Plans are plain data: build one by hand for a scripted scenario, or with
 // FaultPlan::Random for seeded chaos soaks. Scheduling is pure — the same

@@ -215,5 +215,46 @@ TEST(FlatMapTest, EraseSortedRemovesPresentKeysAndSkipsAbsentOnes) {
   EXPECT_EQ(map.size(), 96u);
 }
 
+TEST(FlatMapTest, BehavesLikeASortedMap) {
+  // The back information's shape: object -> sorted set of object ids.
+  FlatMap<ObjectId, std::vector<ObjectId>> map;
+  const ObjectId a{1, 5}, b{1, 2}, c{2, 1};
+  const std::vector<ObjectId> outset_a = {ObjectId{9, 1}};
+  const std::vector<ObjectId> outset_b = {ObjectId{9, 2}};
+  const std::vector<ObjectId> outset_c = {ObjectId{9, 3}};
+  map[a] = outset_a;
+  map[b] = outset_b;
+  EXPECT_TRUE(map.emplace(c, outset_c).second);
+  EXPECT_FALSE(map.emplace(c, outset_a).second);  // an existing key stays
+  EXPECT_EQ(map.size(), 3u);
+  EXPECT_TRUE(map.contains(a));
+  EXPECT_EQ(map.at(b), outset_b);
+  EXPECT_EQ(map.at(c), outset_c);
+  // Iteration is key-ordered regardless of insertion order.
+  std::vector<ObjectId> keys;
+  for (const auto& [key, value] : map) {
+    (void)value;
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, (std::vector<ObjectId>{b, a, c}));
+
+  // Equal maps hold the same keys with the same values, however built.
+  FlatMap<ObjectId, std::vector<ObjectId>> copy;
+  copy.emplace(c, outset_c);
+  copy[b] = outset_b;
+  copy[a] = outset_a;
+  EXPECT_TRUE(copy == map);
+  copy[a].push_back(ObjectId{9, 4});
+  EXPECT_FALSE(copy == map);
+  copy[a] = outset_a;
+  copy[ObjectId{3, 1}];
+  EXPECT_FALSE(copy == map);
+
+  EXPECT_EQ(map.erase(b), 1u);
+  EXPECT_EQ(map.erase(b), 0u);
+  EXPECT_EQ(map.find(b), map.end());
+  EXPECT_EQ(map.size(), 2u);
+}
+
 }  // namespace
 }  // namespace dgc

@@ -169,27 +169,50 @@ TEST(CrashRestartTest, ReRegistrationHealsLostInserts) {
 
 TEST(CrashRestartTest, ReRegistrationToCondemnedInrefIsIgnored) {
   // The sender was down while a back trace condemned the object; its
-  // recovery re-registration must not resurrect the flagged inref.
-  System system(2, Config());
-  CheckEveryReuse(system);
-  const ObjectId obj = system.NewObject(1, 0);
-  const ObjectId holder = system.NewObject(0, 1);
-  system.Wire(holder, 0, obj);  // holder itself is garbage at site 0
-  InrefEntry* inref = system.site(1).tables().FindInref(obj);
-  ASSERT_NE(inref, nullptr);
-  inref->garbage_flagged = true;
+  // recovery re-registration must not resurrect the flagged inref, whether
+  // or not the owner has swept the object by then.
+  for (const bool swept_first : {false, true}) {
+    SCOPED_TRACE(swept_first ? "swept before the restart" : "not yet swept");
+    System system(2, Config());
+    CheckEveryReuse(system);
+    const ObjectId obj = system.NewObject(1, 0);
+    const ObjectId holder = system.NewObject(0, 1);
+    system.Wire(holder, 0, obj);  // holder itself is garbage at site 0
+    InrefEntry* inref = system.site(1).tables().FindInref(obj);
+    ASSERT_NE(inref, nullptr);
+    inref->garbage_flagged = true;
+    if (swept_first) {
+      // The sweep frees the object; the flagged entry stays until its
+      // source reports the reference dropped.
+      system.site(1).StartLocalTrace();
+      system.SettleNetwork();
+      ASSERT_FALSE(system.ObjectExists(obj));
+    }
 
-  system.site(0).CrashRestart();  // re-registers its outref for obj
-  system.SettleNetwork();
-  // Still flagged, source list not grown beyond the original entry.
-  inref = system.site(1).tables().FindInref(obj);
-  ASSERT_NE(inref, nullptr);
-  EXPECT_TRUE(inref->garbage_flagged);
-  // Collection completes: holder swept at 0, removal update empties the
-  // source list, object swept at 1.
-  system.RunRounds(4);
-  EXPECT_FALSE(system.ObjectExists(obj));
-  EXPECT_FALSE(system.ObjectExists(holder));
+    const std::uint64_t handled = system.site(1).stats().inserts_handled;
+    const std::uint64_t inserts_sent =
+        system.network().stats().count_of<InsertMsg>();
+    system.site(0).CrashRestart();  // re-registers its outref for obj
+    system.SettleNetwork();
+    ASSERT_GT(system.network().stats().count_of<InsertMsg>(), inserts_sent);
+    // An insert naming a swept object is refused before it counts as
+    // handled; one naming a flagged live object is handled and ignored.
+    EXPECT_EQ(system.site(1).stats().inserts_handled,
+              handled + (swept_first ? 0 : 1));
+    // Still flagged, source list not grown beyond the original entry.
+    inref = system.site(1).tables().FindInref(obj);
+    ASSERT_NE(inref, nullptr);
+    EXPECT_TRUE(inref->garbage_flagged);
+    EXPECT_EQ(inref->sources.size(), 1u);
+    // Collection completes: holder swept at 0, removal update empties the
+    // source list, object swept at 1.
+    system.RunRounds(4);
+    EXPECT_FALSE(system.ObjectExists(obj));
+    EXPECT_FALSE(system.ObjectExists(holder));
+    EXPECT_EQ(system.site(1).tables().FindInref(obj), nullptr);
+    EXPECT_TRUE(system.CheckReferentialIntegrity().empty())
+        << system.CheckReferentialIntegrity();
+  }
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "backinfo/site_back_info.h"
 #include "common/rng.h"
 #include "core/system.h"
 #include "mutator/session.h"
@@ -267,33 +266,6 @@ TEST_P(TwinFigures, IncrementalTwinMatchesFullTwinEveryRound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Figures, TwinFigures, ::testing::Values(1, 4, 5));
-
-// --- Flat back-info storage ------------------------------------------------
-
-TEST(OutsetMapTest, BehavesLikeASortedMap) {
-  OutsetMap map;
-  const ObjectId a{1, 5}, b{1, 2}, c{2, 1};
-  const std::vector<ObjectId> outset_a = {ObjectId{9, 1}};
-  const std::vector<ObjectId> outset_b = {ObjectId{9, 2}};
-  const std::vector<ObjectId> outset_c = {ObjectId{9, 3}};
-  map[a] = outset_a;
-  map[b] = outset_b;
-  map.emplace(c, outset_c);
-  EXPECT_EQ(map.size(), 3u);
-  EXPECT_TRUE(map.contains(a));
-  EXPECT_EQ(map.at(b), outset_b);
-  // Iteration is key-ordered regardless of insertion order.
-  std::vector<ObjectId> keys;
-  for (const auto& [key, value] : map) {
-    (void)value;
-    keys.push_back(key);
-  }
-  EXPECT_EQ(keys, (std::vector<ObjectId>{b, a, c}));
-  EXPECT_EQ(map.erase(b), 1u);
-  EXPECT_EQ(map.erase(b), 0u);
-  EXPECT_EQ(map.find(b), map.end());
-  EXPECT_EQ(map.size(), 2u);
-}
 
 }  // namespace
 }  // namespace dgc

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "net/network.h"
+#include "net/wire.h"
 #include "sim/scheduler.h"
 
 namespace dgc {
@@ -129,7 +130,13 @@ TEST_F(NetFixture, PerKindCountersAndBytes) {
   EXPECT_EQ(net->stats().count_of<InsertMsg>(), 2u);
   EXPECT_EQ(net->stats().count_of<BackReportMsg>(), 1u);
   EXPECT_EQ(net->stats().count_of<UpdateMsg>(), 0u);
-  EXPECT_GT(net->stats().approx_bytes, 0u);
+  // Unbatched, each payload is one wire message: a 5-byte frame header
+  // (length prefix and type byte) and its envelope, whose from, to and
+  // variant tag take 9 bytes before the payload's fields: 24 for an insert
+  // (a 12-byte object id and three u32s), 9 for a report (an 8-byte trace
+  // id and the outcome byte).
+  EXPECT_EQ(net->stats().logical_bytes, 2u * (5 + 9 + 24) + (5 + 9 + 9));
+  EXPECT_EQ(net->stats().wire_bytes, net->stats().logical_bytes);
 }
 
 TEST_F(NetFixture, InFlightTracksUndeliveredMessages) {
@@ -159,7 +166,12 @@ TEST_F(NetFixture, BatchingCoalescesAWindowIntoOneWireMessage) {
   ASSERT_EQ(received[1].size(), 10u);
   EXPECT_EQ(net->stats().inter_site_sent, 10u);   // logical count unchanged
   EXPECT_EQ(net->stats().wire_messages, 1u);      // one piggybacked batch
-  EXPECT_LT(net->stats().wire_bytes, net->stats().approx_bytes);
+  // One frame header for the batch instead of one per payload; a probe's
+  // envelope is 26 bytes (9 of addressing and tag, two u64s and a phase).
+  const std::size_t envelope = wire::EncodedSize(Envelope{0, 1, Probe(0)});
+  EXPECT_EQ(envelope, 26u);
+  EXPECT_EQ(net->stats().wire_bytes, 5 + 10 * envelope);
+  EXPECT_EQ(net->stats().logical_bytes, 10 * (5 + envelope));
   // Delivery order within the batch preserved.
   for (std::uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(ProbeValue(received[1][i]), i);
@@ -605,7 +617,10 @@ TEST(PayloadTest, WireSizeScalesWithContent) {
   for (int i = 0; i < 50; ++i) {
     big.entries.push_back(UpdateEntry{ObjectId{1, (std::uint64_t)i}, false, 3});
   }
-  EXPECT_LT(ApproxWireSize(small), ApproxWireSize(big));
+  // A u32 count, then 17 bytes per entry: a 12-byte id, the removed flag
+  // and a u32 distance.
+  EXPECT_EQ(wire::EncodedSize(small), 4u + 17u);
+  EXPECT_EQ(wire::EncodedSize(big), 4u + 50u * 17u);
 }
 
 }  // namespace

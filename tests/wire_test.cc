@@ -124,13 +124,15 @@ bool RoundTrip(const std::vector<std::uint8_t>& bytes,
 struct Sample {
   std::string name;
   std::vector<std::uint8_t> bytes;
+  std::size_t encoded_size;  // wire::EncodedSize of the record
   bool (*round_trip)(const std::vector<std::uint8_t>&,
                      std::vector<std::uint8_t>&);
 };
 
 template <class T>
 Sample MakeSample(std::string name, const T& record) {
-  return Sample{std::move(name), wire::EncodeBody(record), &RoundTrip<T>};
+  return Sample{std::move(name), wire::EncodeBody(record),
+                wire::EncodedSize(record), &RoundTrip<T>};
 }
 
 /// Every record kind with non-default fields, in a fixed order: the 24
@@ -280,6 +282,8 @@ TEST(WireGoldenTest, EveryRecordEncodesToItsPinnedBytes) {
     EXPECT_EQ(s.name, kPinned[i].name);
     EXPECT_EQ(s.bytes.size(), kPinned[i].size) << Hex(s.bytes);
     EXPECT_EQ(Fnv1a(s.bytes), kPinned[i].fnv1a) << Hex(s.bytes);
+    // The byte counters size records with the same field walk.
+    EXPECT_EQ(s.encoded_size, s.bytes.size());
   }
 }
 
