@@ -8,8 +8,9 @@
 //     back tracing, and is reclaimed with it.
 //
 // The MarkThroughput rows measure the local trace's marking rate on
-// 100k-object heaps: the slab store with epoch side arrays against a replica
-// of the historical std::map<index, Object> layout, plus two shapes taken
+// 100k-object heaps: the slab store with its one mark stamp per slot against
+// a replica of the historical std::map<index, Object> layout (with its two
+// inline epochs), plus two shapes taken
 // from the end-to-end workloads — churn's root fanning out to slotless
 // leaves, and scale's graph in which one wired slot in five holds a remote
 // ref, so the trace looks up an outref record per remote edge. The run
@@ -78,12 +79,14 @@ BENCHMARK(BM_Fig1_WithBackTracing)->Arg(8)->Arg(16)->Arg(32);
 
 constexpr std::size_t kMarkObjects = 100'000;
 
-// Rows whose trace did not clean-mark every object; main exits 1 if any.
+// Rows whose trace did not clean-mark every object, or that would sweep
+// one; main exits 1 if any.
 int mark_failures = 0;
 
 /// Full-traces a heap that never changes and whose objects are all
 /// reachable, once per iteration, and reports clean-marked objects per
-/// second. A trace that misses an object fails the row.
+/// second. A trace that misses an object, or whose sweep would free one,
+/// fails the row.
 void RunMarkThroughput(benchmark::State& state, dgc::Heap& heap,
                        dgc::RefTables& tables) {
   dgc::LocalCollector collector(heap, tables);
@@ -96,6 +99,11 @@ void RunMarkThroughput(benchmark::State& state, dgc::Heap& heap,
     if (result.stats.objects_marked_clean != heap.object_count()) {
       ++mark_failures;
       state.SkipWithError("the trace did not clean-mark every object");
+      break;
+    }
+    if (!result.objects_to_free.empty()) {
+      ++mark_failures;
+      state.SkipWithError("the sweep would free a reachable object");
       break;
     }
     marked_total += result.stats.objects_marked_clean;

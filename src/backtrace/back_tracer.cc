@@ -35,7 +35,7 @@ std::size_t BackTracer::MaybeStartTraces() {
     if (entry.distance <= entry.back_threshold) continue;
     // Already being examined (by any trace, ours or a peer's): let that
     // trace finish rather than piling on (Section 4.7).
-    if (!entry.visited.empty()) continue;
+    if (VisitCount(IorefKind::kOutref, ref) != 0) continue;
     candidates.push_back(ref);
   }
   // Also skip outrefs with a root frame already open (trace started, first
@@ -81,20 +81,10 @@ void BackTracer::HandleLocalCall(const Envelope& envelope,
     Reply(msg.trace, msg.caller, BackResult::kLive, {site_});
     return;
   }
-  if (entry->IsVisitedBy(msg.trace)) {
-    Reply(msg.trace, msg.caller, BackResult::kGarbage, {site_});
+  if (!Visit(msg.trace, msg.caller, IorefKind::kOutref, msg.ref,
+             entry->back_threshold)) {
     return;
   }
-  if (TryCoalesce(entry->visited, msg.trace, msg.caller, IorefKind::kOutref,
-                  msg.ref)) {
-    return;
-  }
-  entry->MarkVisited(msg.trace);
-  entry->back_threshold =
-      AddDistance(entry->back_threshold, tables_.config().back_threshold_increment);
-  VisitRecord& record = TouchRecord(msg.trace);
-  record.outrefs.push_back(msg.ref);
-  record.last_touched = scheduler_.now();
 
   const SiteBackInfo& info = back_info_();
   const auto inset_it = info.outref_insets.find(msg.ref);
@@ -141,20 +131,10 @@ void BackTracer::HandleRemoteCall(const Envelope& envelope,
     Reply(msg.trace, msg.caller, BackResult::kLive, {site_});
     return;
   }
-  if (entry->IsVisitedBy(msg.trace)) {
-    Reply(msg.trace, msg.caller, BackResult::kGarbage, {site_});
+  if (!Visit(msg.trace, msg.caller, IorefKind::kInref, msg.ref,
+             entry->back_threshold)) {
     return;
   }
-  if (TryCoalesce(entry->visited, msg.trace, msg.caller, IorefKind::kInref,
-                  msg.ref)) {
-    return;
-  }
-  entry->MarkVisited(msg.trace);
-  entry->back_threshold =
-      AddDistance(entry->back_threshold, tables_.config().back_threshold_increment);
-  VisitRecord& record = TouchRecord(msg.trace);
-  record.inrefs.push_back(msg.ref);
-  record.last_touched = scheduler_.now();
 
   if (entry->sources.empty()) {
     Reply(msg.trace, msg.caller, BackResult::kGarbage, {site_});
@@ -240,11 +220,12 @@ void BackTracer::OnPeerRestarted(SiteId peer) {
   for (auto& [dest, calls] : parked_calls_) {
     std::erase_if(calls, [&](const ParkedCall& p) { return dead(p.call.trace); });
   }
-  // Scrub the visit records. Waiters coalesced onto a dead trace's record
-  // are resolved Live (safe; re-dispatch lets their traces traverse the
-  // region themselves now that the marks clear). Waiters that *belong* to a
-  // dead trace are dropped everywhere first, so no resolution below can
-  // requeue a call on the dead trace's behalf.
+  // Scrub the visit records, and with them the dead traces' marks. Waiters
+  // coalesced onto a dead trace's record are resolved Live (safe;
+  // re-dispatch lets their traces traverse the region themselves now that
+  // the marks clear). Waiters that *belong* to a dead trace are dropped
+  // everywhere first, so no resolution below can requeue a call on the dead
+  // trace's behalf.
   for (auto& [trace, record] : visit_records_) {
     (void)trace;
     std::erase_if(record.waiters,
@@ -252,9 +233,7 @@ void BackTracer::OnPeerRestarted(SiteId peer) {
   }
   for (std::size_t i = 0; i < visit_records_.size();) {
     if (dead(visit_records_[i].first)) {
-      VisitRecord& record = visit_records_[i].second;
-      ResolveWaiters(record, BackResult::kLive);
-      ClearRecordMarks(record, visit_records_[i].first);
+      ResolveWaiters(visit_records_[i].second, BackResult::kLive);
       ++stats_.records_scrubbed;
       visit_records_[i] = std::move(visit_records_.back());
       visit_records_.pop_back();
@@ -432,7 +411,6 @@ void BackTracer::HandleReport(const BackReportMsg& msg) {
         }
       }
     }
-    ClearRecordMarks(record, msg.trace);
     visit_records_[i] = std::move(visit_records_.back());
     visit_records_.pop_back();
     return;
@@ -446,10 +424,9 @@ void BackTracer::ExpireStaleRecords() {
   for (std::size_t i = 0; i < visit_records_.size();) {
     VisitRecord& record = visit_records_[i].second;
     if (now - record.last_touched >= timeout) {
-      // Assume the outcome was Live (Section 4.6): clear the marks and
-      // answer any parked calls Live (always safe).
+      // Assume the outcome was Live (Section 4.6): drop the record and its
+      // marks, and answer any parked calls Live (always safe).
       ResolveWaiters(record, BackResult::kLive);
-      ClearRecordMarks(record, visit_records_[i].first);
       ++stats_.records_expired;
       visit_records_[i] = std::move(visit_records_.back());
       visit_records_.pop_back();
@@ -461,25 +438,15 @@ void BackTracer::ExpireStaleRecords() {
 
 void BackTracer::DropVolatileState() {
   frames_.Clear();
-  for (const auto& [trace, record] : visit_records_) {
-    ClearRecordMarks(record, trace);
-  }
   visit_records_.clear();
   pending_calls_.clear();
   parked_calls_.clear();
 }
 
-void BackTracer::ClearRecordMarks(const VisitRecord& record, TraceId trace) {
-  for (const ObjectId inref_obj : record.inrefs) {
-    if (InrefEntry* entry = tables_.FindInref(inref_obj)) {
-      entry->ClearVisited(trace);
-    }
-  }
-  for (const ObjectId outref : record.outrefs) {
-    if (OutrefEntry* entry = tables_.FindOutref(outref)) {
-      entry->ClearVisited(trace);
-    }
-  }
+std::size_t BackTracer::VisitCount(IorefKind kind, ObjectId ref) const {
+  return static_cast<std::size_t>(
+      std::count_if(visit_records_.begin(), visit_records_.end(),
+                    [&](const auto& r) { return r.second.Holds(kind, ref); }));
 }
 
 BackTracer::VisitRecord* BackTracer::FindRecord(TraceId trace) {
@@ -489,35 +456,46 @@ BackTracer::VisitRecord* BackTracer::FindRecord(TraceId trace) {
   return nullptr;
 }
 
-BackTracer::VisitRecord& BackTracer::TouchRecord(TraceId trace) {
-  if (VisitRecord* record = FindRecord(trace)) return *record;
-  visit_records_.emplace_back(trace, VisitRecord{});
-  return visit_records_.back().second;
+bool BackTracer::Visit(TraceId trace, FrameId caller, IorefKind kind,
+                       ObjectId ref, Distance& back_threshold) {
+  VisitRecord* record = FindRecord(trace);
+  if (record != nullptr && record->Holds(kind, ref)) {
+    Reply(trace, caller, BackResult::kGarbage, {site_});
+    return false;
+  }
+  if (TryCoalesce(trace, caller, kind, ref)) return false;
+  back_threshold =
+      AddDistance(back_threshold, tables_.config().back_threshold_increment);
+  if (record == nullptr) {
+    record = &visit_records_.emplace_back(trace, VisitRecord{}).second;
+  }
+  auto& marks = kind == IorefKind::kInref ? record->inrefs : record->outrefs;
+  marks.insert(std::lower_bound(marks.begin(), marks.end(), ref), ref);
+  record->last_touched = scheduler_.now();
+  return true;
 }
 
-bool BackTracer::TryCoalesce(const std::vector<TraceId>& visited,
-                             TraceId trace, FrameId caller, IorefKind kind,
+bool BackTracer::TryCoalesce(TraceId trace, FrameId caller, IorefKind kind,
                              ObjectId ref) {
-  if (visited.empty()) return false;
   // Defer only to a *senior* trace (smaller TraceId): juniors wait for
   // seniors, never the reverse, so waiting chains are acyclic. Pick the most
-  // senior in case several cover this ioref.
-  const TraceId* senior = nullptr;
-  for (const TraceId& t : visited) {
-    if (t < trace && (senior == nullptr || t < *senior)) senior = &t;
+  // senior in case several cover this ioref, and never park on a record
+  // already known to be stranded.
+  std::pair<TraceId, VisitRecord>* senior = nullptr;
+  for (auto& covering : visit_records_) {
+    if (covering.first < trace &&
+        (senior == nullptr || covering.first < senior->first) &&
+        covering.second.Holds(kind, ref)) {
+      senior = &covering;
+    }
   }
-  if (senior == nullptr) return false;
-  // A visited mark is always paired with a live visit record on this site
-  // (marks are cleared whenever the record is dropped); check defensively
-  // and traverse normally if the pairing is ever broken. Never park on a
-  // record already known to be stranded.
-  VisitRecord* record = FindRecord(*senior);
-  if (record == nullptr || record->stranded) return false;
+  if (senior == nullptr || senior->second.stranded) return false;
+  VisitRecord* record = &senior->second;
   record->waiters.push_back(Waiter{trace, caller, kind, ref});
   record->last_touched = scheduler_.now();
   ++stats_.branches_coalesced;
   DGC_LOG_DEBUG("site " << site_ << ": " << trace << " coalesced onto "
-                        << *senior);
+                        << senior->first);
   // Bound the wait: if the covering trace's report has not resolved this
   // waiter within half a call timeout, assume the record is stranded (its
   // report may never come), stop coalescing onto it, and re-dispatch the
@@ -527,7 +505,7 @@ bool BackTracer::TryCoalesce(const std::vector<TraceId>& visited,
   const SimTime call_timeout = tables_.config().back_call_timeout;
   if (call_timeout > 0) {
     scheduler_.After(std::max<SimTime>(1, call_timeout / 2),
-                     [this, covering = *senior, trace, caller] {
+                     [this, covering = senior->first, trace, caller] {
                        VisitRecord* rec = FindRecord(covering);
                        if (rec == nullptr) return;
                        for (std::size_t i = 0; i < rec->waiters.size(); ++i) {

@@ -38,8 +38,14 @@
 // every visit raises the ioref's threshold by back_threshold_increment, and
 // the trigger scan skips an outref whose distance does not exceed it (or
 // that a trace is visiting right now).
+//
+// §4.4's visited marks live only in the per-trace visit records below, not
+// in the ref tables: an ioref is visited by a trace when that trace's record
+// on this site holds it, and dropping the record (report, expiry, restart
+// scrub, crash) is what clears the trace's marks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -172,11 +178,10 @@ class BackTracer {
   void ExpireStaleRecords();
 
   /// Models a crash-restart of the hosting site: activation frames, the
-  /// per-trace visit records and queued outbound calls are volatile and
-  /// vanish (visited marks on the persistent iorefs are cleared — equivalent
-  /// to recovery-time scrubbing); peers waiting on this site's replies
-  /// recover via their call timeouts, which safely assume Live (Section
-  /// 4.6).
+  /// per-trace visit records (and with them every visited mark) and queued
+  /// outbound calls are volatile and vanish; peers waiting on this site's
+  /// replies recover via their call timeouts, which safely assume Live
+  /// (Section 4.6).
   void DropVolatileState();
 
   /// Observer invoked on completion of traces this site initiated.
@@ -191,6 +196,8 @@ class BackTracer {
   [[nodiscard]] std::size_t visit_record_count() const {
     return visit_records_.size();
   }
+  /// Traces whose visit record here holds the ioref: its visited marks.
+  [[nodiscard]] std::size_t VisitCount(IorefKind kind, ObjectId ref) const;
   /// Back calls currently parked on suspected peers.
   [[nodiscard]] std::size_t parked_call_count() const {
     std::size_t total = 0;
@@ -236,13 +243,14 @@ class BackTracer {
     ObjectId ref;
   };
 
-  /// Per-trace record of the iorefs this site marked visited, so the report
-  /// phase can flag or clear them in O(|visited|). Stored in a flat vector
-  /// (a site has a handful of traces in flight, never enough to amortize a
-  /// hash table).
+  /// Per-trace record of the iorefs this site marked visited: the only
+  /// copy of the trace's marks, so the report phase flags them in
+  /// O(|visited|) and dropping the record clears them. Stored in a flat
+  /// vector (a site has a handful of traces in flight, never enough to
+  /// amortize a hash table).
   struct VisitRecord {
-    std::vector<ObjectId> inrefs;
-    std::vector<ObjectId> outrefs;
+    std::vector<ObjectId> inrefs;   // sorted
+    std::vector<ObjectId> outrefs;  // sorted
     std::vector<Waiter> waiters;
     SimTime last_touched = 0;
     /// Set when a waiter's patience ran out before this trace's report
@@ -251,6 +259,11 @@ class BackTracer {
     /// A stranded record accepts no further waiters, so traces fall back to
     /// traversing alongside the stale marks exactly as without coalescing.
     bool stranded = false;
+
+    [[nodiscard]] bool Holds(IorefKind kind, ObjectId ref) const {
+      const auto& marks = kind == IorefKind::kInref ? inrefs : outrefs;
+      return std::binary_search(marks.begin(), marks.end(), ref);
+    }
   };
 
   Frame& CreateFrame(TraceId trace, FrameId parent, IorefKind kind,
@@ -261,16 +274,20 @@ class BackTracer {
   /// then erases the frame.
   void CompleteFrame(Frame& frame);
   void ArmTimeout(std::uint64_t frame_id, TraceId trace);
-  void ClearRecordMarks(const VisitRecord& record, TraceId trace);
 
   static void AddParticipant(Frame& frame, SiteId s);
 
   [[nodiscard]] VisitRecord* FindRecord(TraceId trace);
-  VisitRecord& TouchRecord(TraceId trace);
-  /// Parks `caller` on the most senior trace (< `trace`) among `visited`
-  /// that has a visit record here. Returns true if the call was deferred.
-  bool TryCoalesce(const std::vector<TraceId>& visited, TraceId trace,
-                   FrameId caller, IorefKind kind, ObjectId ref);
+  /// §4.4's visit of a suspected ioref: answers Garbage if `trace` has
+  /// already marked it, parks the call if a senior trace holds it, and
+  /// otherwise marks it and raises `back_threshold`. Returns true if the
+  /// caller should go on to step from the ioref.
+  bool Visit(TraceId trace, FrameId caller, IorefKind kind, ObjectId ref,
+             Distance& back_threshold);
+  /// Parks `caller` on the most senior trace (< `trace`) whose visit record
+  /// here holds the ioref. Returns true if the call was deferred.
+  bool TryCoalesce(TraceId trace, FrameId caller, IorefKind kind,
+                   ObjectId ref);
   /// Re-dispatches a deferred call as a self-message so the waiting trace
   /// traverses the region itself (handled after the covering marks clear).
   void RequeueWaiter(const Waiter& waiter);

@@ -54,7 +54,9 @@ std::string DescribeSite(const Site& site) {
     os << "}" << (entry.clean(threshold) ? " clean" : " SUSPECTED")
        << (entry.garbage_flagged ? " FLAGGED" : "")
        << (entry.clean_override ? " (barrier-cleaned)" : "");
-    if (!entry.visited.empty()) os << " visited:" << entry.visited.size();
+    const std::size_t visits =
+        site.back_tracer().VisitCount(IorefKind::kInref, obj);
+    if (visits != 0) os << " visited:" << visits;
     os << "\n";
   }
 
@@ -75,7 +77,9 @@ std::string DescribeSite(const Site& site) {
       }
       os << "}";
     }
-    if (!entry.visited.empty()) os << " visited:" << entry.visited.size();
+    const std::size_t visits =
+        site.back_tracer().VisitCount(IorefKind::kOutref, ref);
+    if (visits != 0) os << " visited:" << visits;
     os << "\n";
   }
 

@@ -11,16 +11,24 @@ namespace dgc {
 
 namespace {
 
+/// Trace e's heap stamps (see local_collector.h): 2e + 1 clean, 2e suspect.
+constexpr std::uint64_t SuspectStamp(std::uint64_t e) { return 2 * e; }
+constexpr std::uint64_t CleanStamp(std::uint64_t e) { return 2 * e + 1; }
+
 /// Policy the suspect tracer uses to see this trace's clean results and to
 /// mark suspect objects live for the sweep.
 class SuspectEnv {
  public:
   SuspectEnv(Heap& heap, std::uint64_t epoch, const TraceResult& result,
              const OutrefIndex& index)
-      : heap_(heap), epoch_(epoch), result_(result), index_(index) {}
+      : heap_(heap),
+        clean_(CleanStamp(epoch)),
+        suspect_(SuspectStamp(epoch)),
+        result_(result),
+        index_(index) {}
 
   [[nodiscard]] bool ObjectIsCleanMarked(ObjectId id) const {
-    return heap_.clean_epoch(id) == epoch_;
+    return heap_.mark(id) == clean_;
   }
 
   /// Clean for the purposes of outset membership: reached by this trace's
@@ -30,11 +38,12 @@ class SuspectEnv {
     return index_.Find(result_.outrefs, remote_ref).clean;
   }
 
-  void OnSuspectMarked(ObjectId id) { heap_.set_mark_epoch(id, epoch_); }
+  void OnSuspectMarked(ObjectId id) { heap_.set_mark(id, suspect_); }
 
  private:
   Heap& heap_;
-  std::uint64_t epoch_;
+  std::uint64_t clean_;
+  std::uint64_t suspect_;
   const TraceResult& result_;
   const OutrefIndex& index_;
 };
@@ -49,16 +58,21 @@ std::uint64_t WallNanosSince(
 
 }  // namespace
 
+void OutrefIndex::FailNoOutref(ObjectId ref) {
+  std::ostringstream message;
+  message << "object holds remote ref " << ref << " with no outref";
+  detail::FailCheck("position != kEmpty", __FILE__, __LINE__, message.str());
+}
+
 void LocalCollector::MarkCleanFrom(ObjectId root, Distance distance,
                                    TraceResult& result) {
   if (!heap_.Exists(root)) return;  // stale app root; defensive
-  // The epoch and the count live in locals: the epoch cells are uint64_t,
+  // The stamp and the count live in locals: the stamp cells are uint64_t,
   // so every store to one would force a reload of a member of that type.
-  const std::uint64_t epoch = epoch_;
+  const std::uint64_t clean = CleanStamp(epoch_);
   const Heap::Cell root_cell = heap_.GetCell(root);
-  if (*root_cell.clean_epoch == epoch) return;
-  *root_cell.mark_epoch = epoch;
-  *root_cell.clean_epoch = epoch;
+  if (*root_cell.mark == clean) return;
+  *root_cell.mark = clean;
   std::uint64_t marked = 1;
   std::vector<const Object*>& stack = mark_stack_;
   stack.clear();
@@ -78,9 +92,8 @@ void LocalCollector::MarkCleanFrom(ObjectId root, Distance distance,
         continue;
       }
       const Heap::Cell cell = heap_.GetCell(target);
-      if (*cell.clean_epoch == epoch) continue;
-      *cell.mark_epoch = epoch;
-      *cell.clean_epoch = epoch;
+      if (*cell.mark == clean) continue;
+      *cell.mark = clean;
       ++marked;
       if (!cell.object->slots.empty()) stack.push_back(cell.object);
     }
@@ -267,7 +280,7 @@ TraceResult LocalCollector::RunFullTrace(
       // An inref whose object was reached by the clean phase contributes an
       // empty outset and is dropped from the back information: it can never
       // appear in a suspected outref's inset (auxiliary invariant of §6.1.1).
-      if (heap_.clean_epoch(obj) == epoch_) continue;
+      if (heap_.mark(obj) == CleanStamp(epoch_)) continue;
       const Distance outref_distance = NextDistance(distance);
       for (const ObjectId outref : outset) {
         outref_index_.Find(result.outrefs, outref)
@@ -284,9 +297,9 @@ TraceResult LocalCollector::RunFullTrace(
   result.stats.suspected_outrefs = result.back_info.outref_insets.size();
 
   // ---- Phase 3: sweep list (untraced outrefs are the unreached records).
-  heap_.ForEachWithEpochs([&](ObjectId id, const Object&, std::uint64_t mark,
-                              std::uint64_t) {
-    if (mark != epoch_) result.objects_to_free.push_back(id);
+  const std::uint64_t unmarked_below = SuspectStamp(epoch_);
+  heap_.ForEachMark([&](ObjectId id, std::uint64_t mark) {
+    if (mark < unmarked_below) result.objects_to_free.push_back(id);
   });
   result.stats.objects_swept = result.objects_to_free.size();
 

@@ -13,16 +13,22 @@
 //   3. records the objects and outrefs reached by neither phase for sweeping
 //      and trimming.
 //
+// Marks are one stamp per heap slot: trace e stamps 2e + 1 on what phase 1
+// reaches and 2e on what only phase 2 reaches. Phase 1 ends before phase 2
+// starts and phase 2 never enters a clean object, so no object is stamped
+// twice in one trace; every older stamp reads below 2e, so the sweep frees
+// every stamp below 2e and no pass ever clears the marks.
+//
 // Garbage-flagged inrefs (confirmed by a completed back trace) are not roots,
 // which is how a confirmed cycle actually dies (Section 4.5).
 //
 // Trace reuse: a trace is a pure function of a small, exactly snapshotable
 // input set — heap contents + persistent/application roots, each inref's
 // (distance, garbage_flagged), and each outref's pinned bit. Nothing else
-// feeds Run: barrier overrides, visited marks and back thresholds are
-// consumed elsewhere. Every run snapshots those inputs and compares them
-// with the cached trace's snapshot (heap equality is one integer — the
-// Heap's monotone mutation epoch):
+// feeds Run: barrier overrides and back thresholds are consumed elsewhere.
+// Every run snapshots those inputs and compares them with the cached trace's
+// snapshot (heap equality is one integer — the Heap's monotone mutation
+// epoch):
 //
 //   * all inputs identical  -> quiescent skip: the cached TraceResult is
 //     re-served verbatim with only the epoch bumped;

@@ -92,8 +92,7 @@ class OutrefIndex {
     const std::size_t mask = positions_.size() - 1;
     for (std::size_t h = Home(ref);; h = (h + 1) & mask) {
       const std::uint32_t position = positions_[h];
-      DGC_CHECK_MSG(position != kEmpty,
-                    "object holds remote ref " << ref << " with no outref");
+      if (position == kEmpty) FailNoOutref(ref);
       DGC_DCHECK(position < column.size());
       if (column[position].ref == ref) return column[position];
     }
@@ -101,6 +100,10 @@ class OutrefIndex {
 
  private:
   static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  /// Throws Find's miss violation. Out of line (local_collector.cc), so
+  /// that Find stays small enough to inline into the clean mark's loop.
+  [[noreturn]] static void FailNoOutref(ObjectId ref);
 
   /// The top bits of the id's hash (a splitmix64 mix) index the table.
   [[nodiscard]] std::size_t Home(ObjectId ref) const {

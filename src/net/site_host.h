@@ -145,7 +145,6 @@ struct SiteSnapshot {
     bool garbage_flagged = false;
     bool clean_override = false;
     Distance back_threshold = 0;
-    // `visited` is deliberately absent: trace marks are volatile.
   };
   struct OutrefImage {
     ObjectId ref;

@@ -128,7 +128,7 @@ void SocketTransport::CompleteHandshake(int fd) {
   }
   const bool known = hello.site < conns_.size();
   const wire::HandshakeVerdict verdict = wire::EvaluateHandshake(
-      hello, conns_.size(), known ? conns_[hello.site].incarnation : 0,
+      hello, conns_.size(), network_.incarnation(hello.site),
       known && conns_[hello.site].seen_before);
 
   wire::HelloAckFrame ack;
@@ -167,9 +167,9 @@ void SocketTransport::CompleteHandshake(int fd) {
     case wire::HandshakeVerdict::kAcceptRestart:
       // A replacement process. Deliveries addressed to the dead incarnation
       // died with it; the Network fences its stale traffic and dead-letters
-      // its channels, and forgets its recovery listener (re-armed here for
-      // the new incarnation).
-      conn.incarnation = hello.incarnation;
+      // its channels, bumps its incarnation to the one the handshake
+      // accepted, and forgets its recovery listener (re-armed here for the
+      // new incarnation).
       conn.outbound.clear();
       conn.recovered_pending.clear();
       // Pending notices were addressed to the dead incarnation; the
@@ -184,7 +184,7 @@ void SocketTransport::CompleteHandshake(int fd) {
       // that completes within one simulated instant (the common case here:
       // restarts run on the real-time supervisor clock) would never be
       // reported, leaving survivors to wait out report_timeout before the
-      // dead incarnation's traces release their visited marks.
+      // dead incarnation's traces drop their visit records.
       for (SiteId s = 0; s < conns_.size(); ++s) {
         if (s != hello.site && conns_[s].seen_before) {
           QueueRestartNotice(conns_[s], hello.site);

@@ -154,10 +154,10 @@ class SocketTransport final {
   [[nodiscard]] const SocketCounters& socket_counters() const {
     return socket_counters_;
   }
-  /// Incarnation currently registered for a site (bumped by accepted
-  /// restart handshakes, in lockstep with the Network's).
+  /// Incarnation currently registered for a site: the Network's, which
+  /// each accepted restart handshake bumps.
   [[nodiscard]] std::uint32_t incarnation(SiteId site) const {
-    return conns_[site].incarnation;
+    return network_.incarnation(site);
   }
   [[nodiscard]] bool connected(SiteId site) const {
     return conns_[site].fd >= 0;
@@ -173,7 +173,6 @@ class SocketTransport final {
   struct Conn {
     int fd = -1;
     bool seen_before = false;  // ever completed a handshake
-    std::uint32_t incarnation = 0;
     bool responsive = true;
     bool needs_resync = false;  // first step after a (re)connect
     /// Outstanding request the site owes a reply for (0 = none). Strictly

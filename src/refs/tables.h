@@ -1,8 +1,9 @@
 // Inref/outref tables: the inter-site reference-listing substrate (Section 2)
 // extended with the per-ioref state the paper's cycle collector needs —
-// per-source distance estimates (Section 3), visited marks and back
-// thresholds (Section 4), and the clean overrides applied by the transfer and
-// insert barriers (Section 6).
+// per-source distance estimates (Section 3), back thresholds (Section 4), and
+// the clean overrides applied by the transfer and insert barriers (Section
+// 6). Every field is durable. A back trace's visited marks (Section 4.4) are
+// volatile and live only in its visit record (backtrace/back_tracer.h).
 //
 // The tables are passive data plus pure operations; protocol logic (insert /
 // update messages, barriers) lives in core::Site, and the trace that fills in
@@ -27,18 +28,15 @@ enum class IorefKind : std::uint8_t { kInref, kOutref };
 /// inref entries; they enter the local trace directly as distance-0 roots
 /// (the paper models them as permanent inrefs — same semantics).
 struct InrefEntry {
-  // Declared largest first, so that an entry and its key fill 72 bytes on
-  // a 64-bit build: an update's compaction pass moves every entry after the
-  // first one it erases.
+  // Declared largest first, so that an entry and its key fill 48 bytes on
+  // a 64-bit build (refs_test checks it): an update's compaction pass moves
+  // every entry after the first one it erases.
 
   /// Source sites known to contain the reference, each with the distance
   /// its last insert or update message reported (Section 3). Sorted flat
   /// map: iteration stays deterministic (site order) and the handful of
   /// sources per inref fit one cache line instead of a node apiece.
   FlatMap<SiteId, Distance> sources;
-
-  /// Back traces that have visited this inref and not yet reported.
-  std::vector<TraceId> visited;
 
   /// Distance that must be exceeded before a back trace may start here;
   /// bumped on every back-trace visit (Section 4.3).
@@ -66,18 +64,6 @@ struct InrefEntry {
     if (garbage_flagged) return false;
     return clean_override || distance() <= suspicion_threshold;
   }
-
-  [[nodiscard]] bool IsVisitedBy(TraceId trace) const {
-    return std::find(visited.begin(), visited.end(), trace) != visited.end();
-  }
-  void MarkVisited(TraceId trace) {
-    DGC_DCHECK(!IsVisitedBy(trace));
-    visited.push_back(trace);
-  }
-  void ClearVisited(TraceId trace) {
-    visited.erase(std::remove(visited.begin(), visited.end(), trace),
-                  visited.end());
-  }
 };
 
 /// An entry in the table of outgoing inter-site references. Keyed by the
@@ -104,23 +90,10 @@ struct OutrefEntry {
   /// decide whether a new update is owed.
   Distance last_reported = kDistanceInfinity;
 
-  std::vector<TraceId> visited;
   Distance back_threshold = 0;
 
   [[nodiscard]] bool clean() const {
     return pin_count > 0 || clean_override || traced_clean;
-  }
-
-  [[nodiscard]] bool IsVisitedBy(TraceId trace) const {
-    return std::find(visited.begin(), visited.end(), trace) != visited.end();
-  }
-  void MarkVisited(TraceId trace) {
-    DGC_DCHECK(!IsVisitedBy(trace));
-    visited.push_back(trace);
-  }
-  void ClearVisited(TraceId trace) {
-    visited.erase(std::remove(visited.begin(), visited.end(), trace),
-                  visited.end());
   }
 };
 

@@ -15,8 +15,7 @@ ObjectId Heap::Allocate(std::size_t slot_count) {
     DGC_CHECK_MSG(slot + 1 <= kSlotMask, "heap slot space exhausted");
     if (slot == slabs_.size() * kSlabSize) {
       slabs_.push_back(std::make_unique<Slab>());
-      mark_epoch_.resize(slabs_.size() * kSlabSize, 0);
-      clean_epoch_.resize(slabs_.size() * kSlabSize, 0);
+      marks_.resize(slabs_.size() * kSlabSize, 0);
       generation_.resize(slabs_.size() * kSlabSize, 0);
       live_.resize(slabs_.size() * kSlabSize, 0);
     }
@@ -53,8 +52,7 @@ void Heap::Free(ObjectId id) {
   const std::uint64_t slot = SlotOf(id.index);
   ObjectAt(slot).slots.clear();
   ObjectAt(slot).slots.shrink_to_fit();
-  mark_epoch_[slot] = 0;
-  clean_epoch_[slot] = 0;
+  marks_[slot] = 0;
   DGC_CHECK_MSG(
       generation_[slot] < std::numeric_limits<std::uint32_t>::max(),
       "generation counter exhausted for slot " << slot);
@@ -64,6 +62,12 @@ void Heap::Free(ObjectId id) {
   free_slots_.push_back(static_cast<std::uint32_t>(slot));
   ++stats_.reclaimed;
   ++mutation_epoch_;
+}
+
+void Heap::FailNoObject(ObjectId id) const {
+  std::ostringstream message;
+  message << "no object " << id << " on site " << site_;
+  detail::FailCheck("Exists(id)", __FILE__, __LINE__, message.str());
 }
 
 void Heap::AddPersistentRoot(ObjectId id) {
@@ -129,8 +133,7 @@ void Heap::RestoreImage(const HeapImage& image) {
     slabs_.push_back(std::make_unique<Slab>());
   }
   const std::size_t capacity = slabs_.size() * kSlabSize;
-  mark_epoch_.assign(capacity, 0);
-  clean_epoch_.assign(capacity, 0);
+  marks_.assign(capacity, 0);
   generation_.assign(capacity, 0);
   live_.assign(capacity, 0);
   used_slots_ = slots;

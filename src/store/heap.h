@@ -3,16 +3,16 @@
 // Objects are clustered within sites (Section 2): each site owns a heap of
 // objects whose slots hold references to local or remote objects. Certain
 // objects are persistent roots (entry points such as name servers). The heap
-// knows nothing about garbage collection beyond epoch stamps that the local
-// tracer uses to avoid a clearing pass.
+// knows nothing about garbage collection beyond one mark stamp per object
+// that the local tracer uses to avoid a clearing pass.
 //
 // Storage layout: objects live in fixed-size slabs addressed by a dense
 // *storage slot*; `Free` recycles slots through a LIFO free list. The public
 // ObjectId stays unique forever by folding a per-slot generation into the
 // index — a recycled slot hands out a new id while stale ids fail Exists().
-// Epoch stamps live in contiguous side arrays (not in Object) so the marking
-// loop touches dense memory instead of chasing per-object nodes; this is what
-// makes the local trace cache-friendly.
+// Mark stamps live in one contiguous side array (not in Object) so the
+// marking loop touches dense memory instead of chasing per-object nodes; this
+// is what makes the local trace cache-friendly.
 //
 // Mutation epoch: every state change that could alter a local trace's
 // outcome — allocation, reclamation, a slot write, a root-set change — bumps
@@ -46,7 +46,7 @@ struct HeapStats {
 /// an image preserves ObjectIds exactly — slot positions, generations, and
 /// the recycling order all round-trip — so a site process restarted from a
 /// snapshot allocates the same ids the crashed incarnation would have.
-/// Epoch stamps are volatile trace state and are deliberately NOT part of
+/// Mark stamps are volatile trace state and are deliberately NOT part of
 /// the image.
 struct HeapImage {
   struct SlotImage {
@@ -97,55 +97,43 @@ class Heap {
   }
 
   [[nodiscard]] Object& Get(ObjectId id) {
-    DGC_CHECK_MSG(Exists(id), "no object " << id << " on site " << site_);
+    if (!Exists(id)) FailNoObject(id);
     return ObjectAt(SlotOf(id.index));
   }
   [[nodiscard]] const Object& Get(ObjectId id) const {
-    DGC_CHECK_MSG(Exists(id), "no object " << id << " on site " << site_);
+    if (!Exists(id)) FailNoObject(id);
     return ObjectAt(SlotOf(id.index));
   }
 
-  // --- Epoch side arrays (the local tracer's mark state) ----------------
+  // --- Mark stamps (the local tracer's mark state) ----------------------
 
-  /// Epoch of the last local trace that marked the object reachable
-  /// (0 = never, reset when a storage slot is recycled).
-  [[nodiscard]] std::uint64_t mark_epoch(ObjectId id) const {
-    DGC_CHECK_MSG(Exists(id), "no object " << id << " on site " << site_);
-    return mark_epoch_[SlotOf(id.index)];
+  /// Stamp of the last local trace that marked the object (0 = never, reset
+  /// when a storage slot is recycled). It names the trace and the phase
+  /// that marked the object: localgc/local_collector.h.
+  [[nodiscard]] std::uint64_t mark(ObjectId id) const {
+    if (!Exists(id)) FailNoObject(id);
+    return marks_[SlotOf(id.index)];
   }
-  /// Epoch of the last local trace that marked the object *clean*, i.e.
-  /// reached from a persistent/application root or a clean inref. An object
-  /// with mark_epoch == E but clean_epoch != E was reached only from
-  /// suspected inrefs in trace E.
-  [[nodiscard]] std::uint64_t clean_epoch(ObjectId id) const {
-    DGC_CHECK_MSG(Exists(id), "no object " << id << " on site " << site_);
-    return clean_epoch_[SlotOf(id.index)];
-  }
-  void set_mark_epoch(ObjectId id, std::uint64_t epoch) {
-    DGC_CHECK_MSG(Exists(id), "no object " << id << " on site " << site_);
-    mark_epoch_[SlotOf(id.index)] = epoch;
-  }
-  void set_clean_epoch(ObjectId id, std::uint64_t epoch) {
-    DGC_CHECK_MSG(Exists(id), "no object " << id << " on site " << site_);
-    clean_epoch_[SlotOf(id.index)] = epoch;
+  void set_mark(ObjectId id, std::uint64_t stamp) {
+    if (!Exists(id)) FailNoObject(id);
+    marks_[SlotOf(id.index)] = stamp;
   }
 
-  /// One decoded live object: its slots plus its epoch cells, so the marking
-  /// loop pays the id decode once per object. The epoch pointers are valid
-  /// until the next Allocate or Free (Allocate may grow the side arrays);
+  /// One decoded live object: its slots plus its stamp cell, so the marking
+  /// loop pays the id decode once per object. The stamp pointer is valid
+  /// until the next Allocate or Free (Allocate may grow the side array);
   /// `object` stays valid until that object is freed, since slabs never
   /// move. The local collector's mark stack holds these Object pointers for
   /// the whole mark, which is safe because nothing allocates or frees
   /// during a trace.
   struct Cell {
     Object* object;
-    std::uint64_t* mark_epoch;
-    std::uint64_t* clean_epoch;
+    std::uint64_t* mark;
   };
   [[nodiscard]] Cell GetCell(ObjectId id) {
-    DGC_CHECK_MSG(Exists(id), "no object " << id << " on site " << site_);
+    if (!Exists(id)) FailNoObject(id);
     const std::uint64_t slot = SlotOf(id.index);
-    return Cell{&ObjectAt(slot), &mark_epoch_[slot], &clean_epoch_[slot]};
+    return Cell{&ObjectAt(slot), &marks_[slot]};
   }
 
   /// Storage slot of an object id's index (low half minus the +1 bias): the
@@ -163,7 +151,7 @@ class Heap {
   [[nodiscard]] ObjectId GetSlot(ObjectId id, std::size_t slot) const;
 
   /// Reclaims an object's storage. The caller guarantees unreachability.
-  /// The storage slot joins the free list; its epochs reset to zero and its
+  /// The storage slot joins the free list; its stamp resets to zero and its
   /// generation advances, invalidating the id permanently.
   void Free(ObjectId id);
 
@@ -193,7 +181,7 @@ class Heap {
 
   /// Rebuilds this heap from an image. Only valid on a heap that has never
   /// allocated — the restore path constructs a fresh Site and loads into it.
-  /// Epochs come back zeroed.
+  /// Stamps come back zeroed.
   void RestoreImage(const HeapImage& image);
 
   // --- Occupancy (instrumentation) --------------------------------------
@@ -223,12 +211,13 @@ class Heap {
     }
   }
 
-  /// ForEach plus the epoch stamps — the sweep's view, one decode per slot.
+  /// ForEach's order, each live object's id with its stamp: the sweep's
+  /// view, one decode per slot.
   template <typename Fn>
-  void ForEachWithEpochs(Fn&& fn) const {
+  void ForEachMark(Fn&& fn) const {
     for (std::uint64_t slot = 0; slot < used_slots_; ++slot) {
       if (live_[slot] == 0) continue;
-      fn(IdAt(slot), ObjectAt(slot), mark_epoch_[slot], clean_epoch_[slot]);
+      fn(IdAt(slot), marks_[slot]);
     }
   }
 
@@ -259,14 +248,16 @@ class Heap {
   [[nodiscard]] const Object& ObjectAt(std::uint64_t slot) const {
     return (*slabs_[slot / kSlabSize])[slot % kSlabSize];
   }
+  /// Throws the accessors' "no object" violation. Out of line, so that
+  /// GetCell stays small enough to inline into the local trace's mark loop.
+  [[noreturn]] void FailNoObject(ObjectId id) const;
 
   using Slab = std::array<Object, kSlabSize>;
 
   SiteId site_;
   std::vector<std::unique_ptr<Slab>> slabs_;
   // Side arrays indexed by storage slot, contiguous across slabs.
-  std::vector<std::uint64_t> mark_epoch_;
-  std::vector<std::uint64_t> clean_epoch_;
+  std::vector<std::uint64_t> marks_;
   std::vector<std::uint32_t> generation_;
   std::vector<std::uint8_t> live_;
   std::vector<std::uint32_t> free_slots_;  // LIFO recycling

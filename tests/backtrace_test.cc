@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "core/inspect.h"
 #include "core/system.h"
 #include "workload/builders.h"
 #include "workload/figures.h"
@@ -213,8 +216,8 @@ TEST(BranchingTest, Figure3TraceReturnsLiveViaRootPath) {
   // Live outcome: visited marks cleared everywhere, nothing flagged.
   for (SiteId s = 0; s < 5; ++s) {
     for (const auto& [obj, entry] : system.site(s).tables().inrefs()) {
-      (void)obj;
-      EXPECT_TRUE(entry.visited.empty());
+      EXPECT_EQ(system.site(s).back_tracer().VisitCount(IorefKind::kInref, obj),
+                0u);
       EXPECT_FALSE(entry.garbage_flagged);
     }
   }
@@ -287,12 +290,15 @@ TEST(BranchingTest, PinnedBranchAnswersLiveBesideSlowGarbageRing) {
   EXPECT_EQ(outcome.result, BackResult::kLive);
   EXPECT_EQ(outcome.participants, 6u);  // sites 0, 2 and the ring's 4-7
   for (SiteId s = 0; s < 8; ++s) {
+    const BackTracer& tracer = system.site(s).back_tracer();
     for (const auto& [obj, entry] : system.site(s).tables().inrefs()) {
-      EXPECT_TRUE(entry.visited.empty()) << "site " << s << " inref " << obj;
+      EXPECT_EQ(tracer.VisitCount(IorefKind::kInref, obj), 0u)
+          << "site " << s << " inref " << obj;
       EXPECT_FALSE(entry.garbage_flagged) << "site " << s << " inref " << obj;
     }
     for (const auto& [ref, entry] : system.site(s).tables().outrefs()) {
-      EXPECT_TRUE(entry.visited.empty()) << "site " << s << " outref " << ref;
+      EXPECT_EQ(tracer.VisitCount(IorefKind::kOutref, ref), 0u)
+          << "site " << s << " outref " << ref;
     }
   }
 }
@@ -337,6 +343,41 @@ TEST(ConcurrentTracesTest, ManyTracesAcrossDisjointCyclesDoNotInterfere) {
       EXPECT_FALSE(system.ObjectExists(id)) << id;
     }
   }
+}
+
+TEST(ConcurrentTracesTest, TriggerScanSkipsAnOutrefATraceIsVisiting) {
+  CollectorConfig config = Config();
+  config.enable_back_tracing = true;   // MaybeStartTraces is called by hand
+  config.estimated_cycle_length = 1000;  // so no round starts a trace
+  config.back_threshold_increment = 0;   // and a visit raises no threshold
+  NetworkConfig net;
+  net.latency = 50;
+  System system(2, config, net);
+  const auto cycle =
+      workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});
+  RipenSuspicion(system);
+  ASSERT_EQ(system.AggregateBackTracerStats().traces_started, 0u);
+  // Site 1's outref into the ring. Its distance now exceeds its threshold,
+  // and site 1 roots no trace at it, so only a trace's mark on it can keep
+  // the trigger scan from starting one there (Section 4.7).
+  Site& site1 = system.site(1);
+  const ObjectId o = cycle.objects[0];
+  ASSERT_NE(site1.tables().FindOutref(o), nullptr);
+  site1.tables().FindOutref(o)->back_threshold = 0;
+  ASSERT_FALSE(site1.tables().FindOutref(o)->clean());
+  Site& site0 = system.site(0);
+  site0.back_tracer().StartTrace(site0.tables().outrefs().begin()->first);
+  while (site1.back_tracer().VisitCount(IorefKind::kOutref, o) == 0 &&
+         system.scheduler().RunOne()) {
+  }
+  ASSERT_EQ(site1.back_tracer().VisitCount(IorefKind::kOutref, o), 1u);
+  ASSERT_EQ(site1.tables().FindOutref(o)->back_threshold, 0u);
+  EXPECT_EQ(site1.back_tracer().MaybeStartTraces(), 0u);
+  EXPECT_EQ(site1.back_tracer().stats().traces_started, 0u);
+  // Once the trace reports, its mark is gone and o is a candidate again.
+  system.SettleNetwork();
+  EXPECT_EQ(site0.back_tracer().stats().traces_completed_garbage, 1u);
+  EXPECT_EQ(site1.back_tracer().VisitCount(IorefKind::kOutref, o), 0u);
 }
 
 // --- Timeouts and crashed sites (§4.6) ----------------------------------------
@@ -429,8 +470,9 @@ TEST(TimeoutTest, StaleVisitRecordsExpireToLive) {
   system.site(1).StartLocalTrace();  // housekeeping runs ExpireStaleRecords
   system.SettleNetwork();
   for (const auto& [obj, entry] : system.site(1).tables().inrefs()) {
-    (void)obj;
-    EXPECT_TRUE(entry.visited.empty());
+    (void)entry;
+    EXPECT_EQ(system.site(1).back_tracer().VisitCount(IorefKind::kInref, obj),
+              0u);
   }
 }
 
@@ -498,6 +540,164 @@ TEST(EngineEdgeTest, InfiniteDistanceOutrefsNeverTrigger) {
   EXPECT_EQ(system.site(0).back_tracer().MaybeStartTraces(), 0u);
 }
 
+// --- Visited marks (§4.4) ----------------------------------------------------
+
+/// A suspected two-site ring, ripened without back tracing, whose site 0
+/// swallows every back call and records every back reply: calls injected
+/// at site 1 mark its inref and step no further.
+class VisitMarkWorld {
+ public:
+  VisitMarkWorld() : system_(2, WorldConfig()), x_(Ring(system_)) {
+    RipenSuspicion(system_);
+    system_.site(0).SetExtensionHandler([this](const Envelope& envelope) {
+      if (const auto* reply = std::get_if<BackReplyMsg>(&envelope.payload)) {
+        replies_[reply->to.frame] = reply->result;
+        return true;
+      }
+      return std::holds_alternative<BackLocalCallMsg>(envelope.payload) ||
+             std::holds_alternative<BackCallBatchMsg>(envelope.payload);
+    });
+  }
+
+  static CollectorConfig WorldConfig() {
+    CollectorConfig config = Config();
+    config.enable_back_tracing = false;
+    config.report_timeout = 1000;
+    return config;
+  }
+
+  System& system() { return system_; }
+  BackTracer& tracer() { return system_.site(1).back_tracer(); }
+  /// Site 1's inref of the ring.
+  [[nodiscard]] ObjectId x() const { return x_; }
+  /// `trace` calls into x on behalf of frame `frame` at site 0.
+  void Call(TraceId trace, std::uint64_t frame) {
+    system_.site(1).HandleMessage(
+        Envelope{0, 1, BackRemoteCallMsg{trace, x_, FrameId{0, frame}}});
+  }
+  void Report(TraceId trace) {
+    system_.site(1).HandleMessage(
+        Envelope{0, 1, BackReportMsg{trace, BackResult::kLive}});
+  }
+  [[nodiscard]] std::size_t Marks() {
+    return tracer().VisitCount(IorefKind::kInref, x_);
+  }
+  [[nodiscard]] const std::map<std::uint64_t, BackResult>& replies() const {
+    return replies_;
+  }
+
+ private:
+  static ObjectId Ring(System& system) {
+    return workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1})
+        .objects[1];
+  }
+
+  System system_;
+  ObjectId x_;
+  std::map<std::uint64_t, BackResult> replies_;  // by caller frame
+};
+
+TEST(VisitMarkTest, EachTracesMarksLiveInItsRecordUntilTheRecordGoes) {
+  VisitMarkWorld world;
+  const InrefEntry* inref =
+      world.system().site(1).tables().FindInref(world.x());
+  ASSERT_NE(inref, nullptr);
+  ASSERT_FALSE(inref->clean(VisitMarkWorld::WorldConfig().suspicion_threshold));
+  // The junior marks x first, so the senior does not park on its record:
+  // both traces hold a mark on the one inref.
+  const TraceId senior{0, 1}, junior{0, 2};
+  world.Call(junior, 1);
+  world.Call(senior, 2);
+  EXPECT_EQ(world.Marks(), 2u);
+  EXPECT_EQ(world.tracer().visit_record_count(), 2u);
+  EXPECT_NE(DescribeSite(world.system().site(1)).find(" visited:2"),
+            std::string::npos);
+  // A call from each trace into the inref it has already marked answers
+  // Garbage, and marks nothing twice.
+  world.Call(junior, 3);
+  world.Call(senior, 4);
+  world.system().SettleNetwork();
+  EXPECT_EQ(world.replies(),
+            (std::map<std::uint64_t, BackResult>{{3, BackResult::kGarbage},
+                                                 {4, BackResult::kGarbage}}));
+  EXPECT_EQ(world.Marks(), 2u);
+  EXPECT_EQ(world.tracer().stats().branches_coalesced, 0u);
+
+  // A report drops its trace's record, and with it that trace's mark only.
+  world.Report(senior);
+  EXPECT_EQ(world.Marks(), 1u);
+  world.Report(junior);
+  EXPECT_EQ(world.Marks(), 0u);
+
+  // So does expiry past report_timeout...
+  world.Call(TraceId{0, 3}, 5);
+  EXPECT_EQ(world.Marks(), 1u);
+  world.system().AdvanceTime(VisitMarkWorld::WorldConfig().report_timeout);
+  world.tracer().ExpireStaleRecords();
+  EXPECT_EQ(world.Marks(), 0u);
+  EXPECT_EQ(world.tracer().stats().records_expired, 1u);
+
+  // ...the scrub of a restarted initiator's traces...
+  world.Call(TraceId{0, 4}, 6);
+  EXPECT_EQ(world.Marks(), 1u);
+  world.tracer().OnPeerRestarted(0);
+  EXPECT_EQ(world.Marks(), 0u);
+  EXPECT_EQ(world.tracer().stats().records_scrubbed, 1u);
+
+  // ...and this site's own crash.
+  world.Call(TraceId{0, 5}, 7);
+  EXPECT_EQ(world.Marks(), 1u);
+  world.tracer().DropVolatileState();
+  EXPECT_EQ(world.Marks(), 0u);
+  EXPECT_EQ(world.tracer().visit_record_count(), 0u);
+  EXPECT_EQ(DescribeSite(world.system().site(1)).find(" visited:"),
+            std::string::npos);
+}
+
+TEST(VisitMarkTest, RecreatedInrefAnswersLiveToTheTraceThatMarkedIt) {
+  // A mark outlives an inref erased and re-created while its trace runs.
+  // The re-created inref starts clean (an insert adds its source at
+  // distance 1), and the handler tests clean before visited, so the trace
+  // that marked the old entry hears Live.
+  CollectorConfig config = Config();
+  config.enable_back_tracing = false;
+  NetworkConfig net;
+  net.latency = 50;
+  System system(2, config, net);
+  const ObjectId x =
+      workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1})
+          .objects[1];
+  RipenSuspicion(system);
+  Site& site0 = system.site(0);
+  Site& site1 = system.site(1);
+  const TraceId trace =
+      site0.back_tracer().StartTrace(site0.tables().outrefs().begin()->first);
+  while (site1.back_tracer().VisitCount(IorefKind::kInref, x) == 0 &&
+         system.scheduler().RunOne()) {
+  }
+  ASSERT_EQ(site1.back_tracer().VisitCount(IorefKind::kInref, x), 1u);
+
+  site1.HandleMessage(Envelope{
+      0, 1, UpdateMsg{std::vector<UpdateEntry>{{x, /*removed=*/true}}}});
+  ASSERT_EQ(site1.tables().FindInref(x), nullptr);
+  site1.HandleMessage(Envelope{0, 1, InsertMsg{x, /*new_source=*/0}});
+  ASSERT_NE(site1.tables().FindInref(x), nullptr);
+  ASSERT_EQ(site1.back_tracer().visit_record_count(), 1u);  // not reported
+
+  // Frame 0 is no real frame: site 0 takes the reply to it here.
+  std::vector<BackResult> replies;
+  site0.SetExtensionHandler([&](const Envelope& envelope) {
+    const auto* reply = std::get_if<BackReplyMsg>(&envelope.payload);
+    if (reply == nullptr || reply->to.frame != 0) return false;
+    replies.push_back(reply->result);
+    return true;
+  });
+  site1.HandleMessage(
+      Envelope{0, 1, BackRemoteCallMsg{trace, x, FrameId{0, 0}}});
+  system.SettleNetwork();
+  EXPECT_EQ(replies, std::vector<BackResult>{BackResult::kLive});
+}
+
 // --- Report phase (§4.5) -------------------------------------------------------
 
 TEST(ReportPhaseTest, GarbageOutcomeFlagsAllVisitedInrefs) {
@@ -515,7 +715,9 @@ TEST(ReportPhaseTest, GarbageOutcomeFlagsAllVisitedInrefs) {
         system.site(s).tables().FindInref(cycle.objects[s]);
     ASSERT_NE(entry, nullptr);
     EXPECT_TRUE(entry->garbage_flagged) << "site " << s;
-    EXPECT_TRUE(entry->visited.empty());
+    EXPECT_EQ(system.site(s).back_tracer().VisitCount(IorefKind::kInref,
+                                                      cycle.objects[s]),
+              0u);
   }
 }
 

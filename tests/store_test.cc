@@ -107,10 +107,12 @@ TEST(HeapTest, ForEachVisitsAllObjects) {
 }
 
 TEST(HeapTest, MarkEpochsDefaultToZero) {
+  // The one mark stamp per slot: below every trace's 2e, so a fresh object
+  // reads unmarked to the first trace.
   Heap heap(0);
   const ObjectId a = heap.Allocate(0);
-  EXPECT_EQ(heap.mark_epoch(a), 0u);
-  EXPECT_EQ(heap.clean_epoch(a), 0u);
+  EXPECT_EQ(heap.mark(a), 0u);
+  EXPECT_THROW((void)heap.mark(ObjectId{0, 99}), InvariantViolation);
 }
 
 // --- Slab / free-list behaviour -------------------------------------------
@@ -165,13 +167,12 @@ TEST(SlabHeapTest, ForEachVisitsStorageOrderAfterFrees) {
 TEST(SlabHeapTest, EpochSideArraysResetWhenSlotRecycled) {
   Heap heap(0);
   const ObjectId a = heap.Allocate(0);
-  heap.set_mark_epoch(a, 7);
-  heap.set_clean_epoch(a, 7);
-  EXPECT_EQ(heap.mark_epoch(a), 7u);
+  heap.set_mark(a, 15);  // trace 7's clean stamp
+  EXPECT_EQ(heap.mark(a), 15u);
   heap.Free(a);
   const ObjectId b = heap.Allocate(0);  // same slot, fresh generation
-  EXPECT_EQ(heap.mark_epoch(b), 0u);
-  EXPECT_EQ(heap.clean_epoch(b), 0u);
+  EXPECT_EQ(heap.mark(b), 0u);
+  EXPECT_THROW(heap.set_mark(a, 15), InvariantViolation);  // stale id
 }
 
 TEST(SlabHeapTest, ObjectPointersStableAcrossSlabGrowth) {
@@ -199,13 +200,15 @@ TEST(SlabHeapTest, OccupancyTracksLiveOverCapacity) {
 TEST(SlabHeapTest, GetCellExposesEpochCells) {
   Heap heap(0);
   const ObjectId a = heap.Allocate(1);
+  const ObjectId b = heap.Allocate(0);
   const Heap::Cell cell = heap.GetCell(a);
-  *cell.mark_epoch = 3;
-  *cell.clean_epoch = 2;
-  EXPECT_EQ(heap.mark_epoch(a), 3u);
-  EXPECT_EQ(heap.clean_epoch(a), 2u);
+  *cell.mark = 6;  // trace 3's suspect stamp
+  EXPECT_EQ(heap.mark(a), 6u);
+  EXPECT_EQ(heap.mark(b), 0u);  // one stamp per slot, no neighbour touched
   cell.object->slots[0] = a;
   EXPECT_EQ(heap.GetSlot(a, 0), a);
+  heap.Free(b);
+  EXPECT_THROW((void)heap.GetCell(b), InvariantViolation);
 }
 
 }  // namespace
