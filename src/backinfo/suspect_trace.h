@@ -74,27 +74,21 @@ class BottomUpOutsetComputer {
     bool done = false;  // component completed; outset is final
   };
 
-  // The heap's index layout (store/heap.h): low 32 bits are slot + 1.
-  static constexpr std::uint64_t kSlotMask = (1ULL << 32) - 1;
-  static std::size_t SlotOf(std::uint64_t index) {
-    return static_cast<std::size_t>((index & kSlotMask) - 1);
-  }
-
   /// mark == 0 means "never visited" (Visit assigns marks from 1 up).
   NodeState* Find(std::uint64_t index) {
-    const std::size_t slot = SlotOf(index);
+    const std::size_t slot = Heap::SlotOfIndex(index);
     if (slot >= state_.size() || state_[slot].mark == 0) return nullptr;
     return &state_[slot];
   }
 
   NodeState& StateOf(std::uint64_t index) {
-    const std::size_t slot = SlotOf(index);
+    const std::size_t slot = Heap::SlotOfIndex(index);
     DGC_DCHECK(slot < state_.size() && state_[slot].mark != 0);
     return state_[slot];
   }
 
   NodeState& Visit(std::uint64_t index) {
-    const std::size_t slot = SlotOf(index);
+    const std::size_t slot = Heap::SlotOfIndex(index);
     if (slot >= state_.size()) state_.resize(slot + 1);
     NodeState& ns = state_[slot];
     ns.mark = ns.low = ++counter_;

@@ -17,26 +17,6 @@ namespace dgc {
 /// ticks.
 using SimTime = std::int64_t;
 
-/// How insert messages are delivered (Section 2: "There are various
-/// protocols for sending, deferring, or avoiding insert messages while
-/// ensuring safety").
-enum class InsertMode : std::uint8_t {
-  /// Every operation that created a new outref completes only after the
-  /// reference's owner acknowledges the insert (ML94's synchronous
-  /// inserts). Simplest reasoning, highest latency.
-  kSynchronous,
-  /// Opportunistic deferral of the ack wait, applied only when it is
-  /// provably safe: when the reference's owner IS the site that sent it
-  /// (the common ship-my-own-object case), the insert is sent ahead of the
-  /// operation's reply on the same FIFO channel — the owner registers the
-  /// new source before the sender's operation completes, so no protection
-  /// gap can open. References owned by third parties keep the synchronous
-  /// ack wait (the sender's pinned outref is the retention that makes that
-  /// case sound, and it is only guaranteed to be held while the operation
-  /// is outstanding).
-  kDeferred,
-};
-
 struct CollectorConfig {
   /// Suspicion threshold D (Section 3): iorefs with estimated distance > D
   /// are suspected; distance <= D is clean.
@@ -97,9 +77,6 @@ struct CollectorConfig {
   /// When false, only local tracing runs (the baseline that leaks cycles,
   /// as in Figure 1 where f and g are never collected).
   bool enable_back_tracing = true;
-
-  /// Insert protocol variant (see InsertMode).
-  InsertMode insert_mode = InsertMode::kSynchronous;
 
   /// Graceful degradation under failures: when the network's failure
   /// detector (NetworkConfig::heartbeat_period) suspects the destination of

@@ -90,8 +90,7 @@ void Site::HandleInsert(const Envelope& envelope, const InsertMsg& msg) {
     // transport this also refuses a stale name in another process's input.
     // A *pinned* insert for a dead object, however, means a mutator held a
     // reference to garbage — a safety bug.
-    DGC_CHECK_MSG(msg.pinned_site == kInvalidSite,
-                  "insert for reclaimed object " << msg.ref);
+    DGC_CHECK_MSG(!msg.pinned, "insert for reclaimed object " << msg.ref);
     return;
   }
   ++stats_.inserts_handled;
@@ -102,46 +101,31 @@ void Site::HandleInsert(const Envelope& envelope, const InsertMsg& msg) {
     // outref dies with its (garbage) holders at its next local trace. A
     // *pinned* insert for condemned garbage would mean a mutator holds a
     // reference to it — a safety bug.
-    DGC_CHECK_MSG(msg.pinned_site == kInvalidSite,
+    DGC_CHECK_MSG(!msg.pinned,
                   "mutator-held insert for condemned object " << msg.ref);
     return;
   }
-  // New sources start at the conservative distance of one (Section 3). If
-  // that transitions the inref from suspected to clean, the clean rule must
-  // fire for any trace active there (§6.4 — cleaning is cleaning, whether
-  // by barrier override or by a distance drop).
+  // The sender is the new source, at the conservative distance of one
+  // (Section 3). If that transitions the inref from suspected to clean, the
+  // clean rule must fire for any trace active there (§6.4 — cleaning is
+  // cleaning, whether by barrier override or by a distance drop).
   const InrefEntry* existing = tables_.FindInref(msg.ref);
   const bool was_clean =
       existing == nullptr || existing->clean(config_.suspicion_threshold);
   InrefEntry& entry =
-      tables_.AddInrefSource(msg.ref, msg.new_source, msg.distance);
+      tables_.AddInrefSource(msg.ref, envelope.from, msg.distance);
   if (!was_clean && entry.clean(config_.suspicion_threshold)) {
     back_tracer_.OnIorefCleaned(IorefKind::kInref, msg.ref);
   }
   // "(Also, the transfer barrier applies to inref z.)" — §6.1.2 case 4.
   ApplyTransferBarrier(msg.ref);
-  if (msg.pinned_site != kInvalidSite) {
-    transport_.Send(id_, msg.pinned_site, InsertAckMsg{msg.ref, msg.new_source});
-  }
-  (void)envelope;
+  if (msg.pinned) transport_.Send(id_, envelope.from, InsertAckMsg{msg.ref});
 }
 
 void Site::HandleInsertAck(const InsertAckMsg& msg) {
-  // Deferred-mode acks may arrive several times (resends); only the first
-  // releases the pin.
-  if (const auto deferred = deferred_inserts_.find(msg.ref);
-      deferred != deferred_inserts_.end()) {
-    deferred_inserts_.erase(deferred);
-    OutrefEntry* entry = tables_.FindOutref(msg.ref);
-    DGC_CHECK_MSG(entry != nullptr,
-                  "insert ack for missing outref " << msg.ref);
-    DGC_CHECK(entry->pin_count > 0);
-    --entry->pin_count;
-    return;
-  }
   const auto it = pending_insert_acks_.find(msg.ref);
   if (it == pending_insert_acks_.end()) {
-    // Duplicate or stale ack (a deferred resend's extra ack, or the pin was
+    // Duplicate or stale ack (a resent insert's extra ack, or the pin was
     // zeroed by a crash-restart): the pin it would release is already gone.
     return;
   }
@@ -199,8 +183,7 @@ void Site::CleanOutref(ObjectId remote_ref) {
   }
 }
 
-void Site::ReceiveReference(ObjectId ref, std::function<void()> done,
-                            SiteId sender) {
+void Site::ReceiveReference(ObjectId ref, std::function<void()> done) {
   DGC_CHECK(ref.valid());
   DGC_CHECK(done != nullptr);
   if (ref.site == id_) {
@@ -219,38 +202,24 @@ void Site::ReceiveReference(ObjectId ref, std::function<void()> done,
     return;
   }
   // Case 4: create a clean outref and register with the owner. The new
-  // outref stays pinned clean until the owner acknowledges the insert, which
-  // preserves the remote safety invariant (the owner's source list does not
-  // yet include this site).
+  // outref stays pinned clean until the owner acknowledges the insert, and
+  // the operation completes only then (ML94's synchronous inserts): until
+  // the ack, the owner's source list may not include this site.
   auto [entry, created] = tables_.EnsureOutref(ref);
   DGC_CHECK(created);
   entry->clean_override = true;
   entry->pin_count += 1;
   entry->distance = 1;  // held by a mutator: conservatively root-adjacent
-  if (config_.insert_mode == InsertMode::kDeferred && ref.site == sender) {
-    // The owner itself sent us its reference: our insert departs now, ahead
-    // of the operation's reply to that same owner, and FIFO delivery makes
-    // the registration land before the sender's operation completes — no
-    // protection gap, no ack wait. The pin still holds until the ack so the
-    // outref stays clean and untrimmed meanwhile.
-    deferred_inserts_.insert(ref);
-    transport_.Send(id_, ref.site, InsertMsg{ref, id_, id_});
-    done();
-    return;
-  }
   pending_insert_acks_[ref].push_back(std::move(done));
-  transport_.Send(id_, ref.site, InsertMsg{ref, id_, id_});
+  transport_.Send(id_, ref.site, InsertMsg{ref, /*pinned=*/true});
 }
 
 void Site::ResendPendingInserts() {
-  // Both queues hold pinned outrefs awaiting the owner's ack; inserts are
+  // Every entry is a pinned outref awaiting the owner's ack; inserts are
   // idempotent, so resending recovers from any lost message.
-  for (const ObjectId ref : deferred_inserts_) {
-    transport_.Send(id_, ref.site, InsertMsg{ref, id_, id_});
-  }
   for (const auto& [ref, continuations] : pending_insert_acks_) {
     (void)continuations;
-    transport_.Send(id_, ref.site, InsertMsg{ref, id_, id_});
+    transport_.Send(id_, ref.site, InsertMsg{ref, /*pinned=*/true});
   }
 }
 
@@ -382,8 +351,7 @@ void Site::HandleMutatorReadReply(const Envelope& envelope,
         // Release the server's retention (outref pin or self-root).
         transport_.Send(id_, server, PinReleaseMsg{value});
         continuation(value);
-      },
-      envelope.from);
+      });
 }
 
 void Site::HandleMutatorWrite(const Envelope& envelope,
@@ -403,7 +371,7 @@ void Site::HandleMutatorWrite(const Envelope& envelope,
   }
   // The value reference arrived here too; record it (possibly waiting for an
   // insert ack — synchronous inserts) before the write becomes visible.
-  ReceiveReference(msg.value, finish, envelope.from);
+  ReceiveReference(msg.value, finish);
 }
 
 void Site::HandleMutatorWriteAck(const MutatorWriteAckMsg& msg) {
@@ -499,9 +467,8 @@ void Site::HandleCommit(const Envelope& envelope, const CommitMsg& msg) {
   }
   for (const CommitWrite& write : msg.writes) {
     if (!write.value.valid()) continue;
-    ReceiveReference(
-        write.value, [pending, finish] { if (--*pending == 0) finish(); },
-        requester);
+    ReceiveReference(write.value,
+                     [pending, finish] { if (--*pending == 0) finish(); });
   }
 }
 
@@ -579,7 +546,6 @@ void Site::CrashRestart() {
   fetch_continuations_.clear();
   commit_continuations_.clear();
   pending_insert_acks_.clear();
-  deferred_inserts_.clear();
   app_roots_.clear();  // local sessions died with the site
   // Pins represent running client / in-flight insert state: all volatile.
   ReannounceOutrefs();
@@ -593,8 +559,7 @@ void Site::ReannounceOutrefs() {
     entry.pin_count = 0;
     const Distance carried =
         entry.distance == kDistanceInfinity ? 1 : entry.distance;
-    transport_.Send(id_, ref.site,
-                  InsertMsg{ref, id_, /*pinned_site=*/kInvalidSite, carried});
+    transport_.Send(id_, ref.site, InsertMsg{ref, /*pinned=*/false, carried});
   }
 }
 
@@ -684,7 +649,7 @@ void Site::ApplyTraceResult(TraceResult result) {
     transport_.Send(id_, target, std::move(msg));
   }
 
-  // 6. Post-trace housekeeping: retry unacknowledged deferred inserts,
+  // 6. Post-trace housekeeping: retry unacknowledged inserts,
   //    expire orphaned visit records, and start back traces from suspects
   //    past their back threshold (Section 4.3).
   ResendPendingInserts();
@@ -695,16 +660,18 @@ void Site::ApplyTraceResult(TraceResult result) {
 // ---------------------------------------------------------------------------
 // Direct graph construction.
 
-void Site::WireSlotTo(ObjectId source, std::size_t slot, ObjectId target,
-                      Site& target_site) {
+void Site::WireSource(ObjectId source, std::size_t slot, ObjectId target) {
   DGC_CHECK(source.site == id_);
   heap_.SetSlot(source, slot, target);
   if (!target.valid() || target.site == id_) return;
-  DGC_CHECK(&target_site != this && target_site.id() == target.site);
   auto [entry, created] = tables_.EnsureOutref(target);
   if (created) entry->distance = 1;
+}
+
+void Site::WireTarget(ObjectId target, SiteId source_site) {
+  DGC_CHECK(source_site != id_);
   // A new source starts at distance 1; an existing one keeps its distance.
-  target_site.tables_.EnsureInref(target).sources.try_emplace(id_, 1);
+  tables_.EnsureInref(target).sources.try_emplace(source_site, 1);
 }
 
 }  // namespace dgc

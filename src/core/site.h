@@ -140,10 +140,10 @@ class Site {
     return pending_trace_.has_value();
   }
 
-  /// Resends every registration still awaiting its owner's acknowledgement
-  /// (both deferred and synchronous-path inserts). Runs automatically with
-  /// each local trace; clients also call it when their blocking operation
-  /// appears stalled (lost message). All inserts are idempotent.
+  /// Resends every insert still awaiting its owner's acknowledgement. Runs
+  /// automatically with each local trace; clients also call it when their
+  /// blocking operation appears stalled (lost message). All inserts are
+  /// idempotent.
   void ResendPendingInserts();
 
   /// Models a crash-restart: the persistent state (heap, inref/outref
@@ -180,13 +180,9 @@ class Site {
 
   /// A reference arrived at this site (RPC argument/result). Runs the
   /// appropriate case of Section 6.1.2 and invokes `done` once the reference
-  /// is safely recorded (immediately, or after the insert ack for case 4).
-  /// `sender` is the site the reference arrived from (kInvalidSite when
-  /// unknown); under InsertMode::kDeferred, a reference owned by its own
-  /// sender completes without waiting for the ack — the insert departs ahead
-  /// of the operation's reply on the same FIFO channel.
-  void ReceiveReference(ObjectId ref, std::function<void()> done,
-                        SiteId sender = kInvalidSite);
+  /// is safely recorded: immediately, or for case 4 (no outref yet) once the
+  /// owner acknowledges the insert (synchronous inserts, Section 2).
+  void ReceiveReference(ObjectId ref, std::function<void()> done);
 
   // --- Application roots (Section 6.3) ---------------------------------
 
@@ -229,11 +225,19 @@ class Site {
 
   // --- Direct graph construction (world building, not a protocol path) --
 
-  /// Wires `source.slots[slot] = target`, keeping outref/inref tables
-  /// consistent when the edge crosses sites. Bypasses barriers: use only to
-  /// build initial worlds or in tests that script barrier timing themselves.
-  void WireSlotTo(ObjectId source, std::size_t slot, ObjectId target,
-                  Site& target_site);
+  /// The two halves of wiring `source.slots[slot] = target`, which keep the
+  /// outref and inref tables consistent when the edge crosses sites.
+  /// Bypasses barriers: use only to build initial worlds or in tests that
+  /// script barrier timing themselves. System::Wire and the socket site
+  /// host both call these, so the two transports build identical worlds.
+
+  /// Source half: writes the slot and, for a remote target, ensures this
+  /// site's outref (a new one starts at distance 1).
+  void WireSource(ObjectId source, std::size_t slot, ObjectId target);
+
+  /// Target half: registers `source_site` as a source of inref `target` (a
+  /// new source starts at distance 1; an existing one keeps its distance).
+  void WireTarget(ObjectId target, SiteId source_site);
 
  private:
   void HandleInsert(const Envelope& envelope, const InsertMsg& msg);
@@ -284,15 +288,12 @@ class Site {
   /// every trace (root enumeration) and mutated only at session boundaries.
   FlatMap<ObjectId, int> app_roots_;
 
-  /// Insert barrier: continuations awaiting the owner's ack, per reference.
-  /// Flat sorted map: iteration order (ResendPendingInserts) matches the
-  /// std::map original, keeping resend message order bit-identical.
+  /// Insert barrier: the one table of unacknowledged inserts. Per
+  /// reference, the continuations awaiting the owner's ack; each entry's
+  /// outref holds one pin until then. Flat sorted map: iteration order
+  /// (ResendPendingInserts) matches the std::map original, keeping resend
+  /// message order bit-identical.
   FlatMap<ObjectId, std::vector<std::function<void()>>> pending_insert_acks_;
-
-  /// Deferred-insert mode: references whose inserts are queued or sent but
-  /// not yet acknowledged; resent on every flush until the ack lands. The
-  /// outrefs stay pinned clean throughout (the insert-barrier retention).
-  std::set<ObjectId> deferred_inserts_;
 
   /// Mutator RPC continuations keyed by session id.
   std::unordered_map<std::uint64_t, std::function<void(ObjectId)>>

@@ -49,11 +49,9 @@ void System::SetPersistentRoot(ObjectId obj) {
 }
 
 void System::Wire(ObjectId source, std::size_t slot, ObjectId target) {
-  Site& source_site = site(source.site);
+  site(source.site).WireSource(source, slot, target);
   if (target.valid() && target.site != source.site) {
-    source_site.WireSlotTo(source, slot, target, site(target.site));
-  } else {
-    source_site.WireSlotTo(source, slot, target, source_site);
+    site(target.site).WireTarget(target, source.site);
   }
 }
 

@@ -22,22 +22,22 @@ namespace dgc {
 // Reference-listing protocol (Section 2).
 
 /// Sent by a site that newly holds reference `ref` to the owner of `ref`:
-/// "add `new_source` to the source list of inref `ref`". `pinned_site` is the
-/// site holding a clean outref pinned by the insert barrier until the owner
-/// acknowledges (kInvalidSite when no pin is held). `distance` is the
-/// conservative 1 for fresh mutator-held references (Section 3) or the
-/// sender's current outref distance for recovery-time re-registrations.
+/// "add me (the envelope's sender) to the source list of inref `ref`".
+/// `pinned` says the sender holds a clean outref pinned by the insert
+/// barrier until the owner acknowledges; only then does the owner ack.
+/// `distance` is the conservative 1 for fresh mutator-held references
+/// (Section 3) or the sender's current outref distance for recovery-time
+/// re-registrations, which hold no pin.
 struct InsertMsg {
   ObjectId ref;
-  SiteId new_source = kInvalidSite;
-  SiteId pinned_site = kInvalidSite;
+  bool pinned = false;
   Distance distance = 1;
 };
 
-/// Owner's acknowledgement of an InsertMsg, releasing the insert-barrier pin.
+/// Owner's acknowledgement of a pinned InsertMsg, sent back to its sender,
+/// releasing the insert-barrier pin.
 struct InsertAckMsg {
   ObjectId ref;
-  SiteId new_source = kInvalidSite;
 };
 
 /// One outref's worth of news in an update message: either the source no

@@ -420,22 +420,13 @@ int RunSiteProcess(const SiteHostOptions& options) {
             site.heap().AddPersistentRoot(op.a);
             break;
           case wire::BuildOpKind::kWireLocal:
-            site.heap().SetSlot(op.a, op.slot, op.b);
+          case wire::BuildOpKind::kWireSource:
+            site.WireSource(op.a, op.slot, op.b);
             break;
-          case wire::BuildOpKind::kWireSource: {
-            // Source half of Site::WireSlotTo: write the slot, ensure the
-            // outref at distance 1.
-            site.heap().SetSlot(op.a, op.slot, op.b);
-            auto [entry, created] = site.tables().EnsureOutref(op.b);
-            if (created) entry->distance = 1;
+          case wire::BuildOpKind::kWireTarget:
+            // Local object b gains source site a.site (a's index is unused).
+            site.WireTarget(op.b, op.a.site);
             break;
-          }
-          case wire::BuildOpKind::kWireTarget: {
-            // Target half: register the inref for local object b held by
-            // source site a.site (a's index is unused).
-            site.tables().EnsureInref(op.b).sources.try_emplace(op.a.site, 1);
-            break;
-          }
           case wire::BuildOpKind::kUnwire:
             site.heap().SetSlot(op.a, op.slot, kInvalidObject);
             break;

@@ -130,7 +130,7 @@ void SocketWorld::Wire(ObjectId source, std::size_t slot, ObjectId target) {
                   "Wire on unreachable site " << source.site);
     return;
   }
-  // Cross-site: the two halves of Site::WireSlotTo, applied in the same
+  // Cross-site: Site::WireSource then Site::WireTarget, in System::Wire's
   // order (source slot + outref first, then the target-side inref).
   wire::BuildOpFrame src;
   src.op = wire::BuildOpKind::kWireSource;
@@ -233,8 +233,6 @@ void SocketWorld::ArmFaultPlan(const FaultPlan& plan) {
   // crash_restart hook — a killed process's supervised restart IS the
   // crash-restart under this transport.
   hooks.kill_process = [this](SiteId site) { supervisor_->Kill(site); };
-  hooks.pause_process = [this](SiteId site) { supervisor_->Pause(site); };
-  hooks.resume_process = [this](SiteId site) { supervisor_->Resume(site); };
   hooks.sever_socket = [this](SiteId site) {
     transport_->SeverConnection(site);
   };

@@ -12,11 +12,11 @@
 // a seeded run under the socket transport makes exactly the protocol-level
 // decisions the simulator makes.
 //
-// Chaos: ArmFaultPlan wires the process-level fault kinds to real signals
-// (KillProcess -> SIGKILL + supervised restart, PauseProcess -> SIGSTOP/
-// SIGCONT, SeverSocket -> coordinator-side close) alongside the familiar
-// network-level faults, all scheduled on the control scheduler in simulated
-// time.
+// Chaos: ArmFaultPlan wires the process-level fault kinds to real effects
+// (KillProcess -> SIGKILL + supervised restart, SeverSocket ->
+// coordinator-side close) alongside the familiar network-level faults, all
+// scheduled on the control scheduler in simulated time. PauseSite and
+// ResumeSite send SIGSTOP/SIGCONT directly.
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,7 @@
 // wire order,
 //
 //   auto Fields(Is<InsertMsg> auto& m) {
-//     return std::tie(m.ref, m.new_source, m.pinned_site, m.distance);
+//     return std::tie(m.ref, m.pinned, m.distance);
 //   }
 //
 // and one generic encoder, one generic decoder, one size counter and one
@@ -65,7 +65,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 /// Protocol magic ("DGC1") and version carried by every Hello.
 inline constexpr std::uint32_t kWireMagic = 0x44474331;
-inline constexpr std::uint16_t kWireVersion = 6;
+inline constexpr std::uint16_t kWireVersion = 7;
 
 // ---------------------------------------------------------------------------
 // Flat little-endian writer / bounds-checked reader.
@@ -330,7 +330,7 @@ auto Fields(Is<StepReplyFrame> auto& f) {
 
 /// God-mode operations the coordinator (SocketWorld) applies to a site's
 /// heap/tables, mirroring System's build surface. Cross-site Wire splits
-/// into the two half-ops WireSlotTo performs on each side.
+/// into its two halves, Site::WireSource and Site::WireTarget.
 enum class BuildOpKind : std::uint8_t {
   kNewObject,    // n = slot count; reply carries the new id
   kSetRoot,      // a = object to make a persistent root
@@ -408,9 +408,9 @@ auto Fields(Is<TraceId> auto& id) { return std::tie(id.initiator, id.seq); }
 auto Fields(Is<FrameId> auto& id) { return std::tie(id.site, id.frame); }
 
 auto Fields(Is<InsertMsg> auto& m) {
-  return std::tie(m.ref, m.new_source, m.pinned_site, m.distance);
+  return std::tie(m.ref, m.pinned, m.distance);
 }
-auto Fields(Is<InsertAckMsg> auto& m) { return std::tie(m.ref, m.new_source); }
+auto Fields(Is<InsertAckMsg> auto& m) { return std::tie(m.ref); }
 auto Fields(Is<UpdateEntry> auto& e) {
   return std::tie(e.ref, e.removed, e.distance);
 }
@@ -478,7 +478,7 @@ auto Fields(Is<CollectorConfig> auto& c) {
                   c.back_threshold_increment, c.local_trace_duration,
                   c.back_call_timeout, c.report_timeout,
                   c.update_refresh_period, c.enable_back_tracing,
-                  c.insert_mode, c.park_on_suspected_failure);
+                  c.park_on_suspected_failure);
 }
 
 /// The largest valid value of each enum field; decoding rejects a byte
@@ -487,7 +487,6 @@ constexpr BackResult LastValue(BackResult) { return BackResult::kLive; }
 constexpr GlobalGcControlMsg::Phase LastValue(GlobalGcControlMsg::Phase) {
   return GlobalGcControlMsg::Phase::kSweepDone;
 }
-constexpr InsertMode LastValue(InsertMode) { return InsertMode::kDeferred; }
 
 }  // namespace dgc
 

@@ -1,6 +1,5 @@
 #include "sim/fault_plan.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/check.h"
@@ -70,17 +69,6 @@ FaultPlan& FaultPlan::KillProcess(SimTime at, SiteId site) {
   return *this;
 }
 
-FaultPlan& FaultPlan::PauseProcess(SimTime at, SiteId site, SimTime duration) {
-  DGC_CHECK(at >= 0 && duration > 0);
-  Event event;
-  event.kind = Kind::kPauseProcess;
-  event.at = at;
-  event.duration = duration;
-  event.site = site;
-  events_.push_back(event);
-  return *this;
-}
-
 FaultPlan& FaultPlan::SeverSocket(SimTime at, SiteId site) {
   DGC_CHECK(at >= 0);
   Event event;
@@ -89,14 +77,6 @@ FaultPlan& FaultPlan::SeverSocket(SimTime at, SiteId site) {
   event.site = site;
   events_.push_back(event);
   return *this;
-}
-
-SimTime FaultPlan::horizon() const {
-  SimTime horizon = 0;
-  for (const Event& event : events_) {
-    horizon = std::max(horizon, event.at + event.duration);
-  }
-  return horizon;
 }
 
 void FaultPlan::Schedule(Scheduler& scheduler, FaultHooks hooks) const {
@@ -153,14 +133,6 @@ void FaultPlan::Schedule(Scheduler& scheduler, FaultHooks hooks) const {
       case Kind::kKillProcess:
         scheduler.At(event.at, [shared, site = event.site] {
           if (shared->kill_process) shared->kill_process(site);
-        });
-        break;
-      case Kind::kPauseProcess:
-        scheduler.At(event.at, [shared, site = event.site] {
-          if (shared->pause_process) shared->pause_process(site);
-        });
-        scheduler.At(event.at + event.duration, [shared, site = event.site] {
-          if (shared->resume_process) shared->resume_process(site);
         });
         break;
       case Kind::kSeverSocket:

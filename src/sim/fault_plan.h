@@ -41,12 +41,10 @@ struct FaultHooks {
   // Process-level faults (socket transport only; System leaves these empty
   // and the events are skipped). kill_process sends SIGKILL — the supervisor
   // then restarts the site with backoff and it rejoins via the incarnation
-  // handshake. pause/resume bracket a SIGSTOP window. sever_socket closes
-  // the coordinator's end of the site's connection mid-run; the site redials
-  // and reconnects at the same incarnation.
+  // handshake. sever_socket closes the coordinator's end of the site's
+  // connection mid-run; the site redials and reconnects at the same
+  // incarnation.
   std::function<void(SiteId)> kill_process;
-  std::function<void(SiteId)> pause_process;
-  std::function<void(SiteId)> resume_process;
   std::function<void(SiteId)> sever_socket;
 };
 
@@ -58,7 +56,6 @@ class FaultPlan {
     kDropBurst,
     kLatencySpike,
     kKillProcess,    // SIGKILL the site's process at `at`
-    kPauseProcess,   // SIGSTOP at `at`, SIGCONT at `at + duration`
     kSeverSocket,    // close the site's connection at `at`
   };
 
@@ -90,8 +87,6 @@ class FaultPlan {
 
   /// kill -9 the site's process at `at`. Recovery is the supervisor's job.
   FaultPlan& KillProcess(SimTime at, SiteId site);
-  /// SIGSTOP the site's process during [at, at + duration).
-  FaultPlan& PauseProcess(SimTime at, SiteId site, SimTime duration);
   /// Sever the site's socket at `at` (the process survives and redials).
   FaultPlan& SeverSocket(SimTime at, SiteId site);
 
@@ -101,8 +96,6 @@ class FaultPlan {
 
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
   [[nodiscard]] bool empty() const { return events_.empty(); }
-  /// Time by which every scheduled fault has begun and ended.
-  [[nodiscard]] SimTime horizon() const;
 
   /// Knobs for Random. Fault windows are drawn uniformly inside
   /// [0, horizon - max_duration]; counts of each kind are exact.

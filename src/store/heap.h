@@ -137,9 +137,11 @@ class Heap {
   }
 
   /// Storage slot of an object id's index (low half minus the +1 bias): the
-  /// position of its entry in a HeapImage and, second user, of its mark bit
-  /// in System's oracle walk, which checks Exists first (a recycled slot
-  /// hands out new ids). Only valid for indices minted by this heap layout.
+  /// position of its entry in a HeapImage, of its mark bit in System's
+  /// oracle walk, which checks Exists first (a recycled slot hands out new
+  /// ids), and of its node state in the suspect tracer
+  /// (BottomUpOutsetComputer). Only valid for indices minted by this heap
+  /// layout.
   static constexpr std::uint64_t SlotOfIndex(std::uint64_t index) {
     return SlotOf(index);
   }

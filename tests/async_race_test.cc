@@ -196,56 +196,5 @@ TEST_P(AsyncRace, OverlappingSessionsWithCollectionStaySafe) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AsyncRace,
                          ::testing::Range<std::uint64_t>(1, 26));
 
-class AsyncRaceDeferred : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AsyncRaceDeferred, DeferredInsertsUnderAsyncRaces) {
-  const std::uint64_t seed = GetParam();
-  CollectorConfig config = Config();
-  config.insert_mode = InsertMode::kDeferred;
-  NetworkConfig net;
-  net.latency = 15;
-  System system(3, config, net, seed);
-  std::vector<ObjectId> containers;
-  for (SiteId s = 0; s < 3; ++s) {
-    const ObjectId container = system.NewObject(s, 3);
-    system.SetPersistentRoot(container);
-    containers.push_back(container);
-  }
-  Session s0(system, 0, 1), s1(system, 1, 2);
-  AsyncScript a(system, s0), b(system, s1);
-  Rng rng(seed * 11400714819323198485ULL);
-  for (int i = 0; i < 12; ++i) {
-    a.PublishFresh(containers[rng.NextBelow(3)], rng.NextBelow(3));
-    b.CopyAcross(containers[rng.NextBelow(3)], rng.NextBelow(3),
-                 containers[rng.NextBelow(3)], rng.NextBelow(3));
-    if (i % 3 == 0) {
-      a.Clear(containers[rng.NextBelow(3)], rng.NextBelow(3));
-    }
-  }
-  a.Launch(3);
-  b.Launch(9);
-  for (SimTime t = 30; t < 500; t += 70) {
-    system.scheduler().At(t, [&system] {
-      for (SiteId s = 0; s < 3; ++s) {
-        if (!system.site(s).trace_in_flight()) {
-          system.site(s).StartLocalTrace();
-        }
-      }
-    });
-  }
-  system.SettleNetwork();
-  EXPECT_TRUE(a.finished() && b.finished());
-  s0.ReleaseAll();
-  s1.ReleaseAll();
-  system.RunRounds(30);
-  EXPECT_TRUE(system.CheckSafety().empty())
-      << "seed " << seed << ": " << system.CheckSafety();
-  EXPECT_TRUE(system.CheckCompleteness().empty())
-      << "seed " << seed << ": " << system.CheckCompleteness();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AsyncRaceDeferred,
-                         ::testing::Range<std::uint64_t>(1, 16));
-
 }  // namespace
 }  // namespace dgc

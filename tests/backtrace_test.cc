@@ -680,7 +680,7 @@ TEST(VisitMarkTest, RecreatedInrefAnswersLiveToTheTraceThatMarkedIt) {
   site1.HandleMessage(Envelope{
       0, 1, UpdateMsg{std::vector<UpdateEntry>{{x, /*removed=*/true}}}});
   ASSERT_EQ(site1.tables().FindInref(x), nullptr);
-  site1.HandleMessage(Envelope{0, 1, InsertMsg{x, /*new_source=*/0}});
+  site1.HandleMessage(Envelope{0, 1, InsertMsg{x}});
   ASSERT_NE(site1.tables().FindInref(x), nullptr);
   ASSERT_EQ(site1.back_tracer().visit_record_count(), 1u);  // not reported
 

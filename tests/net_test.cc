@@ -123,8 +123,8 @@ TEST_F(NetFixture, LossInjectionDropsApproximateFraction) {
 
 TEST_F(NetFixture, PerKindCountersAndBytes) {
   auto net = MakeNetwork(2);
-  net->Send(0, 1, InsertMsg{ObjectId{1, 1}, 0, 0});
-  net->Send(0, 1, InsertMsg{ObjectId{1, 2}, 0, 0});
+  net->Send(0, 1, InsertMsg{ObjectId{1, 1}, true});
+  net->Send(0, 1, InsertMsg{ObjectId{1, 2}, true});
   net->Send(0, 1, BackReportMsg{TraceId{0, 1}, BackResult::kLive});
   scheduler.RunUntilIdle();
   EXPECT_EQ(net->stats().count_of<InsertMsg>(), 2u);
@@ -132,10 +132,10 @@ TEST_F(NetFixture, PerKindCountersAndBytes) {
   EXPECT_EQ(net->stats().count_of<UpdateMsg>(), 0u);
   // Unbatched, each payload is one wire message: a 5-byte frame header
   // (length prefix and type byte) and its envelope, whose from, to and
-  // variant tag take 9 bytes before the payload's fields: 24 for an insert
-  // (a 12-byte object id and three u32s), 9 for a report (an 8-byte trace
-  // id and the outcome byte).
-  EXPECT_EQ(net->stats().logical_bytes, 2u * (5 + 9 + 24) + (5 + 9 + 9));
+  // variant tag take 9 bytes before the payload's fields: 17 for an insert
+  // (a 12-byte object id, the pin byte and a u32 distance), 9 for a report
+  // (an 8-byte trace id and the outcome byte).
+  EXPECT_EQ(net->stats().logical_bytes, 2u * (5 + 9 + 17) + (5 + 9 + 9));
   EXPECT_EQ(net->stats().wire_bytes, net->stats().logical_bytes);
 }
 

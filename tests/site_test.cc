@@ -20,7 +20,7 @@ TEST(SiteProtocolTest, InsertAddsSourceAtConservativeDistanceOne) {
   System system(2, Config());
   const ObjectId obj = system.NewObject(1, 0);
   workload::TetherToRoot(system, obj, 1);  // keep alive
-  system.network().Send(0, 1, InsertMsg{obj, /*new_source=*/0, kInvalidSite});
+  system.network().Send(0, 1, InsertMsg{obj});
   system.SettleNetwork();
   const InrefEntry* inref = system.site(1).tables().FindInref(obj);
   ASSERT_NE(inref, nullptr);
@@ -214,7 +214,7 @@ TEST(SiteProtocolTest, ExtensionHandlerConsumesBeforeBuiltins) {
     return false;
   });
   const ObjectId obj = system.NewObject(1, 0);
-  system.network().Send(0, 1, InsertMsg{obj, 0, kInvalidSite});
+  system.network().Send(0, 1, InsertMsg{obj});
   system.SettleNetwork();
   EXPECT_EQ(seen, 1);
   EXPECT_EQ(system.site(1).tables().FindInref(obj), nullptr);  // not processed

@@ -1,8 +1,8 @@
 // Kitchen-sink soak: every optional feature enabled at once — piggybacking,
-// deferred inserts, non-atomic local traces, latency jitter, message loss,
-// timeouts, update refresh — under transactional churn with a mid-run
-// crash-restart, and every reused local trace checked against a shadow full
-// trace. If the features compose badly, this is where it shows.
+// non-atomic local traces, latency jitter, message loss, timeouts, update
+// refresh — under transactional churn with a mid-run crash-restart, and
+// every reused local trace checked against a shadow full trace. If the
+// features compose badly, this is where it shows.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
@@ -25,7 +25,6 @@ TEST_P(KitchenSink, EverythingOnEverywhereStaysSafeAndCompletes) {
   config.back_call_timeout = 600;    // §4.6 timeouts
   config.report_timeout = 5000;      // §4.6 outcome expiry
   config.update_refresh_period = 3;  // loss recovery
-  config.insert_mode = InsertMode::kDeferred;
   NetworkConfig net;
   net.latency = 10;
   net.latency_jitter = 12;

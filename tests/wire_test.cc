@@ -60,8 +60,8 @@ std::string Hex(const std::vector<std::uint8_t>& bytes) {
 /// non-default field values so a field swap or a missed vector would show.
 std::vector<Payload> OnePayloadOfEachKind() {
   std::vector<Payload> all;
-  all.push_back(InsertMsg{ObjectId{2, 7}, 1, 3, 5});
-  all.push_back(InsertAckMsg{ObjectId{2, 7}, 1});
+  all.push_back(InsertMsg{ObjectId{2, 7}, true, 5});
+  all.push_back(InsertAckMsg{ObjectId{2, 7}});
   all.push_back(UpdateMsg{{UpdateEntry{ObjectId{1, 2}, true, kDistanceInfinity},
                            UpdateEntry{ObjectId{3, 4}, false, 9}}});
   all.push_back(BackLocalCallMsg{TraceId{1, 2}, ObjectId{3, 4}, FrameId{5, 6}});
@@ -167,7 +167,6 @@ std::vector<Sample> GoldenSamples() {
   c.report_timeout = 999;
   c.update_refresh_period = 6;
   c.enable_back_tracing = false;
-  c.insert_mode = InsertMode::kDeferred;
   c.park_on_suspected_failure = false;
   samples.push_back(MakeSample("HelloAck", ack));
 
@@ -177,7 +176,7 @@ std::vector<Sample> GoldenSamples() {
   step.suspected = {2};
   step.recovered = {1, 3};
   step.restarted = {1};
-  step.envelopes.push_back(Envelope{0, 1, InsertMsg{ObjectId{1, 4}, 0, 2, 6}});
+  step.envelopes.push_back(Envelope{0, 1, InsertMsg{ObjectId{1, 4}, true, 6}});
   step.envelopes.push_back(
       Envelope{2, 1, UpdateMsg{{UpdateEntry{ObjectId{1, 5}, false, 3}}}});
   samples.push_back(MakeSample("StepRequest", step));
@@ -203,7 +202,7 @@ std::vector<Sample> GoldenSamples() {
   build.seq = 3;
   build.result = ObjectId{2, 8};
   build.next_event_time = 60;
-  build.staged.push_back(Envelope{2, 0, InsertAckMsg{ObjectId{2, 8}, 0}});
+  build.staged.push_back(Envelope{2, 0, InsertAckMsg{ObjectId{2, 8}}});
   samples.push_back(MakeSample("BuildReply", build));
 
   wire::QueryFrame query;
@@ -237,8 +236,8 @@ struct Pinned {
 
 // clang-format off
 constexpr Pinned kPinned[] = {
-    {"Insert", 25, 0x98c883e65bc24b6dULL},
-    {"InsertAck", 17, 0x32d2f66d6f0cb9a8ULL},
+    {"Insert", 18, 0x1704c59588b7d814ULL},
+    {"InsertAck", 13, 0x3c45e13895609329ULL},
     {"Update", 39, 0xa6979259af592f0dULL},
     {"BackLocalCall", 33, 0x3d4c65ea57dd0105ULL},
     {"BackRemoteCall", 33, 0x5988d0d14cf9db64ULL},
@@ -262,12 +261,12 @@ constexpr Pinned kPinned[] = {
     {"ReachabilitySummary", 69, 0x8f2357b421dea4f4ULL},
     {"Condemn", 25, 0xdb1c95da5f6bafcdULL},
     {"Envelope", 42, 0x1daaee7a3ea6b220ULL},
-    {"Hello", 14, 0xcf6cad677b2afd9fULL},
-    {"HelloAck", 61, 0x845324bc2b9e0abfULL},
-    {"StepRequest", 111, 0x8d02d0a6030988a7ULL},
+    {"Hello", 14, 0xa81c765a520fa6c6ULL},
+    {"HelloAck", 60, 0x1af274ebd5ba5312ULL},
+    {"StepRequest", 104, 0x37e1441ef1a65d6aULL},
     {"StepReply", 49, 0xbd42c057bacb1a07ULL},
     {"BuildOp", 53, 0x599dbfc73c3ed4f5ULL},
-    {"BuildReply", 57, 0x4731bc8544e7646cULL},
+    {"BuildReply", 53, 0x83a396dde5a703acULL},
     {"Query", 16, 0x3651229acbc520c5ULL},
     {"QueryReply", 81, 0x15f93b0620a11a77ULL},
 };
@@ -526,7 +525,7 @@ TEST(WireEngineFrameTest, StepRequestCarriesDetectorStateAndEnvelopes) {
   f.suspected = {2};
   f.recovered = {1, 3};
   f.restarted = {1};  // restart notice: scrub the dead incarnation's traces
-  f.envelopes.push_back(Envelope{0, 1, InsertMsg{ObjectId{1, 4}, 0, 2, 6}});
+  f.envelopes.push_back(Envelope{0, 1, InsertMsg{ObjectId{1, 4}, true, 6}});
   wire::WireWriter w;
   wire::Encode(w, f);
   wire::WireReader r(w.data());
