@@ -192,6 +192,13 @@ void Site::ReceiveReference(ObjectId ref, std::function<void()> done) {
     done();
     return;
   }
+  const auto pending = pending_insert_acks_.find(ref);
+  if (pending != pending_insert_acks_.end()) {
+    // The outref's insert is unacknowledged, perhaps lost: wait for its ack,
+    // or this arrival could complete before the owner lists this site.
+    pending->second.push_back(std::move(done));
+    return;
+  }
   OutrefEntry* existing = tables_.FindOutref(ref);
   if (existing != nullptr) {
     if (!existing->clean()) {

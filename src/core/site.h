@@ -180,8 +180,9 @@ class Site {
 
   /// A reference arrived at this site (RPC argument/result). Runs the
   /// appropriate case of Section 6.1.2 and invokes `done` once the reference
-  /// is safely recorded: immediately, or for case 4 (no outref yet) once the
-  /// owner acknowledges the insert (synchronous inserts, Section 2).
+  /// is safely recorded: immediately, or once the owner acknowledges the
+  /// insert (synchronous inserts, Section 2) for case 4 (no outref yet) and
+  /// for any arrival while the outref's insert is unacknowledged.
   void ReceiveReference(ObjectId ref, std::function<void()> done);
 
   // --- Application roots (Section 6.3) ---------------------------------

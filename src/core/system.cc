@@ -14,7 +14,7 @@ System::System(std::size_t site_count, const CollectorConfig& collector_config,
                const NetworkConfig& network_config, std::uint64_t seed)
     : collector_config_(collector_config),
       rng_(seed),
-      transport_(scheduler_, network_config, rng_.Fork()) {
+      network_(scheduler_, network_config, rng_.Fork()) {
   DGC_CHECK(site_count >= 1);
   // With retransmission, "0 disables timeouts" would let one exhausted
   // retransmit budget strand a trace forever; derive protocol timeouts
@@ -24,7 +24,7 @@ System::System(std::size_t site_count, const CollectorConfig& collector_config,
   sites_.reserve(site_count);
   for (std::size_t i = 0; i < site_count; ++i) {
     sites_.push_back(std::make_unique<Site>(static_cast<SiteId>(i),
-                                            transport_, collector_config_));
+                                            network_, collector_config_));
   }
 }
 

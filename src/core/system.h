@@ -19,7 +19,7 @@
 #include "common/counters.h"
 #include "common/rng.h"
 #include "core/site.h"
-#include "net/transport.h"
+#include "net/network.h"
 #include "sim/fault_plan.h"
 #include "sim/scheduler.h"
 
@@ -47,8 +47,8 @@ class System {
   /// The one scheduler: the network's events and every site's timers.
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
-  [[nodiscard]] Network& network() { return transport_.network(); }
-  [[nodiscard]] const Network& network() const { return transport_.network(); }
+  [[nodiscard]] Network& network() { return network_; }
+  [[nodiscard]] const Network& network() const { return network_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
   /// Global simulated time.
@@ -157,9 +157,9 @@ class System {
   CollectorConfig collector_config_;
   Scheduler scheduler_;
   Rng rng_;
-  /// Owns the Network, whose Rng is the first fork of rng_: moving this
-  /// member changes every seeded run.
-  SimTransport transport_;
+  /// Every site's Transport. Its Rng is the first fork of rng_: moving
+  /// this member changes every seeded run.
+  Network network_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::size_t rounds_ = 0;
 };

@@ -164,6 +164,9 @@ void Session::Write(ObjectId target, std::size_t slot, ObjectId value) {
   PumpUntil(system_, completed, [this, target, slot, value] {
     system_.site(home_).ResendPendingInserts();
     if (target.site != home_) {
+      // `value` arrives at the target's site, and waits there for that
+      // site's insert, which may be the message that was lost.
+      system_.site(target.site).ResendPendingInserts();
       system_.network().Send(
           home_, target.site,
           MutatorWriteMsg{id_, target, static_cast<std::uint32_t>(slot),

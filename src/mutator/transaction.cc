@@ -123,6 +123,8 @@ void TransactionClient::Commit() {
   PumpUntil(system_, done, [this, &slices] {
     system_.site(home_).ResendPendingInserts();
     for (auto& [owner, slice] : slices) {
+      // The written references arrive at the owner and wait for its inserts.
+      system_.site(owner).ResendPendingInserts();
       system_.network().Send(home_, owner, CommitMsg(slice));
     }
   });

@@ -1,4 +1,7 @@
-// Simulated network connecting the sites.
+// Simulated network connecting the sites, and the in-process Transport
+// (net/transport.h): System hands it to every Site, which registers, sends
+// and runs its timers through it. A socket coordinator owns one too, which
+// its site processes' staged sends enter.
 //
 // Guarantees the paper's delivery assumption R1 — in-order delivery between
 // any pair of sites — by clamping each channel's delivery times to be
@@ -50,6 +53,7 @@
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "net/messages.h"
+#include "net/transport.h"
 #include "sim/fault_plan.h"
 #include "sim/scheduler.h"
 
@@ -129,16 +133,8 @@ auto Counters(Is<NetworkStats> auto& s) {
 }
 static_assert(ListsEveryMember<NetworkStats>(sizeof(NetworkStats::per_kind)));
 
-class Network {
+class Network final : public Transport {
  public:
-  using Handler = std::function<void(const Envelope&)>;
-  /// Invoked (per observer site) when the failure detector reports a
-  /// previously suspected peer healed. `restarted` is true when the peer
-  /// crashed and came back as a new incarnation during the outage — its
-  /// volatile state (activation frames, in particular) is certainly gone,
-  /// so observers may scrub trace state rooted at the old incarnation
-  /// instead of waiting out report timeouts.
-  using RecoveryListener = std::function<void(SiteId peer, bool restarted)>;
   /// Delivery interposer (see set_dispatcher).
   using Dispatcher = std::function<void(Envelope&&)>;
 
@@ -147,16 +143,19 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
+  /// The one scheduler: deliveries, retransmits and the sites' timers.
+  [[nodiscard]] Scheduler& scheduler() override { return scheduler_; }
+
   /// Registers the message handler for a site. Must be called once per site
   /// before any message addressed to it is delivered.
-  void RegisterSite(SiteId site, Handler handler);
+  void RegisterSite(SiteId site, Handler handler) override;
 
   /// Sends a message. Delivery is asynchronous; per-channel FIFO order is
   /// preserved. Messages to or from a down site, or across a severed link,
   /// are silently dropped (the protocols recover via timeouts) — unless
   /// reliable delivery is on, in which case they are retransmitted until
   /// the attempt budget runs out.
-  void Send(SiteId from, SiteId to, Payload payload);
+  void Send(SiteId from, SiteId to, Payload payload) override;
 
   /// Crashes or restores a site: while down, all its traffic is dropped.
   /// Restoring erases the entry (the down-sets track only currently faulted
@@ -185,12 +184,12 @@ class Network {
   /// delivery) dead-letters all transport state on channels touching the
   /// site — the restarted process shares no connection state with its
   /// previous life.
-  void NoteSiteRestarted(SiteId site);
+  void NoteSiteRestarted(SiteId site) override;
   [[nodiscard]] std::uint32_t incarnation(SiteId site) const;
 
   // --- Failure detection ----------------------------------------------
 
-  [[nodiscard]] bool failure_detection_enabled() const {
+  [[nodiscard]] bool failure_detection_enabled() const override {
     return config_.heartbeat_period > 0;
   }
 
@@ -198,10 +197,12 @@ class Network {
   /// `peer`: true while an outage (site down, or the observer-peer link
   /// severed) has lasted at least the heartbeat timeout and for one
   /// heartbeat period + round trip after it heals.
-  [[nodiscard]] bool IsPeerSuspected(SiteId observer, SiteId peer) const;
+  [[nodiscard]] bool IsPeerSuspected(SiteId observer,
+                                     SiteId peer) const override;
 
   /// Installs `observer`'s recovery listener (at most one per site).
-  void SetRecoveryListener(SiteId observer, RecoveryListener listener);
+  void SetRecoveryListener(SiteId observer,
+                           RecoveryListener listener) override;
 
   /// Interposes on final delivery: when set, every envelope that would be
   /// handed to its destination handler goes to `dispatcher` instead (after

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <set>
 #include <thread>
 
 #include "core/site.h"
@@ -33,71 +32,28 @@ constexpr std::uint16_t kSnapshotVersion = 3;
 // Snapshot capture / apply.
 
 SiteSnapshot CaptureSiteSnapshot(const Site& site, std::uint32_t incarnation) {
-  SiteSnapshot snap;
-  snap.site = site.id();
-  snap.incarnation = incarnation;
-  snap.heap = site.heap().CaptureImage();
-  for (const auto& [ref, entry] : site.tables().inrefs()) {
-    SiteSnapshot::InrefImage image;
-    image.ref = ref;
-    for (const auto& [source, distance] : entry.sources) {
-      image.sources.push_back({source, distance});
-    }
-    image.garbage_flagged = entry.garbage_flagged;
-    image.clean_override = entry.clean_override;
-    image.back_threshold = entry.back_threshold;
-    snap.inrefs.push_back(std::move(image));
-  }
-  for (const auto& [ref, entry] : site.tables().outrefs()) {
-    SiteSnapshot::OutrefImage image;
-    image.ref = ref;
-    image.distance = entry.distance;
-    image.traced_clean = entry.traced_clean;
-    image.clean_override = entry.clean_override;
-    image.last_reported = entry.last_reported;
-    image.back_threshold = entry.back_threshold;
-    snap.outrefs.push_back(image);
-  }
-  for (const auto& [inref, outset] : site.back_info().inref_outsets) {
-    snap.inref_outsets.push_back({inref, outset});
-  }
-  return snap;
+  return SiteSnapshot{site.id(), incarnation, site.heap().CaptureImage(),
+                      site.tables().inrefs(), site.tables().outrefs(),
+                      site.back_info().inref_outsets};
 }
 
 void ApplySiteSnapshot(Site& site, const SiteSnapshot& snapshot) {
   DGC_CHECK(snapshot.site == site.id());
   site.heap().RestoreImage(snapshot.heap);
-  for (const auto& image : snapshot.inrefs) {
-    InrefEntry& entry = site.tables().EnsureInref(image.ref);
-    for (const auto& source : image.sources) {
-      site.tables().AddInrefSource(image.ref, source.site, source.distance);
-    }
-    entry.garbage_flagged = image.garbage_flagged;
-    entry.clean_override = image.clean_override;
-    entry.back_threshold = image.back_threshold;
+  site.tables().inrefs() = snapshot.inrefs;
+  site.tables().outrefs() = snapshot.outrefs;
+  for (auto& [ref, entry] : site.tables().outrefs()) {
+    entry.pin_count = 0;  // pins are volatile; the crash released them
   }
-  for (const auto& image : snapshot.outrefs) {
-    auto [entry, created] = site.tables().EnsureOutref(image.ref);
-    (void)created;
-    entry->distance = image.distance;
-    entry->traced_clean = image.traced_clean;
-    entry->clean_override = image.clean_override;
-    entry->last_reported = image.last_reported;
-    entry->back_threshold = image.back_threshold;
-    entry->pin_count = 0;  // pins are volatile; the crash released them
-  }
-  OutsetMap outsets;
-  for (const auto& [inref, outset] : snapshot.inref_outsets) {
-    outsets[inref] = outset;
-  }
-  site.RestoreBackInfo(std::move(outsets));
+  site.RestoreBackInfo(snapshot.inref_outsets);
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codec: the wire codec over these field lists (see net/wire.h),
-// behind a magic and version header. Every count is guarded and trailing
-// bytes are rejected, because a half-written or stale file must fail
-// cleanly, not crash the replacement process.
+// Snapshot codec: the wire codec over these field lists and the ref table
+// entries' (see net/wire.h, refs/tables.h), behind a magic and version
+// header. Every count is guarded and trailing bytes are rejected, because a
+// half-written or stale file must fail cleanly, not crash the replacement
+// process.
 
 auto Fields(Is<HeapImage::SlotImage> auto& s) {
   return std::tie(s.generation, s.live, s.slots);
@@ -107,20 +63,6 @@ auto Fields(Is<HeapStats> auto& s) {
 }
 auto Fields(Is<HeapImage> auto& h) {
   return std::tie(h.slots, h.free_slots, h.persistent_roots, h.stats);
-}
-auto Fields(Is<SiteSnapshot::InrefSource> auto& s) {
-  return std::tie(s.site, s.distance);
-}
-auto Fields(Is<SiteSnapshot::InrefImage> auto& i) {
-  return std::tie(i.ref, i.sources, i.garbage_flagged, i.clean_override,
-                  i.back_threshold);
-}
-auto Fields(Is<SiteSnapshot::OutrefImage> auto& o) {
-  return std::tie(o.ref, o.distance, o.traced_clean, o.clean_override,
-                  o.last_reported, o.back_threshold);
-}
-auto Fields(Is<SiteSnapshot::OutsetImage> auto& o) {
-  return std::tie(o.inref, o.outset);
 }
 auto Fields(Is<SiteSnapshot> auto& s) {
   return std::tie(s.site, s.incarnation, s.heap, s.inrefs, s.outrefs,
@@ -136,23 +78,19 @@ namespace {
 /// names a live object, a remote one has an outref.
 bool Restorable(const SiteSnapshot& s) {
   if (!s.heap.Restorable(s.site)) return false;
-  for (const SiteSnapshot::InrefImage& in : s.inrefs) {
-    if (in.ref.site != s.site) return false;
-    if (!in.garbage_flagged && !s.heap.Holds(s.site, in.ref)) return false;
-    for (const SiteSnapshot::InrefSource& source : in.sources) {
-      if (source.site == s.site) return false;
-    }
+  for (const auto& [ref, in] : s.inrefs) {
+    if (ref.site != s.site) return false;
+    if (!in.garbage_flagged && !s.heap.Holds(s.site, ref)) return false;
+    if (in.sources.contains(s.site)) return false;
   }
-  std::set<ObjectId> outrefs;
-  for (const SiteSnapshot::OutrefImage& out : s.outrefs) {
-    if (!out.ref.valid() || out.ref.site == s.site) return false;
-    outrefs.insert(out.ref);
+  for (const auto& [ref, out] : s.outrefs) {
+    if (!ref.valid() || ref.site == s.site) return false;
   }
   for (const HeapImage::SlotImage& object : s.heap.slots) {
     for (const ObjectId ref : object.slots) {
       if (!ref.valid()) continue;
       if (ref.site == s.site ? !s.heap.Holds(s.site, ref)
-                             : !outrefs.contains(ref)) {
+                             : !s.outrefs.contains(ref)) {
         return false;
       }
     }

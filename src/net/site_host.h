@@ -8,14 +8,15 @@
 // ships inside each StepRequest (the site process has no Network of its own).
 //
 // Crash durability: after every step the host serializes the site's durable
-// state — heap image, ref tables, back-info outsets, incarnation — to a
-// snapshot file (write-temp-then-rename, so a kill -9 mid-write leaves the
-// previous snapshot intact). A replacement process restores the snapshot,
-// dials in at incarnation + 1 (the handshake classifies it kAcceptRestart,
-// which triggers PR 4's NoteSiteRestarted stale-traffic fencing coordinator-
-// side), and re-announces its outrefs exactly like Site::CrashRestart does:
-// volatile state — in-flight traces, barriers, pins, visited marks — is
-// gone, and the re-registration InsertMsgs rebuild the distributed picture.
+// state — heap image, the ref tables themselves (each entry's Fields list
+// names its durable fields), back-info outsets, incarnation — to a snapshot
+// file (write-temp-then-rename, so a kill -9 mid-write leaves the previous
+// snapshot intact). A replacement process restores the snapshot, dials in at
+// incarnation + 1 (the handshake classifies it kAcceptRestart, which
+// triggers the coordinator's NoteSiteRestarted stale-traffic fencing), and
+// re-announces its outrefs exactly like Site::CrashRestart does: volatile
+// state — in-flight traces, barriers, pins, visited marks — is gone, and the
+// re-registration InsertMsgs rebuild the distributed picture.
 //
 // A severed socket (the process survives, only the connection drops) redials
 // at the *same* incarnation and resumes: kAcceptReconnect, no fencing.
@@ -31,11 +32,12 @@
 #include <utility>
 #include <vector>
 
+#include "backinfo/site_back_info.h"
 #include "common/check.h"
 #include "common/ids.h"
-#include "net/network.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "refs/tables.h"
 #include "sim/scheduler.h"
 #include "store/heap.h"
 
@@ -53,7 +55,7 @@ class SiteAgentTransport final : public Transport {
 
   [[nodiscard]] Scheduler& scheduler() override { return scheduler_; }
 
-  void RegisterSite(SiteId site, Network::Handler handler) override {
+  void RegisterSite(SiteId site, Handler handler) override {
     DGC_CHECK(site == site_);
     handler_ = std::move(handler);
   }
@@ -64,8 +66,7 @@ class SiteAgentTransport final : public Transport {
     staged_.push_back(Envelope{from, to, std::move(payload)});
   }
 
-  void SetRecoveryListener(SiteId observer,
-                           Network::RecoveryListener l) override {
+  void SetRecoveryListener(SiteId observer, RecoveryListener l) override {
     DGC_CHECK(observer == site_);
     recovery_listener_ = std::move(l);
   }
@@ -119,8 +120,8 @@ class SiteAgentTransport final : public Transport {
   SiteId site_;
   bool failure_detection_;
   Scheduler scheduler_;
-  Network::Handler handler_;
-  Network::RecoveryListener recovery_listener_;
+  Handler handler_;
+  RecoveryListener recovery_listener_;
   std::vector<SiteId> suspected_;  // sorted
   std::vector<Envelope> staged_;
 };
@@ -134,37 +135,13 @@ struct SiteSnapshot {
   /// dials in at incarnation + 1.
   std::uint32_t incarnation = 0;
   HeapImage heap;
-
-  struct InrefSource {
-    SiteId site = kInvalidSite;
-    Distance distance = 1;
-  };
-  struct InrefImage {
-    ObjectId ref;
-    std::vector<InrefSource> sources;
-    bool garbage_flagged = false;
-    bool clean_override = false;
-    Distance back_threshold = 0;
-  };
-  struct OutrefImage {
-    ObjectId ref;
-    Distance distance = kDistanceInfinity;
-    bool traced_clean = false;
-    bool clean_override = false;
-    Distance last_reported = kDistanceInfinity;
-    Distance back_threshold = 0;
-    // pin_count is volatile (pins die with the mutator sessions).
-  };
-  std::vector<InrefImage> inrefs;    // table iteration order (sorted by id)
-  std::vector<OutrefImage> outrefs;  // likewise
-
+  /// The ref tables themselves; their entries' Fields lists (refs/tables.h)
+  /// leave the volatile pins out.
+  RefTables::InrefMap inrefs;
+  RefTables::OutrefMap outrefs;
   /// Back info: the suspected-inref outsets; insets are recomputed on
   /// restore (they are always the exact inverse).
-  struct OutsetImage {
-    ObjectId inref;
-    std::vector<ObjectId> outset;
-  };
-  std::vector<OutsetImage> inref_outsets;
+  OutsetMap inref_outsets;
 };
 
 [[nodiscard]] SiteSnapshot CaptureSiteSnapshot(const Site& site,

@@ -10,7 +10,9 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 
@@ -21,13 +23,44 @@ using wire::IoStatus;
 
 namespace {
 
+/// True when every object `payload` names as its destination's own lives on
+/// `to`. The handlers of these payloads check it with DGC_CHECK, so a
+/// misaddressed one would end the destination's process.
+bool NamesOnlyObjectsOf(SiteId to, const Payload& payload) {
+  const auto on_to = [to](ObjectId ref) { return ref.site == to; };
+  return std::visit(
+      [&](const auto& m) {
+        using M = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<M, InsertMsg> ||
+                      std::is_same_v<M, BackRemoteCallMsg>) {
+          return on_to(m.ref);
+        } else if constexpr (std::is_same_v<M, MutatorReadMsg> ||
+                             std::is_same_v<M, MutatorWriteMsg> ||
+                             std::is_same_v<M, FetchMsg>) {
+          return on_to(m.target);
+        } else if constexpr (std::is_same_v<M, UpdateMsg>) {
+          return std::all_of(m.entries.begin(), m.entries.end(),
+                             [&](const UpdateEntry& e) { return on_to(e.ref); });
+        } else if constexpr (std::is_same_v<M, CommitMsg>) {
+          return std::all_of(
+              m.writes.begin(), m.writes.end(),
+              [&](const CommitWrite& w) { return on_to(w.target); });
+        } else {
+          return true;
+        }
+      },
+      payload);
+}
+
 /// True when every staged send of `site`'s reply is from `site` to a site
 /// that exists — what Network::Send requires, and what keeps one process
-/// from sending as another past incarnation fencing.
+/// from sending as another past incarnation fencing — and names as its
+/// destination's own only objects that live there.
 bool StagedValid(SiteId site, std::size_t site_count,
                  const std::vector<Envelope>& staged) {
   return std::all_of(staged.begin(), staged.end(), [&](const Envelope& env) {
-    return env.from == site && env.to < site_count;
+    return env.from == site && env.to < site_count &&
+           NamesOnlyObjectsOf(env.to, env.payload);
   });
 }
 
@@ -111,10 +144,12 @@ void SocketTransport::AcceptPending() {
 
 void SocketTransport::CompleteHandshake(int fd) {
   FrameType type = FrameType::kHello;
+  std::vector<std::uint8_t> carry;  // a dialer sends nothing past its Hello
   std::vector<std::uint8_t> body;
   // A dialing site writes its Hello immediately; a short bounded read keeps
   // a wedged dialer from stalling the engine.
-  if (wire::ReadFrame(fd, /*timeout_ms=*/1000, type, body) != IoStatus::kOk ||
+  if (wire::ReadFrameBuffered(fd, /*timeout_ms=*/1000, carry, type, body) !=
+          IoStatus::kOk ||
       type != FrameType::kHello) {
     ++socket_counters_.handshakes_rejected;
     close(fd);
@@ -222,44 +257,46 @@ void SocketTransport::AbsorbLateReplies() {
         wire::ReadFrameBuffered(conn.fd, /*timeout_ms=*/0, conn.rx, type,
                                 body);
     if (status == IoStatus::kTimeout) continue;  // still dark
-    if (status != IoStatus::kOk || type != conn.awaiting_type) {
-      Disconnect(conn, s);
-      continue;
-    }
-    bool ok = false;
     // The owed reply finally arrived (the process was resumed). Its staged
     // sends enter the Network now — from the world's point of view the
     // paused site's work happens late, which is exactly what a stalled
     // process looks like to its peers.
-    if (conn.awaiting_type == FrameType::kStepReply) {
-      wire::StepReplyFrame reply;
-      ok = wire::DecodeBody(body, reply) && reply.seq == conn.awaiting_seq &&
-           StagedValid(s, conns_.size(), reply.staged);
-      if (ok) {
-        conn.cached_next = reply.next_event_time;
-        ReplayStaged(std::move(reply.staged));
-      }
-    } else if (conn.awaiting_type == FrameType::kBuildReply) {
-      wire::BuildReplyFrame reply;
-      ok = wire::DecodeBody(body, reply) && reply.seq == conn.awaiting_seq &&
-           StagedValid(s, conns_.size(), reply.staged);
-      if (ok) {
-        conn.cached_next = reply.next_event_time;
-        ReplayStaged(std::move(reply.staged));
-      }
-    } else if (conn.awaiting_type == FrameType::kQueryReply) {
-      wire::QueryReplyFrame reply;
-      ok = wire::DecodeBody(body, reply) && reply.seq == conn.awaiting_seq;
-    }
+    wire::StepReplyFrame step;
+    wire::BuildReplyFrame build;
+    wire::QueryReplyFrame query;
+    const bool ok =
+        status == IoStatus::kOk &&
+        (conn.awaiting_type == FrameType::kStepReply
+             ? AcceptReply(s, type, body, step)
+         : conn.awaiting_type == FrameType::kBuildReply
+             ? AcceptReply(s, type, body, build)
+             : AcceptReply(s, type, body, query));
     if (!ok) {
       Disconnect(conn, s);
       continue;
     }
-    conn.awaiting_seq = 0;
     conn.responsive = true;
     ++socket_counters_.late_replies;
     network_.SetSiteDown(s, false);
   }
+}
+
+template <class Reply>
+bool SocketTransport::AcceptReply(SiteId site, FrameType type,
+                                  const std::vector<std::uint8_t>& body,
+                                  Reply& reply) {
+  Conn& conn = conns_[site];
+  if (type != conn.awaiting_type || !wire::DecodeBody(body, reply) ||
+      reply.seq != conn.awaiting_seq) {
+    return false;
+  }
+  if constexpr (!std::is_same_v<Reply, wire::QueryReplyFrame>) {
+    if (!StagedValid(site, conns_.size(), reply.staged)) return false;
+    conn.cached_next = reply.next_event_time;
+    ReplayStaged(std::move(reply.staged));
+  }
+  conn.awaiting_seq = 0;
+  return true;
 }
 
 void SocketTransport::DetectPeerFailures() {
@@ -360,10 +397,8 @@ void SocketTransport::SendStepRequest(SiteId site, SimTime t) {
   req.envelopes = std::move(conn.outbound);
   conn.outbound.clear();
 
-  // writev: header + body gathered in one syscall, no frame-buffer copy of
-  // what may be a large envelope batch.
-  if (wire::WriteFrameV(conn.fd, FrameType::kStepRequest,
-                        wire::EncodeBody(req)) != IoStatus::kOk) {
+  if (wire::WriteFrame(conn.fd, FrameType::kStepRequest,
+                       wire::EncodeBody(req)) != IoStatus::kOk) {
     // Link died as we wrote. Re-queue the deliveries for after the redial
     // (a restarting site drops them in CompleteHandshake anyway).
     conn.outbound = std::move(req.envelopes);
@@ -559,78 +594,53 @@ void SocketTransport::Settle() {
 // ---------------------------------------------------------------------------
 // God-mode operations (SocketWorld).
 
-bool SocketTransport::RunBuildOp(SiteId site, wire::BuildOpFrame op,
-                                 wire::BuildReplyFrame& out) {
+template <class Request, class Reply>
+bool SocketTransport::Exchange(SiteId site, FrameType type, Request& request,
+                               FrameType reply_type, Reply& reply) {
   PollIo();
   Conn& conn = conns_[site];
   if (conn.fd < 0 || !conn.responsive || conn.awaiting_seq != 0) return false;
-  op.seq = next_seq_++;
-  op.time = global_now_;
-  if (wire::WriteFrame(conn.fd, FrameType::kBuildOp, wire::EncodeBody(op)) !=
+  request.seq = next_seq_++;
+  request.time = global_now_;
+  if (wire::WriteFrame(conn.fd, type, wire::EncodeBody(request)) !=
       IoStatus::kOk) {
     Disconnect(conn, site);
     return false;
   }
-  FrameType type = FrameType::kBuildReply;
+  conn.awaiting_seq = request.seq;
+  conn.awaiting_type = reply_type;
+  FrameType got = reply_type;
   std::vector<std::uint8_t> body;
   const IoStatus status = wire::ReadFrameBuffered(
-      conn.fd, socket_config_.step_timeout_ms, conn.rx, type, body);
+      conn.fd, socket_config_.step_timeout_ms, conn.rx, got, body);
   if (status == IoStatus::kTimeout) {
-    // The process went dark mid-op (SIGSTOP chaos). Same handling as a step
-    // timeout: mark it paused, remember the owed reply; AbsorbLateReplies
-    // replays its staged sends whenever it resumes.
+    // The process went dark mid-request (SIGSTOP chaos). Same handling as a
+    // step timeout: mark it paused and keep the reply owed;
+    // AbsorbLateReplies accepts it whenever the process resumes.
     ++socket_counters_.step_timeouts;
     conn.responsive = false;
-    conn.awaiting_seq = op.seq;
-    conn.awaiting_type = FrameType::kBuildReply;
     network_.SetSiteDown(site, true);
     return false;
   }
-  if (status != IoStatus::kOk || type != FrameType::kBuildReply) {
+  if (status != IoStatus::kOk || !AcceptReply(site, got, body, reply)) {
     Disconnect(conn, site);
     return false;
   }
-  if (!wire::DecodeBody(body, out) || out.seq != op.seq ||
-      !StagedValid(site, conns_.size(), out.staged)) {
-    Disconnect(conn, site);
+  return true;
+}
+
+bool SocketTransport::RunBuildOp(SiteId site, wire::BuildOpFrame op,
+                                 wire::BuildReplyFrame& out) {
+  if (!Exchange(site, FrameType::kBuildOp, op, FrameType::kBuildReply, out)) {
     return false;
   }
   ++socket_counters_.build_ops;
-  conn.cached_next = out.next_event_time;
-  ReplayStaged(std::move(out.staged));
   return true;
 }
 
 bool SocketTransport::RunQuery(SiteId site, wire::QueryReplyFrame& out) {
-  PollIo();
-  Conn& conn = conns_[site];
-  if (conn.fd < 0 || !conn.responsive || conn.awaiting_seq != 0) return false;
   wire::QueryFrame query;
-  query.seq = next_seq_++;
-  query.time = global_now_;
-  if (wire::WriteFrame(conn.fd, FrameType::kQuery, wire::EncodeBody(query)) !=
-      IoStatus::kOk) {
-    Disconnect(conn, site);
-    return false;
-  }
-  FrameType type = FrameType::kQueryReply;
-  std::vector<std::uint8_t> body;
-  const IoStatus status = wire::ReadFrameBuffered(
-      conn.fd, socket_config_.step_timeout_ms, conn.rx, type, body);
-  if (status == IoStatus::kTimeout) {
-    ++socket_counters_.step_timeouts;
-    conn.responsive = false;
-    conn.awaiting_seq = query.seq;
-    conn.awaiting_type = FrameType::kQueryReply;
-    network_.SetSiteDown(site, true);
-    return false;
-  }
-  if (status != IoStatus::kOk || type != FrameType::kQueryReply) {
-    Disconnect(conn, site);
-    return false;
-  }
-  if (!wire::DecodeBody(body, out) || out.seq != query.seq) {
-    Disconnect(conn, site);
+  if (!Exchange(site, FrameType::kQuery, query, FrameType::kQueryReply, out)) {
     return false;
   }
   ++socket_counters_.queries;

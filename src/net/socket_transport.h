@@ -18,8 +18,8 @@
 // incarnation / failure-detector machinery applies to real links
 // unchanged), and all RNG draws happen here; replaying in a fixed,
 // interleaving-free site order means seeded runs under the default
-// jitter-free network produce verdicts and reclaim sets identical to
-// SimTransport.
+// jitter-free network produce verdicts and reclaim sets identical to the
+// in-process Network's.
 //
 // The step loop is pipelined: one StepRequest is in flight to every
 // involved site simultaneously, replies are absorbed in whatever order they
@@ -206,7 +206,22 @@ class SocketTransport final {
   /// peer flapping between two of the observer's steps is one notice).
   static void QueueRestartNotice(Conn& conn, SiteId peer);
   void Disconnect(Conn& conn, SiteId site);
+  /// Takes the owed replies of resumed sites, each through AcceptReply.
   void AbsorbLateReplies();
+  /// Checks a reply to `site`'s owed request, prompt or late: its frame
+  /// type and seq, and, for a reply that carries staged sends, StagedValid.
+  /// Then it records the site's next event, replays the sends and clears
+  /// the debt. False changes nothing: the caller disconnects the site.
+  template <class Reply>
+  bool AcceptReply(SiteId site, wire::FrameType type,
+                   const std::vector<std::uint8_t>& body, Reply& reply);
+  /// One god-mode request (a build op or a query) to a responsive site:
+  /// writes it and reads the reply within step_timeout_ms. A timeout
+  /// pauses the site and leaves the reply owed to AbsorbLateReplies; a
+  /// failed write, read or AcceptReply disconnects the site.
+  template <class Request, class Reply>
+  bool Exchange(SiteId site, wire::FrameType type, Request& request,
+                wire::FrameType reply_type, Reply& reply);
   /// Zero-timeout poll over idle connections: surfaces kill -9 hangups the
   /// moment they happen instead of at the next request to that site.
   void DetectPeerFailures();

@@ -5,52 +5,33 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
-#include <cstring>
 
 namespace dgc::wire {
 
 // ---------------------------------------------------------------------------
 // Framing.
 
-void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
-                 const std::vector<std::uint8_t>& body) {
-  const std::uint32_t length = static_cast<std::uint32_t>(1 + body.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(length >> (8 * i)));
-  }
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.insert(out.end(), body.begin(), body.end());
-}
-
-FrameParseStatus ParseFrame(const std::uint8_t* data, std::size_t size,
-                            FrameView& out) {
-  if (size < kFrameHeaderBytes) return FrameParseStatus::kNeedMore;
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<std::uint32_t>(data[i]) << (8 * i);
-  }
-  if (length == 0) return FrameParseStatus::kBadFrame;
-  if (length > kMaxFrameBytes) return FrameParseStatus::kOversized;
-  if (size < kFrameHeaderBytes + length) return FrameParseStatus::kNeedMore;
-  const std::uint8_t type = data[kFrameHeaderBytes];
-  if (type < kMinFrameType || type > kMaxFrameType) {
-    return FrameParseStatus::kBadFrame;
-  }
-  out.type = static_cast<FrameType>(type);
-  out.body = data + kFrameHeaderBytes + 1;
-  out.body_size = length - 1;
-  out.consumed = kFrameHeaderBytes + length;
-  return FrameParseStatus::kOk;
-}
-
 namespace {
+
+/// A frame's bytes before its body: the u32 length (type byte plus body),
+/// then the type byte.
+std::array<std::uint8_t, kFrameHeaderBytes + 1> FrameHeader(
+    FrameType type, std::size_t body_size) {
+  std::array<std::uint8_t, kFrameHeaderBytes + 1> header{};
+  const std::uint32_t length = static_cast<std::uint32_t>(1 + body_size);
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
+    header[i] = static_cast<std::uint8_t>(length >> (8 * i));
+  }
+  header[kFrameHeaderBytes] = static_cast<std::uint8_t>(type);
+  return header;
+}
 
 /// poll() for readability/writability with a whole-operation deadline.
 /// Returns 1 ready, 0 timeout, -1 error/hup-without-data.
-int WaitFd(int fd, short events, int timeout_ms,
+int WaitFd(int fd, short events,
            std::chrono::steady_clock::time_point deadline, bool bounded) {
-  (void)timeout_ms;
   while (true) {
     int wait = -1;
     if (bounded) {
@@ -75,62 +56,50 @@ int WaitFd(int fd, short events, int timeout_ms,
 
 }  // namespace
 
-IoStatus WriteFrame(int fd, FrameType type,
-                    const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + 1 + body.size());
-  AppendFrame(frame, type, body);
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = write(fd, frame.data() + off, frame.size() - off);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const auto deadline = std::chrono::steady_clock::now();
-      if (WaitFd(fd, POLLOUT, -1, deadline, /*bounded=*/false) < 0) {
-        return IoStatus::kError;
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-      return IoStatus::kClosed;
-    }
-    return IoStatus::kError;
-  }
-  return IoStatus::kOk;
+void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
+                 const std::vector<std::uint8_t>& body) {
+  const auto header = FrameHeader(type, body.size());
+  out.insert(out.end(), header.begin(), header.end());
+  out.insert(out.end(), body.begin(), body.end());
 }
 
-IoStatus WriteFrameV(int fd, FrameType type,
-                     const std::vector<std::uint8_t>& body) {
-  std::uint8_t header[kFrameHeaderBytes + 1];
-  const std::uint32_t length = static_cast<std::uint32_t>(1 + body.size());
+FrameParseStatus ParseFrame(const std::uint8_t* data, std::size_t size,
+                            FrameView& out) {
+  if (size < kFrameHeaderBytes) return FrameParseStatus::kNeedMore;
+  std::uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<std::uint8_t>(length >> (8 * i));
+    length |= static_cast<std::uint32_t>(data[i]) << (8 * i);
   }
-  header[kFrameHeaderBytes] = static_cast<std::uint8_t>(type);
-  const std::size_t header_bytes = sizeof header;
-  const std::size_t total = header_bytes + body.size();
+  if (length == 0) return FrameParseStatus::kBadFrame;
+  if (length > kMaxFrameBytes) return FrameParseStatus::kOversized;
+  if (size < kFrameHeaderBytes + length) return FrameParseStatus::kNeedMore;
+  const std::uint8_t type = data[kFrameHeaderBytes];
+  if (type < kMinFrameType || type > kMaxFrameType) {
+    return FrameParseStatus::kBadFrame;
+  }
+  out.type = static_cast<FrameType>(type);
+  out.body = data + kFrameHeaderBytes + 1;
+  out.body_size = length - 1;
+  out.consumed = kFrameHeaderBytes + length;
+  return FrameParseStatus::kOk;
+}
+
+IoStatus WriteFrame(int fd, FrameType type,
+                    const std::vector<std::uint8_t>& body) {
+  auto header = FrameHeader(type, body.size());
+  const std::size_t total = header.size() + body.size();
   std::size_t off = 0;
   while (off < total) {
+    // The unwritten rest of the header, then of the body.
     struct iovec iov[2];
     int iovcnt = 0;
-    if (off < header_bytes) {
-      iov[iovcnt].iov_base = header + off;
-      iov[iovcnt].iov_len = header_bytes - off;
-      ++iovcnt;
-      if (!body.empty()) {
-        iov[iovcnt].iov_base = const_cast<std::uint8_t*>(body.data());
-        iov[iovcnt].iov_len = body.size();
-        ++iovcnt;
-      }
-    } else {
-      const std::size_t body_off = off - header_bytes;
-      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(body.data()) + body_off;
-      iov[iovcnt].iov_len = body.size() - body_off;
-      ++iovcnt;
+    if (off < header.size()) {
+      iov[iovcnt++] = {header.data() + off, header.size() - off};
+    }
+    const std::size_t body_off = off < header.size() ? 0 : off - header.size();
+    if (body_off < body.size()) {
+      iov[iovcnt++] = {const_cast<std::uint8_t*>(body.data()) + body_off,
+                       body.size() - body_off};
     }
     const ssize_t n = writev(fd, iov, iovcnt);
     if (n > 0) {
@@ -139,8 +108,7 @@ IoStatus WriteFrameV(int fd, FrameType type,
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const auto deadline = std::chrono::steady_clock::now();
-      if (WaitFd(fd, POLLOUT, -1, deadline, /*bounded=*/false) < 0) {
+      if (WaitFd(fd, POLLOUT, {}, /*bounded=*/false) < 0) {
         return IoStatus::kError;
       }
       continue;
@@ -174,7 +142,7 @@ IoStatus ReadFrameBuffered(int fd, int timeout_ms,
       case FrameParseStatus::kNeedMore:
         break;
     }
-    const int ready = WaitFd(fd, POLLIN, timeout_ms, deadline, bounded);
+    const int ready = WaitFd(fd, POLLIN, deadline, bounded);
     // A timeout keeps the partial frame in `carry` — the caller retries
     // later and no bytes are lost (a paused site may resume mid-frame).
     if (ready == 0) return IoStatus::kTimeout;
@@ -189,12 +157,6 @@ IoStatus ReadFrameBuffered(int fd, int timeout_ms,
     }
     carry.insert(carry.end(), chunk, chunk + n);
   }
-}
-
-IoStatus ReadFrame(int fd, int timeout_ms, FrameType& type,
-                   std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> carry;
-  return ReadFrameBuffered(fd, timeout_ms, carry, type, body);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,10 +24,12 @@
 // minimum-size counter walk that list. Integers are fixed-width
 // little-endian; a bool is one byte, 0 or 1; an enum is one byte no larger
 // than its LastValue; a vector is a u32 count and then its elements; a
-// std::variant is a u8 alternative index and then the alternative. The
-// decoder derives each vector element's minimum encoded size from the
-// element's own field list, so seq_count rejects a count the remaining
-// bytes cannot hold before anything is allocated.
+// FlatMap is a u32 count and then each key and its value, the keys strictly
+// ascending (the decoder rejects any other order, so a decoded map is
+// sorted and duplicate-free); a std::variant is a u8 alternative index and
+// then the alternative. The decoder derives each element's minimum encoded
+// size from the element's own field list, so seq_count rejects a count the
+// remaining bytes cannot hold before anything is allocated.
 //
 // To add a payload: declare it in messages.h, add it to the Payload variant,
 // and give it a Fields list below; the variant's index is its wire tag. To
@@ -51,6 +53,7 @@
 
 #include "common/config.h"
 #include "common/counters.h"
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "net/messages.h"
 
@@ -206,26 +209,17 @@ enum class IoStatus : std::uint8_t {
   kError,    // oversized/garbage frame or unrecoverable errno
 };
 
-/// Writes one frame. Returns kOk, kClosed (EPIPE/ECONNRESET), or kError.
+/// Writes one frame, its header and body gathered into writev(2) calls, so
+/// a large body is never copied into a frame buffer. Returns kOk, kClosed
+/// (EPIPE/ECONNRESET), or kError.
 IoStatus WriteFrame(int fd, FrameType type,
                     const std::vector<std::uint8_t>& body);
 
-/// WriteFrame without the concatenation copy: gathers the 5-byte header and
-/// the body into one writev(2), so a large StepRequest body never gets
-/// memcpy'd into a temporary frame buffer. Identical return contract.
-IoStatus WriteFrameV(int fd, FrameType type,
-                     const std::vector<std::uint8_t>& body);
-
 /// Reads one complete frame. timeout_ms < 0 blocks indefinitely; 0 polls.
-/// The timeout covers the whole frame, not each byte. A timeout discards
-/// any partial bytes read — use the buffered variant when the connection
-/// must survive the timeout.
-IoStatus ReadFrame(int fd, int timeout_ms, FrameType& type,
-                   std::vector<std::uint8_t>& body);
-
-/// ReadFrame with an explicit carry buffer: bytes of an incomplete frame
-/// stay in `carry` across a kTimeout, so polling a slow (e.g. SIGSTOPped)
-/// peer never corrupts the stream. `carry` must persist per connection.
+/// The timeout covers the whole frame, not each byte. Bytes read past the
+/// frame, and those of an incomplete frame, stay in `carry` across calls
+/// and timeouts, so polling a slow (e.g. SIGSTOPped) peer never corrupts
+/// the stream: `carry` must persist per connection.
 IoStatus ReadFrameBuffered(int fd, int timeout_ms,
                            std::vector<std::uint8_t>& carry, FrameType& type,
                            std::vector<std::uint8_t>& body);
@@ -545,6 +539,10 @@ template <class T>
 constexpr std::size_t MinBytes(Tag<std::vector<T>>) {
   return sizeof(std::uint32_t);  // the count; the vector may be empty
 }
+template <class K, class V>
+constexpr std::size_t MinBytes(Tag<FlatMap<K, V>>) {
+  return sizeof(std::uint32_t);  // likewise
+}
 template <class... A>
 constexpr std::size_t MinBytes(Tag<std::variant<A...>>) {
   return sizeof(std::uint8_t) + std::min({MinBytes(Tag<A>{})...});
@@ -589,6 +587,32 @@ bool Decode(WireReader& r, std::vector<T>& items) {
   items.resize(r.seq_count(MinBytes(Tag<T>{})));
   for (T& item : items) {
     if (!Decode(r, item)) return false;
+  }
+  return r.ok();
+}
+
+template <class K, class V>
+void Encode(WireWriter& w, const FlatMap<K, V>& map) {
+  Encode(w, static_cast<std::uint32_t>(map.size()));
+  for (const auto& [key, value] : map) {
+    Encode(w, key);
+    Encode(w, value);
+  }
+}
+
+template <class K, class V>
+bool Decode(WireReader& r, FlatMap<K, V>& map) {
+  map.clear();
+  const std::uint32_t n = r.seq_count(MinBytes(Tag<K>{}) + MinBytes(Tag<V>{}));
+  map.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    K key{};
+    if (!Decode(r, key)) return false;
+    if (!map.empty() && !(std::prev(map.end())->first < key)) {
+      r.fail();  // out of order or repeated
+      return false;
+    }
+    if (!Decode(r, map.try_emplace(key).first->second)) return false;
   }
   return r.ok();
 }

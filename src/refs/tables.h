@@ -2,8 +2,12 @@
 // extended with the per-ioref state the paper's cycle collector needs —
 // per-source distance estimates (Section 3), back thresholds (Section 4), and
 // the clean overrides applied by the transfer and insert barriers (Section
-// 6). Every field is durable. A back trace's visited marks (Section 4.4) are
-// volatile and live only in its visit record (backtrace/back_tracer.h).
+// 6). Every field but an outref's pin count is durable, and each entry's
+// Fields list names its durable ones: a site process's snapshot
+// (net/site_host.h) is these two tables, encoded by the wire codec, so a new
+// durable field joins its list and bumps kSnapshotVersion. A back trace's
+// visited marks (Section 4.4) are volatile and live only in its visit record
+// (backtrace/back_tracer.h).
 //
 // The tables are passive data plus pure operations; protocol logic (insert /
 // update messages, barriers) lives in core::Site, and the trace that fills in
@@ -11,10 +15,12 @@
 #pragma once
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
 #include "common/config.h"
+#include "common/counters.h"
 #include "common/distance.h"
 #include "common/flat_map.h"
 #include "common/ids.h"
@@ -66,6 +72,11 @@ struct InrefEntry {
   }
 };
 
+auto Fields(Is<InrefEntry> auto& e) {
+  return std::tie(e.sources, e.garbage_flagged, e.clean_override,
+                  e.back_threshold);
+}
+
 /// An entry in the table of outgoing inter-site references. Keyed by the
 /// remote object it designates.
 struct OutrefEntry {
@@ -83,7 +94,7 @@ struct OutrefEntry {
   bool clean_override = false;
 
   /// Insert-barrier and application-root pins: while positive, the outref is
-  /// forcibly clean and may not be trimmed (Section 6.1.2).
+  /// forcibly clean and may not be trimmed (Section 6.1.2). Volatile.
   int pin_count = 0;
 
   /// Distance last reported to the target site in an update message, used to
@@ -96,6 +107,11 @@ struct OutrefEntry {
     return pin_count > 0 || clean_override || traced_clean;
   }
 };
+
+auto Fields(Is<OutrefEntry> auto& e) {
+  return std::tie(e.distance, e.traced_clean, e.clean_override,
+                  e.last_reported, e.back_threshold);
+}
 
 /// Both tables of one site. Sorted flat maps keep every iteration
 /// deterministic (the same key order std::map gave) while lookups stay

@@ -62,6 +62,42 @@ TEST(InsertProtocolTest, LostInsertNeverLetsTheOwnerReclaim) {
   EXPECT_TRUE(inref->sources.contains(1));
 }
 
+TEST(InsertProtocolTest, RetriedWriteWaitsForThePendingInsert) {
+  // The same script through the blocking write: when the world stalls it
+  // resends the write, which reaches site 1 while the outref's insert still
+  // waits for its ack. That retried arrival must wait for the ack as well.
+  NetworkConfig net;
+  net.latency = 40;
+  System system(2, Config(), net);
+  const ObjectId container = system.NewObject(1, 1);
+  workload::TetherToRoot(system, container, 1);
+  Session session(system, 0, 1);
+  session.LoadRoot(container);
+  const ObjectId mine = session.Create(0);
+
+  bool dropped = false;
+  system.network().set_dispatcher([&](Envelope&& envelope) {
+    const auto* insert = std::get_if<InsertMsg>(&envelope.payload);
+    if (!dropped && insert != nullptr && envelope.from == 1 &&
+        insert->ref == mine) {
+      dropped = true;
+      return;
+    }
+    system.site(envelope.to).HandleMessage(envelope);
+  });
+
+  session.Write(container, 0, mine);
+  ASSERT_TRUE(dropped);
+
+  session.Release(mine);
+  system.site(0).StartLocalTrace();
+  EXPECT_TRUE(system.ObjectExists(mine));
+  EXPECT_TRUE(system.CheckSafety().empty()) << system.CheckSafety();
+  const InrefEntry* inref = system.site(0).tables().FindInref(mine);
+  ASSERT_NE(inref, nullptr);
+  EXPECT_TRUE(inref->sources.contains(1));
+}
+
 TEST(InsertProtocolTest, LostInsertIsResentWithNextTrace) {
   NetworkConfig net;
   net.latency = 5;

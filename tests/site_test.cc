@@ -54,10 +54,10 @@ TEST(SiteProtocolTest, ConcurrentReceiversShareThePendingInsert) {
   workload::TetherToRoot(system, obj, 1);
   int completions = 0;
   system.site(0).ReceiveReference(obj, [&] { ++completions; });
-  // Second arrival before the ack: the outref already exists and is clean
-  // (case 2) — completes immediately rather than waiting.
+  // Second arrival before the ack: the outref already exists, but its insert
+  // is unacknowledged, so this arrival waits for the same ack.
   system.site(0).ReceiveReference(obj, [&] { ++completions; });
-  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(completions, 0);
   system.SettleNetwork();
   EXPECT_EQ(completions, 2);
   // Only one insert went out.

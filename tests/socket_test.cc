@@ -363,6 +363,49 @@ TEST(SocketWorld, PauseResumeDegradesGracefully) {
   }
 }
 
+// A census query and a round's start-trace build op that time out against
+// paused sites leave their replies owed; one settle after the resumes must
+// absorb both kinds, and the world must go on collecting.
+TEST(SocketWorld, LateQueryAndBuildOpRepliesAreAbsorbed) {
+  SocketWorldOptions options = TestOptions(/*seed=*/23);
+  options.network.socket.step_timeout_ms = 200;
+  SocketWorld world(options);
+
+  ObjectId tether;
+  const std::vector<ObjectId> ring = BuildRing(world, 0, 3, tether);
+  world.RunRounds(2);
+  world.Unwire(tether, 0);
+
+  const SocketCounters& counters = world.transport().socket_counters();
+  const std::uint64_t timeouts = counters.step_timeouts;
+  const std::uint64_t late = counters.late_replies;
+  world.PauseSite(1);
+  world.PauseSite(2);
+  wire::QueryReplyFrame census;
+  EXPECT_FALSE(world.QuerySite(1, census));
+  wire::BuildOpFrame start;
+  start.op = wire::BuildOpKind::kStartTrace;
+  wire::BuildReplyFrame built;
+  EXPECT_FALSE(world.transport().RunBuildOp(2, start, built));
+  EXPECT_EQ(counters.step_timeouts, timeouts + 2);
+  EXPECT_FALSE(world.transport().responsive(1));
+  EXPECT_FALSE(world.transport().responsive(2));
+
+  world.ResumeSite(1);
+  world.ResumeSite(2);
+  world.SettleNetwork();
+  EXPECT_EQ(counters.late_replies, late + 2);
+  EXPECT_TRUE(world.transport().responsive(1));
+  EXPECT_TRUE(world.transport().responsive(2));
+  EXPECT_EQ(counters.disconnects, 0u);
+
+  world.RunRounds(8);
+  for (ObjectId obj : ring) {
+    EXPECT_FALSE(world.ObjectExists(obj)) << "severed cycle leaked";
+  }
+  EXPECT_TRUE(world.ObjectExists(tether));
+}
+
 // Severing the socket under a healthy process: the site redials and is
 // accepted at the SAME incarnation — no fencing, no restart.
 TEST(SocketWorld, SeveredSocketReconnectsSameIncarnation) {
@@ -515,6 +558,14 @@ TEST(SocketTransportTest, StagedSendToAnUnknownSiteDisconnectsTheSender) {
 
 TEST(SocketTransportTest, StagedSendAsAnotherSiteDisconnectsTheSender) {
   ExpectBadStagedSendDisconnects(Envelope{0, 1, PinReleaseMsg{ObjectId{1, 1}}});
+}
+
+TEST(SocketTransportTest,
+     StagedInsertForAnotherSitesObjectDisconnectsTheSender) {
+  // Site 0's insert handler checks that it owns the inserted object; a
+  // misaddressed insert must stop at the coordinator instead.
+  ExpectBadStagedSendDisconnects(
+      Envelope{1, 0, InsertMsg{ObjectId{1, 1}, true, 1}});
 }
 
 }  // namespace

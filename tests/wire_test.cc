@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -356,6 +357,23 @@ TEST(WireCodecTest, GarbageVectorCountCannotDriveAHugeAllocation) {
   wire::WireReader r(w.data());
   Payload out;
   EXPECT_FALSE(wire::Decode(r, out));
+}
+
+TEST(WireCodecTest, FlatMapKeysMustStrictlyAscend) {
+  // Two entries of a FlatMap<u32, u16>: a count, then each key and value.
+  const auto bytes = [](std::uint8_t first, std::uint8_t second) {
+    return std::vector<std::uint8_t>{2,      0, 0, 0,        // count
+                                     first,  0, 0, 0, 7, 0,  // key, value
+                                     second, 0, 0, 0, 9, 0};
+  };
+  FlatMap<std::uint32_t, std::uint16_t> map;
+  ASSERT_TRUE(wire::DecodeBody(bytes(3, 5), map));
+  ASSERT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.at(3), 7);
+  EXPECT_EQ(map.at(5), 9);
+  EXPECT_EQ(wire::EncodeBody(map), bytes(3, 5));
+  EXPECT_FALSE(wire::DecodeBody(bytes(5, 3), map)) << "descending keys";
+  EXPECT_FALSE(wire::DecodeBody(bytes(3, 3), map)) << "repeated key";
 }
 
 TEST(WireFramingTest, EveryFrameTypeRoundTripsAndPrefixesWantMore) {
@@ -736,27 +754,41 @@ TEST(WireFuzzTest, FrameMutantsFailOrRoundTripExactly) {
   EXPECT_GT(tally.rejected, 0u);
 }
 
-/// A snapshot of site 1 of a small world: live and freed slots, persistent
-/// roots, inrefs with sources, outrefs, and the outsets of a suspected
-/// garbage cycle (back tracing off, so the cycle stays suspected).
-SiteSnapshot CaptureSmallSite() {
+/// A small world whose site 1 has live and freed slots, persistent roots,
+/// inrefs with sources, outrefs, and the outsets of a suspected garbage
+/// cycle (back tracing off, so the cycle stays suspected).
+std::unique_ptr<System> SmallWorld() {
   CollectorConfig config;
   config.suspicion_threshold = 2;
   config.enable_back_tracing = false;
-  System system(3, config);
-  const ObjectId root = system.NewObject(1, 3);
-  system.SetPersistentRoot(root);
-  const ObjectId kept = system.NewObject(1, 1);
-  system.Wire(root, 0, kept);
-  system.Wire(root, 1, system.NewObject(2, 0));
-  system.Wire(kept, 0, system.NewObject(0, 0));
-  const ObjectId holder = system.NewObject(0, 1);
-  system.SetPersistentRoot(holder);
-  system.Wire(holder, 0, kept);
-  system.NewObject(1, 2);  // unreachable: its slot is freed by the sweep
-  workload::BuildCycle(system, {.sites = 3, .objects_per_site = 2});
-  system.RunRounds(6);
-  return CaptureSiteSnapshot(system.site(1), /*incarnation=*/2);
+  auto system = std::make_unique<System>(3, config);
+  const ObjectId root = system->NewObject(1, 3);
+  system->SetPersistentRoot(root);
+  const ObjectId kept = system->NewObject(1, 1);
+  system->Wire(root, 0, kept);
+  system->Wire(root, 1, system->NewObject(2, 0));
+  system->Wire(kept, 0, system->NewObject(0, 0));
+  const ObjectId holder = system->NewObject(0, 1);
+  system->SetPersistentRoot(holder);
+  system->Wire(holder, 0, kept);
+  system->NewObject(1, 2);  // unreachable: its slot is freed by the sweep
+  workload::BuildCycle(*system, {.sites = 3, .objects_per_site = 2});
+  system->RunRounds(6);
+  return system;
+}
+
+/// A snapshot of the small world's site 1.
+SiteSnapshot CaptureSmallSite() {
+  return CaptureSiteSnapshot(SmallWorld()->site(1), /*incarnation=*/2);
+}
+
+TEST(SnapshotGoldenTest, SmallSiteEncodesToItsPinnedBytes) {
+  // A change to these figures is a change of the snapshot format, and
+  // needs a kSnapshotVersion bump.
+  const std::vector<std::uint8_t> bytes =
+      EncodeSiteSnapshot(CaptureSmallSite());
+  EXPECT_EQ(bytes.size(), 377u) << Hex(bytes);
+  EXPECT_EQ(Fnv1a(bytes), 0xf3e9b2e94c075c1fULL) << Hex(bytes);
 }
 
 /// What a replacement site process does with a snapshot it accepted:
@@ -827,6 +859,55 @@ std::uint32_t FirstDeadSlot(const SiteSnapshot& snapshot) {
   return 0;
 }
 
+/// True when two tables hold the same keys with the same durable fields
+/// (each entry's Fields list).
+template <class Map>
+bool SameDurableEntries(const Map& a, const Map& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             Fields(x.second) == Fields(y.second);
+                    });
+}
+
+TEST(SnapshotRoundTripTest, RestoredSiteHoldsTheCapturedTablesUnpinned) {
+  const std::unique_ptr<System> system = SmallWorld();
+  Site& original = system->site(1);
+  ASSERT_FALSE(original.tables().inrefs().empty());
+  ASSERT_FALSE(original.tables().outrefs().empty());
+  ASSERT_FALSE(original.back_info().inref_outsets.empty());
+  const ObjectId pinned = original.tables().outrefs().begin()->first;
+  original.PinOutref(pinned);
+  SiteSnapshot captured = CaptureSiteSnapshot(original, /*incarnation=*/2);
+  SiteSnapshot decoded;
+  ASSERT_TRUE(DecodeSiteSnapshot(EncodeSiteSnapshot(captured), decoded));
+
+  // The captured maps still hold the pin; the bytes never carry one.
+  for (const SiteSnapshot* snapshot : {&captured, &decoded}) {
+    SiteAgentTransport agent(original.id(), /*failure_detection=*/false);
+    Site restored(original.id(), agent, CollectorConfig{});
+    ApplySiteSnapshot(restored, *snapshot);
+    EXPECT_TRUE(SameDurableEntries(restored.tables().inrefs(),
+                                   original.tables().inrefs()));
+    EXPECT_TRUE(SameDurableEntries(restored.tables().outrefs(),
+                                   original.tables().outrefs()));
+    for (const auto& [ref, entry] : restored.tables().outrefs()) {
+      EXPECT_EQ(entry.pin_count, 0) << ref;
+    }
+    EXPECT_EQ(restored.back_info(), original.back_info());
+  }
+  EXPECT_EQ(original.tables().FindOutref(pinned)->pin_count, 1);
+  original.UnpinOutref(pinned);
+}
+
+/// Moves `map`'s entry from key `from` to key `to`, keeping the map sorted.
+template <class Map, class Key>
+void Rekey(Map& map, Key from, Key to) {
+  auto entry = map.at(from);
+  map.erase(from);
+  ASSERT_TRUE(map.emplace(to, std::move(entry)).second);
+}
+
 TEST(SnapshotRulesTest, CapturedSnapshotRestores) {
   const SiteSnapshot snapshot = CaptureSmallSite();
   ASSERT_FALSE(snapshot.heap.free_slots.empty());
@@ -895,15 +976,16 @@ TEST(SnapshotRulesTest, PersistentRootMustNameALiveLocalObject) {
 TEST(SnapshotRulesTest, UnflaggedInrefMustNameALiveLocalObject) {
   const SiteSnapshot captured = CaptureSmallSite();
   const ObjectId dead{captured.site, FirstDeadSlot(captured) + 1ULL};
+  const ObjectId remote{captured.site + 1, dead.index};
   SiteSnapshot snapshot = captured;
-  snapshot.inrefs.front().ref = dead;
-  snapshot.inrefs.front().garbage_flagged = false;
+  Rekey(snapshot.inrefs, captured.inrefs.begin()->first, dead);
+  snapshot.inrefs.at(dead).garbage_flagged = false;
   EXPECT_FALSE(Restores(snapshot));
-  snapshot.inrefs.front().ref.site = captured.site + 1;
+  Rekey(snapshot.inrefs, dead, remote);
   EXPECT_FALSE(Restores(snapshot));
   // A flagged inref outlives its swept object until its sources drop it.
-  snapshot.inrefs.front().ref = dead;
-  snapshot.inrefs.front().garbage_flagged = true;
+  Rekey(snapshot.inrefs, remote, dead);
+  snapshot.inrefs.at(dead).garbage_flagged = true;
   EXPECT_TRUE(Restores(snapshot));
 }
 
@@ -932,16 +1014,18 @@ TEST(SnapshotRulesTest, LiveSlotNamingARemoteObjectNeedsAnOutref) {
 
 TEST(SnapshotRulesTest, InrefSourceMustNameAnotherSite) {
   SiteSnapshot snapshot = CaptureSmallSite();
-  ASSERT_FALSE(snapshot.inrefs.front().sources.empty());
-  snapshot.inrefs.front().sources.front().site = snapshot.site;
+  auto& sources = snapshot.inrefs.begin()->second.sources;
+  ASSERT_FALSE(sources.empty());
+  Rekey(sources, sources.begin()->first, snapshot.site);
   EXPECT_FALSE(Restores(snapshot));
 }
 
 TEST(SnapshotRulesTest, OutrefMustNameAnotherSite) {
   const SiteSnapshot captured = CaptureSmallSite();
+  const ObjectId first = captured.outrefs.begin()->first;
   for (const SiteId bad : {captured.site, kInvalidSite}) {
     SiteSnapshot snapshot = captured;
-    snapshot.outrefs.front().ref.site = bad;
+    Rekey(snapshot.outrefs, first, ObjectId{bad, first.index});
     EXPECT_FALSE(Restores(snapshot)) << "outref site " << bad;
   }
 }
