@@ -5,6 +5,12 @@
 // reports logical vs. wire messages and bytes: batching coalesces the
 // protocol's chatter (updates + back-trace calls/replies/reports sharing a
 // channel) into far fewer wire messages at a modest latency cost.
+//
+// Each row checks that shape: every ring is collected, a zero window ships
+// each payload alone (wire_msgs == logical_msgs), and a positive window
+// ships fewer wire messages and bytes than payloads. A row that breaks one
+// fails with an error and the binary exits 1. The counters are simulated
+// and deterministic, so the checks hold on any host.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -12,6 +18,9 @@
 namespace {
 
 using namespace dgc;
+
+// Rows that broke the piggybacking shape; main exits 1 if any.
+int failures = 0;
 
 void BM_Piggyback_ManyCyclesOneChannel(benchmark::State& state) {
   const SimTime window = state.range(0);
@@ -55,6 +64,18 @@ void BM_Piggyback_ManyCyclesOneChannel(benchmark::State& state) {
   state.counters["logical_bytes"] = static_cast<double>(logical_bytes);
   state.counters["wire_bytes"] = static_cast<double>(wire_bytes);
   state.counters["all_collected"] = collected ? 1.0 : 0.0;
+  const char* broken = nullptr;
+  if (!collected) {
+    broken = "a ring was not collected";
+  } else if (window == 0 && wire != logical) {
+    broken = "without a batch window, wire_msgs != logical_msgs";
+  } else if (window > 0 && (wire >= logical || wire_bytes >= logical_bytes)) {
+    broken = "the batch window saved no wire messages or bytes";
+  }
+  if (broken != nullptr) {
+    ++failures;
+    state.SkipWithError(broken);
+  }
 }
 BENCHMARK(BM_Piggyback_ManyCyclesOneChannel)
     ->Args({0, 16})
@@ -65,4 +86,9 @@ BENCHMARK(BM_Piggyback_ManyCyclesOneChannel)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  const int status = dgc::bench::RunBenchmarksWithDefaultOut(
+      argc, argv, "BENCH_piggyback.json");
+  if (status != 0) return status;
+  return failures == 0 ? 0 : 1;
+}

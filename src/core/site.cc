@@ -69,6 +69,8 @@ void Site::HandleMessage(const Envelope& envelope) {
         } else if constexpr (std::is_same_v<T, PinReleaseMsg>) {
           HandlePinRelease(msg);
         } else {
+          static_assert(kBaselineOnly<T>,
+                        "a site message kind lacks a handler");
           DGC_CHECK_MSG(false, "unhandled message kind "
                                    << PayloadKindName(envelope.payload.index())
                                    << " at site " << id_);

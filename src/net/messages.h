@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -280,6 +281,25 @@ using Payload =
                  ReachabilitySummaryMsg, CondemnMsg>;
 
 inline constexpr std::size_t kPayloadKinds = std::variant_size_v<Payload>;
+
+/// The kinds only the Section 7 baseline collectors send. A baseline
+/// handles them in process through its own extension handler; no site
+/// process handles one, so the socket coordinator refuses them.
+template <typename T>
+inline constexpr bool kBaselineOnly =
+    std::is_same_v<T, GlobalGcControlMsg> ||
+    std::is_same_v<T, GlobalGcGrayMsg> ||
+    std::is_same_v<T, TimestampUpdateMsg> || std::is_same_v<T, MigrateMsg> ||
+    std::is_same_v<T, PatchMsg> || std::is_same_v<T, ReachabilitySummaryMsg> ||
+    std::is_same_v<T, CondemnMsg>;
+
+[[nodiscard]] inline bool IsBaselineOnly(const Payload& payload) {
+  return std::visit(
+      [](const auto& msg) {
+        return kBaselineOnly<std::decay_t<decltype(msg)>>;
+      },
+      payload);
+}
 
 /// Human-readable payload-type name, indexed by Payload::index().
 const char* PayloadKindName(std::size_t index);

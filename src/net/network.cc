@@ -35,17 +35,28 @@ Network::Network(Scheduler& scheduler, NetworkConfig config, Rng rng)
 
 void Network::RegisterSite(SiteId site, Handler handler) {
   DGC_CHECK(handler != nullptr);
-  if (handlers_.size() <= site) {
-    handlers_.resize(static_cast<std::size_t>(site) + 1);
+  if (sites_.size() <= site) {
+    // Lay the channel table out again for the new site count, exactly
+    // sized: the records move, their extras stay where they are.
+    const std::size_t old_sites = sites_.size();
+    const std::size_t sites = static_cast<std::size_t>(site) + 1;
+    std::vector<Channel> channels(sites * sites);
+    for (std::size_t from = 0; from < old_sites; ++from) {
+      std::move(channels_.begin() + from * old_sites,
+                channels_.begin() + (from + 1) * old_sites,
+                channels.begin() + from * sites);
+    }
+    channels_ = std::move(channels);
+    sites_.resize(sites);
   }
-  DGC_CHECK_MSG(handlers_[site] == nullptr, "site " << site
-                                                    << " registered twice");
-  handlers_[site] = std::move(handler);
+  DGC_CHECK_MSG(sites_[site].handler == nullptr,
+                "site " << site << " registered twice");
+  sites_[site].handler = std::move(handler);
 }
 
 void Network::Send(SiteId from, SiteId to, Payload payload) {
-  DGC_CHECK_MSG(to < handlers_.size() && handlers_[to] != nullptr,
-                "send to unregistered site " << to);
+  DGC_CHECK_MSG(Registered(from) && Registered(to),
+                "send between unregistered sites s" << from << "->s" << to);
 
   Envelope envelope{from, to, std::move(payload)};
 
@@ -68,14 +79,13 @@ void Network::Send(SiteId from, SiteId to, Payload payload) {
   if (config_.batch_window > 0) {
     // Piggybacking: hold the payload briefly; everything queued on this
     // channel ships as one wire message when the window closes.
-    auto [it, created] = Shard(pending_batches_, from).try_emplace(to);
-    PendingBatch& batch = it->second;
-    if (created) batch.envelopes = AcquireBatchBuffer();
-    batch.envelopes.push_back(std::move(envelope));
-    if (batch.envelopes.size() == 1) {
+    std::vector<Envelope>& batch = Extras(from, to).batch;
+    if (batch.empty()) {
+      batch = AcquireBatchBuffer();
       scheduler_.After(config_.batch_window,
                        [this, from, to] { FlushChannel(from, to); });
     }
+    batch.push_back(std::move(envelope));
     return;
   }
   std::vector<Envelope> batch = AcquireBatchBuffer();
@@ -84,20 +94,8 @@ void Network::Send(SiteId from, SiteId to, Payload payload) {
 }
 
 void Network::FlushChannel(SiteId from, SiteId to) {
-  auto& shard = Shard(pending_batches_, from);
-  const auto it = shard.find(to);
-  if (it == shard.end()) return;
-  std::vector<Envelope> batch = std::move(it->second.envelopes);
-  // The window closed and the channel went quiet: erase the entry rather
-  // than parking an empty slot forever — Send re-creates it (and re-arms the
-  // flush timer) on the channel's next payload, so long-running sims track
-  // active channels instead of every pair that ever talked.
-  shard.erase(it);
-  if (batch.empty()) {
-    ReleaseBatchBuffer(std::move(batch));
-    return;
-  }
-  ShipBatch(from, to, std::move(batch));
+  // The channel's next payload opens a new window with a pooled buffer.
+  ShipBatch(from, to, std::exchange(Extras(from, to).batch, {}));
 }
 
 std::vector<Envelope> Network::AcquireBatchBuffer() {
@@ -125,8 +123,8 @@ SimTime Network::DrawLatency() {
 
 bool Network::TransmissionLost(SiteId from, SiteId to) {
   // Faults and loss hit the wire message as a whole.
-  const bool faulted = IsSiteDown(from) || IsSiteDown(to) ||
-                       link_down_.contains(LinkKey(from, to));
+  const bool faulted =
+      IsSiteDown(from) || IsSiteDown(to) || Link(from, to).down;
   const double drop = effective_drop_probability();
   return faulted || (drop > 0.0 && rng_.NextBool(drop));
 }
@@ -140,8 +138,7 @@ void Network::ShipBatch(SiteId from, SiteId to, std::vector<Envelope> batch) {
     // Enroll in the channel's retransmit queue; the entry is retired by a
     // cumulative ack (delivered), attempt exhaustion or an incarnation
     // purge (dropped).
-    SenderChannel& channel = Shard(sender_channels_, from)[to];
-    if (channel.epoch == 0) channel.epoch = next_channel_epoch_++;
+    ReliableChannel& channel = Reliable(from, to);
     channel.unacked.push_back(SenderEntry{channel.next_seq++, std::move(batch),
                                           incarnation(from), incarnation(to),
                                           0});
@@ -160,21 +157,7 @@ void Network::ShipBatch(SiteId from, SiteId to, std::vector<Envelope> batch) {
     return;
   }
 
-  const SimTime latency = DrawLatency();
-  // Amortized purge of inert FIFO-clamp entries: a channel whose last
-  // delivery is in the past can never lift max(now + latency, last), so its
-  // entry is dead weight until the channel speaks again. The trigger is
-  // global (every shard is swept) so a shard whose sender went quiet is
-  // still purged by other sites' traffic.
-  if (stats_.wire_messages % kChannelPurgePeriod == 0) {
-    PurgeInertClampEntries();
-  }
-
-  // Clamp to preserve per-channel FIFO order (assumption R1 of Section 6.4).
-  SimTime& last = Shard(channel_last_delivery_, from)[to];
-  const SimTime deliver_at = std::max(scheduler_.now() + latency, last);
-  last = deliver_at;
-
+  const SimTime deliver_at = NextDeliveryTime(from, to);
   scheduler_.At(deliver_at, [this, batch = std::move(batch)]() mutable {
     for (Envelope& envelope : batch) {
       Deliver(std::move(envelope));
@@ -183,11 +166,11 @@ void Network::ShipBatch(SiteId from, SiteId to, std::vector<Envelope> batch) {
   });
 }
 
-void Network::PurgeInertClampEntries() {
-  const SimTime now = scheduler_.now();
-  for (auto& shard : channel_last_delivery_) {
-    shard.erase_if([now](const auto& entry) { return entry.second <= now; });
-  }
+SimTime Network::NextDeliveryTime(SiteId from, SiteId to) {
+  // Per-channel FIFO order: assumption R1 of Section 6.4.
+  SimTime& last = ChannelAt(from, to).last_delivery;
+  last = std::max(scheduler_.now() + DrawLatency(), last);
+  return last;
 }
 
 // --- Reliable channels -----------------------------------------------------
@@ -197,6 +180,25 @@ SimTime Network::RetransmitBase() const {
   // beats the timer, so a healthy channel rarely retransmits.
   return 2 * (config_.latency + config_.latency_jitter) +
          config_.batch_window + 1;
+}
+
+Network::ChannelExtras& Network::Extras(SiteId from, SiteId to) {
+  std::unique_ptr<ChannelExtras>& extras = ChannelAt(from, to).extras;
+  if (extras == nullptr) extras = std::make_unique<ChannelExtras>();
+  return *extras;
+}
+
+const Network::FaultRecord& Network::Link(SiteId a, SiteId b) const {
+  static constexpr FaultRecord kNeverFaulted{};
+  const ChannelExtras* extras =
+      ChannelAt(std::min(a, b), std::max(a, b)).extras.get();
+  return extras != nullptr ? extras->link : kNeverFaulted;
+}
+
+Network::ReliableChannel& Network::Reliable(SiteId from, SiteId to) {
+  std::unique_ptr<ReliableChannel>& channel = Extras(from, to).reliable;
+  if (channel == nullptr) channel = std::make_unique<ReliableChannel>();
+  return *channel;
 }
 
 void Network::TransmitWire(SiteId from, SiteId to, SenderEntry& entry) {
@@ -214,24 +216,14 @@ void Network::TransmitWire(SiteId from, SiteId to, SenderEntry& entry) {
                                                 << entry.attempts << ")");
     return;
   }
-  const SimTime latency = DrawLatency();
-  if (stats_.wire_messages % kChannelPurgePeriod == 0) {
-    PurgeInertClampEntries();
-  }
-  // The R1 FIFO clamp applies to every transmission; sequence numbers then
-  // restore order across retransmissions the clamp cannot see.
-  SimTime& last = Shard(channel_last_delivery_, from)[to];
-  const SimTime deliver_at = std::max(scheduler_.now() + latency, last);
-  last = deliver_at;
-  // Oldest outstanding seq at transmission time: everything below it is
-  // delivered or abandoned, so the receiver may skip past gaps below it
-  // (otherwise one exhausted retransmit budget wedges the channel forever).
-  auto& sender_shard = Shard(sender_channels_, from);
-  const auto channel_it = sender_shard.find(to);
-  const std::uint64_t base_seq =
-      channel_it != sender_shard.end() && !channel_it->second.unacked.empty()
-          ? channel_it->second.unacked.front().seq
-          : entry.seq;
+  // R1 holds for every transmission; sequence numbers then restore order
+  // across retransmissions.
+  const SimTime deliver_at = NextDeliveryTime(from, to);
+  // Oldest outstanding seq at transmission time (`entry` is outstanding):
+  // everything below it is delivered or abandoned, so the receiver may skip
+  // past gaps below it (otherwise one exhausted retransmit budget wedges the
+  // channel forever).
+  const std::uint64_t base_seq = Reliable(from, to).unacked.front().seq;
   scheduler_.At(deliver_at,
                 [this, from, to, seq = entry.seq, base_seq,
                  from_inc = entry.from_inc, to_inc = entry.to_inc,
@@ -242,10 +234,7 @@ void Network::TransmitWire(SiteId from, SiteId to, SenderEntry& entry) {
 }
 
 void Network::ArmRetransmitTimer(SiteId from, SiteId to) {
-  auto& shard = Shard(sender_channels_, from);
-  const auto it = shard.find(to);
-  if (it == shard.end()) return;
-  SenderChannel& channel = it->second;
+  ReliableChannel& channel = Reliable(from, to);
   if (channel.timer_armed || channel.unacked.empty()) return;
   channel.timer_armed = true;
   // Exponential backoff on the oldest entry's attempt count, plus
@@ -255,13 +244,12 @@ void Network::ArmRetransmitTimer(SiteId from, SiteId to) {
   SimTime delay = RetransmitBase() << shift;
   delay += static_cast<SimTime>(
       rng_.NextBelow(static_cast<std::uint64_t>(delay / 4) + 1));
-  scheduler_.After(delay, [this, from, to, epoch = channel.epoch] {
-    auto& timer_shard = Shard(sender_channels_, from);
-    const auto timer_it = timer_shard.find(to);
-    if (timer_it == timer_shard.end() || timer_it->second.epoch != epoch) {
-      return;  // channel purged (restart) since the timer was armed
-    }
-    SenderChannel& ch = timer_it->second;
+  scheduler_.After(delay, [this, from, to, from_inc = incarnation(from),
+                           to_inc = incarnation(to)] {
+    // A restart of either endpoint, the only reset of a channel, bumps its
+    // incarnation: this timer then belongs to the channel's past life.
+    if (incarnation(from) != from_inc || incarnation(to) != to_inc) return;
+    ReliableChannel& ch = Reliable(from, to);
     ch.timer_armed = false;
     // Abandon entries out of attempts (permanent drop: the protocol
     // timeouts recover exactly as for an unreliable loss). The front is
@@ -279,16 +267,13 @@ void Network::ArmRetransmitTimer(SiteId from, SiteId to) {
   });
 }
 
-void Network::AdvanceReceiverTo(SiteId from, SiteId to,
+void Network::AdvanceReceiverTo(ReliableChannel& channel,
                                 std::uint64_t base_seq) {
   // The sender vouches that every seq below base_seq is delivered or
   // abandoned. Deliver any stashed in-order messages below it, skip the
   // abandoned gaps, and move next_expected up so the channel cannot wait
-  // forever for a wire message nobody will retransmit. Handlers may send
-  // (mutating receiver state), so re-find the channel after each batch.
-  for (;;) {
-    ReceiverChannel& channel = Shard(receiver_channels_, from)[to];
-    if (channel.next_expected >= base_seq) return;
+  // forever for a wire message nobody will retransmit.
+  while (channel.next_expected < base_seq) {
     const auto next = channel.stashed.begin();
     if (next == channel.stashed.end() || next->first >= base_seq) {
       channel.next_expected = base_seq;
@@ -326,38 +311,31 @@ void Network::OnWireArrival(SiteId from, SiteId to, std::uint64_t seq,
                                                        << "->s" << to);
     return;
   }
-  if (base_seq > Shard(receiver_channels_, from)[to].next_expected) {
-    AdvanceReceiverTo(from, to, base_seq);
+  ReliableChannel& channel = Reliable(from, to);
+  AdvanceReceiverTo(channel, base_seq);
+  if (seq < channel.next_expected) {
+    // Duplicate of an already delivered wire message (its ack was lost).
+    // Discard, but re-ack so the sender stops retransmitting.
+    ++stats_.dup_suppressed;
+    SendAck(from, to);
+    return;
   }
-  {
-    ReceiverChannel& channel = Shard(receiver_channels_, from)[to];
-    if (seq < channel.next_expected) {
-      // Duplicate of an already delivered wire message (its ack was lost).
-      // Discard, but re-ack so the sender stops retransmitting.
+  if (seq > channel.next_expected) {
+    // Out of order: stash until the gap fills, preserving R1's FIFO
+    // delivery. emplace keeps the first copy if a duplicate races in.
+    if (!channel.stashed.emplace(seq, std::move(envelopes)).second) {
       ++stats_.dup_suppressed;
-      SendAck(from, to);
-      return;
     }
-    if (seq > channel.next_expected) {
-      // Out of order: stash until the gap fills, preserving R1's FIFO
-      // delivery. emplace keeps the first copy if a duplicate races in.
-      if (!channel.stashed.emplace(seq, std::move(envelopes)).second) {
-        ++stats_.dup_suppressed;
-      }
-      SendAck(from, to);
-      return;
-    }
+    SendAck(from, to);
+    return;
   }
-  // In order: deliver it plus any stash the gap was holding back. Handlers
-  // may send messages (mutating sender state), so re-find the receiver
-  // channel after each batch instead of holding a reference across calls.
+  // In order: deliver it plus any stash the gap was holding back.
   for (;;) {
-    Shard(receiver_channels_, from)[to].next_expected = seq + 1;
+    channel.next_expected = seq + 1;
     for (Envelope& envelope : envelopes) {
       ++stats_.inter_site_delivered;
       Dispatch(std::move(envelope));
     }
-    ReceiverChannel& channel = Shard(receiver_channels_, from)[to];
     const auto next = channel.stashed.find(channel.next_expected);
     if (next == channel.stashed.end()) break;
     seq = next->first;
@@ -372,8 +350,7 @@ void Network::SendAck(SiteId from, SiteId to) {
   // delivered every wire message with seq < cumulative." Control frames
   // ride the same lossy medium but are not themselves retransmitted — the
   // ack after the next (re)transmission repairs a lost one.
-  const std::uint64_t cumulative =
-      Shard(receiver_channels_, from)[to].next_expected;
+  const std::uint64_t cumulative = Reliable(from, to).next_expected;
   ++stats_.acks_sent;
   ++stats_.wire_messages;
   stats_.wire_bytes += kFrameBytes;
@@ -382,8 +359,8 @@ void Network::SendAck(SiteId from, SiteId to) {
     return;
   }
   const SimTime deliver_at = scheduler_.now() + DrawLatency();
-  // No FIFO clamp: cumulative acks are order-insensitive (a late smaller
-  // ack is a no-op at the sender).
+  // Acks need no R1 order: cumulative acks are order-insensitive (a late
+  // smaller ack is a no-op at the sender).
   scheduler_.At(deliver_at, [this, from, to, cumulative,
                              from_inc = incarnation(from),
                              to_inc = incarnation(to)] {
@@ -398,10 +375,7 @@ void Network::OnAckArrival(SiteId from, SiteId to, std::uint64_t cumulative,
     // otherwise retire fresh entries that happen to reuse low seqs.
     return;
   }
-  auto& shard = Shard(sender_channels_, from);
-  const auto it = shard.find(to);
-  if (it == shard.end()) return;
-  SenderChannel& channel = it->second;
+  ReliableChannel& channel = Reliable(from, to);
   while (!channel.unacked.empty() &&
          channel.unacked.front().seq < cumulative) {
     RetireEntry(channel.unacked.front(), /*delivered=*/true);
@@ -418,86 +392,69 @@ void Network::RetireEntry(SenderEntry& entry, bool delivered) {
 
 std::size_t Network::unacked_wire_messages() const {
   std::size_t total = 0;
-  for (const auto& shard : sender_channels_) {
-    for (const auto& [to, channel] : shard) {
-      (void)to;
-      total += channel.unacked.size();
+  for (const Channel& channel : channels_) {
+    if (channel.extras != nullptr && channel.extras->reliable != nullptr) {
+      total += channel.extras->reliable->unacked.size();
     }
   }
   return total;
 }
 
 std::size_t Network::pending_batch_channels() const {
-  std::size_t total = 0;
-  for (const auto& shard : pending_batches_) total += shard.size();
-  return total;
+  return static_cast<std::size_t>(std::count_if(
+      channels_.begin(), channels_.end(),
+      [](const Channel& channel) {
+        return channel.extras != nullptr && !channel.extras->batch.empty();
+      }));
 }
 
-std::size_t Network::channel_clamp_entries() const {
-  std::size_t total = 0;
-  for (const auto& shard : channel_last_delivery_) total += shard.size();
-  return total;
+std::size_t Network::recovery_listener_entries() const {
+  return static_cast<std::size_t>(
+      std::count_if(sites_.begin(), sites_.end(), [](const SiteRecord& site) {
+        return site.listener != nullptr;
+      }));
 }
 
 // --- Incarnations ----------------------------------------------------------
 
 std::uint32_t Network::incarnation(SiteId site) const {
-  return site < incarnations_.size() ? incarnations_[site] : 0;
+  return site < sites_.size() ? sites_[site].incarnation : 0;
 }
 
 void Network::NoteSiteRestarted(SiteId site) {
-  if (incarnations_.size() <= site) {
-    incarnations_.resize(static_cast<std::size_t>(site) + 1, 0);
-  }
-  ++incarnations_[site];
-  // If the restart happened inside a tracked outage, tag the fault record:
-  // the eventual recovery notification then tells observers the peer is a
-  // new incarnation (everything volatile it held is gone for certain).
-  if (failure_detection_enabled()) {
-    const auto it = site_fault_records_.find(site);
-    if (it != site_fault_records_.end() && it->second.down) {
-      it->second.restarted_during_outage = true;
-    }
-  }
+  DGC_CHECK(Registered(site));
+  SiteRecord& record = sites_[site];
+  ++record.incarnation;
+  // If the restart happened inside an outage, tag its record: the eventual
+  // recovery notification then tells observers the peer is a new
+  // incarnation (everything volatile it held is gone for certain).
+  if (record.fault.down) record.fault.restarted_during_outage = true;
   // The dead incarnation's recovery subscription dies with the rest of its
-  // connection state — without this, a long run with restarting sites grows
-  // the listener map with stale closures. The new incarnation re-registers
-  // (Site::CrashRestart does so immediately after this call).
-  recovery_listeners_.erase(site);
+  // connection state. The new incarnation re-registers (Site::CrashRestart
+  // does so immediately after this call).
+  record.listener = nullptr;
   if (!config_.reliable_delivery) return;
   // The restarted process shares no transport state with its previous life:
-  // dead-letter every channel touching the site, in both directions. Wire
-  // messages already in the scheduler still arrive, but carry the old
+  // dead-letter every channel touching the site, its row then its column.
+  // Wire messages already in the scheduler still arrive, but carry the old
   // incarnation and are rejected; with their sender entries gone, nothing
-  // retransmits them. Sharding makes this O(sites), not O(all channel
-  // pairs): the site's own shard, plus its key in every other shard.
-  if (site < sender_channels_.size()) {
-    for (auto& [to, channel] : sender_channels_[site]) {
-      (void)to;
-      for (SenderEntry& entry : channel.unacked) {
-        RetireEntry(entry, /*delivered=*/false);
-      }
-    }
-    sender_channels_[site].clear();
+  // retransmits them.
+  for (SiteId to = 0; to < sites_.size(); ++to) ResetReliable(site, to);
+  for (SiteId from = 0; from < sites_.size(); ++from) {
+    if (from != site) ResetReliable(from, site);
   }
-  for (SiteId from = 0; from < sender_channels_.size(); ++from) {
-    if (from == site) continue;
-    auto& shard = sender_channels_[from];
-    const auto it = shard.find(site);
-    if (it == shard.end()) continue;
-    for (SenderEntry& entry : it->second.unacked) {
-      RetireEntry(entry, /*delivered=*/false);
-    }
-    shard.erase(it);
-  }
+}
+
+void Network::ResetReliable(SiteId from, SiteId to) {
+  const ChannelExtras* extras = ChannelAt(from, to).extras.get();
+  if (extras == nullptr || extras->reliable == nullptr) return;
+  ReliableChannel* channel = extras->reliable.get();
   // Stashed receiver payloads were never delivered, so their sender entries
-  // (just retired above when the sender or receiver is `site`) carried the
-  // in-flight account; the stash itself holds none.
-  if (site < receiver_channels_.size()) receiver_channels_[site].clear();
-  for (SiteId from = 0; from < receiver_channels_.size(); ++from) {
-    if (from == site) continue;
-    receiver_channels_[from].erase(site);
+  // (retired here) carried the in-flight account; the stash holds none.
+  for (SenderEntry& entry : channel->unacked) {
+    RetireEntry(entry, /*delivered=*/false);
   }
+  *channel = ReliableChannel{};
 }
 
 // --- Faults and failure detection ------------------------------------------
@@ -505,11 +462,9 @@ void Network::NoteSiteRestarted(SiteId site) {
 FaultHooks Network::PlanHooks() {
   FaultHooks hooks;
   hooks.set_site_down = [this](SiteId site, bool down) {
-    DGC_CHECK(site < handlers_.size());
     SetSiteDown(site, down);
   };
   hooks.set_link_down = [this](SiteId a, SiteId b, bool down) {
-    DGC_CHECK(a < handlers_.size() && b < handlers_.size());
     SetLinkDown(a, b, down);
   };
   const auto open_bursts = std::make_shared<int>(0);
@@ -532,103 +487,88 @@ FaultHooks Network::PlanHooks() {
 }
 
 void Network::SetSiteDown(SiteId site, bool down) {
-  if (down) {
-    if (!site_down_.insert(site).second) return;  // already down
-    if (failure_detection_enabled()) {
-      FaultRecord& record = site_fault_records_[site];
-      record.down = true;
-      record.down_since = scheduler_.now();
-    }
-  } else {
-    if (site_down_.erase(site) == 0) return;  // was not down
-    if (failure_detection_enabled()) {
-      HealRecord(site_fault_records_[site], site, kInvalidSite);
-    }
-  }
+  DGC_CHECK(Registered(site));
+  SetDown(sites_[site].fault, down, site, kInvalidSite);
 }
 
 bool Network::IsSiteDown(SiteId site) const {
-  return site_down_.contains(site);
+  return site < sites_.size() && sites_[site].fault.down;
 }
 
 void Network::SetLinkDown(SiteId a, SiteId b, bool down) {
-  const std::uint64_t key = LinkKey(a, b);
-  if (down) {
-    if (!link_down_.insert(key).second) return;
-    if (failure_detection_enabled()) {
-      FaultRecord& record = link_fault_records_[key];
-      record.down = true;
-      record.down_since = scheduler_.now();
-    }
-  } else {
-    if (link_down_.erase(key) == 0) return;
-    if (failure_detection_enabled()) {
-      HealRecord(link_fault_records_[key], a, b);
-    }
-  }
+  DGC_CHECK(Registered(a) && Registered(b));
+  SetDown(Extras(std::min(a, b), std::max(a, b)).link, down, a, b);
 }
 
 bool Network::IsLinkDown(SiteId a, SiteId b) const {
-  return link_down_.contains(LinkKey(a, b));
+  return a < sites_.size() && b < sites_.size() && Link(a, b).down;
 }
 
-bool Network::RecordSuspected(const FaultRecord& record, SimTime now) const {
-  if (record.down) return now - record.down_since >= SuspectAfter();
-  // Healed, but the detector has not seen a fresh heartbeat yet.
-  return record.healed_at >= 0 && record.last_stretch >= SuspectAfter() &&
-         now < record.healed_at + RecoverDelay();
-}
-
-bool Network::IsPeerSuspected(SiteId observer, SiteId peer) const {
-  if (!failure_detection_enabled()) return false;
+void Network::SetDown(FaultRecord& record, bool down, SiteId a, SiteId b) {
+  if (record.down == down) return;
   const SimTime now = scheduler_.now();
-  const auto site_it = site_fault_records_.find(peer);
-  if (site_it != site_fault_records_.end() &&
-      RecordSuspected(site_it->second, now)) {
-    return true;
+  record.down = down;
+  if (down) {
+    record.down_since = now;
+    return;
   }
-  const auto link_it = link_fault_records_.find(LinkKey(observer, peer));
-  return link_it != link_fault_records_.end() &&
-         RecordSuspected(link_it->second, now);
-}
-
-void Network::SetRecoveryListener(SiteId observer, RecoveryListener listener) {
-  DGC_CHECK(listener != nullptr);
-  recovery_listeners_[observer] = std::move(listener);
-}
-
-void Network::HealRecord(FaultRecord& record, SiteId a, SiteId b) {
-  const SimTime now = scheduler_.now();
-  record.down = false;
   record.healed_at = now;
-  record.last_stretch = now - record.down_since;
-  const bool restarted = record.restarted_during_outage;
-  record.restarted_during_outage = false;
-  if (record.last_stretch < SuspectAfter()) return;  // never detected
+  const bool restarted = std::exchange(record.restarted_during_outage, false);
+  if (!failure_detection_enabled() ||
+      now - record.down_since < SuspectAfter()) {
+    return;  // never detected
+  }
   // The outage was long enough that every detector suspected it (any call
   // parked on it was parked *because* suspicion had set in, which implies
   // the stretch outlasted the heartbeat timeout). Recovery becomes visible
   // one heartbeat period + round trip after heal.
   ++stats_.fd_suspicions;
-  scheduler_.After(RecoverDelay(),
-                   [this, a, b, restarted] { NotifyRecovered(a, b, restarted); });
+  scheduler_.After(RecoverDelay(), [this, a, b, restarted] {
+    NotifyRecovered(a, b, restarted);
+  });
+}
+
+bool Network::RecordSuspected(const FaultRecord& record, SimTime now) const {
+  if (record.down) return now - record.down_since >= SuspectAfter();
+  // Healed, but the detector has not seen a fresh heartbeat yet.
+  return record.healed_at >= 0 &&
+         record.healed_at - record.down_since >= SuspectAfter() &&
+         now < record.healed_at + RecoverDelay();
+}
+
+bool Network::IsPeerSuspected(SiteId observer, SiteId peer) const {
+  if (!failure_detection_enabled() || observer >= sites_.size() ||
+      peer >= sites_.size()) {
+    return false;
+  }
+  const SimTime now = scheduler_.now();
+  return RecordSuspected(sites_[peer].fault, now) ||
+         RecordSuspected(Link(observer, peer), now);
+}
+
+void Network::SetRecoveryListener(SiteId observer, RecoveryListener listener) {
+  DGC_CHECK(listener != nullptr && Registered(observer));
+  sites_[observer].listener = std::move(listener);
 }
 
 void Network::NotifyRecovered(SiteId a, SiteId b, bool restarted) {
   ++stats_.fd_recoveries;
   if (b == kInvalidSite) {
-    // Site heal: every observer learns `a` is back.
-    for (const auto& [observer, listener] : recovery_listeners_) {
-      if (observer != a) listener(a, restarted);
+    // Site heal: every observer learns `a` is back, in site order.
+    for (SiteId observer = 0; observer < sites_.size(); ++observer) {
+      const RecoveryListener& listener = sites_[observer].listener;
+      if (observer != a && listener) listener(a, restarted);
     }
     return;
   }
   // Link heal: only the endpoints' view of each other changed (and neither
   // process died — a severed link never loses volatile state).
-  const auto a_it = recovery_listeners_.find(a);
-  if (a_it != recovery_listeners_.end()) a_it->second(b, restarted);
-  const auto b_it = recovery_listeners_.find(b);
-  if (b_it != recovery_listeners_.end()) b_it->second(a, restarted);
+  if (const RecoveryListener& listener = sites_[a].listener) {
+    listener(b, restarted);
+  }
+  if (const RecoveryListener& listener = sites_[b].listener) {
+    listener(a, restarted);
+  }
 }
 
 // --- Delivery --------------------------------------------------------------
@@ -649,17 +589,13 @@ void Network::Dispatch(Envelope envelope) {
   DGC_LOG_TRACE("net: deliver " << PayloadKindName(envelope.payload.index())
                                 << " s" << envelope.from << "->s"
                                 << envelope.to);
-  DGC_CHECK_MSG(
-      envelope.to < handlers_.size() && handlers_[envelope.to] != nullptr,
-      "deliver to unregistered site " << envelope.to);
   if (dispatcher_) {
     // Transport interposition (SocketTransport's outbound buffers, a
-    // tracer); the registered-handler check above still applies so an
-    // unregistered destination fails identically either way.
+    // tracer).
     dispatcher_(std::move(envelope));
     return;
   }
-  handlers_[envelope.to](envelope);
+  sites_[envelope.to].handler(envelope);
 }
 
 }  // namespace dgc

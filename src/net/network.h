@@ -4,11 +4,18 @@
 // its site processes' staged sends enter.
 //
 // Guarantees the paper's delivery assumption R1 — in-order delivery between
-// any pair of sites — by clamping each channel's delivery times to be
-// monotone, even under latency jitter. Supports the fault injection the
-// paper's locality argument needs (crashed sites, severed links, message
-// drops) and keeps per-payload-type counters so benches can report message
-// complexity (e.g. the 2E + P bound of Section 4.6).
+// any pair of sites — by each channel's last delivery time: a transmission
+// is never delivered before the one sent ahead of it on its channel, even
+// under latency jitter. Supports the fault injection the paper's locality
+// argument needs (crashed sites, severed links, message drops) and keeps
+// per-payload-type counters so benches can report message complexity (e.g.
+// the 2E + P bound of Section 4.6).
+//
+// State lives in two tables indexed by SiteId (sites register densely from
+// 0): one record per site (handler, incarnation, down flag and fault
+// timeline, recovery listener) and one per ordered channel (the last
+// delivery time; then, allocated on first use, the open batch, the link's
+// down flag and timeline where from <= to, and the reliable state).
 //
 // Self-addressed messages model intra-site asynchrony (e.g. the local steps
 // of a back trace); they are delivered on the next scheduler tick and are
@@ -22,11 +29,11 @@
 //     incarnation numbers; the receiver delivers strictly in sequence order
 //     (stashing out-of-order arrivals, suppressing duplicates) and returns
 //     cumulative acks, while the sender retransmits unacked messages with
-//     exponential backoff + jitter up to a bounded attempt count. The R1
-//     FIFO clamp still applies to every transmission. A site restart bumps
-//     its incarnation (Site::CrashRestart calls NoteSiteRestarted), so
-//     stale pre-crash traffic is rejected at arrival instead of corrupting
-//     the scrubbed post-restart state;
+//     exponential backoff + jitter up to a bounded attempt count. Every
+//     transmission still keeps R1 by its channel's last delivery time. A
+//     site restart bumps its incarnation (Site::CrashRestart calls
+//     NoteSiteRestarted), so stale pre-crash traffic is rejected at arrival
+//     instead of corrupting the scrubbed post-restart state;
 //
 //   * a failure detector (NetworkConfig::heartbeat_period): modeled
 //     analytically from the injected fault timeline rather than with
@@ -39,18 +46,17 @@
 //     CollectorConfig::park_on_suspected_failure) can resume.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "common/config.h"
 #include "common/counters.h"
-#include "common/flat_map.h"
 #include "common/rng.h"
 #include "net/messages.h"
 #include "net/transport.h"
@@ -147,44 +153,38 @@ class Network final : public Transport {
   [[nodiscard]] Scheduler& scheduler() override { return scheduler_; }
 
   /// Registers the message handler for a site. Must be called once per site
-  /// before any message addressed to it is delivered.
+  /// before any message from or to it is sent; sites register densely from
+  /// 0, and each one grows both tables by a row (and the channel table by a
+  /// column).
   void RegisterSite(SiteId site, Handler handler) override;
 
-  /// Sends a message. Delivery is asynchronous; per-channel FIFO order is
-  /// preserved. Messages to or from a down site, or across a severed link,
-  /// are silently dropped (the protocols recover via timeouts) — unless
-  /// reliable delivery is on, in which case they are retransmitted until
-  /// the attempt budget runs out.
+  /// Sends a message between two registered sites. Delivery is
+  /// asynchronous; per-channel FIFO order is preserved. Messages to or from
+  /// a down site, or across a severed link, are silently dropped (the
+  /// protocols recover via timeouts) — unless reliable delivery is on, in
+  /// which case they are retransmitted until the attempt budget runs out.
   void Send(SiteId from, SiteId to, Payload payload) override;
 
-  /// Crashes or restores a site: while down, all its traffic is dropped.
-  /// Restoring erases the entry (the down-sets track only currently faulted
-  /// sites/links, not every one ever faulted) and, when the failure
-  /// detector is on, schedules the recovery notification.
+  /// Crashes or restores a registered site: while down, all its traffic is
+  /// dropped. Restoring, when the failure detector is on, schedules the
+  /// recovery notification.
   void SetSiteDown(SiteId site, bool down);
   [[nodiscard]] bool IsSiteDown(SiteId site) const;
 
-  /// Severs or restores the (bidirectional) link between two sites.
+  /// Severs or restores the (bidirectional) link between two registered
+  /// sites. A heal notifies a's listener, then b's.
   void SetLinkDown(SiteId a, SiteId b, bool down);
   [[nodiscard]] bool IsLinkDown(SiteId a, SiteId b) const;
-
-  /// Sites currently marked down / links currently severed (not cumulative
-  /// counts of every fault ever injected).
-  [[nodiscard]] std::size_t site_down_entries() const {
-    return site_down_.size();
-  }
-  [[nodiscard]] std::size_t link_down_entries() const {
-    return link_down_.size();
-  }
 
   // --- Incarnations and restart ---------------------------------------
 
   /// Records that `site` crashed and restarted: bumps its incarnation so
   /// pre-crash wire traffic is rejected at arrival, and (with reliable
   /// delivery) dead-letters all transport state on channels touching the
-  /// site — the restarted process shares no connection state with its
-  /// previous life.
+  /// site, its row and its column of the channel table — the restarted
+  /// process shares no connection state with its previous life.
   void NoteSiteRestarted(SiteId site) override;
+  /// 0 for a site that never restarted, and for an unregistered id.
   [[nodiscard]] std::uint32_t incarnation(SiteId site) const;
 
   // --- Failure detection ----------------------------------------------
@@ -200,16 +200,17 @@ class Network final : public Transport {
   [[nodiscard]] bool IsPeerSuspected(SiteId observer,
                                      SiteId peer) const override;
 
-  /// Installs `observer`'s recovery listener (at most one per site).
+  /// Installs registered `observer`'s recovery listener (at most one per
+  /// site). Listeners must not be installed from inside a notification.
   void SetRecoveryListener(SiteId observer,
                            RecoveryListener listener) override;
 
   /// Interposes on final delivery: when set, every envelope that would be
   /// handed to its destination handler goes to `dispatcher` instead (after
-  /// all transport processing — FIFO clamp, reliable reassembly, incarnation
-  /// checks, stats). SocketTransport uses this to collect deliveries for
-  /// shipment to site processes; null (default) calls the registered
-  /// handler directly.
+  /// all transport processing — FIFO order, reliable reassembly,
+  /// incarnation checks, stats). SocketTransport uses this to collect
+  /// deliveries for shipment to site processes; null (default) calls the
+  /// registered handler directly.
   void set_dispatcher(Dispatcher dispatcher) {
     dispatcher_ = std::move(dispatcher);
   }
@@ -231,20 +232,13 @@ class Network final : public Transport {
   /// reliable delivery: not yet known-delivered via ack, nor abandoned).
   [[nodiscard]] std::uint64_t in_flight() const { return in_flight_; }
 
-  /// Channels currently holding a batching window open. Flushing erases the
-  /// entry, so in steady state this tracks active channels, not every
-  /// channel pair ever used.
+  /// Channels currently holding a batching window open.
   [[nodiscard]] std::size_t pending_batch_channels() const;
-  /// FIFO-clamp entries currently retained (inert ones are purged
-  /// periodically).
-  [[nodiscard]] std::size_t channel_clamp_entries() const;
   /// Wire messages awaiting acknowledgement across all reliable channels.
   [[nodiscard]] std::size_t unacked_wire_messages() const;
   /// Installed recovery listeners (a restart dead-letters the restarted
   /// site's listener; the new incarnation re-registers).
-  [[nodiscard]] std::size_t recovery_listener_entries() const {
-    return recovery_listeners_.size();
-  }
+  [[nodiscard]] std::size_t recovery_listener_entries() const;
   /// Batch buffers parked in the envelope pool, and how many ShipBatch
   /// buffers were served from it instead of a fresh allocation.
   [[nodiscard]] std::size_t batch_pool_size() const {
@@ -254,37 +248,7 @@ class Network final : public Transport {
     return batch_pool_hits_;
   }
 
-  /// Every this-many wire messages, FIFO-clamp entries whose delivery time
-  /// has passed (<= now) are purged: they can never raise a future
-  /// max(now + latency, last) and only grow the map with every channel pair
-  /// ever used.
-  static constexpr std::uint64_t kChannelPurgePeriod = 1024;
-
  private:
-  [[nodiscard]] std::uint64_t ChannelKey(SiteId from, SiteId to) const {
-    return (static_cast<std::uint64_t>(from) << 32) | to;
-  }
-  [[nodiscard]] std::uint64_t LinkKey(SiteId a, SiteId b) const {
-    return a < b ? ChannelKey(a, b) : ChannelKey(b, a);
-  }
-
-  /// Per-channel state is sharded by sender: a vector indexed by the from
-  /// site, each slot a small sorted map keyed by the to site. Lookups touch
-  /// only the sender's shard (O(log active peers), not O(all channel pairs)),
-  /// and a site restart dead-letters one shard plus one key in each other
-  /// shard instead of scanning every channel ever used. FlatMap's pointer
-  /// discipline applies: an insert into a shard invalidates references into
-  /// that shard.
-  template <typename T>
-  using ChannelShards = std::vector<FlatMap<SiteId, T>>;
-
-  template <typename T>
-  [[nodiscard]] FlatMap<SiteId, T>& Shard(ChannelShards<T>& shards,
-                                          SiteId from) {
-    if (shards.size() <= from) shards.resize(static_cast<std::size_t>(from) + 1);
-    return shards[from];
-  }
-
   void Deliver(Envelope envelope);
   /// Hands one envelope to its destination handler (shared tail of the
   /// unreliable and reliable delivery paths).
@@ -296,6 +260,9 @@ class Network final : public Transport {
   /// queue instead.
   void ShipBatch(SiteId from, SiteId to, std::vector<Envelope> batch);
   void FlushChannel(SiteId from, SiteId to);
+  /// Draws one transmission's latency and keeps R1: the delivery time is
+  /// no earlier than the channel's last one, which it then becomes.
+  [[nodiscard]] SimTime NextDeliveryTime(SiteId from, SiteId to);
 
   // --- Reliable-channel internals -------------------------------------
 
@@ -307,16 +274,12 @@ class Network final : public Transport {
     std::uint32_t to_inc = 0;
     int attempts = 0;  // transmissions so far
   };
-  struct SenderChannel {
+  /// Both ends of one reliable channel: the sender's retransmit queue and
+  /// the receiver's reassembly state.
+  struct ReliableChannel {
     std::uint64_t next_seq = 0;
-    /// Distinguishes this channel object from any prior one on the same
-    /// site pair, so a retransmit timer armed before a restart purge cannot
-    /// act on the purged channel's successor.
-    std::uint64_t epoch = 0;
     std::deque<SenderEntry> unacked;  // ordered by seq
     bool timer_armed = false;
-  };
-  struct ReceiverChannel {
     std::uint64_t next_expected = 0;
     /// Out-of-order arrivals parked until the gap fills (map: delivered in
     /// seq order).
@@ -330,9 +293,14 @@ class Network final : public Transport {
     return drop_override_ >= 0.0 ? drop_override_ : config_.drop_probability;
   }
 
+  /// The channel's reliable state, allocated on first use.
+  [[nodiscard]] ReliableChannel& Reliable(SiteId from, SiteId to);
   /// One physical transmission of a sender entry (first send or retransmit):
-  /// applies faults/loss, the FIFO clamp, and schedules OnWireArrival.
+  /// applies faults/loss, keeps R1, and schedules OnWireArrival.
   void TransmitWire(SiteId from, SiteId to, SenderEntry& entry);
+  /// Retires a channel's unacked entries as dropped and resets both its
+  /// ends (a restart of either endpoint).
+  void ResetReliable(SiteId from, SiteId to);
   void ArmRetransmitTimer(SiteId from, SiteId to);
   /// `base_seq` is the sender's oldest outstanding seq at transmission
   /// time: every seq below it was either acked or abandoned, so the
@@ -343,7 +311,7 @@ class Network final : public Transport {
                      std::uint32_t to_inc, std::vector<Envelope> envelopes);
   /// Delivers stashed in-order prefixes below `base_seq` and skips the
   /// abandoned gaps, advancing next_expected to at least base_seq.
-  void AdvanceReceiverTo(SiteId from, SiteId to, std::uint64_t base_seq);
+  void AdvanceReceiverTo(ReliableChannel& channel, std::uint64_t base_seq);
   /// Sends the receiver's cumulative ack for channel (from -> to) back to
   /// the sender. Acks are unreliable control frames: a lost ack is repaired
   /// by the one after the next (re)transmission.
@@ -363,18 +331,16 @@ class Network final : public Transport {
   [[nodiscard]] std::vector<Envelope> AcquireBatchBuffer();
   void ReleaseBatchBuffer(std::vector<Envelope>&& buffer);
 
-  /// Sweeps every clamp shard for inert entries (delivery time <= now).
-  void PurgeInertClampEntries();
-
   // --- Failure-detector internals -------------------------------------
 
   /// Ground-truth fault timeline for one site or link, from which the
-  /// analytic heartbeat detector derives suspicion on demand.
+  /// analytic heartbeat detector derives suspicion on demand. `down` is the
+  /// site's or link's down flag, whether or not the detector is on.
   struct FaultRecord {
-    bool down = false;
+    /// The last outage's start and, once it is over, its end.
     SimTime down_since = 0;
     SimTime healed_at = -1;
-    SimTime last_stretch = 0;  // duration of the last completed outage
+    bool down = false;
     /// The site restarted (incarnation bump) while this outage was open;
     /// carried into the recovery notification so observers learn the peer
     /// they see again is a replacement, not the process they lost.
@@ -390,41 +356,65 @@ class Network final : public Transport {
   }
   [[nodiscard]] bool RecordSuspected(const FaultRecord& record,
                                      SimTime now) const;
-  /// Marks a fault record healed; if the outage was long enough to have
-  /// been detected, schedules the recovery notification.
-  void HealRecord(FaultRecord& record, SiteId a, SiteId b);
+  /// Opens or heals an outage of a site (b == kInvalidSite) or of the link
+  /// {a, b}. A heal the failure detector saw schedules the recovery
+  /// notification.
+  void SetDown(FaultRecord& record, bool down, SiteId a, SiteId b);
   void NotifyRecovered(SiteId a, SiteId b, bool restarted);
 
-  struct PendingBatch {
-    std::vector<Envelope> envelopes;
+  /// One registered site.
+  struct SiteRecord {
+    Handler handler;  // null: the id is not registered
+    std::uint32_t incarnation = 0;
+    FaultRecord fault;
+    /// Null until the site subscribes; a restart clears it.
+    RecoveryListener listener;
   };
-  ChannelShards<PendingBatch> pending_batches_;
+  /// What a channel holds besides R1's clock, allocated when batching, a
+  /// link fault or reliable delivery first uses the channel. Out of line,
+  /// the default network's table is 16 bytes a channel: inline, the
+  /// 100 x 100 table raised scale's peak RSS by about 1 MiB.
+  struct ChannelExtras {
+    /// Payloads waiting for the batch window to close.
+    std::vector<Envelope> batch;
+    /// The link {from, to}'s faults, kept where from <= to.
+    FaultRecord link;
+    /// Allocated when reliable delivery first uses the channel.
+    std::unique_ptr<ReliableChannel> reliable;
+  };
+  /// One ordered channel (from -> to).
+  struct Channel {
+    /// R1: the latest delivery time scheduled on this channel.
+    SimTime last_delivery = 0;
+    std::unique_ptr<ChannelExtras> extras;
+  };
+
+  [[nodiscard]] bool Registered(SiteId site) const {
+    return site < sites_.size() && sites_[site].handler != nullptr;
+  }
+  [[nodiscard]] Channel& ChannelAt(SiteId from, SiteId to) {
+    return channels_[from * sites_.size() + to];
+  }
+  [[nodiscard]] const Channel& ChannelAt(SiteId from, SiteId to) const {
+    return channels_[from * sites_.size() + to];
+  }
+  /// The channel's extras, allocated on first use.
+  [[nodiscard]] ChannelExtras& Extras(SiteId from, SiteId to);
+  /// The link {a, b}'s faults; a link that never faulted has a record
+  /// that was never down.
+  [[nodiscard]] const FaultRecord& Link(SiteId a, SiteId b) const;
 
   Scheduler& scheduler_;
   NetworkConfig config_;
   Rng rng_;
-  /// Indexed by SiteId (sites register densely from 0); empty slots are
-  /// unregistered.
-  std::vector<Handler> handlers_;
-  /// When set, Dispatch routes here instead of handlers_ (see
+  /// Indexed by SiteId. Only RegisterSite grows them, so a reference into
+  /// either survives a delivery's handler and its sends.
+  std::vector<SiteRecord> sites_;
+  /// sites_.size() squared records, channel (from, to) at ChannelAt.
+  std::vector<Channel> channels_;
+  /// When set, Dispatch routes here instead of to the site's handler (see
   /// set_dispatcher).
   Dispatcher dispatcher_;
-  std::unordered_set<SiteId> site_down_;
-  std::unordered_set<std::uint64_t> link_down_;
-  ChannelShards<SimTime> channel_last_delivery_;
-  // Reliable-channel state (empty while reliable_delivery is off).
-  ChannelShards<SenderChannel> sender_channels_;
-  ChannelShards<ReceiverChannel> receiver_channels_;
-  /// Indexed by SiteId; sites beyond the vector are implicitly incarnation 0.
-  std::vector<std::uint32_t> incarnations_;
-  std::uint64_t next_channel_epoch_ = 1;
-  // Failure-detector state (empty while heartbeat_period is 0). Sorted
-  // listener map: recovery notifications fire in site order, keeping the
-  // resumed traffic deterministic. Listeners must not (de)register from
-  // inside a notification — NotifyRecovered iterates the map.
-  std::unordered_map<SiteId, FaultRecord> site_fault_records_;
-  std::unordered_map<std::uint64_t, FaultRecord> link_fault_records_;
-  FlatMap<SiteId, RecoveryListener> recovery_listeners_;
   /// Retired batch buffers awaiting reuse (capacity kept, contents cleared).
   std::vector<std::vector<Envelope>> batch_pool_;
   std::uint64_t batch_pool_hits_ = 0;

@@ -54,12 +54,14 @@ bool NamesOnlyObjectsOf(SiteId to, const Payload& payload) {
 
 /// True when every staged send of `site`'s reply is from `site` to a site
 /// that exists — what Network::Send requires, and what keeps one process
-/// from sending as another past incarnation fencing — and names as its
-/// destination's own only objects that live there.
+/// from sending as another past incarnation fencing — is of a kind a site
+/// process handles (not baseline-only), and names as its destination's own
+/// only objects that live there.
 bool StagedValid(SiteId site, std::size_t site_count,
                  const std::vector<Envelope>& staged) {
   return std::all_of(staged.begin(), staged.end(), [&](const Envelope& env) {
     return env.from == site && env.to < site_count &&
+           !IsBaselineOnly(env.payload) &&
            NamesOnlyObjectsOf(env.to, env.payload);
   });
 }
@@ -413,6 +415,7 @@ void SocketTransport::SendStepRequest(SiteId site, SimTime t) {
   }
   conn.awaiting_seq = req.seq;
   conn.awaiting_type = FrameType::kStepReply;
+  conn.settle_waited_ms = 0;
   ++socket_counters_.step_requests;
 }
 
@@ -562,7 +565,10 @@ void SocketTransport::RunUntilTime(SimTime t) {
 bool SocketTransport::ExternalProgressPossible() const {
   for (const Conn& conn : conns_) {
     if (conn.fd < 0) return true;  // a redial or restart may arrive
-    if (conn.awaiting_seq != 0 && !conn.responsive) return true;  // owed
+    if (conn.awaiting_seq != 0 && !conn.responsive &&
+        conn.settle_waited_ms < socket_config_.settle_grace_ms) {
+      return true;  // owed, with grace left
+    }
   }
   if (hooks_.restart_pending && hooks_.restart_pending()) return true;
   return false;
@@ -572,7 +578,8 @@ void SocketTransport::Settle() {
   // Simulated work first; when the visible world is idle, grant bounded
   // real time for external progress — supervisor restart backoff, a paused
   // process resuming, a severed process redialing. Any observed progress
-  // resets the patience.
+  // resets the patience. An owed reply's own wait is not reset: once its
+  // grace is spent, a paused site no longer holds a Settle up.
   int waited_ms = 0;
   while (true) {
     const bool changed = PollIo();
@@ -587,6 +594,11 @@ void SocketTransport::Settle() {
     if (waited_ms >= socket_config_.settle_grace_ms) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     waited_ms += 2;
+    for (Conn& conn : conns_) {
+      if (conn.awaiting_seq != 0 && !conn.responsive) {
+        conn.settle_waited_ms += 2;
+      }
+    }
   }
   SyncClocksTo(global_now_);
 }
@@ -609,6 +621,7 @@ bool SocketTransport::Exchange(SiteId site, FrameType type, Request& request,
   }
   conn.awaiting_seq = request.seq;
   conn.awaiting_type = reply_type;
+  conn.settle_waited_ms = 0;
   FrameType got = reply_type;
   std::vector<std::uint8_t> body;
   const IoStatus status = wire::ReadFrameBuffered(

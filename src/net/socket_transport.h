@@ -27,8 +27,9 @@
 // in involved-site order — so N sites overlap their computing instead of
 // serializing behind the slowest, while the Network observes a fixed
 // mutation order. A reply whose staged sends name a site that does not
-// exist, or a sender other than the replying site, is a protocol failure:
-// the site is disconnected before any of its sends enter the Network.
+// exist, a sender other than the replying site, or a kind no site process
+// handles (kBaselineOnly), is a protocol failure: the site is disconnected
+// before any of its sends enter the Network.
 //
 // Failure handling is where this backend earns its keep:
 //
@@ -99,8 +100,13 @@ class SocketTransport final {
   /// that Settle never goes idle (socket_test's fake sites).
   void RunUntilTime(SimTime t);
   /// Runs until no event is pending anywhere, granting bounded real time
-  /// for external progress (restarts, resumes, redials).
+  /// for external progress (restarts, resumes, redials). A paused site's
+  /// owed reply gets settle_grace_ms of waiting in all, across every
+  /// Settle, not a fresh grace each time.
   void Settle();
+  /// Gives `site`'s owed reply a fresh settle grace: its process was just
+  /// resumed, so the late reply is on its way.
+  void RenewSettleGrace(SiteId site) { conns_[site].settle_waited_ms = 0; }
 
   // --- Coordinator surface (SocketWorld) --------------------------------
 
@@ -180,6 +186,9 @@ class SocketTransport final {
     /// clean request/reply cadence.
     std::uint64_t awaiting_seq = 0;
     wire::FrameType awaiting_type = wire::FrameType::kStepReply;
+    /// How long Settle has waited on the owed reply; each new request
+    /// starts it at 0.
+    int settle_waited_ms = 0;
     /// Deliveries finished by the Network, awaiting shipment.
     std::vector<Envelope> outbound;
     /// Site's next pending timer instant from its last reply.
@@ -250,7 +259,7 @@ class SocketTransport final {
   [[nodiscard]] std::vector<SiteId> SuspectedBy(SiteId site) const;
   /// True while any real-time external event may still produce simulated
   /// work: a pending restart, a disconnected-but-recoverable site, or an
-  /// owed late reply.
+  /// owed late reply with settle grace left.
   [[nodiscard]] bool ExternalProgressPossible() const;
 
   Scheduler& control_;

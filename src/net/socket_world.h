@@ -102,7 +102,10 @@ class SocketWorld {
 
   void KillSite(SiteId site) { supervisor_->Kill(site); }
   void PauseSite(SiteId site) { supervisor_->Pause(site); }
-  void ResumeSite(SiteId site) { supervisor_->Resume(site); }
+  void ResumeSite(SiteId site) {
+    supervisor_->Resume(site);
+    transport_->RenewSettleGrace(site);
+  }
 
  private:
   [[nodiscard]] std::string SnapshotPathFor(SiteId site) const;

@@ -7,6 +7,10 @@
 // as a lossless one.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -342,10 +346,21 @@ TEST(ScriptedChaos, PartitionOutageHealsAndCollects) {
 
 // --- Random chaos soak -----------------------------------------------------
 
-class ChaosSoak : public ::testing::TestWithParam<std::uint64_t> {};
+/// The soak's world on one seed: five sites on a network with jitter,
+/// batching, ambient loss, reliable delivery and the failure detector, two
+/// garbage rings and a tethered live ring, and a random fault plan (outages,
+/// crash-restarts, link flaps, drop bursts, latency spikes) over 3,000
+/// ticks, with waves of local traces armed throughout. Settles the plan,
+/// then recovers round by round until clean.
+struct SoakWorld {
+  std::unique_ptr<System> system;
+  workload::CycleHandles small_ring;
+  workload::CycleHandles big_ring;
+  workload::CycleHandles live_ring;
+  ObjectId tether;
+};
 
-TEST_P(ChaosSoak, SafetyAlwaysLivenessOnceHealed) {
-  const std::uint64_t seed = GetParam();
+void RunChaosSoak(std::uint64_t seed, SoakWorld& world) {
   CollectorConfig config;
   config.suspicion_threshold = 3;
   config.estimated_cycle_length = 6;
@@ -359,16 +374,17 @@ TEST_P(ChaosSoak, SafetyAlwaysLivenessOnceHealed) {
   net.reliable_delivery = true;
   net.heartbeat_period = 30;
   net.heartbeat_timeout = 120;
-  System system(5, config, net, seed);
+  world.system = std::make_unique<System>(5, config, net, seed);
+  System& system = *world.system;
 
-  const auto small_ring = workload::BuildCycle(
+  world.small_ring = workload::BuildCycle(
       system, {.sites = 2, .objects_per_site = 1, .first_site = 0});
-  const auto big_ring = workload::BuildCycle(
+  world.big_ring = workload::BuildCycle(
       system, {.sites = 5, .objects_per_site = 2, .first_site = 0});
-  const auto live_ring = workload::BuildCycle(
+  world.live_ring = workload::BuildCycle(
       system, {.sites = 4, .objects_per_site = 1, .first_site = 1});
-  const ObjectId tether =
-      workload::TetherToRoot(system, live_ring.head(), /*root_site=*/0);
+  world.tether =
+      workload::TetherToRoot(system, world.live_ring.head(), /*root_site=*/0);
 
   Rng chaos_rng(seed * 7919 + 1);
   FaultPlan::RandomSpec spec;
@@ -387,17 +403,26 @@ TEST_P(ChaosSoak, SafetyAlwaysLivenessOnceHealed) {
       << "seed " << seed << ": " << system.CheckSafety();
 
   RecoverUntilClean(system, /*max_rounds=*/80);
+}
 
-  for (const ObjectId id : small_ring.objects) {
+class ChaosSoak : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChaosSoak, SafetyAlwaysLivenessOnceHealed) {
+  const std::uint64_t seed = GetParam();
+  SoakWorld world;
+  ASSERT_NO_FATAL_FAILURE(RunChaosSoak(seed, world));
+  const System& system = *world.system;
+
+  for (const ObjectId id : world.small_ring.objects) {
     EXPECT_FALSE(system.ObjectExists(id)) << "seed " << seed << " " << id;
   }
-  for (const ObjectId id : big_ring.objects) {
+  for (const ObjectId id : world.big_ring.objects) {
     EXPECT_FALSE(system.ObjectExists(id)) << "seed " << seed << " " << id;
   }
-  for (const ObjectId id : live_ring.objects) {
+  for (const ObjectId id : world.live_ring.objects) {
     EXPECT_TRUE(system.ObjectExists(id)) << "seed " << seed << " " << id;
   }
-  EXPECT_TRUE(system.ObjectExists(tether)) << "seed " << seed;
+  EXPECT_TRUE(system.ObjectExists(world.tether)) << "seed " << seed;
   EXPECT_TRUE(system.CheckSafety().empty())
       << "seed " << seed << ": " << system.CheckSafety();
   EXPECT_TRUE(system.CheckCompleteness().empty())
@@ -410,6 +435,55 @@ TEST_P(ChaosSoak, SafetyAlwaysLivenessOnceHealed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+/// Every network counter (and each payload kind's nonzero count), the
+/// scheduler's event count and final clock, and the objects reclaimed.
+std::string EventOrderSummary(const System& system) {
+  std::ostringstream out;
+  const NetworkStats& stats = system.network().stats();
+  ForEachCounter(stats, [&](const std::string& name, std::uint64_t value) {
+    out << name << '=' << value << ' ';
+  });
+  for (std::size_t kind = 0; kind < kPayloadKinds; ++kind) {
+    if (stats.per_kind[kind] != 0) {
+      out << PayloadKindName(kind) << '=' << stats.per_kind[kind] << ' ';
+    }
+  }
+  out << "events=" << system.scheduler().events_executed()
+      << " now=" << system.now()
+      << " reclaimed=" << system.TotalObjectsReclaimed();
+  return out.str();
+}
+
+// Event-order goldens: the e2e workloads run only the default network, so
+// these pin the order of the jitter, batching, reliable-delivery, failure
+// detector and restart paths. A change that reorders, adds or drops one
+// event or RNG draw moves a counter here. Only a change meant to alter the
+// event order may re-pin them, and must say so.
+TEST(ChaosSoakGolden, EveryCounterAndTheEventCountArePinned) {
+  const std::pair<std::uint64_t, const char*> goldens[] = {
+      {1, "inter_site_sent=198 inter_site_delivered=190 dropped=10 "
+          "self_deliveries=54 logical_bytes=8430 wire_messages=488 "
+          "wire_bytes=13234 retransmits=84 retransmits_exhausted=0 "
+          "transmissions_lost=79 dup_suppressed=19 acks_sent=208 "
+          "stale_incarnation_rejected=0 fd_suspicions=4 "
+          "fd_recoveries=4 Insert=3 Update=152 BackLocalCall=19 "
+          "BackReply=19 BackReport=5 events=1106 now=11887 "
+          "reclaimed=12"},
+      {7, "inter_site_sent=119 inter_site_delivered=110 dropped=9 "
+          "self_deliveries=20 logical_bytes=4738 wire_messages=313 "
+          "wire_bytes=7997 retransmits=73 retransmits_exhausted=0 "
+          "transmissions_lost=87 dup_suppressed=15 acks_sent=123 "
+          "stale_incarnation_rejected=0 fd_suspicions=3 "
+          "fd_recoveries=3 Insert=5 Update=95 BackLocalCall=7 "
+          "BackReply=7 BackReport=5 events=707 now=4636 reclaimed=12"},
+  };
+  for (const auto& [seed, golden] : goldens) {
+    SoakWorld world;
+    ASSERT_NO_FATAL_FAILURE(RunChaosSoak(seed, world));
+    EXPECT_EQ(EventOrderSummary(*world.system), golden) << "seed " << seed;
+  }
+}
 
 }  // namespace
 }  // namespace dgc

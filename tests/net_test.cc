@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <variant>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "net/network.h"
 #include "net/wire.h"
@@ -247,10 +252,10 @@ TEST_F(NetFixture, FlushedBatchEntriesAreErasedNotParked) {
   net->Send(0, 2, Probe(2));
   EXPECT_EQ(net->pending_batch_channels(), 2u);
   scheduler.RunUntilIdle();
-  // Flushing removes the channel entry entirely; the map tracks channels
-  // with an open window, not every pair that ever talked.
+  // Flushing closes the window: the count tracks channels with an open
+  // window, not every pair that ever talked.
   EXPECT_EQ(net->pending_batch_channels(), 0u);
-  net->Send(0, 1, Probe(3));  // re-creates the entry and re-arms the timer
+  net->Send(0, 1, Probe(3));  // opens a new window and re-arms the timer
   EXPECT_EQ(net->pending_batch_channels(), 1u);
   scheduler.RunUntilIdle();
   EXPECT_EQ(net->pending_batch_channels(), 0u);
@@ -258,51 +263,37 @@ TEST_F(NetFixture, FlushedBatchEntriesAreErasedNotParked) {
   EXPECT_EQ(received[2].size(), 1u);
 }
 
-TEST_F(NetFixture, InertFifoClampEntriesArePurgedPeriodically) {
-  config.latency = 3;
-  auto net = MakeNetwork(2);
-  // Talk on both directions, then let everything deliver: both clamp
-  // entries are now inert (last delivery <= now).
-  net->Send(0, 1, Probe(1));
-  net->Send(1, 0, Probe(2));
-  scheduler.RunUntilIdle();
-  EXPECT_EQ(net->channel_clamp_entries(), 2u);
-  // Drive one channel past the purge period; the idle channels' inert
-  // entries must be swept rather than retained forever.
-  for (std::uint64_t i = 0; i < Network::kChannelPurgePeriod + 1; ++i) {
-    net->Send(0, 1, Probe(i));
-    scheduler.RunUntilIdle();
-  }
-  EXPECT_LE(net->channel_clamp_entries(), 1u);
-}
-
 // --- Fault bookkeeping -----------------------------------------------------
 
-TEST_F(NetFixture, RestoringFaultsErasesDownEntries) {
+TEST_F(NetFixture, RestoringFaultsClearsEveryDownFlag) {
   auto net = MakeNetwork(4);
-  EXPECT_EQ(net->site_down_entries(), 0u);
-  EXPECT_EQ(net->link_down_entries(), 0u);
-  // Fault and heal every site and several links: the down-sets must track
-  // only *currently* faulted entities, not every one ever faulted.
+  // Fault and heal every site and several links, naming each link in
+  // either order: a link is one record, whichever endpoint comes first.
   for (SiteId s = 0; s < 4; ++s) {
     net->SetSiteDown(s, true);
     net->SetLinkDown(s, (s + 1) % 4, true);
   }
-  EXPECT_EQ(net->site_down_entries(), 4u);
-  EXPECT_EQ(net->link_down_entries(), 4u);
+  for (SiteId s = 0; s < 4; ++s) {
+    EXPECT_TRUE(net->IsSiteDown(s));
+    EXPECT_TRUE(net->IsLinkDown((s + 1) % 4, s));
+  }
+  EXPECT_FALSE(net->IsLinkDown(0, 2));
   for (SiteId s = 0; s < 4; ++s) {
     net->SetSiteDown(s, false);
-    net->SetLinkDown(s, (s + 1) % 4, false);
+    net->SetLinkDown((s + 1) % 4, s, false);
   }
-  EXPECT_EQ(net->site_down_entries(), 0u);
-  EXPECT_EQ(net->link_down_entries(), 0u);
+  for (SiteId s = 0; s < 4; ++s) {
+    EXPECT_FALSE(net->IsSiteDown(s));
+    EXPECT_FALSE(net->IsLinkDown(s, (s + 1) % 4));
+  }
   // Redundant restores stay no-ops.
   net->SetSiteDown(2, false);
   net->SetLinkDown(0, 1, false);
-  EXPECT_EQ(net->site_down_entries(), 0u);
-  EXPECT_EQ(net->link_down_entries(), 0u);
   EXPECT_FALSE(net->IsSiteDown(2));
   EXPECT_FALSE(net->IsLinkDown(0, 1));
+  // An id no site registered is never down.
+  EXPECT_FALSE(net->IsSiteDown(9));
+  EXPECT_FALSE(net->IsLinkDown(0, 9));
 }
 
 // --- Reliable channels -----------------------------------------------------
@@ -427,6 +418,17 @@ TEST_F(NetFixture, ReliableDeliveryResumesAfterOutage) {
 }
 
 // --- Incarnations ----------------------------------------------------------
+
+TEST_F(NetFixture, UnregisteredIdsHaveIncarnationZeroAndCannotSend) {
+  auto net = MakeNetwork(2);
+  // The socket coordinator asks about a Hello's site before it rejects an
+  // unknown one.
+  EXPECT_EQ(net->incarnation(2), 0u);
+  EXPECT_EQ(net->incarnation(kInvalidSite), 0u);
+  EXPECT_THROW(net->Send(0, 2, Probe(1)), InvariantViolation);
+  EXPECT_THROW(net->Send(2, 0, Probe(1)), InvariantViolation);
+  EXPECT_EQ(net->stats().inter_site_sent, 0u);
+}
 
 TEST_F(NetFixture, RestartRejectsStaleInFlightTraffic) {
   config.reliable_delivery = true;
@@ -602,6 +604,123 @@ TEST_F(NetFixture, RetiredBatchBuffersArePooledAndReused) {
   scheduler.RunUntilIdle();
   EXPECT_EQ(net->batch_pool_size(), 1u);
   EXPECT_EQ(received[1].size(), 2u);
+}
+
+// --- Event-order golden ------------------------------------------------------
+
+/// FNV-1a over 64-bit words, a byte at a time, low byte first.
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  void Add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  }
+};
+
+// One script through every path of the Network's site and channel state:
+// reliable delivery under loss and jitter, a batch window, handlers that
+// send while a wire message is being delivered, a link flap and an outage
+// the failure detector hears, and restarts while retransmit timers are
+// armed. Pins a hash of every delivery (time, from, to, kind, probe value),
+// every recovery notification and every counter. Only a change meant to
+// alter the event order may re-pin it, and must say so.
+TEST_F(NetFixture, ScriptedEventOrderIsPinned) {
+  config.reliable_delivery = true;
+  config.latency = 4;
+  config.latency_jitter = 6;
+  config.batch_window = 3;
+  config.drop_probability = 0.2;
+  config.max_retransmit_attempts = 5;
+  config.heartbeat_period = 10;
+  config.heartbeat_timeout = 30;
+  constexpr SiteId kSites = 4;
+  Network net(scheduler, config, Rng(7));
+  Fnv1a deliveries;
+  std::uint64_t delivered = 0;
+  for (SiteId s = 0; s < kSites; ++s) {
+    net.RegisterSite(s, [&](const Envelope& envelope) {
+      const std::uint64_t value =
+          std::holds_alternative<GlobalGcControlMsg>(envelope.payload)
+              ? ProbeValue(envelope)
+              : 0;
+      ++delivered;
+      deliveries.Add(static_cast<std::uint64_t>(scheduler.now()));
+      deliveries.Add(envelope.from);
+      deliveries.Add(envelope.to);
+      deliveries.Add(envelope.payload.index());
+      deliveries.Add(value);
+      // Answer some probes at once, so sends happen inside a delivery.
+      if (value != 0 && value % 7 == 0) {
+        net.Send(envelope.to, envelope.from, Probe(value + 100'000));
+      }
+    });
+  }
+  std::vector<std::tuple<SimTime, SiteId, SiteId, bool>> notices;
+  const auto listen = [&](SiteId observer) {
+    net.SetRecoveryListener(observer,
+                            [&, observer](SiteId peer, bool restarted) {
+                              notices.emplace_back(scheduler.now(), observer,
+                                                   peer, restarted);
+                            });
+  };
+  for (SiteId s = 0; s < kSites; ++s) listen(s);
+
+  for (SimTime t = 0; t < 300; t += 3) {
+    scheduler.At(t, [&net, t] {
+      const auto step = static_cast<SiteId>(t / 3);
+      const SiteId from = step % kSites;
+      const SiteId to = (from + 1 + step % (kSites - 1)) % kSites;
+      if (step % 5 == 4) {
+        net.Send(from, to, PinReleaseMsg{ObjectId{to, step}});
+      } else {
+        net.Send(from, to, Probe(static_cast<std::uint64_t>(t) + 1));
+      }
+    });
+  }
+  scheduler.At(40, [&] { net.SetLinkDown(2, 1, true); });
+  scheduler.At(60, [&] { net.SetSiteDown(3, true); });
+  scheduler.At(100, [&] {
+    net.NoteSiteRestarted(3);
+    listen(3);
+  });
+  scheduler.At(120, [&] { net.SetLinkDown(2, 1, false); });
+  scheduler.At(150, [&] { net.SetSiteDown(3, false); });
+  scheduler.At(200, [&] {
+    EXPECT_GT(net.unacked_wire_messages(), 0u);
+    net.NoteSiteRestarted(0);
+    listen(0);
+  });
+  scheduler.RunUntilIdle();
+
+  EXPECT_EQ(delivered, 86u);
+  EXPECT_EQ(deliveries.hash, 15288353466833724102ull);
+  // A link heal notifies in the caller's (a, b) order; a site heal notifies
+  // every other observer in site order.
+  using Notice = std::tuple<SimTime, SiteId, SiteId, bool>;
+  EXPECT_EQ(notices, (std::vector<Notice>{{150, 2, 1, false},
+                                          {150, 1, 2, false},
+                                          {180, 0, 3, true},
+                                          {180, 1, 3, true},
+                                          {180, 2, 3, true}}));
+  std::ostringstream counters;
+  ForEachCounter(net.stats(), [&](const std::string& name, std::uint64_t v) {
+    counters << name << '=' << v << ' ';
+  });
+  counters << "GlobalGcControl=" << net.stats().count_of<GlobalGcControlMsg>()
+           << " PinRelease=" << net.stats().count_of<PinReleaseMsg>();
+  EXPECT_EQ(counters.str(),
+            "inter_site_sent=106 inter_site_delivered=86 dropped=24 "
+            "self_deliveries=0 logical_bytes=3186 wire_messages=299 "
+            "wire_bytes=6120 retransmits=77 retransmits_exhausted=0 "
+            "transmissions_lost=87 dup_suppressed=27 acks_sent=117 "
+            "stale_incarnation_rejected=2 fd_suspicions=2 fd_recoveries=2 "
+            "GlobalGcControl=86 PinRelease=20");
+  EXPECT_EQ(scheduler.events_executed(), 513u);
+  EXPECT_EQ(scheduler.now(), 658);
+  EXPECT_EQ(net.in_flight(), 0u);
+  EXPECT_EQ(net.unacked_wire_messages(), 0u);
 }
 
 TEST(PayloadTest, KindNamesCoverAllAlternatives) {

@@ -186,9 +186,8 @@ TEST(SocketWorld, SimDifferentialTenSeeds) {
 TEST(SocketWorld, PipelinedWaveSurvivesStopAndKillChaos) {
   SocketWorldOptions options = TestOptions(/*seed=*/19);
   options.network.socket.step_timeout_ms = 200;
-  // Settle would otherwise wait its full grace for the paused site's owed
-  // reply after every build op; the pause here is held across whole rounds,
-  // so keep the per-settle patience short (still >> the restart backoff).
+  // Settles wait this long in all for the paused site's owed reply; keep
+  // it short (still >> the restart backoff).
   options.network.socket.settle_grace_ms = 400;
   SocketWorld world(options);
 
@@ -566,6 +565,18 @@ TEST(SocketTransportTest,
   // misaddressed insert must stop at the coordinator instead.
   ExpectBadStagedSendDisconnects(
       Envelope{1, 0, InsertMsg{ObjectId{1, 1}, true, 1}});
+}
+
+// No site process handles a Section 7 baseline's kinds: Site::HandleMessage
+// would throw on one and end the destination's process.
+TEST(SocketTransportTest, StagedBaselinePatchDisconnectsTheSender) {
+  ExpectBadStagedSendDisconnects(
+      Envelope{1, 0, PatchMsg{ObjectId{0, 1}, ObjectId{0, 2}}});
+}
+
+TEST(SocketTransportTest, StagedBaselineCondemnDisconnectsTheSender) {
+  ExpectBadStagedSendDisconnects(
+      Envelope{1, 0, CondemnMsg{1, {ObjectId{0, 1}}}});
 }
 
 }  // namespace
