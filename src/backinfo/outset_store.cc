@@ -4,14 +4,43 @@
 
 namespace dgc {
 
+namespace {
+
+/// How many entries a container holds before it must grow.
+template <typename T>
+std::size_t Room(const std::vector<T>& vector) {
+  return vector.capacity();
+}
+template <typename Table>
+std::size_t Room(const Table& table) {
+  return static_cast<std::size_t>(static_cast<double>(table.bucket_count()) *
+                                  table.max_load_factor());
+}
+
+/// Makes room for `more` entries beyond the container's current ones, the
+/// way push_back grows a vector: never shrinking it, and at least doubling
+/// it when it must grow. A plain reserve() does neither: it re-targets a
+/// hash table's bucket count (shrinking a table that has grown past the
+/// argument) and sizes a vector exactly, so a store that gains a few entries
+/// each trace would be rehashed or moved on nearly every trace.
+template <typename Container>
+void ReserveMore(Container& container, std::size_t more) {
+  const std::size_t wanted = container.size() + more;
+  if (wanted > Room(container)) {
+    container.reserve(std::max(wanted, 2 * container.size()));
+  }
+}
+
+}  // namespace
+
 void OutsetStore::Reserve(std::size_t expected_suspects) {
   if (expected_suspects == 0) return;
-  sets_.reserve(sets_.size() + expected_suspects);
-  by_id_.reserve(expected_suspects);
-  singletons_.reserve(expected_suspects);
+  ReserveMore(sets_, expected_suspects);
+  ReserveMore(by_id_, expected_suspects);
+  ReserveMore(singletons_, expected_suspects);
   // Each suspect contributes at most a handful of distinct pair-unions in
   // practice (shared subgraphs are memoized); 2x is a comfortable ceiling.
-  union_memo_.reserve(2 * expected_suspects);
+  ReserveMore(union_memo_, 2 * expected_suspects);
 }
 
 OutsetStore::OutsetId OutsetStore::Singleton(ObjectId ref) {

@@ -34,10 +34,11 @@ class OutsetStore {
   OutsetStore(const OutsetStore&) = delete;
   OutsetStore& operator=(const OutsetStore&) = delete;
 
-  /// Pre-sizes the hash tables for roughly `expected_suspects` suspected
-  /// inrefs so a trace-sized workload does not pay rehash churn. Outset
-  /// counts and memoized unions both grow with the suspect count, so one
-  /// knob sizes all three tables.
+  /// Makes room for roughly `expected_suspects` more suspected inrefs so a
+  /// trace-sized workload does not pay rehash churn. Outset counts and
+  /// memoized unions both grow with the suspect count, so one knob sizes
+  /// the set vector and all three tables. It only grows them, geometrically:
+  /// one that already has the room is left alone.
   void Reserve(std::size_t expected_suspects);
 
   /// Interns {ref} and returns its id.

@@ -34,21 +34,72 @@ struct SuspectTraceStats {
   std::uint64_t edges_scanned = 0;
 };
 
+/// BottomUpOutsetComputer's working storage: a side array indexed by heap
+/// slot, the DFS frames and the SCC stack. An owner that runs one computer
+/// per trace keeps one scratch for all of them, so no trace zero-fills the
+/// array or regrows the stacks. Visit marks keep counting up across
+/// computers, and each computer's first mark is its stamp: an entry marked
+/// below it was written by an earlier trace and reads as unvisited.
+struct BottomUpScratch {
+  struct NodeState {
+    std::uint32_t mark = 0;  // visit order (the paper's Mark counter)
+    std::uint32_t low = 0;   // Tarjan lowlink (the paper's Leader)
+    OutsetStore::OutsetId outset = OutsetStore::kEmpty;
+    bool on_stack = false;
+    bool done = false;  // component completed; outset is final
+  };
+  struct Frame {
+    std::uint64_t index;
+    std::size_t next_slot = 0;
+    std::uint64_t child = 0;
+    bool awaiting_child = false;
+  };
+
+  std::vector<NodeState> nodes;  // indexed by heap slot
+  std::vector<Frame> frames;
+  std::vector<std::uint64_t> scc_stack;
+  std::uint32_t last_mark = 0;  // the last mark any computer handed out
+};
+
 /// Section 5.2: single-pass, SCC-aware, memoized-union outset computation.
 /// Call TraceFrom once per suspected inref, in increasing distance order;
 /// state persists across calls so shared subgraphs are traced once.
 template <typename Env>
 class BottomUpOutsetComputer {
  public:
-  BottomUpOutsetComputer(const Heap& heap, OutsetStore& store, Env& env)
-      : heap_(heap), store_(store), env_(env), site_(heap.site()) {
+  /// A computer for one trace, working in `scratch` (see BottomUpScratch).
+  BottomUpOutsetComputer(const Heap& heap, OutsetStore& store, Env& env,
+                         BottomUpScratch& scratch)
+      : heap_(heap), store_(store), env_(env), site_(heap.site()),
+        s_(scratch) {
     // Dense per-slot side array instead of a hash map: object indices encode
     // (generation << 32) | (slot + 1) — the heap's slot idiom — so the low
     // half minus one addresses a flat vector directly. Slots are never
     // recycled while a local trace runs, so keying by slot alone is exact
-    // for this computer's lifetime (one trace).
-    state_.resize(heap.slot_capacity());
+    // for this computer's lifetime (one trace). The array only grows: a
+    // stale entry costs nothing, since it reads as unvisited.
+    if (s_.nodes.size() < heap.slot_capacity()) {
+      s_.nodes.resize(heap.slot_capacity());
+    }
+    // This trace visits each live object at most once. When its marks could
+    // overflow, start the count again over a cleared array.
+    if (s_.nodes.size() > UINT32_MAX - s_.last_mark) {
+      s_.nodes.assign(s_.nodes.size(), BottomUpScratch::NodeState{});
+      s_.last_mark = 0;
+    }
+    first_mark_ = s_.last_mark + 1;
+    // A trace that a failed check cut short leaves its stacks behind.
+    s_.frames.clear();
+    s_.scc_stack.clear();
   }
+
+  /// A computer with working storage of its own. (Only the reference is
+  /// bound before own_scratch_ is constructed; it is first used after.)
+  BottomUpOutsetComputer(const Heap& heap, OutsetStore& store, Env& env)
+      : BottomUpOutsetComputer(heap, store, env, own_scratch_) {}
+
+  BottomUpOutsetComputer(const BottomUpOutsetComputer&) = delete;
+  BottomUpOutsetComputer& operator=(const BottomUpOutsetComputer&) = delete;
 
   /// Returns the outset (of suspected outrefs) locally reachable from the
   /// object `root` (the target of a suspected inref).
@@ -66,48 +117,38 @@ class BottomUpOutsetComputer {
   [[nodiscard]] const SuspectTraceStats& stats() const { return stats_; }
 
  private:
-  struct NodeState {
-    std::uint32_t mark = 0;  // visit order (the paper's Mark counter)
-    std::uint32_t low = 0;   // Tarjan lowlink (the paper's Leader)
-    OutsetStore::OutsetId outset = OutsetStore::kEmpty;
-    bool on_stack = false;
-    bool done = false;  // component completed; outset is final
-  };
+  using NodeState = BottomUpScratch::NodeState;
+  using Frame = BottomUpScratch::Frame;
 
-  /// mark == 0 means "never visited" (Visit assigns marks from 1 up).
+  /// Null when this trace has not visited the object.
   NodeState* Find(std::uint64_t index) {
     const std::size_t slot = Heap::SlotOfIndex(index);
-    if (slot >= state_.size() || state_[slot].mark == 0) return nullptr;
-    return &state_[slot];
+    if (slot >= s_.nodes.size() || s_.nodes[slot].mark < first_mark_) {
+      return nullptr;
+    }
+    return &s_.nodes[slot];
   }
 
   NodeState& StateOf(std::uint64_t index) {
     const std::size_t slot = Heap::SlotOfIndex(index);
-    DGC_DCHECK(slot < state_.size() && state_[slot].mark != 0);
-    return state_[slot];
+    DGC_DCHECK(slot < s_.nodes.size() && s_.nodes[slot].mark >= first_mark_);
+    return s_.nodes[slot];
   }
 
-  NodeState& Visit(std::uint64_t index) {
+  void Visit(std::uint64_t index) {
     const std::size_t slot = Heap::SlotOfIndex(index);
-    if (slot >= state_.size()) state_.resize(slot + 1);
-    NodeState& ns = state_[slot];
-    ns.mark = ns.low = ++counter_;
-    ns.on_stack = true;
-    scc_stack_.push_back(index);
+    if (slot >= s_.nodes.size()) s_.nodes.resize(slot + 1);
+    const std::uint32_t mark = ++s_.last_mark;
+    s_.nodes[slot] = NodeState{mark, mark, OutsetStore::kEmpty, true, false};
+    s_.scc_stack.push_back(index);
     ++stats_.objects_traced;
     ++stats_.object_visits;
     env_.OnSuspectMarked(ObjectId{site_, index});
-    return ns;
   }
 
   void RunDfs(std::uint64_t root_index) {
-    struct Frame {
-      std::uint64_t index;
-      std::size_t next_slot = 0;
-      std::uint64_t child = 0;
-      bool awaiting_child = false;
-    };
-    std::vector<Frame> frames;
+    std::vector<Frame>& frames = s_.frames;
+    std::vector<std::uint64_t>& scc_stack = s_.scc_stack;
     Visit(root_index);
     frames.push_back(Frame{root_index});
 
@@ -166,8 +207,8 @@ class BottomUpOutsetComputer {
       // component and give every member the leader's (complete) outset.
       if (ns.low == ns.mark) {
         for (;;) {
-          const std::uint64_t member = scc_stack_.back();
-          scc_stack_.pop_back();
+          const std::uint64_t member = scc_stack.back();
+          scc_stack.pop_back();
           NodeState& ms = StateOf(member);
           ms.outset = ns.outset;
           ms.on_stack = false;
@@ -177,16 +218,16 @@ class BottomUpOutsetComputer {
       }
       frames.pop_back();
     }
-    DGC_CHECK(scc_stack_.empty());
+    DGC_CHECK(scc_stack.empty());
   }
 
+  BottomUpScratch own_scratch_;
   const Heap& heap_;
   OutsetStore& store_;
   Env& env_;
   SiteId site_;
-  std::vector<NodeState> state_;  // indexed by heap slot; mark==0 <=> absent
-  std::vector<std::uint64_t> scc_stack_;
-  std::uint32_t counter_ = 0;
+  BottomUpScratch& s_;
+  std::uint32_t first_mark_ = 1;  // this trace's stamp (BottomUpScratch)
   SuspectTraceStats stats_;
 };
 

@@ -149,6 +149,18 @@ class FlatMap {
 
   T& operator[](const Key& key) { return try_emplace(key).first->second; }
 
+  /// Appends an entry keyed above every present key: the O(1) insert, for
+  /// building a map in one ascending pass.
+  template <typename... Args>
+  T& emplace_back(const Key& key, Args&&... args) {
+    DGC_CHECK_MSG(entries_.empty() || Compare{}(entries_.back().first, key),
+                  "FlatMap::emplace_back: key out of order");
+    return entries_
+        .emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
+                      std::forward_as_tuple(std::forward<Args>(args)...))
+        .second;
+  }
+
   std::size_t erase(const Key& key) {
     const iterator it = find(key);
     if (it == entries_.end()) return 0;

@@ -18,7 +18,7 @@ Site::Site(SiteId id, Transport& transport, const CollectorConfig& config)
       collector_(heap_, tables_),
       back_tracer_(
           id, tables_, transport, scheduler_,
-          [this]() -> const SiteBackInfo& { return back_info_; },
+          [this]() -> const SiteBackInfo& { return *back_info_; },
           [this](ObjectId obj) { return IsRootObject(obj); }) {
   transport_.RegisterSite(id, [this](const Envelope& envelope) {
     HandleMessage(envelope);
@@ -168,8 +168,8 @@ void Site::ApplyTransferBarrier(ObjectId local_ref) {
   back_tracer_.OnIorefCleaned(IorefKind::kInref, local_ref);
   // Clean the outrefs in i.outset, using the current (old) copy; the replay
   // into the new copy happens when the in-flight trace applies (§6.2).
-  const auto outset = back_info_.inref_outsets.find(local_ref);
-  if (outset != back_info_.inref_outsets.end()) {
+  const auto outset = back_info_->inref_outsets.find(local_ref);
+  if (outset != back_info_->inref_outsets.end()) {
     for (const ObjectId outref : outset->second) CleanOutref(outref);
   }
 }
@@ -631,8 +631,8 @@ void Site::ApplyTraceResult(TraceResult result) {
   for (const ObjectId inref_obj : window_cleaned_inrefs_) {
     if (InrefEntry* entry = tables_.FindInref(inref_obj)) {
       entry->clean_override = true;
-      const auto outset = back_info_.inref_outsets.find(inref_obj);
-      if (outset != back_info_.inref_outsets.end()) {
+      const auto outset = back_info_->inref_outsets.find(inref_obj);
+      if (outset != back_info_->inref_outsets.end()) {
         for (const ObjectId outref : outset->second) {
           if (OutrefEntry* out = tables_.FindOutref(outref)) {
             if (!out->clean()) {

@@ -93,7 +93,7 @@ class Site {
   [[nodiscard]] const RefTables& tables() const { return tables_; }
   [[nodiscard]] BackTracer& back_tracer() { return back_tracer_; }
   [[nodiscard]] const BackTracer& back_tracer() const { return back_tracer_; }
-  [[nodiscard]] const SiteBackInfo& back_info() const { return back_info_; }
+  [[nodiscard]] const SiteBackInfo& back_info() const { return *back_info_; }
   [[nodiscard]] LocalCollector& collector() { return collector_; }
   [[nodiscard]] const LocalCollector& collector() const { return collector_; }
   /// Refreshes the table-mirror fields (the tables mutate without passing
@@ -160,8 +160,10 @@ class Site {
   /// inref-outset view; the inverse index is recomputed rather than
   /// trusted (SiteBackInfo keeps them exact inverses by construction).
   void RestoreBackInfo(OutsetMap inref_outsets) {
-    back_info_.inref_outsets = std::move(inref_outsets);
-    back_info_.RecomputeInsets();
+    auto info = std::make_shared<SiteBackInfo>();
+    info->inref_outsets = std::move(inref_outsets);
+    info->RecomputeInsets();
+    back_info_ = std::move(info);
   }
 
   /// Re-registers every outref with its owner — the same idempotent
@@ -275,7 +277,10 @@ class Site {
   Heap heap_;
   RefTables tables_;
   LocalCollector collector_;
-  SiteBackInfo back_info_;
+  /// The last applied trace's record, shared with the collector's reuse
+  /// cache; never null. An in-flight trace holds the next one (§6.2).
+  std::shared_ptr<const SiteBackInfo> back_info_ =
+      std::make_shared<SiteBackInfo>();
   BackTracer back_tracer_;
 
   /// Non-atomic local trace state (Section 6.2).

@@ -48,6 +48,16 @@ class SuspectEnv {
   const OutrefIndex& index_;
 };
 
+/// The suspect phase's working storage (BottomUpScratch), kept across
+/// traces so that no trace zero-fills its side array. Traces run one at a
+/// time on a thread, so the thread's collectors share one: each computer
+/// takes a fresh stamp, and a process holds one array sized to its largest
+/// heap rather than one per site.
+BottomUpScratch& SuspectScratch() {
+  static thread_local BottomUpScratch scratch;
+  return scratch;
+}
+
 std::uint64_t WallNanosSince(
     const std::chrono::steady_clock::time_point& start) {
   return static_cast<std::uint64_t>(
@@ -169,14 +179,15 @@ TraceResult LocalCollector::RefoldDistances(const TraceInputs& inputs) const {
   TraceResult result = CachedResult();
   result.outrefs = cache_.clean_outrefs;
   const Distance threshold = tables_.config().suspicion_threshold;
+  const OutsetMap& outsets = result.back_info->inref_outsets;
   std::vector<std::pair<Distance, const std::vector<ObjectId>*>> jobs;
   for (const TraceInputs::Inref& in : inputs.inrefs) {
     if (in.garbage_flagged || in.distance <= threshold) continue;
     // Suspects absent from the cached back info contributed nothing to the
     // fold last time either: they were clean-marked by phase 1 (dropped by
     // the auxiliary invariant of §6.1.1) or their outset was empty.
-    const auto it = cache_.result.back_info.inref_outsets.find(in.obj);
-    if (it == cache_.result.back_info.inref_outsets.end()) continue;
+    const auto it = outsets.find(in.obj);
+    if (it == outsets.end()) continue;
     jobs.emplace_back(NextDistance(in.distance), &it->second);
   }
   result.stats.outsets_reused = jobs.size();
@@ -199,15 +210,16 @@ void LocalCollector::CheckEquivalent(const TraceResult& reused,
   DGC_DIFF_FIELD(outrefs);
   DGC_DIFF_FIELD(snapshot_inrefs);
   DGC_DIFF_FIELD(objects_to_free);
-  DGC_DIFF_FIELD(back_info);
+  // The shadow trace built a record of its own: compare contents.
+  DGC_DIFF_FIELD(back_info->inref_outsets);
+  DGC_DIFF_FIELD(back_info->outref_insets);
 #undef DGC_DIFF_FIELD
 }
 
 void LocalCollector::InvalidateCache() { cache_ = TraceCache{}; }
 
 TraceResult LocalCollector::RunFullTrace(
-    const std::vector<ObjectId>& app_roots,
-    const TraceInputs* inputs_for_cache) {
+    const std::vector<ObjectId>& app_roots, TraceInputs* inputs_for_cache) {
   const CollectorConfig& config = tables_.config();
   TraceResult result;
   result.epoch = epoch_;
@@ -263,38 +275,48 @@ TraceResult LocalCollector::RunFullTrace(
 
   // ---- Phase 2: suspected inrefs — bottom-up outset computation (§5.2).
   // store_ persists across traces: recurring outsets intern to their old
-  // ids and previously memoized unions stay hits. The computer sizes a side
-  // array to the heap's slot capacity, so a trace without suspects builds
-  // none.
+  // ids and previously memoized unions stay hits. The computer works in
+  // SuspectScratch(), which a trace without suspects leaves untouched.
+  // Suspects come in distance order; their (inref, outset id) pairs are
+  // sorted by inref afterwards, so the outset view is built in one
+  // ascending pass. Ids, not references: interning may move the store's
+  // sets.
+  std::vector<std::pair<ObjectId, OutsetStore::OutsetId>> suspect_outsets;
   if (clean_limit != ordered_inrefs.end()) {
     store_.Reserve(
         static_cast<std::size_t>(ordered_inrefs.end() - clean_limit));
     SuspectEnv env(heap_, epoch_, result, outref_index_);
-    BottomUpOutsetComputer<SuspectEnv> computer(heap_, store_, env);
+    BottomUpOutsetComputer<SuspectEnv> computer(heap_, store_, env,
+                                                SuspectScratch());
     for (auto it = clean_limit; it != ordered_inrefs.end(); ++it) {
       const auto [distance, obj] = *it;
       ++result.stats.suspected_inrefs;
       DGC_CHECK_MSG(heap_.Exists(obj), "inref names a swept object " << obj);
       const OutsetStore::OutsetId outset_id = computer.TraceFrom(obj);
-      const std::vector<ObjectId>& outset = store_.Get(outset_id);
-      // An inref whose object was reached by the clean phase contributes an
-      // empty outset and is dropped from the back information: it can never
-      // appear in a suspected outref's inset (auxiliary invariant of §6.1.1).
-      if (heap_.mark(obj) == CleanStamp(epoch_)) continue;
+      // An empty outset adds nothing. It is what an inref whose object the
+      // clean phase reached gets (the computer never enters a clean
+      // object), and such an inref is dropped from the back information: it
+      // can never appear in a suspected outref's inset (auxiliary invariant
+      // of §6.1.1).
+      if (outset_id == OutsetStore::kEmpty) continue;
       const Distance outref_distance = NextDistance(distance);
-      for (const ObjectId outref : outset) {
+      for (const ObjectId outref : store_.Get(outset_id)) {
         outref_index_.Find(result.outrefs, outref)
             .Reach(outref_distance, false);
       }
-      if (!outset.empty()) {
-        result.back_info.inref_outsets.emplace(obj, outset);
-      }
+      suspect_outsets.emplace_back(obj, outset_id);
     }
     result.stats.objects_marked_suspect = computer.stats().objects_traced;
   }
-
-  result.back_info.RecomputeInsets();
-  result.stats.suspected_outrefs = result.back_info.outref_insets.size();
+  std::sort(suspect_outsets.begin(), suspect_outsets.end());
+  auto back_info = std::make_shared<SiteBackInfo>();
+  back_info->inref_outsets.reserve(suspect_outsets.size());
+  for (const auto& [obj, outset_id] : suspect_outsets) {
+    back_info->inref_outsets.emplace_back(obj, store_.Get(outset_id));
+  }
+  back_info->RecomputeInsets();
+  result.stats.suspected_outrefs = back_info->outref_insets.size();
+  result.back_info = std::move(back_info);
 
   // ---- Phase 3: sweep list (untraced outrefs are the unreached records).
   const std::uint64_t unmarked_below = SuspectStamp(epoch_);
@@ -307,7 +329,7 @@ TraceResult LocalCollector::RunFullTrace(
     // Applying a sweep bumps the heap's mutation epoch, so an entry for a
     // result that frees objects could never hit: keep none.
     if (result.objects_to_free.empty()) {
-      cache_ = TraceCache{true, *inputs_for_cache, result,
+      cache_ = TraceCache{true, std::move(*inputs_for_cache), result,
                           std::move(clean_outrefs)};
     } else {
       InvalidateCache();
@@ -326,7 +348,7 @@ TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
   switch (level) {
     case ReuseLevel::kQuiescent:
       result = CachedResult();
-      result.stats.outsets_reused = result.back_info.inref_outsets.size();
+      result.stats.outsets_reused = result.back_info->inref_outsets.size();
       result.stats.quiescent_skips = 1;
       break;
     case ReuseLevel::kRefold:
@@ -336,17 +358,19 @@ TraceResult LocalCollector::Run(const std::vector<ObjectId>& app_roots) {
       result = RunFullTrace(app_roots, &inputs);
       break;
   }
-  if (level != ReuseLevel::kNone) {
-    if (check_reuse_) {
-      // Shadow full trace at the same epoch (mark stamps are scratch);
-      // must not clobber the cache the reuse was built from.
-      const TraceResult full = RunFullTrace(app_roots, nullptr);
-      CheckEquivalent(result, full);
-    }
+  if (level != ReuseLevel::kNone && check_reuse_) {
+    // Shadow full trace at the same epoch (mark stamps are scratch);
+    // must not clobber the cache the reuse was built from.
+    const TraceResult full = RunFullTrace(app_roots, nullptr);
+    CheckEquivalent(result, full);
+  }
+  if (level == ReuseLevel::kRefold) {
+    // The refold moved suspect distances, so the next reuse compares with
+    // these inputs and serves these records. A quiescent skip changed
+    // nothing, and the clean phase, the sweep set and the back information
+    // are the same at both levels.
     cache_.inputs = std::move(inputs);
-    cache_.result = result;
-    // clean_outrefs is unchanged: both reuse levels require an identical
-    // clean phase.
+    cache_.result.outrefs = result.outrefs;
   }
 
   result.stats.trace_wall_ns = WallNanosSince(wall_start);

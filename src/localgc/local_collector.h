@@ -40,6 +40,10 @@
 //     afresh, rebuilds the inverse inset view from them, and refreshes the
 //     cache.
 //
+// The back information is one immutable record per full trace, shared by
+// pointer: both reuse levels hand out the very record the full trace built
+// and cached, so no reuse copies it.
+//
 // A full trace that frees objects caches nothing: applying it bumps the
 // mutation epoch, so the next trace is full anyway. A reused result reports
 // no marks and no mark time, since that run marked nothing.
@@ -129,10 +133,10 @@ class LocalCollector {
   [[nodiscard]] ReuseLevel ClassifyReuse(const TraceInputs& inputs) const;
 
   /// The classic three-phase trace. When `inputs_for_cache` is non-null the
-  /// run also refreshes the reuse cache; null is the cache-free oracle the
-  /// reuse check runs.
+  /// run also refreshes the reuse cache, moving the inputs into it; null is
+  /// the cache-free oracle the reuse check runs.
   TraceResult RunFullTrace(const std::vector<ObjectId>& app_roots,
-                           const TraceInputs* inputs_for_cache);
+                           TraceInputs* inputs_for_cache);
 
   /// The cached result re-served at this epoch, with no marking work.
   [[nodiscard]] TraceResult CachedResult() const;

@@ -4,13 +4,14 @@
 // everything against the heap as of the trace's start, and the site *applies*
 // the result when the trace's simulated duration elapses. In between, back
 // traces are served from the old back information and transfer-barrier
-// cleanings are recorded for replay into this new copy.
+// cleanings are recorded for replay against this new record.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "backinfo/site_back_info.h"
@@ -128,8 +129,11 @@ struct TraceResult {
   /// Objects unreachable at the start of the trace, to be swept at apply.
   std::vector<ObjectId> objects_to_free;
 
-  /// The new back information (outsets of suspected inrefs + inverse).
-  SiteBackInfo back_info;
+  /// The new back information (outsets of suspected inrefs + inverse):
+  /// never null, and never changed once built. A reused trace shares the
+  /// record its full trace built instead of copying it.
+  std::shared_ptr<const SiteBackInfo> back_info =
+      std::make_shared<SiteBackInfo>();
 
   LocalTraceStats stats;
 };

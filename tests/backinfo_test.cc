@@ -184,6 +184,41 @@ TEST_F(SuspectTraceTest, Figure4WithoutBackEdgeStillComplete) {
   EXPECT_EQ(computer.stats().objects_traced, 5u);
 }
 
+TEST_F(SuspectTraceTest, KeptScratchReadsEarlierTracesAsUnvisited) {
+  // Figure 4 with the SCC closed, traced by successive computers in one
+  // scratch, as the collector runs one per trace: each must enter every
+  // object afresh and see the graph as it is at its own trace.
+  const ObjectId a = Obj(1), b = Obj(1), z = Obj(2), x = Obj(1), y = Obj(2);
+  const ObjectId c{1, 50}, d{2, 60};
+  Edge(a, 0, z);
+  Edge(b, 0, z);
+  Edge(z, 0, x);
+  heap_.SetSlot(z, 1, c);
+  Edge(x, 0, y);
+  heap_.SetSlot(y, 0, d);
+  Edge(y, 1, z);
+  BottomUpScratch scratch;
+  {
+    BottomUpOutsetComputer<TestEnv> first(heap_, store_, env_, scratch);
+    EXPECT_EQ(store_.Get(first.TraceFrom(a)), (std::vector<ObjectId>{c, d}));
+  }
+  // y no longer reaches d. An entry left by the first trace would still
+  // hand b the outset {c, d}.
+  heap_.SetSlot(y, 0, kInvalidObject);
+  {
+    BottomUpOutsetComputer<TestEnv> second(heap_, store_, env_, scratch);
+    EXPECT_EQ(store_.Get(second.TraceFrom(b)), std::vector<ObjectId>{c});
+    EXPECT_EQ(second.stats().objects_traced, 4u);  // b, z, x, y
+  }
+  // Marks that would overflow during the next trace start over from a
+  // cleared array.
+  scratch.last_mark = UINT32_MAX - 2;
+  BottomUpOutsetComputer<TestEnv> third(heap_, store_, env_, scratch);
+  EXPECT_EQ(store_.Get(third.TraceFrom(a)), std::vector<ObjectId>{c});
+  EXPECT_EQ(third.stats().objects_traced, 4u);  // a, z, x, y
+  EXPECT_LT(scratch.last_mark, 5u);
+}
+
 TEST_F(SuspectTraceTest, NestedSccsResolveToLeaders) {
   // Two SCCs in sequence: {a,b} -> {c,d} -> remote r. All four share r.
   const ObjectId a = Obj(2), b = Obj(1), c = Obj(2), d = Obj(1);
@@ -300,16 +335,37 @@ TEST(SiteBackInfoTest, InsetsAreExactInverse) {
   EXPECT_EQ(info.outref_insets.at(o2), (std::vector<ObjectId>{i1, i2}));
   EXPECT_EQ(info.outref_insets.at(o3), std::vector<ObjectId>{i2});
   EXPECT_EQ(info.stored_elements(), 8u);
-}
 
-TEST(SiteBackInfoTest, ClearEmptiesBothViews) {
-  SiteBackInfo info;
-  info.inref_outsets[ObjectId{0, 1}] = {ObjectId{1, 1}};
-  info.RecomputeInsets();
-  info.clear();
-  EXPECT_TRUE(info.inref_outsets.empty());
-  EXPECT_TRUE(info.outref_insets.empty());
-  EXPECT_EQ(info.stored_elements(), 0u);
+  // Seeded random outset maps: hundreds of outrefs on three sites, first
+  // seen far out of order by the walk over the inrefs, checked against a
+  // node-based inversion.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    SiteBackInfo random;
+    std::map<ObjectId, std::set<ObjectId>> inverse;
+    for (std::uint64_t i = 1; i <= 300; ++i) {
+      std::set<ObjectId> outset;
+      const std::uint64_t members = 1 + rng.NextBelow(8);
+      for (std::uint64_t k = 0; k < members; ++k) {
+        outset.insert(ObjectId{static_cast<SiteId>(1 + rng.NextBelow(3)),
+                               1 + rng.NextBelow(200)});
+      }
+      const ObjectId inref{0, i};
+      for (const ObjectId outref : outset) inverse[outref].insert(inref);
+      random.inref_outsets[inref].assign(outset.begin(), outset.end());
+    }
+    random.RecomputeInsets();
+    ASSERT_GE(inverse.size(), 300u) << "seed " << seed;
+    ASSERT_EQ(random.outref_insets.size(), inverse.size()) << "seed " << seed;
+    auto inset = random.outref_insets.begin();
+    for (const auto& [outref, expected] : inverse) {
+      EXPECT_EQ(inset->first, outref) << "seed " << seed;
+      EXPECT_EQ(inset->second,
+                std::vector<ObjectId>(expected.begin(), expected.end()))
+          << "seed " << seed << " outref " << outref;
+      ++inset;
+    }
+  }
 }
 
 }  // namespace

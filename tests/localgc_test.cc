@@ -8,6 +8,7 @@
 
 #include "core/system.h"
 #include "mutator/session.h"
+#include "reuse_check.h"
 #include "workload/builders.h"
 
 namespace dgc {
@@ -274,6 +275,66 @@ TEST(LocalGcTest, TraceResultStatsAreConsistent) {
   EXPECT_EQ(b.objects_marked_suspect, 2u);
   site.CommitLocalTrace(std::move(second));
   EXPECT_EQ(site.stats().local_traces, traces_before + 2);
+}
+
+// A full trace builds one back-information record. The reuses after it hand
+// out that very record rather than copies, the next full trace builds a new
+// one, and the site's record outlives the collector's cache and a crash.
+TEST(LocalGcTest, ReusedTracesShareTheFullTracesBackInfo) {
+  System system(2, NoBackTracing(/*threshold=*/2));
+  CheckEveryReuse(system);
+  const auto cycle =
+      workload::BuildCycle(system, {.sites = 2, .objects_per_site = 1});
+  system.RunRounds(5);  // both inrefs suspected
+  Site& site = system.site(0);
+
+  site.collector().InvalidateCache();
+  TraceResult full = site.ComputeLocalTrace();
+  ASSERT_NE(full.stats.objects_marked_suspect, 0u);  // a full trace
+  ASSERT_TRUE(full.objects_to_free.empty());          // so it is cached
+  const SiteBackInfo* built = full.back_info.get();
+  const SiteBackInfo expected = *built;
+  ASSERT_EQ(expected.inref_outsets.size(), 1u);
+  ASSERT_EQ(expected.inref_outsets.begin()->first, cycle.objects[0]);
+  site.CommitLocalTrace(std::move(full));
+  EXPECT_EQ(&site.back_info(), built);
+
+  // No input moved: a quiescent skip.
+  TraceResult skip = site.ComputeLocalTrace();
+  EXPECT_EQ(skip.stats.quiescent_skips, 1u);
+  EXPECT_EQ(skip.back_info.get(), built);
+  site.CommitLocalTrace(std::move(skip));
+  EXPECT_EQ(&site.back_info(), built);
+
+  // Site 1's next trace ripens the suspected inref's distance: a refold.
+  system.SettleNetwork();
+  system.site(1).StartLocalTrace();
+  system.SettleNetwork();
+  TraceResult refold = site.ComputeLocalTrace();
+  EXPECT_EQ(refold.stats.quiescent_skips, 0u);
+  EXPECT_EQ(refold.stats.objects_marked_suspect, 0u);
+  EXPECT_EQ(refold.stats.outsets_reused, 1u);
+  EXPECT_EQ(refold.back_info.get(), built);
+  site.CommitLocalTrace(std::move(refold));
+
+  // A heap write ends reuse: the full trace builds a record of its own,
+  // with the same contents.
+  system.NewObject(0, 0);
+  TraceResult next = site.ComputeLocalTrace();
+  EXPECT_NE(next.stats.objects_marked_suspect, 0u);
+  EXPECT_NE(next.back_info.get(), built);
+  EXPECT_EQ(*next.back_info, expected);
+  const SiteBackInfo* rebuilt = next.back_info.get();
+  site.CommitLocalTrace(std::move(next));
+  EXPECT_EQ(&site.back_info(), rebuilt);
+
+  // The site's record is its own reference, not the cache's.
+  site.collector().InvalidateCache();
+  EXPECT_EQ(site.back_info(), expected);
+  site.CrashRestart();
+  system.SettleNetwork();
+  EXPECT_EQ(site.back_info(), expected);
+  EXPECT_EQ(&site.back_info(), rebuilt);
 }
 
 // The collector's own check that every remote ref a heap object holds has

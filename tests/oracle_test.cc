@@ -101,7 +101,9 @@ TEST(OracleTest, LocalSafetyCheckerDetectsCorruptedInset) {
   system.RunRounds(6);  // suspected; insets computed
   ASSERT_TRUE(system.CheckLocalSafetyInvariant().empty())
       << system.CheckLocalSafetyInvariant();
-  // Corrupt site 0's back information: drop the inset of its outref.
+  // Corrupt site 0's back information: drop the inset of its outref. The
+  // record is shared with the collector's reuse cache, so no trace runs
+  // after this.
   Site& site0 = system.site(0);
   auto& info = const_cast<SiteBackInfo&>(site0.back_info());
   info.outref_insets.clear();
@@ -524,6 +526,8 @@ bool Inject(System& system, const World& world, Fault fault, Rng& rng) {
       return true;
     }
     case Fault::kClearInsets:
+      // The record is shared with the collector's reuse cache: only the
+      // checks run after this fault, never a trace.
       const_cast<SiteBackInfo&>(system.site(kFarSite).back_info())
           .outref_insets.clear();
       return true;
