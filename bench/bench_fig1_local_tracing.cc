@@ -7,19 +7,23 @@
 //   * the inter-site cycle {f, g} survives arbitrarily many rounds without
 //     back tracing, and is reclaimed with it.
 //
-// The MarkThroughput rows measure the local trace's marking rate on
-// 100k-object heaps: the slab store with its one mark stamp per slot against
+// The MarkThroughput rows measure the local trace's marking rate. Four rows
+// re-trace one 100k-object heap that stays in cache: the chain heap against
 // a replica of the historical std::map<index, Object> layout (with its two
 // inline epochs), plus two shapes taken
 // from the end-to-end workloads — churn's root fanning out to slotless
 // leaves, and scale's graph in which one wired slot in five holds a remote
-// ref, so the trace looks up an outref record per remote edge. The run
+// ref, so the trace looks up an outref record per remote edge. The
+// ColdSites row traces 64 scale-shaped 10k-object heaps round-robin, many
+// times the L2 cache in all, so each trace starts cold as a scale site's
+// does. The run
 // emits BENCH_trace.json (google-benchmark JSON) so scripts/bench_compare.py
 // can gate regressions in marked-objects/sec across commits.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,35 +87,65 @@ constexpr std::size_t kMarkObjects = 100'000;
 // one; main exits 1 if any.
 int mark_failures = 0;
 
-/// Full-traces a heap that never changes and whose objects are all
-/// reachable, once per iteration, and reports clean-marked objects per
-/// second. A trace that misses an object, or whose sweep would free one,
+/// One site's heap and ref tables.
+struct MarkSite {
+  MarkSite(dgc::SiteId id, const dgc::CollectorConfig& config)
+      : heap(id), tables(id, config) {}
+  dgc::Heap heap;
+  dgc::RefTables tables;
+};
+
+/// Full-traces each site's heap in turn, once per iteration; no heap ever
+/// changes and every object is reachable. Reports clean-marked objects per
+/// second of whole traces, and the clean mark's own nanoseconds per
+/// object. A trace that misses an object, or whose sweep would free one,
 /// fails the row.
-void RunMarkThroughput(benchmark::State& state, dgc::Heap& heap,
-                       dgc::RefTables& tables) {
-  dgc::LocalCollector collector(heap, tables);
-  std::uint64_t marked_total = 0;
-  for (auto _ : state) {
-    // The heap never changes, so drop the reuse cache: every iteration
-    // must mark the whole graph.
-    collector.InvalidateCache();
-    const dgc::TraceResult result = collector.Run({});
-    if (result.stats.objects_marked_clean != heap.object_count()) {
-      ++mark_failures;
-      state.SkipWithError("the trace did not clean-mark every object");
-      break;
-    }
-    if (!result.objects_to_free.empty()) {
-      ++mark_failures;
-      state.SkipWithError("the sweep would free a reachable object");
-      break;
-    }
-    marked_total += result.stats.objects_marked_clean;
-    benchmark::DoNotOptimize(result.stats.objects_marked_clean);
+void RunMarkThroughput(benchmark::State& state,
+                       const std::vector<std::unique_ptr<MarkSite>>& sites) {
+  std::vector<std::unique_ptr<dgc::LocalCollector>> collectors;
+  std::size_t objects = 0;
+  for (const auto& site : sites) {
+    collectors.push_back(
+        std::make_unique<dgc::LocalCollector>(site->heap, site->tables));
+    objects += site->heap.object_count();
   }
-  state.counters["objects"] = static_cast<double>(heap.object_count());
+  std::uint64_t marked_total = 0;
+  std::uint64_t mark_ns = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      // The heap never changes, so drop the reuse cache: every iteration
+      // must mark the whole graph.
+      collectors[i]->InvalidateCache();
+      const dgc::TraceResult result = collectors[i]->Run({});
+      if (result.stats.objects_marked_clean !=
+          sites[i]->heap.object_count()) {
+        ++mark_failures;
+        state.SkipWithError("the trace did not clean-mark every object");
+        return;
+      }
+      if (!result.objects_to_free.empty()) {
+        ++mark_failures;
+        state.SkipWithError("the sweep would free a reachable object");
+        return;
+      }
+      marked_total += result.stats.objects_marked_clean;
+      mark_ns += result.stats.mark_wall_ns;
+      benchmark::DoNotOptimize(result.stats.objects_marked_clean);
+    }
+  }
+  state.counters["objects"] = static_cast<double>(objects);
   state.counters["objects_per_sec"] = benchmark::Counter(
       static_cast<double>(marked_total), benchmark::Counter::kIsRate);
+  state.counters["mark_ns_per_object"] =
+      static_cast<double>(mark_ns) / static_cast<double>(marked_total);
+}
+
+/// One site, as the single-heap rows trace.
+std::vector<std::unique_ptr<MarkSite>> OneSite(
+    const dgc::CollectorConfig& config) {
+  std::vector<std::unique_ptr<MarkSite>> sites;
+  sites.push_back(std::make_unique<MarkSite>(0, config));
+  return sites;
 }
 
 /// The graph the SlabHeap and MapHeapBaseline rows trace: object 0 is the
@@ -144,11 +178,11 @@ void BuildChainHeap(dgc::Heap& heap, std::size_t count,
 }
 
 void BM_Fig1_MarkThroughput_SlabHeap(benchmark::State& state) {
-  dgc::CollectorConfig config;
-  dgc::Heap heap(0);
-  dgc::RefTables tables(0, config);
-  BuildChainHeap(heap, static_cast<std::size_t>(state.range(0)), nullptr);
-  RunMarkThroughput(state, heap, tables);
+  const dgc::CollectorConfig config;
+  const auto sites = OneSite(config);
+  BuildChainHeap(sites[0]->heap, static_cast<std::size_t>(state.range(0)),
+                 nullptr);
+  RunMarkThroughput(state, sites);
 }
 BENCHMARK(BM_Fig1_MarkThroughput_SlabHeap)
     ->Arg(static_cast<long>(kMarkObjects))
@@ -158,15 +192,15 @@ BENCHMARK(BM_Fig1_MarkThroughput_SlabHeap)
 // persistent root whose slots point at N-1 slotless leaves.
 void BM_Fig1_MarkThroughput_ChurnShape(benchmark::State& state) {
   const std::size_t count = static_cast<std::size_t>(state.range(0));
-  dgc::CollectorConfig config;
-  dgc::Heap heap(0);
-  dgc::RefTables tables(0, config);
+  const dgc::CollectorConfig config;
+  const auto sites = OneSite(config);
+  dgc::Heap& heap = sites[0]->heap;
   const dgc::ObjectId root = heap.Allocate(count - 1);
   heap.AddPersistentRoot(root);
   for (std::size_t i = 0; i + 1 < count; ++i) {
     heap.SetSlot(root, i, heap.Allocate(0));
   }
-  RunMarkThroughput(state, heap, tables);
+  RunMarkThroughput(state, sites);
 }
 BENCHMARK(BM_Fig1_MarkThroughput_ChurnShape)
     ->Arg(static_cast<long>(kMarkObjects))
@@ -174,14 +208,58 @@ BENCHMARK(BM_Fig1_MarkThroughput_ChurnShape)
 
 // The SlabHeap graph with scale's share of remote edges.
 void BM_Fig1_MarkThroughput_ScaleShape(benchmark::State& state) {
-  dgc::CollectorConfig config;
-  dgc::Heap heap(0);
-  dgc::RefTables tables(0, config);
-  BuildChainHeap(heap, static_cast<std::size_t>(state.range(0)), &tables);
-  RunMarkThroughput(state, heap, tables);
+  const dgc::CollectorConfig config;
+  const auto sites = OneSite(config);
+  BuildChainHeap(sites[0]->heap, static_cast<std::size_t>(state.range(0)),
+                 &sites[0]->tables);
+  RunMarkThroughput(state, sites);
 }
 BENCHMARK(BM_Fig1_MarkThroughput_ScaleShape)
     ->Arg(static_cast<long>(kMarkObjects))
+    ->Unit(benchmark::kMillisecond);
+
+// Scale's cold per-site mark: `range(0)` sites of 10k objects with 3 slots
+// each, traced round-robin. Slot 0 chains object i to i+1 (full
+// reachability); slots 1 and 2 each hold a remote ref with probability 0.3
+// and otherwise a random earlier local object, so one wired slot in five is
+// remote, with about 6k distinct outrefs per site. 64 sites keep about
+// 45 MiB of heap, many times a 2 MiB L2, so each trace starts cold.
+void BM_Fig1_MarkThroughput_ColdSites(benchmark::State& state) {
+  constexpr std::size_t kObjects = 10'000;
+  constexpr std::size_t kSlots = 3;
+  const auto site_count = static_cast<dgc::SiteId>(state.range(0));
+  const dgc::CollectorConfig config;
+  std::vector<std::unique_ptr<MarkSite>> sites;
+  dgc::Rng rng(42);
+  std::vector<dgc::ObjectId> ids;
+  for (dgc::SiteId s = 0; s < site_count; ++s) {
+    sites.push_back(std::make_unique<MarkSite>(s, config));
+    dgc::Heap& heap = sites.back()->heap;
+    ids.clear();
+    for (std::size_t i = 0; i < kObjects; ++i) {
+      ids.push_back(heap.Allocate(kSlots));
+    }
+    heap.AddPersistentRoot(ids[0]);
+    for (std::size_t i = 0; i < kObjects; ++i) {
+      if (i + 1 < kObjects) heap.SetSlot(ids[i], 0, ids[i + 1]);
+      for (std::size_t slot = 1; slot < kSlots; ++slot) {
+        if (rng.NextBelow(10) < 3) {
+          const dgc::ObjectId remote{
+              static_cast<dgc::SiteId>(
+                  (s + 1 + rng.NextBelow(site_count - 1)) % site_count),
+              1 + rng.NextBelow(kObjects)};
+          sites.back()->tables.EnsureOutref(remote);
+          heap.SetSlot(ids[i], slot, remote);
+        } else if (i > 0) {
+          heap.SetSlot(ids[i], slot, ids[rng.NextBelow(i)]);
+        }
+      }
+    }
+  }
+  RunMarkThroughput(state, sites);
+}
+BENCHMARK(BM_Fig1_MarkThroughput_ColdSites)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // Replica of the historical heap layout — ordered std::map keyed by object

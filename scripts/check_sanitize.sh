@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the tree with a sanitizer in a separate build directory and runs the
-# test suite under it. Slab recycling, flat visit records, and the message
-# batching paths all juggle raw slots and ids — ASan + UBSan is the cheap way
-# to prove none of them touch freed or uninitialized memory. Every process
-# is single-threaded, so there is no ThreadSanitizer flavour.
+# test suite under it. The heap's slot arena, flat visit records, and the
+# message batching paths all juggle raw slots and ids — ASan + UBSan is the
+# cheap way to prove none of them touch freed or uninitialized memory (the
+# arena poisons the ranges it holds free, so ASan sees a stale slot view).
+# Every process is single-threaded, so there is no ThreadSanitizer flavour.
 #
 # Usage:
 #   check_sanitize.sh             # ASan+UBSan, full suite (includes chaos and

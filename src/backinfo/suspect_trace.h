@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "backinfo/outset_store.h"
@@ -168,10 +169,11 @@ class BottomUpOutsetComputer {
         f.awaiting_child = false;
       }
 
-      const Object& object = heap_.Get(ObjectId{site_, f.index});
+      const std::span<const ObjectId> slots =
+          heap_.Slots(ObjectId{site_, f.index});
       bool descended = false;
-      while (f.next_slot < object.slots.size()) {
-        const ObjectId z = object.slots[f.next_slot++];
+      while (f.next_slot < slots.size()) {
+        const ObjectId z = slots[f.next_slot++];
         if (!z.valid()) continue;
         ++stats_.edges_scanned;
         if (z.site != site_) {
@@ -257,8 +259,7 @@ class IndependentOutsetTracer {
         ++stats_.objects_traced;
         env_.OnSuspectMarked(ObjectId{site_, index});
       }
-      const Object& object = heap_.Get(ObjectId{site_, index});
-      for (const ObjectId z : object.slots) {
+      for (const ObjectId z : heap_.Slots(ObjectId{site_, index})) {
         if (!z.valid()) continue;
         ++stats_.edges_scanned;
         if (z.site != site_) {

@@ -57,7 +57,7 @@ void CentralServiceCollector::SendSummary(SiteId site_id) {
     while (!queue.empty()) {
       const ObjectId current = queue.front();
       queue.pop_front();
-      for (const ObjectId target : heap.Get(current).slots) {
+      for (const ObjectId target : heap.Slots(current)) {
         if (!target.valid()) continue;
         if (target.site != site_id) {
           root_outrefs.insert(target);

@@ -1,5 +1,7 @@
 #include "baselines/global_trace.h"
 
+#include <span>
+
 #include "common/check.h"
 
 namespace dgc::baselines {
@@ -123,7 +125,7 @@ bool GlobalTraceCollector::HandleMessage(SiteId self,
     case GlobalGcControlMsg::Phase::kSweep: {
       std::vector<ObjectId> to_free;
       system_.site(self).heap().ForEach(
-          [&](ObjectId id, const Object&) {
+          [&](ObjectId id, std::span<const ObjectId>) {
             if (!state.marked.contains(id.index)) to_free.push_back(id);
           });
       for (const ObjectId id : to_free) system_.site(self).heap().Free(id);
@@ -156,7 +158,7 @@ void GlobalTraceCollector::MarkLocal(SiteId self, std::deque<ObjectId> gray) {
     if (!heap.Exists(current)) continue;
     if (!state.marked.insert(current.index).second) continue;
     ++state.work_since_probe;
-    for (const ObjectId target : heap.Get(current).slots) {
+    for (const ObjectId target : heap.Slots(current)) {
       if (!target.valid()) continue;
       if (target.site == self) {
         gray.push_back(target);

@@ -1,6 +1,7 @@
 #include "baselines/group_trace.h"
 
 #include <deque>
+#include <span>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -50,7 +51,7 @@ std::set<SiteId> GroupTraceCollector::FormGroup(ObjectId seed) {
     queue.pop_front();
     const Heap& heap = system_.site(current.site).heap();
     if (!heap.Exists(current)) continue;
-    for (const ObjectId target : heap.Get(current).slots) {
+    for (const ObjectId target : heap.Slots(current)) {
       if (!target.valid()) continue;
       if (target.site != current.site) {
         ++stats_.formation_messages;
@@ -103,7 +104,7 @@ void GroupTraceCollector::TraceGroup(const std::set<SiteId>& group) {
     const ObjectId current = gray.front();
     gray.pop_front();
     const Heap& heap = system_.site(current.site).heap();
-    for (const ObjectId target : heap.Get(current).slots) {
+    for (const ObjectId target : heap.Slots(current)) {
       if (!target.valid()) continue;
       if (!group.contains(target.site)) continue;  // outside: not ours
       if (target.site != current.site) ++stats_.gray_messages;
@@ -118,19 +119,20 @@ void GroupTraceCollector::TraceGroup(const std::set<SiteId>& group) {
   for (const SiteId s : group) {
     Site& site = system_.site(s);
     std::vector<ObjectId> to_free;
-    site.heap().ForEach([&](ObjectId id, const Object&) {
+    site.heap().ForEach([&](ObjectId id, std::span<const ObjectId>) {
       if (!marked.contains(key(id))) to_free.push_back(id);
     });
     for (const ObjectId id : to_free) {
       // Drop table state that named the dead object.
-      for (const ObjectId target : site.heap().Get(id).slots) {
+      for (const ObjectId target : site.heap().Slots(id)) {
         if (!target.valid() || target.site == s) continue;
         // Another live local object may still hold the same remote ref;
         // only remove the outref if nothing marked does.
         bool still_held = false;
-        site.heap().ForEach([&](ObjectId other, const Object& object) {
+        site.heap().ForEach([&](ObjectId other,
+                                std::span<const ObjectId> slots) {
           if (!marked.contains(key(other))) return;
-          for (const ObjectId r : object.slots) {
+          for (const ObjectId r : slots) {
             if (r == target) still_held = true;
           }
         });

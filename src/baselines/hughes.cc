@@ -1,6 +1,7 @@
 #include "baselines/hughes.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -94,7 +95,7 @@ void HughesCollector::RunLocalTrace(SiteId site_id) {
     while (!stack.empty()) {
       const ObjectId current = stack.back();
       stack.pop_back();
-      for (const ObjectId target : heap.Get(current).slots) {
+      for (const ObjectId target : heap.Slots(current)) {
         if (!target.valid()) continue;
         if (target.site != site_id) {
           auto [it, inserted] = outref_stamps.emplace(target, stamp);
@@ -110,7 +111,7 @@ void HughesCollector::RunLocalTrace(SiteId site_id) {
 
   // Sweep unmarked objects and forget stamps of dead inrefs.
   std::vector<ObjectId> to_free;
-  heap.ForEach([&](ObjectId id, const Object&) {
+  heap.ForEach([&](ObjectId id, std::span<const ObjectId>) {
     if (!marks.contains(id.index)) to_free.push_back(id);
   });
   for (const ObjectId id : to_free) {

@@ -1,6 +1,7 @@
 #include "baselines/migration.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -60,7 +61,8 @@ ObjectId MigrationCollector::Migrate(ObjectId victim, SiteId destination) {
   const InrefEntry* old_inref = origin.tables().FindInref(victim);
   DGC_CHECK(old_inref != nullptr);
   const Distance carried_distance = old_inref->distance();
-  const std::vector<ObjectId> slots = origin_heap.Get(victim).slots;
+  const std::span<const ObjectId> shipped = origin_heap.Slots(victim);
+  const std::vector<ObjectId> slots(shipped.begin(), shipped.end());
 
   // 1. Ship the object (one migrate message with the whole payload).
   ++stats_.migrations;
@@ -80,9 +82,9 @@ ObjectId MigrationCollector::Migrate(ObjectId victim, SiteId destination) {
     Site& holder = system_.site(s);
     bool patched = false;
     std::vector<std::pair<ObjectId, std::size_t>> fixes;
-    holder.heap().ForEach([&](ObjectId id, const Object& object) {
-      for (std::size_t i = 0; i < object.slots.size(); ++i) {
-        if (object.slots[i] == victim) fixes.emplace_back(id, i);
+    holder.heap().ForEach([&](ObjectId id, std::span<const ObjectId> slots) {
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (slots[i] == victim) fixes.emplace_back(id, i);
       }
     });
     for (const auto& [id, slot] : fixes) {
@@ -110,8 +112,8 @@ ObjectId MigrationCollector::Migrate(ObjectId victim, SiteId destination) {
     if (s == destination) continue;
     Site& holder = system_.site(s);
     bool holds = false;
-    holder.heap().ForEach([&](ObjectId, const Object& object) {
-      for (const ObjectId ref : object.slots) {
+    holder.heap().ForEach([&](ObjectId, std::span<const ObjectId> slots) {
+      for (const ObjectId ref : slots) {
         if (ref == new_id) holds = true;
       }
     });

@@ -1,6 +1,7 @@
 #include "core/inspect.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -128,7 +129,7 @@ std::string ToDot(const System& system) {
     const Site& site = system.site(s);
     os << "  subgraph cluster_site" << s << " {\n"
        << "    label=\"site " << s << "\";\n";
-    site.heap().ForEach([&](ObjectId id, const Object&) {
+    site.heap().ForEach([&](ObjectId id, std::span<const ObjectId>) {
       os << "    \"" << id.site << ":" << id.index << "\"";
       std::vector<std::string> attrs;
       const auto& roots = site.heap().persistent_roots();
@@ -157,8 +158,8 @@ std::string ToDot(const System& system) {
   }
   for (SiteId s = 0; s < system.site_count(); ++s) {
     const Site& site = system.site(s);
-    site.heap().ForEach([&](ObjectId id, const Object& object) {
-      for (const ObjectId target : object.slots) {
+    site.heap().ForEach([&](ObjectId id, std::span<const ObjectId> slots) {
+      for (const ObjectId target : slots) {
         if (!target.valid()) continue;
         os << "  \"" << id.site << ":" << id.index << "\" -> \""
            << target.site << ":" << target.index << "\"";

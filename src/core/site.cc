@@ -1,6 +1,7 @@
 #include "core/site.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -430,12 +431,13 @@ void Site::HandleFetch(const Envelope& envelope, const FetchMsg& msg) {
   // retained until the client's EndTransaction releases them. (Real
   // client-caching systems track this in a cache directory; a crashed
   // client's retentions are zeroed by this site's CrashRestart.)
-  const std::vector<ObjectId>& slots = heap_.Get(msg.target).slots;
+  const std::span<const ObjectId> slots = heap_.Slots(msg.target);
   for (const ObjectId ref : slots) {
     if (ref.valid()) RetainServedReference(ref);
   }
   transport_.Send(id_, envelope.from,
-                FetchReplyMsg{msg.session, msg.target, slots});
+                  FetchReplyMsg{msg.session, msg.target,
+                                {slots.begin(), slots.end()}});
 }
 
 void Site::HandleFetchReply(const FetchReplyMsg& msg) {

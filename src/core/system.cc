@@ -1,6 +1,7 @@
 #include "core/system.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -149,7 +150,7 @@ RootWalk WalkFromRoots(const System& system) {
     const ObjectId current = stack.back();
     stack.pop_back();
     for (const ObjectId target :
-         system.site(current.site).heap().Get(current).slots) {
+         system.site(current.site).heap().Slots(current)) {
       reach(target, "slot", current);
     }
   }
@@ -162,7 +163,7 @@ std::set<ObjectId> System::ComputeLiveSet() const {
   const RootWalk walk = WalkFromRoots(*this);
   std::set<ObjectId> live;
   for (const auto& s : sites_) {
-    s->heap().ForEach([&](ObjectId id, const Object&) {
+    s->heap().ForEach([&](ObjectId id, std::span<const ObjectId>) {
       if (walk.Marked(id)) live.insert(id);
     });
   }
@@ -188,7 +189,7 @@ std::string System::CheckCompleteness() const {
   const RootWalk walk = WalkFromRoots(*this);
   for (const auto& s : sites_) {
     std::string found;
-    s->heap().ForEach([&](ObjectId id, const Object&) {
+    s->heap().ForEach([&](ObjectId id, std::span<const ObjectId>) {
       if (found.empty() && !walk.Marked(id)) {
         std::ostringstream os;
         os << "garbage object " << id << " still stored";
@@ -210,9 +211,9 @@ std::string System::CheckReferentialIntegrity() const {
     // generation first; report the lowest live holder, as ids sort.
     ObjectId holder = kInvalidObject;
     ObjectId held;
-    s->heap().ForEach([&](ObjectId id, const Object& object) {
+    s->heap().ForEach([&](ObjectId id, std::span<const ObjectId> slots) {
       if (!walk.Marked(id) || (holder.valid() && holder < id)) return;
-      for (const ObjectId target : object.slots) {
+      for (const ObjectId target : slots) {
         if (!target.valid() || target.site == s->id()) continue;
         if (s->tables().FindOutref(target) == nullptr) {
           holder = id;
@@ -266,7 +267,7 @@ std::string System::CheckLocalSafetyInvariant() const {
       while (!stack.empty()) {
         const ObjectId current = stack.back();
         stack.pop_back();
-        for (const ObjectId target : heap.Get(current).slots) {
+        for (const ObjectId target : heap.Slots(current)) {
           if (!target.valid()) continue;
           if (target.site != s->id()) {
             reached_remote.push_back(target);
@@ -325,7 +326,7 @@ std::uint64_t System::TotalObjectsReclaimed() const {
 System::HeapOccupancy System::AggregateHeapOccupancy() const {
   HeapOccupancy total;
   for (const auto& s : sites_) {
-    total.slabs += s->heap().slab_count();
+    total.arena_chunks += s->heap().arena_chunk_count();
     total.slot_capacity += s->heap().slot_capacity();
     total.live_objects += s->heap().object_count();
     total.free_slots += s->heap().free_slot_count();

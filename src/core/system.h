@@ -143,10 +143,10 @@ class System {
   [[nodiscard]] BackTracerStats AggregateBackTracerStats() const;
   [[nodiscard]] std::uint64_t TotalObjectsReclaimed() const;
 
-  /// Aggregate slab occupancy across all heaps: storage slots ever used,
-  /// live objects in them, and free-list depth.
+  /// Aggregate occupancy across all heaps: slot-arena chunks, storage
+  /// slots ever used, live objects in them, and free-list depth.
   struct HeapOccupancy {
-    std::size_t slabs = 0;
+    std::size_t arena_chunks = 0;
     std::size_t slot_capacity = 0;
     std::size_t live_objects = 0;
     std::size_t free_slots = 0;
@@ -165,7 +165,7 @@ class System {
 };
 
 auto Counters(Is<System::HeapOccupancy> auto& h) {
-  return std::tuple{Counter{"slabs", h.slabs},
+  return std::tuple{Counter{"arena_chunks", h.arena_chunks},
                     Counter{"slot_capacity", h.slot_capacity},
                     Counter{"live_objects", h.live_objects},
                     Counter{"free_slots", h.free_slots}};

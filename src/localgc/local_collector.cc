@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <utility>
 
 #include "backinfo/suspect_trace.h"
@@ -77,23 +78,23 @@ void OutrefIndex::FailNoOutref(ObjectId ref) {
 void LocalCollector::MarkCleanFrom(ObjectId root, Distance distance,
                                    TraceResult& result) {
   if (!heap_.Exists(root)) return;  // stale app root; defensive
-  // The stamp and the count live in locals: the stamp cells are uint64_t,
-  // so every store to one would force a reload of a member of that type.
+  // The stamp and the count live in locals: the stamps are uint64_t, so
+  // every store to one would force a reload of a member of that type.
   const std::uint64_t clean = CleanStamp(epoch_);
-  const Heap::Cell root_cell = heap_.GetCell(root);
-  if (*root_cell.mark == clean) return;
-  *root_cell.mark = clean;
+  Heap::Record& root_record = heap_.RecordOf(root);
+  if (root_record.mark == clean) return;
+  root_record.mark = clean;
   std::uint64_t marked = 1;
-  std::vector<const Object*>& stack = mark_stack_;
+  std::vector<const Heap::Record*>& stack = mark_stack_;
   stack.clear();
-  if (!root_cell.object->slots.empty()) stack.push_back(root_cell.object);
+  if (root_record.slot_count() != 0) stack.push_back(&root_record);
   std::vector<OutrefRecord>& outrefs = result.outrefs;
   const SiteId self = heap_.site();
   const Distance outref_distance = NextDistance(distance);
   while (!stack.empty()) {
-    const Object& object = *stack.back();
+    const std::span<const ObjectId> slots = stack.back()->slots();
     stack.pop_back();
-    for (const ObjectId target : object.slots) {
+    for (const ObjectId target : slots) {
       if (!target.valid()) continue;
       if (target.site != self) {
         // First touch wins the minimum distance because roots are processed
@@ -101,11 +102,14 @@ void LocalCollector::MarkCleanFrom(ObjectId root, Distance distance,
         outref_index_.Find(outrefs, target).Reach(outref_distance, true);
         continue;
       }
-      const Heap::Cell cell = heap_.GetCell(target);
-      if (*cell.mark == clean) continue;
-      *cell.mark = clean;
+      Heap::Record& record = heap_.RecordOf(target);
+      if (record.mark == clean) continue;
+      record.mark = clean;
       ++marked;
-      if (!cell.object->slots.empty()) stack.push_back(cell.object);
+      if (record.slot_count() != 0) {
+        __builtin_prefetch(record.slots().data());
+        stack.push_back(&record);
+      }
     }
   }
   result.stats.objects_marked_clean += marked;

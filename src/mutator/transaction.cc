@@ -1,6 +1,7 @@
 #include "mutator/transaction.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.h"
 #include "mutator/pump.h"
@@ -47,7 +48,9 @@ void TransactionClient::Fetch(ObjectId obj) {
   if (cache_.contains(obj)) return;
   Hold(obj);
   if (obj.site == home_) {
-    cache_.emplace(obj, system_.site(home_).heap().Get(obj).slots);
+    const std::span<const ObjectId> slots =
+        system_.site(home_).heap().Slots(obj);
+    cache_.emplace(obj, std::vector<ObjectId>(slots.begin(), slots.end()));
     return;
   }
   bool done = false;

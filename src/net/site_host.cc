@@ -8,6 +8,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <span>
 #include <thread>
 
 #include "core/site.h"
@@ -397,7 +398,7 @@ int RunSiteProcess(const SiteHostOptions& options) {
         agent.RunUntilTime(query.time);
         wire::QueryReplyFrame reply;
         reply.seq = query.seq;
-        site.heap().ForEach([&](ObjectId id, const Object& /*object*/) {
+        site.heap().ForEach([&](ObjectId id, std::span<const ObjectId>) {
           reply.survivors.push_back(id);
         });
         std::sort(reply.survivors.begin(), reply.survivors.end());

@@ -3,26 +3,84 @@
 #include <algorithm>
 #include <limits>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define DGC_POISON(range, count) \
+  ASAN_POISON_MEMORY_REGION((range), (count) * sizeof(ObjectId))
+#define DGC_UNPOISON(range, count) \
+  ASAN_UNPOISON_MEMORY_REGION((range), (count) * sizeof(ObjectId))
+#else
+#define DGC_POISON(range, count) ((void)(range), (void)(count))
+#define DGC_UNPOISON(range, count) ((void)(range), (void)(count))
+#endif
+
 namespace dgc {
 
+SlotArena::~SlotArena() {
+  for (const auto& chunk : chunks_) DGC_UNPOISON(chunk.get(), kChunkSlots);
+}
+
+ObjectId* SlotArena::Take(std::size_t count) {
+  if (count == 0) return nullptr;
+  if (count > kMaxChunkedCount) return new ObjectId[count];
+  ObjectId* range;
+  if (std::vector<ObjectId*>& released = released_[count];
+      !released.empty()) {
+    range = released.back();
+    released.pop_back();
+  } else {
+    if (tail_slots_ < count) {
+      if (tail_slots_ != 0) released_[tail_slots_].push_back(tail_);
+      chunks_.push_back(std::make_unique<ObjectId[]>(kChunkSlots));
+      tail_ = chunks_.back().get();
+      tail_slots_ = kChunkSlots;
+      DGC_POISON(tail_, kChunkSlots);
+    }
+    range = tail_;
+    tail_ += count;
+    tail_slots_ -= count;
+  }
+  DGC_UNPOISON(range, count);
+  return range;
+}
+
+void SlotArena::Release(ObjectId* range, std::size_t count) {
+  if (count == 0) return;
+  if (count > kMaxChunkedCount) {
+    delete[] range;
+    return;
+  }
+  DGC_POISON(range, count);
+  released_[count].push_back(range);
+}
+
+Heap::~Heap() {
+  // The arena frees its chunks; a range above kMaxChunkedCount is an
+  // allocation of its own.
+  for (const Record& record : records_) {
+    if (record.slot_count() > SlotArena::kMaxChunkedCount) {
+      arena_.Release(record.slots_, record.slot_count());
+    }
+  }
+}
+
 ObjectId Heap::Allocate(std::size_t slot_count) {
+  DGC_CHECK_MSG(slot_count <= kMaxSlotCount,
+                slot_count << " reference slots do not fit a record");
   std::uint64_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = used_slots_;
+    slot = records_.size();
     DGC_CHECK_MSG(slot + 1 <= kSlotMask, "heap slot space exhausted");
-    if (slot == slabs_.size() * kSlabSize) {
-      slabs_.push_back(std::make_unique<Slab>());
-      marks_.resize(slabs_.size() * kSlabSize, 0);
-      generation_.resize(slabs_.size() * kSlabSize, 0);
-      live_.resize(slabs_.size() * kSlabSize, 0);
-    }
-    ++used_slots_;
+    records_.emplace_back();
   }
-  ObjectAt(slot).slots.assign(slot_count, kInvalidObject);
-  live_[slot] = 1;
+  Record& record = records_[slot];
+  record.slots_ = arena_.Take(slot_count);
+  std::fill_n(record.slots_, slot_count, kInvalidObject);
+  record.bits_ = static_cast<std::uint32_t>(slot_count << Record::kCountShift) |
+                 Record::kLive;
   ++live_count_;
   ++stats_.allocated;
   ++mutation_epoch_;
@@ -30,34 +88,33 @@ ObjectId Heap::Allocate(std::size_t slot_count) {
 }
 
 void Heap::SetSlot(ObjectId id, std::size_t slot, ObjectId target) {
-  Object& object = Get(id);
-  DGC_CHECK_MSG(slot < object.slots.size(),
+  Record& record = RecordOf(id);
+  DGC_CHECK_MSG(slot < record.slot_count(),
                 "slot " << slot << " out of range for " << id);
-  object.slots[slot] = target;
+  record.slots_[slot] = target;
   ++mutation_epoch_;
 }
 
 ObjectId Heap::GetSlot(ObjectId id, std::size_t slot) const {
-  const Object& object = Get(id);
-  DGC_CHECK_MSG(slot < object.slots.size(),
+  const Record& record = RecordOf(id);
+  DGC_CHECK_MSG(slot < record.slot_count(),
                 "slot " << slot << " out of range for " << id);
-  return object.slots[slot];
+  return record.slots_[slot];
 }
 
 void Heap::Free(ObjectId id) {
   DGC_CHECK_MSG(Exists(id), "freeing nonexistent object " << id);
-  DGC_CHECK_MSG(std::find(persistent_roots_.begin(), persistent_roots_.end(),
-                          id) == persistent_roots_.end(),
-                "freeing persistent root " << id);
   const std::uint64_t slot = SlotOf(id.index);
-  ObjectAt(slot).slots.clear();
-  ObjectAt(slot).slots.shrink_to_fit();
-  marks_[slot] = 0;
+  Record& record = records_[slot];
+  DGC_CHECK_MSG(!record.root(), "freeing persistent root " << id);
   DGC_CHECK_MSG(
-      generation_[slot] < std::numeric_limits<std::uint32_t>::max(),
+      record.generation_ < std::numeric_limits<std::uint32_t>::max(),
       "generation counter exhausted for slot " << slot);
-  ++generation_[slot];
-  live_[slot] = 0;
+  arena_.Release(record.slots_, record.slot_count());
+  record.mark = 0;
+  ++record.generation_;
+  record.bits_ = 0;
+  record.slots_ = nullptr;
   --live_count_;
   free_slots_.push_back(static_cast<std::uint32_t>(slot));
   ++stats_.reclaimed;
@@ -72,28 +129,31 @@ void Heap::FailNoObject(ObjectId id) const {
 
 void Heap::AddPersistentRoot(ObjectId id) {
   DGC_CHECK_MSG(Exists(id), "persistent root must be local: " << id);
-  DGC_CHECK(std::find(persistent_roots_.begin(), persistent_roots_.end(),
-                      id) == persistent_roots_.end());
+  Record& record = records_[SlotOf(id.index)];
+  DGC_CHECK_MSG(!record.root(), id << " is already a root");
+  record.bits_ |= Record::kRoot;
   persistent_roots_.push_back(id);
   ++mutation_epoch_;
 }
 
 void Heap::RemovePersistentRoot(ObjectId id) {
-  const auto it =
-      std::find(persistent_roots_.begin(), persistent_roots_.end(), id);
-  DGC_CHECK_MSG(it != persistent_roots_.end(), id << " is not a root");
-  persistent_roots_.erase(it);
+  DGC_CHECK_MSG(Exists(id) && records_[SlotOf(id.index)].root(),
+                id << " is not a root");
+  records_[SlotOf(id.index)].bits_ &= ~Record::kRoot;
+  persistent_roots_.erase(
+      std::find(persistent_roots_.begin(), persistent_roots_.end(), id));
   ++mutation_epoch_;
 }
 
 HeapImage Heap::CaptureImage() const {
   HeapImage image;
-  image.slots.resize(used_slots_);
-  for (std::uint64_t slot = 0; slot < used_slots_; ++slot) {
+  image.slots.resize(records_.size());
+  for (std::uint64_t slot = 0; slot < records_.size(); ++slot) {
+    const Record& record = records_[slot];
     HeapImage::SlotImage& s = image.slots[slot];
-    s.generation = generation_[slot];
-    s.live = live_[slot] != 0;
-    if (s.live) s.slots = ObjectAt(slot).slots;
+    s.generation = record.generation_;
+    s.live = record.live();
+    s.slots.assign(record.slots().begin(), record.slots().end());
   }
   image.free_slots = free_slots_;
   image.persistent_roots = persistent_roots_;
@@ -117,36 +177,40 @@ bool HeapImage::Restorable(SiteId site) const {
   }
   for (const SlotImage& slot : slots) {
     if (!slot.live && !slot.slots.empty()) return false;
+    if (slot.slots.size() > Heap::kMaxSlotCount) return false;
     if (slot.generation == std::numeric_limits<std::uint32_t>::max()) {
       return false;  // its next Free would exhaust the generation counter
     }
   }
-  return std::all_of(persistent_roots.begin(), persistent_roots.end(),
-                     [&](ObjectId root) { return Holds(site, root); });
+  // No root is a free slot, so `listed` is clear at every root's slot.
+  for (const ObjectId root : persistent_roots) {
+    if (!Holds(site, root) || listed[Heap::SlotOf(root.index)]) return false;
+    listed[Heap::SlotOf(root.index)] = true;
+  }
+  return true;
 }
 
 void Heap::RestoreImage(const HeapImage& image) {
-  DGC_CHECK_MSG(used_slots_ == 0 && live_count_ == 0,
+  DGC_CHECK_MSG(records_.empty() && live_count_ == 0,
                 "RestoreImage requires a virgin heap");
-  const std::uint64_t slots = image.slots.size();
-  while (slabs_.size() * kSlabSize < slots) {
-    slabs_.push_back(std::make_unique<Slab>());
-  }
-  const std::size_t capacity = slabs_.size() * kSlabSize;
-  marks_.assign(capacity, 0);
-  generation_.assign(capacity, 0);
-  live_.assign(capacity, 0);
-  used_slots_ = slots;
-  for (std::uint64_t slot = 0; slot < slots; ++slot) {
+  records_.resize(image.slots.size());
+  for (std::uint64_t slot = 0; slot < records_.size(); ++slot) {
     const HeapImage::SlotImage& s = image.slots[slot];
-    generation_[slot] = s.generation;
+    Record& record = records_[slot];
+    record.generation_ = s.generation;
     if (!s.live) continue;
-    live_[slot] = 1;
-    ObjectAt(slot).slots = s.slots;
+    record.slots_ = arena_.Take(s.slots.size());
+    std::copy(s.slots.begin(), s.slots.end(), record.slots_);
+    record.bits_ =
+        static_cast<std::uint32_t>(s.slots.size() << Record::kCountShift) |
+        Record::kLive;
     ++live_count_;
   }
   free_slots_ = image.free_slots;
   persistent_roots_ = image.persistent_roots;
+  for (const ObjectId root : persistent_roots_) {
+    records_[SlotOf(root.index)].bits_ |= Record::kRoot;
+  }
   stats_ = image.stats;
 }
 

@@ -6,13 +6,17 @@
 // knows nothing about garbage collection beyond one mark stamp per object
 // that the local tracer uses to avoid a clearing pass.
 //
-// Storage layout: objects live in fixed-size slabs addressed by a dense
-// *storage slot*; `Free` recycles slots through a LIFO free list. The public
-// ObjectId stays unique forever by folding a per-slot generation into the
-// index — a recycled slot hands out a new id while stale ids fail Exists().
-// Mark stamps live in one contiguous side array (not in Object) so the
-// marking loop touches dense memory instead of chasing per-object nodes; this
-// is what makes the local trace cache-friendly.
+// Storage layout: every object occupies a dense *storage slot*, and each
+// storage slot has one 24-byte Heap::Record holding all of its state: the
+// mark stamp, the generation, the live and root bits, the reference-slot
+// count and a pointer to the reference slots. The reference slots live in a
+// SlotArena of fixed-size chunks that never move. `Free` recycles storage
+// slots through a LIFO free list, and arena ranges through per-count LIFO
+// lists. The public ObjectId stays unique forever by folding the slot's
+// generation into the index — a recycled slot hands out a new id while
+// stale ids fail Exists(). Marking an object reads two places: its record
+// (the Exists check, the stamp and the count share it) and its slots. That
+// is what keeps the local trace cheap when the heap has gone cold.
 //
 // Mutation epoch: every state change that could alter a local trace's
 // outcome — allocation, reclamation, a slot write, a root-set change — bumps
@@ -23,17 +27,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
 #include "common/ids.h"
 
 namespace dgc {
-
-struct Object {
-  /// Reference slots; kInvalidObject means null.
-  std::vector<ObjectId> slots;
-};
 
 struct HeapStats {
   std::uint64_t allocated = 0;
@@ -64,21 +64,88 @@ struct HeapImage {
   [[nodiscard]] bool Holds(SiteId site, ObjectId id) const;
   /// What RestoreImage takes on trust: every free slot is in range, dead
   /// and listed once (the next Allocate pops it), every dead slot is empty,
-  /// every slot can still be freed without exhausting its generation, and
-  /// every persistent root is live.
+  /// every live slot's count fits a record (Heap::kMaxSlotCount), every
+  /// slot can still be freed without exhausting its generation, and every
+  /// persistent root is live and listed once (its record's root bit).
   [[nodiscard]] bool Restorable(SiteId site) const;
+};
+
+/// Storage for one heap's reference slots. Ranges are cut from chunks of
+/// kChunkSlots slots that never move, so a range stays put until it is
+/// released. A released range is reused, LIFO, by the next request for the
+/// same count; when a request does not fit the newest chunk, the rest of
+/// that chunk becomes a released range of its own size. A count above
+/// kMaxChunkedCount gets an allocation of its own, freed on release.
+/// Under AddressSanitizer every chunk slot outside a taken range is
+/// poisoned, so a view that outlives its object faults.
+class SlotArena {
+ public:
+  static constexpr std::size_t kChunkSlots = 1024;
+  static constexpr std::size_t kMaxChunkedCount = 64;
+
+  SlotArena() = default;
+  SlotArena(const SlotArena&) = delete;
+  SlotArena& operator=(const SlotArena&) = delete;
+  ~SlotArena();
+
+  /// A range of `count` slots with unspecified contents; null for 0.
+  [[nodiscard]] ObjectId* Take(std::size_t count);
+  /// Gives back a range that Take(count) returned.
+  void Release(ObjectId* range, std::size_t count);
+
+  [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
+
+ private:
+  std::vector<std::unique_ptr<ObjectId[]>> chunks_;
+  ObjectId* tail_ = nullptr;  // the newest chunk's untaken rest
+  std::size_t tail_slots_ = 0;
+  std::array<std::vector<ObjectId*>, kMaxChunkedCount + 1> released_;
 };
 
 class Heap {
  public:
-  /// Objects per slab. Slabs never move once allocated, so Object pointers
-  /// are stable for the object's lifetime.
-  static constexpr std::size_t kSlabSize = 1024;
+  /// The most reference slots one object can have.
+  static constexpr std::size_t kMaxSlotCount = (std::size_t{1} << 30) - 1;
+
+  /// One storage slot's state. The mark loop reads an object's Exists
+  /// check, stamp and slot count from this one record, and its slots from
+  /// one more place, the arena range the record points at.
+  class Record {
+   public:
+    /// Stamp of the last local trace that marked the object (0 = never,
+    /// reset when the storage slot is recycled). It names the trace and the
+    /// phase that marked the object: localgc/local_collector.h.
+    std::uint64_t mark = 0;
+
+    /// The object's reference slots (kInvalidObject means null). The view
+    /// stays valid until the object is freed: arena chunks never move.
+    [[nodiscard]] std::span<const ObjectId> slots() const {
+      return {slots_, slot_count()};
+    }
+    [[nodiscard]] std::size_t slot_count() const {
+      return bits_ >> kCountShift;
+    }
+
+   private:
+    friend class Heap;
+    static constexpr std::uint32_t kLive = 1;
+    static constexpr std::uint32_t kRoot = 2;
+    static constexpr unsigned kCountShift = 2;
+
+    [[nodiscard]] bool live() const { return (bits_ & kLive) != 0; }
+    [[nodiscard]] bool root() const { return (bits_ & kRoot) != 0; }
+
+    std::uint32_t generation_ = 0;
+    std::uint32_t bits_ = 0;  // slot count << kCountShift | kRoot | kLive
+    ObjectId* slots_ = nullptr;
+  };
+  static_assert(sizeof(Record) == 24);
 
   explicit Heap(SiteId site) : site_(site) {}
 
   Heap(const Heap&) = delete;
   Heap& operator=(const Heap&) = delete;
+  ~Heap();
 
   [[nodiscard]] SiteId site() const { return site_; }
 
@@ -88,53 +155,39 @@ class Heap {
   ObjectId Allocate(std::size_t slot_count);
 
   [[nodiscard]] bool Exists(ObjectId id) const {
-    if (id.site != site_) return false;
-    const std::uint64_t biased = id.index & kSlotMask;
-    if (biased == 0) return false;
-    const std::uint64_t slot = biased - 1;
-    return slot < used_slots_ && live_[slot] != 0 &&
-           generation_[slot] == GenerationOf(id.index);
+    // Index 0 decodes to slot 2^64 - 1, which no heap has.
+    const std::uint64_t slot = SlotOf(id.index);
+    return id.site == site_ && slot < records_.size() &&
+           records_[slot].live() &&
+           records_[slot].generation_ == GenerationOf(id.index);
   }
 
-  [[nodiscard]] Object& Get(ObjectId id) {
-    if (!Exists(id)) FailNoObject(id);
-    return ObjectAt(SlotOf(id.index));
+  /// The object's reference slots; the view stays valid until the object
+  /// is freed.
+  [[nodiscard]] std::span<const ObjectId> Slots(ObjectId id) const {
+    return RecordOf(id).slots();
   }
-  [[nodiscard]] const Object& Get(ObjectId id) const {
+
+  /// The object's record, for the local trace's mark loop, which pays the
+  /// id decode once per object. The reference is valid until the next
+  /// Allocate, which may grow the record table; nothing allocates during a
+  /// trace.
+  [[nodiscard]] Record& RecordOf(ObjectId id) {
     if (!Exists(id)) FailNoObject(id);
-    return ObjectAt(SlotOf(id.index));
+    return records_[SlotOf(id.index)];
+  }
+  [[nodiscard]] const Record& RecordOf(ObjectId id) const {
+    if (!Exists(id)) FailNoObject(id);
+    return records_[SlotOf(id.index)];
   }
 
   // --- Mark stamps (the local tracer's mark state) ----------------------
 
-  /// Stamp of the last local trace that marked the object (0 = never, reset
-  /// when a storage slot is recycled). It names the trace and the phase
-  /// that marked the object: localgc/local_collector.h.
+  /// The object's Record::mark.
   [[nodiscard]] std::uint64_t mark(ObjectId id) const {
-    if (!Exists(id)) FailNoObject(id);
-    return marks_[SlotOf(id.index)];
+    return RecordOf(id).mark;
   }
-  void set_mark(ObjectId id, std::uint64_t stamp) {
-    if (!Exists(id)) FailNoObject(id);
-    marks_[SlotOf(id.index)] = stamp;
-  }
-
-  /// One decoded live object: its slots plus its stamp cell, so the marking
-  /// loop pays the id decode once per object. The stamp pointer is valid
-  /// until the next Allocate or Free (Allocate may grow the side array);
-  /// `object` stays valid until that object is freed, since slabs never
-  /// move. The local collector's mark stack holds these Object pointers for
-  /// the whole mark, which is safe because nothing allocates or frees
-  /// during a trace.
-  struct Cell {
-    Object* object;
-    std::uint64_t* mark;
-  };
-  [[nodiscard]] Cell GetCell(ObjectId id) {
-    if (!Exists(id)) FailNoObject(id);
-    const std::uint64_t slot = SlotOf(id.index);
-    return Cell{&ObjectAt(slot), &marks_[slot]};
-  }
+  void set_mark(ObjectId id, std::uint64_t stamp) { RecordOf(id).mark = stamp; }
 
   /// Storage slot of an object id's index (low half minus the +1 bias): the
   /// position of its entry in a HeapImage, of its mark bit in System's
@@ -153,12 +206,15 @@ class Heap {
   [[nodiscard]] ObjectId GetSlot(ObjectId id, std::size_t slot) const;
 
   /// Reclaims an object's storage. The caller guarantees unreachability.
-  /// The storage slot joins the free list; its stamp resets to zero and its
-  /// generation advances, invalidating the id permanently.
+  /// The storage slot joins the free list and its reference slots go back
+  /// to the arena; its stamp resets to zero and its generation advances,
+  /// invalidating the id permanently.
   void Free(ObjectId id);
 
   /// Marks/queries membership in the persistent-root set. Roots must be
-  /// local live objects.
+  /// local live objects. Each root's record carries a root bit, so both
+  /// checks are O(1); the list keeps insertion order, the order in which
+  /// traces read the roots.
   void AddPersistentRoot(ObjectId id);
   void RemovePersistentRoot(ObjectId id);
   [[nodiscard]] const std::vector<ObjectId>& persistent_roots() const {
@@ -188,38 +244,39 @@ class Heap {
 
   // --- Occupancy (instrumentation) --------------------------------------
 
-  [[nodiscard]] std::size_t slab_count() const { return slabs_.size(); }
-  [[nodiscard]] std::size_t slot_capacity() const { return used_slots_; }
+  [[nodiscard]] std::size_t arena_chunk_count() const {
+    return arena_.chunk_count();
+  }
+  [[nodiscard]] std::size_t slot_capacity() const { return records_.size(); }
   [[nodiscard]] std::size_t free_slot_count() const {
     return free_slots_.size();
   }
   /// Live objects per storage slot ever used; 1.0 means no internal holes.
   [[nodiscard]] double occupancy() const {
-    return used_slots_ == 0
-               ? 1.0
-               : static_cast<double>(live_count_) /
-                     static_cast<double>(used_slots_);
+    return records_.empty() ? 1.0
+                            : static_cast<double>(live_count_) /
+                                  static_cast<double>(records_.size());
   }
 
-  /// Visits every (ObjectId, Object) pair in storage-slot order: slabs in
-  /// creation order, slots within a slab in order. A recycled slot keeps its
-  /// storage position, so sweep order (and downstream message batching) is
-  /// deterministic across runs and standard libraries.
+  /// Visits every live object's id and reference slots in storage-slot
+  /// order. A recycled slot keeps its storage position, so sweep order (and
+  /// downstream message batching) is deterministic across runs and standard
+  /// libraries.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (std::uint64_t slot = 0; slot < used_slots_; ++slot) {
-      if (live_[slot] == 0) continue;
-      fn(IdAt(slot), ObjectAt(slot));
+    for (std::uint64_t slot = 0; slot < records_.size(); ++slot) {
+      const Record& record = records_[slot];
+      if (record.live()) fn(IdAt(slot), record.slots());
     }
   }
 
   /// ForEach's order, each live object's id with its stamp: the sweep's
-  /// view, one decode per slot.
+  /// view, one record per slot.
   template <typename Fn>
   void ForEachMark(Fn&& fn) const {
-    for (std::uint64_t slot = 0; slot < used_slots_; ++slot) {
-      if (live_[slot] == 0) continue;
-      fn(IdAt(slot), marks_[slot]);
+    for (std::uint64_t slot = 0; slot < records_.size(); ++slot) {
+      const Record& record = records_[slot];
+      if (record.live()) fn(IdAt(slot), record.mark);
     }
   }
 
@@ -240,30 +297,19 @@ class Heap {
   }
 
   [[nodiscard]] ObjectId IdAt(std::uint64_t slot) const {
-    return ObjectId{site_, (static_cast<std::uint64_t>(generation_[slot])
+    return ObjectId{site_, (static_cast<std::uint64_t>(
+                                records_[slot].generation_)
                             << kGenShift) |
                                (slot + 1)};
   }
-  [[nodiscard]] Object& ObjectAt(std::uint64_t slot) {
-    return (*slabs_[slot / kSlabSize])[slot % kSlabSize];
-  }
-  [[nodiscard]] const Object& ObjectAt(std::uint64_t slot) const {
-    return (*slabs_[slot / kSlabSize])[slot % kSlabSize];
-  }
   /// Throws the accessors' "no object" violation. Out of line, so that
-  /// GetCell stays small enough to inline into the local trace's mark loop.
+  /// RecordOf stays small enough to inline into the local trace's mark loop.
   [[noreturn]] void FailNoObject(ObjectId id) const;
 
-  using Slab = std::array<Object, kSlabSize>;
-
   SiteId site_;
-  std::vector<std::unique_ptr<Slab>> slabs_;
-  // Side arrays indexed by storage slot, contiguous across slabs.
-  std::vector<std::uint64_t> marks_;
-  std::vector<std::uint32_t> generation_;
-  std::vector<std::uint8_t> live_;
+  std::vector<Record> records_;            // indexed by storage slot
+  SlotArena arena_;                        // every record's slots
   std::vector<std::uint32_t> free_slots_;  // LIFO recycling
-  std::uint64_t used_slots_ = 0;           // high-water mark of slots touched
   std::size_t live_count_ = 0;
   std::vector<ObjectId> persistent_roots_;
   HeapStats stats_;

@@ -6,8 +6,8 @@
 // god-mode surface both expose — and RunScriptedChurn is a deterministic
 // generator over it: every RNG draw happens here, on the driver side, and
 // object ids are whatever the worlds mint (identical by construction, since
-// every heap allocates slab/slot/generation the same way for the same op
-// stream). Run it twice with one seed and the two worlds must agree on
+// every heap allocates storage slots and generations the same way for the
+// same op stream). Run it twice with one seed and the two worlds must agree on
 // every verdict and every reclaimed object.
 //
 // The workload shape is the paper's: cross-site rings (distributed cycles)

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -164,7 +165,7 @@ std::set<ObjectId> ComputeLiveSet(const System& system) {
     const ObjectId current = stack.back();
     stack.pop_back();
     for (const ObjectId target :
-         system.site(current.site).heap().Get(current).slots) {
+         system.site(current.site).heap().Slots(current)) {
       push(target);
     }
   }
@@ -202,7 +203,7 @@ std::string CheckSafety(const System& system) {
     const ObjectId current = stack.back();
     stack.pop_back();
     for (const ObjectId target :
-         system.site(current.site).heap().Get(current).slots) {
+         system.site(current.site).heap().Slots(current)) {
       if (!push(target, "slot", current)) return violation.str();
     }
   }
@@ -213,7 +214,7 @@ std::string CheckCompleteness(const System& system) {
   const std::set<ObjectId> live = ComputeLiveSet(system);
   for (SiteId i = 0; i < system.site_count(); ++i) {
     std::string found;
-    system.site(i).heap().ForEach([&](ObjectId id, const Object&) {
+    system.site(i).heap().ForEach([&](ObjectId id, std::span<const ObjectId>) {
       if (found.empty() && !live.contains(id)) {
         std::ostringstream os;
         os << "garbage object " << id << " still stored";
@@ -232,7 +233,7 @@ std::string CheckReferentialIntegrity(const System& system) {
     const Site& s = system.site(i);
     for (const ObjectId id : live) {
       if (id.site != s.id()) continue;
-      for (const ObjectId target : s.heap().Get(id).slots) {
+      for (const ObjectId target : s.heap().Slots(id)) {
         if (!target.valid() || target.site == s.id()) continue;
         if (s.tables().FindOutref(target) == nullptr) {
           violation << "live object " << id << " holds " << target
@@ -273,7 +274,7 @@ std::string CheckLocalSafetyInvariant(const System& system) {
       while (!stack.empty()) {
         const ObjectId current = stack.back();
         stack.pop_back();
-        for (const ObjectId target : s.heap().Get(current).slots) {
+        for (const ObjectId target : s.heap().Slots(current)) {
           if (!target.valid()) continue;
           if (target.site != s.id()) {
             reached_remote.insert(target);
@@ -417,9 +418,10 @@ World BuildWorld(System& system, std::uint64_t seed) {
             return id.site == s && Heap::SlotOfIndex(id.index) > slot;
           });
       if (elder != live.end()) {
-        const Object& model = system.site(s).heap().Get(*elder);
-        for (std::size_t i = 0; i < model.slots.size() && i < 3; ++i) {
-          if (model.slots[i].valid()) system.Wire(young, i, model.slots[i]);
+        const std::span<const ObjectId> model =
+            system.site(s).heap().Slots(*elder);
+        for (std::size_t i = 0; i < model.size() && i < 3; ++i) {
+          if (model[i].valid()) system.Wire(young, i, model[i]);
         }
       }
       system.site(s).AddAppRoot(young);
@@ -492,7 +494,7 @@ bool Inject(System& system, const World& world, Fault fault, Rng& rng) {
       std::vector<std::pair<SiteId, ObjectId>> held;
       for (const ObjectId young : world.regrown) {
         const Site& site = system.site(young.site);
-        for (const ObjectId target : site.heap().Get(young).slots) {
+        for (const ObjectId target : site.heap().Slots(young)) {
           if (target.valid() && target.site != young.site &&
               site.tables().FindOutref(target) != nullptr) {
             held.emplace_back(young.site, target);

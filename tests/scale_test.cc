@@ -132,7 +132,7 @@ std::string DumpWorld(System& system,
     }
     os << "\nslots";
     for (const ObjectId id : ids[s]) {
-      for (std::size_t slot = 0; slot < site.heap().Get(id).slots.size();
+      for (std::size_t slot = 0; slot < site.heap().Slots(id).size();
            ++slot) {
         os << ' ' << site.heap().GetSlot(id, slot);
       }

@@ -920,7 +920,7 @@ TEST(SnapshotRulesTest, CapturedSnapshotRestores) {
 
 TEST(SnapshotRulesTest, FreeSlotPastTheEndIsRejected) {
   // Restored verbatim, this slot sends the next Allocate past the heap's
-  // slabs and side arrays.
+  // record table.
   SiteSnapshot snapshot = CaptureSmallSite();
   snapshot.heap.free_slots.push_back(1u << 20);
   EXPECT_FALSE(Restores(snapshot));
@@ -971,6 +971,16 @@ TEST(SnapshotRulesTest, PersistentRootMustNameALiveLocalObject) {
     snapshot.heap.persistent_roots.push_back(bad);
     EXPECT_FALSE(Restores(snapshot));
   }
+}
+
+TEST(SnapshotRulesTest, PersistentRootListedTwiceIsRejected) {
+  // Restored verbatim, the root's record carries one root bit for two
+  // list entries: removing the root once would let the object be freed
+  // while the list still names it.
+  SiteSnapshot snapshot = CaptureSmallSite();
+  snapshot.heap.persistent_roots.push_back(
+      snapshot.heap.persistent_roots.front());
+  EXPECT_FALSE(Restores(snapshot));
 }
 
 TEST(SnapshotRulesTest, UnflaggedInrefMustNameALiveLocalObject) {
